@@ -1,45 +1,30 @@
-(* Benchmark harness.
+(* Micro-benchmark harness.
 
-   Two parts:
+   Usage: dune exec bench/main.exe -- [--json FILE] [--jobs N] [subcommand...]
+   where subcommand is one of (default: micro):
 
-   1. Bechamel micro-benchmarks — one [Test.make] per paper table/figure,
-      timing the hot primitive behind that artifact (the hash behind
-      Table I, the probe round behind Table II/Figure 4, the scan behind the
-      E8/E10 campaigns, the work-unit accounting behind Figure 7, plus the
-      simulation substrate itself).
+   - micro   Bechamel OLS estimates of the hot primitive behind each paper
+             artifact (the hash behind Table I, the probe round behind
+             Table II/Figure 4, the scan behind E8/E10, the work-unit check
+             behind Figure 7) and of the simulation substrate.
+   - runner  the registry's pooled experiments at quick scale, timed at
+             jobs=1 vs jobs=N (N = --jobs, or 4), plus hash throughput on a
+             multi-MiB region (BENCH_runner.json).
+   - engine  event-queue push/pop throughput and allocation per event
+             against the boxed binary-heap baseline, plus the full engine
+             drain loop (BENCH_engine.json).
+   - cache   cache-hierarchy lookup/fill throughput and allocation per
+             access (BENCH_cache.json).
+   - scan    cold / warm-quiescent / N%-dirty introspection rescans with
+             incremental hashing against the forced full-re-hash reference
+             (BENCH_scan.json).
 
-   2. The full reproduction run — every table and figure of the paper's
-      evaluation regenerated by the simulator and printed in paper order
-      (identical to [satin_cli all]).
-
-   Usage: dune exec bench/main.exe
-     [-- [--json FILE] [--jobs N] [--check] [--store DIR | --no-store]
-      subcommand...]
-   where subcommand is one of: micro, runner, engine, cache, scan, e1,
-   table1, e3, uprober, table2, fig4, e6, race, timeline, evasion, areas,
-   satin-detect, fig7, ablation, dkom, cache-channel, cache-fidelity,
-   sweep, inject, degrade, all (default: micro then all).
-   [--json FILE] additionally writes a machine-readable summary of every
-   experiment and micro-benchmark that ran. [--jobs N] runs experiment
-   trial fan-outs on N domains; summaries are byte-identical whatever N
-   (wall-clock fields in the [runner] subcommand's output excepted).
-   [--check] runs the simulation sanitizer over every scenario and exits
-   nonzero on any invariant violation.
-   [--store DIR] serves previously-computed trials from the on-disk result
-   store at DIR (default: $SATIN_STORE when set) and persists fresh ones;
-   a warmed store makes a repeat run skip every trial while printing
-   byte-identical summaries. [--no-store] ignores $SATIN_STORE.
-   The [runner] subcommand times each pooled experiment at jobs=1 vs
-   jobs=N and measures hash throughput on a multi-MiB region.
-   The [engine] subcommand measures event-queue push/pop throughput and
-   allocation per event against the boxed binary-heap baseline, plus the
-   full engine drain loop (writes BENCH_engine.json under --json).
-   The [scan] subcommand measures cold / warm-quiescent / N%-dirty
-   introspection rescans with incremental hashing against the forced
-   full-re-hash reference (writes BENCH_scan.json under --json). *)
+   [--json FILE] also writes a satin-bench/v1 document of every result.
+   Host times come from bechamel's monotonic clock. For end-to-end
+   campaign timings see bench_e2e/README.md; experiments themselves run
+   through [satin_cli <name> [--json FILE]]. *)
 
 open Bechamel
-open Toolkit
 module Scenario = Satin.Scenario
 module Sim_time = Satin_engine.Sim_time
 module Engine = Satin_engine.Engine
@@ -49,8 +34,8 @@ module World = Satin_hw.World
 module Hash = Satin_introspect.Hash
 module Checker = Satin_introspect.Checker
 module Board = Satin_attack.Board
-module E = Satin.Experiment
 module S = Satin.Summary
+module Registry = Satin.Registry
 module Json = Satin_obs.Json
 module Runner = Satin_runner.Runner
 
@@ -158,14 +143,15 @@ let micro_tests =
 let run_micro () =
   print_endline "==== Bechamel micro-benchmarks (ns per run, OLS estimate) ====";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
+  let clock = Toolkit.Instance.monotonic_clock in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
   in
   let rows = ref [] in
   List.iter
     (fun test ->
-      let results = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
+      let results = Benchmark.all cfg [ clock ] test in
+      let analyzed = Analyze.all ols clock results in
       Hashtbl.iter
         (fun name ols_result ->
           let est =
@@ -203,26 +189,24 @@ let micro_json rows =
            ])
        rows)
 
-let fmt = Format.std_formatter
-
 (* ---- runner benchmark: pooled experiments at jobs=1 vs jobs=N, plus a
    hash-throughput microbenchmark on a multi-MiB region ---- *)
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* Seconds on bechamel's monotonic clock. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* The trial fan-outs worth parallelizing, at quick campaign sizes. *)
-let runner_experiments : (string * (Runner.t -> unit)) list =
-  [
-    ("uprober", fun pool -> ignore (E.run_uprober ~pool ~trials:6 ()));
-    ("table2", fun pool -> ignore (E.run_table2 ~pool ~rounds:15 ()));
-    ("fig7", fun pool -> ignore (E.run_fig7 ~pool ~window_s:8 ()));
-    ( "sweep",
-      fun pool ->
-        ignore (E.run_tgoal_sweep ~pool ~trials:2 ~tps_s:[ 1.0; 4.0 ] ()) );
-  ]
+let time f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
+
+(* The registry's trial fan-outs worth parallelizing, run at quick scale
+   with their reports discarded. *)
+let runner_experiments = [ "uprober"; "table2"; "fig7"; "sweep" ]
+
+let run_quick name pool =
+  let discard = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  ignore (Registry.run discard ~pool ~seed:42 ~quick:true name)
 
 let hash_throughput_len = 4 * 1024 * 1024
 
@@ -296,8 +280,8 @@ let run_runner ~jobs =
   end;
   let rows =
     List.map
-      (fun (name, f) ->
-        let (), seq_s = time (fun () -> f seq) in
+      (fun name ->
+        let (), seq_s = time (fun () -> run_quick name seq) in
         if clamped then begin
           Printf.printf
             "  %-10s jobs=1 %6.2f s   jobs=%d skipped (clamped to 1 core)\n%!"
@@ -305,7 +289,7 @@ let run_runner ~jobs =
           (name, seq_s, None)
         end
         else begin
-          let (), par_s = time (fun () -> f par) in
+          let (), par_s = time (fun () -> run_quick name par) in
           Printf.printf
             "  %-10s jobs=1 %6.2f s   jobs=%d %6.2f s   (%.2fx)\n%!" name
             seq_s jobs par_s (seq_s /. par_s);
@@ -471,9 +455,7 @@ let measure_events ~events f =
   let best = ref infinity and words = ref infinity in
   for _ = 1 to 3 do
     let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt = time f in
     let dw = Gc.minor_words () -. w0 in
     if dt < !best then best := dt;
     if dw < !words then words := dw
@@ -668,16 +650,18 @@ let scan_round platform checker =
        ~on_verdict:(fun _ -> ()));
   ignore (Engine.run_all engine ())
 
-(* Warm rounds are microseconds; time a batch and divide so gettimeofday
-   granularity doesn't dominate. Best of [samples]. *)
+(* Warm rounds are microseconds; time a batch and divide so per-call
+   clock overhead doesn't dominate. Best of [samples]. *)
 let scan_time_rounds ?(samples = 5) ?(rounds = 20) platform checker =
   let best = ref infinity in
   for _ = 1 to samples do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to rounds do
-      scan_round platform checker
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int rounds in
+    let (), dt =
+      time (fun () ->
+          for _ = 1 to rounds do
+            scan_round platform checker
+          done)
+    in
+    let dt = dt /. float_of_int rounds in
     if dt < !best then best := dt
   done;
   !best
@@ -693,17 +677,20 @@ let scan_time_dirty_rounds ?(samples = 5) ?(rounds = 10) platform checker
   let counter = ref 0L in
   let best = ref infinity in
   for _ = 1 to samples do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to rounds do
-      for k = 0 to npages - 1 do
-        counter := Int64.add !counter 1L;
-        Memory.write_int64_le memory ~world:World.Secure
-          ~addr:(scan_bench_base + (k * stride * Memory.gen_page_size) + 64)
-          !counter
-      done;
-      scan_round platform checker
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int rounds in
+    let (), dt =
+      time (fun () ->
+          for _ = 1 to rounds do
+            for k = 0 to npages - 1 do
+              counter := Int64.add !counter 1L;
+              Memory.write_int64_le memory ~world:World.Secure
+                ~addr:
+                  (scan_bench_base + (k * stride * Memory.gen_page_size) + 64)
+                !counter
+            done;
+            scan_round platform checker
+          done)
+    in
+    let dt = dt /. float_of_int rounds in
     if dt < !best then best := dt
   done;
   !best
@@ -804,207 +791,46 @@ let run_scan_bench () =
           ] );
     ]
 
-let valid_benches =
+let benches =
   [
-    "micro"; "runner"; "engine"; "cache"; "scan"; "e1"; "table1"; "e3";
-    "uprober"; "table2"; "fig4"; "e6"; "race"; "timeline"; "evasion"; "areas";
-    "satin-detect"; "fig7"; "ablation"; "dkom"; "cache-channel";
-    "cache-fidelity"; "sweep"; "inject"; "degrade"; "all";
+    ("micro", fun ~jobs:_ -> micro_json (run_micro ()));
+    (* The comparison needs a parallel side; without an explicit --jobs,
+       measure against a 4-domain pool. *)
+    ("runner", fun ~jobs -> run_runner ~jobs:(if jobs > 1 then jobs else 4));
+    ("engine", fun ~jobs:_ -> run_engine_bench ());
+    ("cache", fun ~jobs:_ -> run_cache_bench ());
+    ("scan", fun ~jobs:_ -> run_scan_bench ());
   ]
 
-(* Runs one subcommand, printing exactly what it always printed, and
-   returns its contribution to the [--json] summary. "all" delegates to
-   [E.run_all] (interleaved paper-order output) and contributes nothing
-   structured — ask for the individual subcommands to capture results. *)
-let run_one ~pool ~jobs name : (string * Json.t) list =
-  match name with
-  | "micro" -> [ ("micro", micro_json (run_micro ())) ]
-  | "runner" ->
-      (* The comparison needs a parallel side; without an explicit --jobs,
-         measure against a 4-domain pool. *)
-      [ ("runner", run_runner ~jobs:(if jobs > 1 then jobs else 4)) ]
-  | "engine" -> [ ("engine", run_engine_bench ()) ]
-  | "e1" ->
-      let r = E.run_e1 ~pool () in
-      E.print_e1 fmt r;
-      [ ("e1", S.e1 r) ]
-  | "table1" ->
-      let r = E.run_table1 ~pool () in
-      E.print_table1 fmt r;
-      [ ("table1", S.table1 r) ]
-  | "e3" ->
-      let r = E.run_e3 ~pool () in
-      E.print_e3 fmt r;
-      [ ("e3", S.e3 r) ]
-  | "uprober" ->
-      let r = E.run_uprober ~pool () in
-      E.print_uprober fmt r;
-      [ ("uprober", S.uprober r) ]
-  | "table2" ->
-      let r = E.run_table2 ~pool () in
-      E.print_table2 fmt r;
-      [ ("table2", S.table2 r) ]
-  | "fig4" ->
-      let r = E.run_table2 ~pool () in
-      E.print_fig4 fmt r;
-      [ ("fig4", S.table2 r) ]
-  | "e6" ->
-      let r = E.run_e6 ~pool () in
-      E.print_e6 fmt r;
-      [ ("e6", S.e6 r) ]
-  | "race" ->
-      let r = E.run_e7 () in
-      E.print_e7 fmt r;
-      [ ("race", S.e7 r) ]
-  | "timeline" ->
-      E.print_timeline fmt Satin.Race.paper_worst_case;
-      [ ("timeline", S.timeline Satin.Race.paper_worst_case) ]
-  | "evasion" ->
-      let r = E.run_e8 ~pool () in
-      E.print_e8 fmt r;
-      [ ("evasion", S.e8 r) ]
-  | "areas" ->
-      let r = E.run_e9 () in
-      E.print_e9 fmt r;
-      [ ("areas", S.e9 r) ]
-  | "satin-detect" ->
-      let r = E.run_e10 () in
-      E.print_e10 fmt r;
-      [ ("satin-detect", S.e10 r) ]
-  | "fig7" ->
-      let r = E.run_fig7 ~pool () in
-      E.print_fig7 fmt r;
-      [ ("fig7", S.fig7 r) ]
-  | "ablation" ->
-      let r = E.run_ablation ~pool () in
-      E.print_ablation fmt r;
-      [ ("ablation", S.ablation r) ]
-  | "sweep" ->
-      let r = E.run_tgoal_sweep ~pool () in
-      E.print_tgoal_sweep fmt r;
-      [ ("sweep", S.sweep r) ]
-  | "inject" ->
-      let r = E.run_inject ~pool () in
-      E.print_inject fmt r;
-      [ ("inject", S.inject r) ]
-  | "degrade" ->
-      let r = E.run_degrade ~pool () in
-      E.print_degrade fmt r;
-      [ ("degrade", S.degrade r) ]
-  | "dkom" ->
-      let r = E.run_e13 () in
-      E.print_e13 fmt r;
-      [ ("dkom", S.e13 r) ]
-  | "cache-channel" ->
-      let r = E.run_e14 () in
-      E.print_e14 fmt r;
-      [ ("cache-channel", S.e14 r) ]
-  | "cache" -> [ ("cache", run_cache_bench ()) ]
-  | "scan" -> [ ("scan", run_scan_bench ()) ]
-  | "cache-fidelity" ->
-      let r = E.run_cache_fidelity ~pool () in
-      E.print_cache_fidelity fmt r;
-      [ ("cache-fidelity", S.cache_fidelity r) ]
-  | "all" ->
-      E.run_all ~pool fmt;
-      []
-  | other ->
-      Printf.eprintf "unknown bench %S; valid subcommands: %s\n" other
-        (String.concat ", " valid_benches);
-      exit 1
-
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec split_opts json jobs check store no_store acc = function
-    | "--json" :: file :: rest ->
-        split_opts (Some file) jobs check store no_store acc rest
-    | [ "--json" ] ->
-        prerr_endline "--json requires a FILE argument";
+  let rec parse json jobs acc = function
+    | "--json" :: file :: rest -> parse (Some file) jobs acc rest
+    | "--jobs" :: n :: rest when int_of_string_opt n > Some 0 ->
+        parse json (int_of_string n) acc rest
+    | ("--json" | "--jobs") :: _ ->
+        prerr_endline "usage: main.exe [--json FILE] [--jobs N>=1] [bench...]";
         exit 1
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 -> split_opts json n check store no_store acc rest
-        | _ ->
-            prerr_endline "--jobs requires a positive integer";
-            exit 1)
-    | [ "--jobs" ] ->
-        prerr_endline "--jobs requires an N argument";
+    | x :: rest -> parse json jobs (x :: acc) rest
+    | [] -> (json, jobs, List.rev acc)
+  in
+  let json_out, jobs, names =
+    parse None 1 [] (List.tl (Array.to_list Sys.argv))
+  in
+  let names = if names = [] then [ "micro" ] else names in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name benches) then begin
+        Printf.eprintf
+          "unknown bench %S; valid subcommands: %s (experiments: satin_cli \
+           <name>)\n"
+          name
+          (String.concat ", " (List.map fst benches));
         exit 1
-    | "--check" :: rest -> split_opts json jobs true store no_store acc rest
-    | "--store" :: dir :: rest ->
-        split_opts json jobs check (Some dir) no_store acc rest
-    | [ "--store" ] ->
-        prerr_endline "--store requires a DIR argument";
-        exit 1
-    | "--no-store" :: rest -> split_opts json jobs check store true acc rest
-    | x :: rest -> split_opts json jobs check store no_store (x :: acc) rest
-    | [] -> (json, jobs, check, store, no_store, List.rev acc)
-  in
-  let json_out, jobs, check, store_dir, no_store, names =
-    split_opts None 1 false None false [] args
-  in
-  if check then begin
-    Satin_inject.Sanitizer.reset_global ();
-    Satin_inject.Sanitizer.set_check_mode true;
-    (* Sanitized runs simulate more events than clean ones, so their trial
-       results must never be served from (or poison) a clean run's cache. *)
-    Satin_store.Key.set_ambient [ ("check", "1") ]
-  end;
-  let store =
-    if no_store then None
-    else
-      match (store_dir, Sys.getenv_opt "SATIN_STORE") with
-      | Some dir, _ | None, Some dir ->
-          let s = Satin_store.Store.open_ dir in
-          Satin_store.Store.install s;
-          Some s
-      | None, None -> None
-  in
-  let pool = Runner.create ~jobs () in
+      end)
+    names;
   let results =
-    match names with
-    | [] ->
-        let micro = run_one ~pool ~jobs "micro" in
-        E.run_all ~pool fmt;
-        micro
-    | names -> List.concat_map (run_one ~pool ~jobs) names
+    List.map (fun name -> (name, (List.assoc name benches) ~jobs)) names
   in
-  (match store with
-  | None -> ()
-  | Some s ->
-      Satin_store.Store.uninstall ();
-      Printf.eprintf "%s\n%!" (Satin_store.Store.summary_line s));
-  if check then begin
-    let r = Satin_inject.Sanitizer.global_report () in
-    if r.Satin_inject.Sanitizer.violations > 0 then begin
-      Printf.eprintf "sanitizer: %d violation(s) in %d check(s)\n"
-        r.Satin_inject.Sanitizer.violations r.Satin_inject.Sanitizer.checks;
-      List.iter (Printf.eprintf "  %s\n") r.Satin_inject.Sanitizer.messages;
-      exit 3
-    end
-    else
-      Printf.eprintf "sanitizer: %d check(s), 0 violations\n"
-        r.Satin_inject.Sanitizer.checks
-  end;
-  match json_out with
-  | None -> ()
-  | Some file ->
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.String "satin-bench/v1");
-            ("identity", S.identity ());
-            ( "subcommands",
-              Json.List
-                (List.map
-                   (fun s -> Json.String s)
-                   (match names with [] -> [ "micro"; "all" ] | ns -> ns)) );
-            ("results", Json.Obj results);
-          ]
-      in
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Json.to_string doc);
-          output_char oc '\n')
+  Option.iter
+    (fun file -> S.write_document file ~subcommands:names results)
+    json_out

@@ -1,7 +1,7 @@
 (* Command-line driver for the SATIN reproduction experiments. *)
 
 open Cmdliner
-module E = Satin.Experiment
+module Registry = Satin.Registry
 module Obs = Satin_obs.Obs
 module Json = Satin_obs.Json
 module Progress = Satin_obs.Progress
@@ -21,7 +21,10 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let quick_arg =
-  let doc = "Shrink campaign lengths for a fast run." in
+  let doc =
+    "Shrink campaign lengths for a fast run: the scale of $(b,campaign \
+     --quick), $(b,all --quick) and every experiment's own $(b,--quick)."
+  in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 let jobs_arg =
@@ -116,18 +119,19 @@ let with_store dir no_store f =
    mode also enters the ambient store-key context: a sanitized run must
    never be served wholesale from a clean run's records — that would skip
    the sanitizer — so its trials key differently. *)
+let with_ambient key f =
+  let prev = SKey.ambient () in
+  SKey.set_ambient ((key, "1") :: prev);
+  Fun.protect ~finally:(fun () -> SKey.set_ambient prev) f
+
 let with_check check f =
   if not check then f ()
   else begin
     Sanitizer.reset_global ();
     Sanitizer.set_check_mode true;
-    let prev_ambient = SKey.ambient () in
-    SKey.set_ambient (("check", "1") :: prev_ambient);
     Fun.protect
-      ~finally:(fun () ->
-        Sanitizer.set_check_mode false;
-        SKey.set_ambient prev_ambient)
-      f;
+      ~finally:(fun () -> Sanitizer.set_check_mode false)
+      (fun () -> with_ambient "check" f);
     let r = Sanitizer.global_report () in
     if r.Sanitizer.violations > 0 then begin
       Printf.eprintf "sanitizer: %d violation(s) in %d check(s)\n"
@@ -147,14 +151,10 @@ let with_check check f =
 let with_full_rehash full_rehash f =
   if not full_rehash then f ()
   else begin
-    let prev_ambient = SKey.ambient () in
     Incremental.set_enabled false;
-    SKey.set_ambient (("full-rehash", "1") :: prev_ambient);
     Fun.protect
-      ~finally:(fun () ->
-        Incremental.set_enabled true;
-        SKey.set_ambient prev_ambient)
-      f
+      ~finally:(fun () -> Incremental.set_enabled true)
+      (fun () -> with_ambient "full-rehash" f)
   end
 
 (* Install an observability sink around [f] only when an export was asked
@@ -185,158 +185,64 @@ let with_progress progress f =
     Fun.protect ~finally:Progress.finish f
   end
 
-let simple name doc f =
-  let run seed jobs trace metrics check full_rehash store no_store progress =
-    let pool = Runner.create ~jobs () in
-    with_progress progress (fun () ->
-        with_full_rehash full_rehash (fun () ->
-            with_check check (fun () ->
-                with_store store no_store (fun () ->
-                    with_obs trace metrics (fun () -> f pool seed)))))
+let json_arg =
+  let doc =
+    "Write a satin-bench/v1 JSON document to $(docv): one structured \
+     summary per experiment that ran (byte-identical at any --jobs width, \
+     warm or cold store)."
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ seed_arg $ jobs_arg $ trace_arg $ metrics_arg $ check_arg
-      $ full_rehash_arg $ store_arg $ no_store_arg $ progress_arg)
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-(* Like [simple] but with the [--quick] flag. *)
-let campaign name doc f =
-  let run seed quick jobs trace metrics check full_rehash store no_store
-      progress =
-    let pool = Runner.create ~jobs () in
-    with_progress progress (fun () ->
-        with_full_rehash full_rehash (fun () ->
-            with_check check (fun () ->
-                with_store store no_store (fun () ->
-                    with_obs trace metrics (fun () -> f pool seed quick)))))
+(* The flags every experiment command shares. *)
+type opts = {
+  quick : bool;
+  jobs : int;
+  trace : string option;
+  metrics : string option;
+  check : bool;
+  full_rehash : bool;
+  store : string option;
+  no_store : bool;
+  progress : bool;
+  json : string option;
+}
+
+let opts_term =
+  let make quick jobs trace metrics check full_rehash store no_store progress
+      json =
+    { quick; jobs; trace; metrics; check; full_rehash; store; no_store;
+      progress; json }
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ seed_arg $ quick_arg $ jobs_arg $ trace_arg $ metrics_arg
-      $ check_arg $ full_rehash_arg $ store_arg $ no_store_arg $ progress_arg)
+  Term.(
+    const make $ quick_arg $ jobs_arg $ trace_arg $ metrics_arg $ check_arg
+    $ full_rehash_arg $ store_arg $ no_store_arg $ progress_arg $ json_arg)
 
-(* Closed-form commands: no seed, but still accept the export flags (and
-   the store flags, which they harmlessly ignore — nothing to memoize). *)
-let closed_form name doc f =
-  let run trace metrics check full_rehash store no_store progress =
-    with_progress progress (fun () ->
-        with_full_rehash full_rehash (fun () ->
-            with_check check (fun () ->
-                with_store store no_store (fun () -> with_obs trace metrics f))))
+(* Run [f pool] inside every wrapper [o] asks for; [f] returns the named
+   summaries that --json writes, inside the run's key context. *)
+let with_opts o ~subcommands f =
+  let pool = Runner.create ~jobs:o.jobs () in
+  with_progress o.progress (fun () ->
+      with_full_rehash o.full_rehash (fun () ->
+          with_check o.check (fun () ->
+              with_store o.store o.no_store (fun () ->
+                  with_obs o.trace o.metrics (fun () ->
+                      let results = f pool in
+                      Option.iter
+                        (fun file ->
+                          Satin.Summary.write_document file ~subcommands
+                            results)
+                        o.json)))))
+
+(* One subcommand per registry command, plus [all]. *)
+let experiment_cmd (name, doc) =
+  let run seed o =
+    with_opts o ~subcommands:[ name ] (fun pool ->
+        if name = "all" then Registry.all fmt ~pool ~seed ~quick:o.quick
+        else [ (name, Registry.run fmt ~pool ~seed ~quick:o.quick name) ])
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const run $ trace_arg $ metrics_arg $ check_arg $ full_rehash_arg
-      $ store_arg $ no_store_arg $ progress_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ seed_arg $ opts_term)
 
-let e1 = simple "e1" "World-switch latency (Sec IV-B1)"
-    (fun pool seed -> E.print_e1 fmt (E.run_e1 ~pool ~seed ()))
-
-let table1 = simple "table1" "Table I: per-byte introspection cost"
-    (fun pool seed -> E.print_table1 fmt (E.run_table1 ~pool ~seed ()))
-
-let e3 = simple "e3" "Attacker recovery time (Sec IV-B2)"
-    (fun pool seed -> E.print_e3 fmt (E.run_e3 ~pool ~seed ()))
-
-let uprober = simple "uprober" "User-level prober responsiveness (Sec III-B1)"
-    (fun pool seed -> E.print_uprober fmt (E.run_uprober ~pool ~seed ()))
-
-let table2 = campaign "table2" "Table II: probing threshold vs period"
-    (fun pool seed quick ->
-      let rounds = if quick then 15 else 50 in
-      E.print_table2 fmt (E.run_table2 ~pool ~seed ~rounds ()))
-
-let fig4 = campaign "fig4" "Figure 4: probing threshold stability"
-    (fun pool seed quick ->
-      let rounds = if quick then 15 else 50 in
-      E.print_fig4 fmt (E.run_table2 ~pool ~seed ~rounds ()))
-
-let e6 = simple "e6" "Single-core vs all-core probing"
-    (fun pool seed -> E.print_e6 fmt (E.run_e6 ~pool ~seed ()))
-
-let race = closed_form "race" "Sec IV-C race-condition analysis"
-    (fun () -> E.print_e7 fmt (E.run_e7 ()))
-
-let timeline = closed_form "timeline" "Figure 3: two-world race timeline"
-    (fun () -> E.print_timeline fmt Satin.Race.paper_worst_case)
-
-let evasion = campaign "evasion" "E8: TZ-Evader vs PKM-style introspection"
-    (fun pool seed quick ->
-      E.print_e8 fmt
-        (E.run_e8 ~pool ~seed ~duration_s:(if quick then 120 else 400) ()))
-
-let areas = closed_form "areas" "E9: kernel area partition"
-    (fun () -> E.print_e9 fmt (E.run_e9 ()))
-
-let satin_detect =
-  campaign "satin-detect" "E10: SATIN detecting TZ-Evader (Sec VI-B1)"
-    (fun _pool seed quick ->
-      E.print_e10 fmt
-        (E.run_e10 ~seed ~target_rounds:(if quick then 57 else 190) ()))
-
-let fig7 = campaign "fig7" "Figure 7: SATIN overhead on UnixBench"
-    (fun pool seed quick ->
-      E.print_fig7 fmt
-        (E.run_fig7 ~pool ~seed ~window_s:(if quick then 8 else 30) ()))
-
-let dkom = campaign "dkom" "E13: cross-view detection of DKOM process hiding"
-    (fun _pool seed quick ->
-      E.print_e13 fmt (E.run_e13 ~seed ~checks:(if quick then 10 else 30) ()))
-
-let cache_channel =
-  campaign "cache-channel" "E14: SATIN vs the cache-occupancy side channel"
-    (fun _pool seed quick ->
-      E.print_e14 fmt (E.run_e14 ~seed ~passes:(if quick then 1 else 3) ()))
-
-let cache_fidelity =
-  campaign "cache-fidelity"
-    "Side-channel fidelity grid: prober mode x replacement policy x AutoLock"
-    (fun pool seed quick ->
-      E.print_cache_fidelity fmt
-        (E.run_cache_fidelity ~pool ~seed
-           ~trials:(if quick then 1 else 2)
-           ~window_s:(if quick then 6 else 10)
-           ()))
-
-let sweep = campaign "sweep" "Tgoal coverage/overhead sweep"
-    (fun pool seed quick ->
-      E.print_tgoal_sweep fmt
-        (E.run_tgoal_sweep ~pool ~seed ~trials:(if quick then 2 else 4) ()))
-
-let ablation = campaign "ablation" "SATIN randomization ablation"
-    (fun pool seed quick ->
-      E.print_ablation fmt
-        (E.run_ablation ~pool ~seed ~passes:(if quick then 1 else 3) ()))
-
-let inject =
-  campaign "inject" "Fault injection: SATIN detection rate per fault plan"
-    (fun pool seed quick ->
-      E.print_inject fmt
-        (E.run_inject ~pool ~seed
-           ~trials:(if quick then 2 else 4)
-           ~window_s:(if quick then 25 else 30)
-           ()))
-
-let degrade =
-  campaign "degrade" "Graceful degradation vs secure-timer drop severity"
-    (fun pool seed quick ->
-      E.print_degrade fmt
-        (E.run_degrade ~pool ~seed
-           ~trials:(if quick then 2 else 4)
-           ~window_s:(if quick then 25 else 30)
-           ()))
-
-let all = campaign "all" "Run the whole evaluation in paper order"
-    (fun pool seed quick -> E.run_all ~pool ~seed ~quick fmt)
-
-let fleet =
-  campaign "fleet" "Fleet: per-device detection & overhead sweep"
-    (fun pool seed quick ->
-      E.print_fleet fmt
-        (E.run_fleet ~pool ~seed
-           ~devices:(if quick then 16 else 240)
-           ~window_s:(if quick then 10 else 20)
-           ()))
+let all_doc = ("all", "Run the whole evaluation in paper order")
 
 (* Print the code fingerprint mixed into every store key, so a user can
    explain why a rebuilt binary misses a warmed store: the first stdout
@@ -355,87 +261,6 @@ let fingerprint =
       (Fingerprint.describe ())
   in
   Cmd.v (Cmd.info "fingerprint" ~doc) Term.(const run $ const ())
-
-(* The incremental campaign orchestrator: a declared (experiments x seeds)
-   sweep. Every trial goes through the result store when one is installed,
-   so re-running a killed campaign only executes the missing trials. *)
-let campaign_experiments : (string * (Runner.t -> int -> bool -> unit)) list =
-  [
-    ("e1", fun pool seed _ -> E.print_e1 fmt (E.run_e1 ~pool ~seed ()));
-    ("table1", fun pool seed _ -> E.print_table1 fmt (E.run_table1 ~pool ~seed ()));
-    ("e3", fun pool seed _ -> E.print_e3 fmt (E.run_e3 ~pool ~seed ()));
-    ( "uprober",
-      fun pool seed quick ->
-        E.print_uprober fmt
-          (E.run_uprober ~pool ~seed ~trials:(if quick then 6 else 20) ()) );
-    ( "table2",
-      fun pool seed quick ->
-        E.print_table2 fmt
-          (E.run_table2 ~pool ~seed ~rounds:(if quick then 15 else 50) ()) );
-    ( "e6",
-      fun pool seed quick ->
-        E.print_e6 fmt
-          (E.run_e6 ~pool ~seed ~rounds:(if quick then 15 else 50) ()) );
-    ( "evasion",
-      fun pool seed quick ->
-        E.print_e8 fmt
-          (E.run_e8 ~pool ~seed ~duration_s:(if quick then 120 else 400) ()) );
-    ( "satin-detect",
-      fun _pool seed quick ->
-        E.print_e10 fmt
-          (E.run_e10 ~seed ~target_rounds:(if quick then 57 else 190) ()) );
-    ( "fig7",
-      fun pool seed quick ->
-        E.print_fig7 fmt
-          (E.run_fig7 ~pool ~seed ~window_s:(if quick then 8 else 30) ()) );
-    ( "ablation",
-      fun pool seed quick ->
-        E.print_ablation fmt
-          (E.run_ablation ~pool ~seed ~passes:(if quick then 1 else 3) ()) );
-    ( "dkom",
-      fun _pool seed quick ->
-        E.print_e13 fmt (E.run_e13 ~seed ~checks:(if quick then 10 else 30) ()) );
-    ( "cache-channel",
-      fun _pool seed quick ->
-        E.print_e14 fmt (E.run_e14 ~seed ~passes:(if quick then 1 else 3) ()) );
-    ( "cache-fidelity",
-      fun pool seed quick ->
-        E.print_cache_fidelity fmt
-          (E.run_cache_fidelity ~pool ~seed
-             ~trials:(if quick then 1 else 2)
-             ~window_s:(if quick then 6 else 10)
-             ()) );
-    ( "sweep",
-      fun pool seed quick ->
-        E.print_tgoal_sweep fmt
-          (E.run_tgoal_sweep ~pool ~seed ~trials:(if quick then 2 else 4) ()) );
-    ( "inject",
-      fun pool seed quick ->
-        E.print_inject fmt
-          (E.run_inject ~pool ~seed
-             ~trials:(if quick then 2 else 4)
-             ~window_s:(if quick then 25 else 30)
-             ()) );
-    ( "degrade",
-      fun pool seed quick ->
-        E.print_degrade fmt
-          (E.run_degrade ~pool ~seed
-             ~trials:(if quick then 2 else 4)
-             ~window_s:(if quick then 25 else 30)
-             ()) );
-    ( "fleet",
-      fun pool seed quick ->
-        E.print_fleet fmt
-          (E.run_fleet ~pool ~seed
-             ~devices:(if quick then 16 else 240)
-             ~window_s:(if quick then 10 else 20)
-             ()) );
-  ]
-
-(* [fleet] is deployment-scale: it joins the registry (so sharded fleets
-   can name it) but not the default sweep, which CI runs warm. *)
-let default_campaign_experiments =
-  List.filter (fun n -> n <> "fleet") (List.map fst campaign_experiments)
 
 (* "i/N" -> (i, N); campaign validates range and store presence. *)
 let parse_shard s =
@@ -480,13 +305,16 @@ let campaign_cmd =
   in
   let experiments_arg =
     let doc =
-      "Comma-separated experiments to run, in order. Defaults to every \
-       seeded experiment except the deployment-scale $(b,fleet), which \
-       must be named explicitly."
+      "Comma-separated experiments to run, in order: any experiment \
+       subcommand's name. Defaults to every seeded experiment except the \
+       deployment-scale $(b,fleet), which must be named explicitly, as must \
+       the seed-independent ones ($(b,race), $(b,timeline), $(b,areas)) and \
+       $(b,fig4)."
     in
+    let names = List.map (fun (n, _) -> (n, n)) Registry.commands in
     Arg.(
       value
-      & opt (list string) default_campaign_experiments
+      & opt (list (enum names)) Registry.default_campaign
       & info [ "experiments"; "e" ] ~docv:"NAMES" ~doc)
   in
   let seeds_arg =
@@ -532,24 +360,12 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "report" ] ~doc)
   in
-  let run experiments seeds quick jobs trace metrics check full_rehash store
-      no_store progress shard workers lease_ttl report =
-    (match
-       List.filter
-         (fun n -> not (List.mem_assoc n campaign_experiments))
-         experiments
-     with
-    | [] -> ()
-    | unknown ->
-        Printf.eprintf "campaign: unknown experiment(s) %s; valid: %s\n"
-          (String.concat ", " unknown)
-          (String.concat ", " (List.map fst campaign_experiments));
-        exit 2);
+  let run experiments seeds o shard workers lease_ttl report =
     if seeds = [] then begin
       prerr_endline "campaign: --seeds must name at least one seed";
       exit 2
     end;
-    let resolved = resolve_store store no_store in
+    let resolved = resolve_store o.store o.no_store in
     let shard =
       match shard with
       | None -> None
@@ -582,24 +398,8 @@ let campaign_cmd =
     end;
     Memo.set_lease_ttl lease_ttl;
     let run_campaign () =
-      let pool = Runner.create ~jobs () in
-      with_progress progress (fun () ->
-          with_full_rehash full_rehash (fun () ->
-            with_check check (fun () ->
-              with_store store no_store (fun () ->
-                  with_obs trace metrics (fun () ->
-                      List.iter
-                        (fun seed ->
-                          List.iter
-                            (fun name ->
-                              Format.fprintf fmt
-                                "==== campaign: %s seed=%d ====@." name seed;
-                              Progress.set_label
-                                (Printf.sprintf "%s seed=%d" name seed);
-                              (List.assoc name campaign_experiments) pool seed
-                                quick)
-                            experiments)
-                        seeds)))))
+      with_opts o ~subcommands:experiments (fun pool ->
+          Registry.campaign fmt ~pool ~seeds ~quick:o.quick experiments)
     in
     (match workers with
     | Some w ->
@@ -609,12 +409,12 @@ let campaign_cmd =
             "campaign"; "--experiments"; String.concat "," experiments;
             "--seeds";
             String.concat "," (List.map string_of_int seeds);
-            "--jobs"; string_of_int jobs; "--store"; dir;
+            "--jobs"; string_of_int o.jobs; "--store"; dir;
             Printf.sprintf "--lease-ttl=%g" lease_ttl;
           ]
-          @ (if quick then [ "--quick" ] else [])
-          @ (if check then [ "--check" ] else [])
-          @ (if full_rehash then [ "--full-rehash" ] else [])
+          @ (if o.quick then [ "--quick" ] else [])
+          @ (if o.check then [ "--check" ] else [])
+          @ (if o.full_rehash then [ "--full-rehash" ] else [])
         in
         let pids = List.init w (spawn_shard ~dir ~args ~w) in
         let failed =
@@ -654,10 +454,8 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ experiments_arg $ seeds_arg $ quick_arg $ jobs_arg
-      $ trace_arg $ metrics_arg $ check_arg $ full_rehash_arg $ store_arg
-      $ no_store_arg $ progress_arg $ shard_arg $ workers_arg $ lease_ttl_arg
-      $ report_arg)
+      const run $ experiments_arg $ seeds_arg $ opts_term $ shard_arg
+      $ workers_arg $ lease_ttl_arg $ report_arg)
 
 (* ---- telemetry: aggregate capsules, export, gate ---- *)
 
@@ -812,11 +610,7 @@ let telemetry_cmd =
 let main =
   let doc = "SATIN (DSN 2019) reproduction: experiments on the simulated Juno r1" in
   Cmd.group (Cmd.info "satin_cli" ~version:"1.1.0" ~doc)
-    [
-      e1; table1; e3; uprober; table2; fig4; e6; race; timeline; evasion;
-      areas; satin_detect; fig7; ablation; dkom; cache_channel; cache_fidelity;
-      sweep; inject; degrade; fleet; all; fingerprint; campaign_cmd;
-      telemetry_cmd;
-    ]
+    (List.map experiment_cmd (Registry.commands @ [ all_doc ])
+    @ [ fingerprint; campaign_cmd; telemetry_cmd ])
 
 let () = exit (Cmd.eval main)

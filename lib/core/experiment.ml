@@ -22,7 +22,6 @@ module Rootkit = Satin_attack.Rootkit
 module Evader = Satin_attack.Evader
 module Unixbench = Satin_workload.Unixbench
 module Runner = Satin_runner.Runner
-module Obs = Satin_obs.Obs
 module Memo = Satin_store.Memo
 
 let sec = Sim_time.to_sec_f
@@ -2193,70 +2192,3 @@ let print_cache_fidelity fmt r =
      in locked-set false alarms); evict+reload survives via own-line \
      re-eviction, random replacement defeats single-pass eviction outright; \
      the abstract rows are cache-blind controls@."
-
-(* ------------------------------------------------------------------ *)
-(* run_all                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [f], record its wall-clock under experiment.wall_s{experiment=name},
-   and hand the result to [print]. Wall-clock goes to the segregated
-   real-time registry only — never into the report or the deterministic
-   --metrics export — so pooled and sequential runs stay byte-identical. *)
-let timed name print fmt f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  Obs.observe_wall "experiment.wall_s"
-    ~labels:[ ("experiment", name) ]
-    (Unix.gettimeofday () -. t0);
-  print fmt r
-
-let run_all ?(pool = Runner.sequential) ?(seed = 42) ?(quick = false) fmt =
-  let rounds = if quick then 15 else 50 in
-  timed "e1" print_e1 fmt (fun () -> run_e1 ~pool ~seed ());
-  timed "table1" print_table1 fmt (fun () -> run_table1 ~pool ~seed ());
-  timed "uprober" print_uprober fmt (fun () ->
-      run_uprober ~pool ~seed ~trials:(if quick then 6 else 20) ());
-  timed "e3" print_e3 fmt (fun () ->
-      run_e3 ~pool ~seed ~runs:(if quick then 10 else 50) ());
-  let t2 = ref None in
-  timed "table2" print_table2 fmt (fun () ->
-      let r = run_table2 ~pool ~seed ~rounds () in
-      t2 := Some r;
-      r);
-  (match !t2 with Some r -> print_fig4 fmt r | None -> assert false);
-  timed "e6" print_e6 fmt (fun () -> run_e6 ~pool ~seed ~rounds ());
-  print_e7 fmt (run_e7 ());
-  print_timeline fmt Race.paper_worst_case;
-  timed "e8" print_e8 fmt (fun () ->
-      run_e8 ~pool ~seed ~duration_s:(if quick then 120 else 400) ());
-  print_e9 fmt (run_e9 ());
-  timed "e10" print_e10 fmt (fun () ->
-      run_e10 ~seed ~target_rounds:(if quick then 57 else 190) ());
-  timed "fig7" print_fig7 fmt (fun () ->
-      run_fig7 ~pool ~seed ~window_s:(if quick then 8 else 30) ());
-  timed "ablation" print_ablation fmt (fun () ->
-      run_ablation ~pool ~seed ~passes:(if quick then 1 else 3) ());
-  timed "e13" print_e13 fmt (fun () ->
-      run_e13 ~seed ~checks:(if quick then 10 else 30) ());
-  timed "e14" print_e14 fmt (fun () ->
-      run_e14 ~seed ~passes:(if quick then 1 else 3) ());
-  timed "cache_fidelity" print_cache_fidelity fmt (fun () ->
-      run_cache_fidelity ~pool ~seed
-        ~trials:(if quick then 1 else 2)
-        ~window_s:(if quick then 6 else 10)
-        ());
-  timed "tgoal_sweep" print_tgoal_sweep fmt (fun () ->
-      run_tgoal_sweep ~pool ~seed
-        ~trials:(if quick then 2 else 4)
-        ~tps_s:(if quick then [ 1.0; 4.0 ] else [ 0.5; 1.0; 2.0; 4.0 ])
-        ());
-  timed "inject" print_inject fmt (fun () ->
-      run_inject ~pool ~seed
-        ~trials:(if quick then 2 else 4)
-        ~window_s:(if quick then 25 else 30)
-        ());
-  timed "degrade" print_degrade fmt (fun () ->
-      run_degrade ~pool ~seed
-        ~trials:(if quick then 2 else 4)
-        ~window_s:(if quick then 25 else 30)
-        ())

@@ -539,13 +539,3 @@ val run_cache_fidelity :
     full cache configuration are part of every trial's store key. *)
 
 val print_cache_fidelity : Format.formatter -> cache_fidelity_result -> unit
-
-(** {1 Everything} *)
-
-val run_all : ?pool:Runner.t -> ?seed:int -> ?quick:bool -> Format.formatter -> unit
-(** Runs every experiment and prints every table/figure. [quick] shrinks
-    campaign lengths (fewer rounds/passes) for CI-speed runs; the default
-    is the paper-scale campaign. [pool] parallelizes every trial fan-out;
-    the report is byte-identical whatever the pool's width. Each
-    experiment's wall-clock is recorded under the [experiment.wall_s]
-    metric when an observability sink is installed. *)

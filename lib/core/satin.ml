@@ -6,7 +6,8 @@
     attacks from [Satin_attack], and advance simulated time with
     {!Scenario.run_for}. {!Race} holds the paper's closed-form race
     analysis (Equations 1–2); {!Experiment} regenerates every table and
-    figure of the evaluation; {!Report} renders them.
+    figure of the evaluation; {!Report} renders them; {!Registry} lists
+    every experiment once for the CLI, campaigns and JSON summaries.
 
     Lower layers are available as their own libraries: [Satin_engine]
     (discrete-event core), [Satin_hw] (TrustZone hardware), [Satin_kernel]
@@ -20,3 +21,4 @@ module Experiment = Experiment
 module Report = Report
 module Gantt = Gantt
 module Summary = Summary
+module Registry = Registry

@@ -28,6 +28,9 @@ let stats (s : Stats.t) : Json.t =
         ("p99", Json.float (Stats.quantile s 0.99));
       ]
 
+(* A JSON list with one object per element. *)
+let rows f l = Json.List (List.map (fun x -> Json.Obj (f x)) l)
+
 let e1 (r : Experiment.e1_result) =
   Json.Obj
     [
@@ -40,19 +43,17 @@ let table1 (r : Experiment.table1_result) =
   Json.Obj
     [
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.table1_row) ->
-               Json.Obj
-                 [
-                   ( "core",
-                     Json.String
-                       (Cycle_model.core_type_to_string row.Experiment.t1_core)
-                   );
-                   ("hash_per_byte_s", stats row.Experiment.t1_hash);
-                   ("snapshot_per_byte_s", stats row.Experiment.t1_snapshot);
-                 ])
-             r.Experiment.t1_rows) );
+        rows
+          (fun (row : Experiment.table1_row) ->
+            [
+              ( "core",
+                Json.String
+                  (Cycle_model.core_type_to_string row.Experiment.t1_core)
+              );
+              ("hash_per_byte_s", stats row.Experiment.t1_hash);
+              ("snapshot_per_byte_s", stats row.Experiment.t1_snapshot);
+            ])
+          r.Experiment.t1_rows );
       ("verified_clean", Json.Bool r.Experiment.t1_verified_clean);
     ]
 
@@ -77,15 +78,13 @@ let table2 (r : Experiment.table2_result) =
     [
       ("rounds", Json.Int r.Experiment.t2_rounds);
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.table2_row) ->
-               Json.Obj
-                 [
-                   ("period_s", Json.float row.Experiment.t2_period_s);
-                   ("thresholds_s", stats row.Experiment.t2_thresholds);
-                 ])
-             r.Experiment.t2_rows) );
+        rows
+          (fun (row : Experiment.table2_row) ->
+            [
+              ("period_s", Json.float row.Experiment.t2_period_s);
+              ("thresholds_s", stats row.Experiment.t2_thresholds);
+            ])
+          r.Experiment.t2_rows );
     ]
 
 let e6 (r : Experiment.e6_result) =
@@ -165,16 +164,14 @@ let fig7 (r : Experiment.fig7_result) =
   Json.Obj
     [
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.fig7_row) ->
-               Json.Obj
-                 [
-                   ("program", Json.String row.Experiment.f7_program);
-                   ("degradation_1task_pct", Json.float row.Experiment.f7_deg_1task);
-                   ("degradation_6task_pct", Json.float row.Experiment.f7_deg_6task);
-                 ])
-             r.Experiment.f7_rows) );
+        rows
+          (fun (row : Experiment.fig7_row) ->
+            [
+              ("program", Json.String row.Experiment.f7_program);
+              ("degradation_1task_pct", Json.float row.Experiment.f7_deg_1task);
+              ("degradation_6task_pct", Json.float row.Experiment.f7_deg_6task);
+            ])
+          r.Experiment.f7_rows );
       ("avg_1task_pct", Json.float r.Experiment.f7_avg_1task);
       ("avg_6task_pct", Json.float r.Experiment.f7_avg_6task);
     ]
@@ -183,18 +180,16 @@ let ablation (r : Experiment.ablation_result) =
   Json.Obj
     [
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.ablation_row) ->
-               Json.Obj
-                 [
-                   ("label", Json.String row.Experiment.ab_label);
-                   ("area14_checks", Json.Int row.Experiment.ab_area14_checks);
-                   ( "area14_detections",
-                     Json.Int row.Experiment.ab_area14_detections );
-                   ("attack_uptime", Json.float row.Experiment.ab_attack_uptime);
-                 ])
-             r.Experiment.ab_rows) );
+        rows
+          (fun (row : Experiment.ablation_row) ->
+            [
+              ("label", Json.String row.Experiment.ab_label);
+              ("area14_checks", Json.Int row.Experiment.ab_area14_checks);
+              ( "area14_detections",
+                Json.Int row.Experiment.ab_area14_detections );
+              ("attack_uptime", Json.float row.Experiment.ab_attack_uptime);
+            ])
+          r.Experiment.ab_rows );
     ]
 
 let e13 (r : Experiment.e13_result) =
@@ -225,57 +220,51 @@ let cache_fidelity (r : Experiment.cache_fidelity_result) =
       ("trials", Json.Int r.Experiment.cf_trials);
       ("window_s", Json.Int r.Experiment.cf_window_s);
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.cache_row) ->
-               Json.Obj
-                 [
-                   ( "fidelity",
-                     Json.String
-                       (Satin_attack.Cache_prober.fidelity_to_string
-                          row.Experiment.cr_fidelity) );
-                   ( "policy",
-                     Json.String
-                       (Satin_cache.Policy.kind_to_string
-                          row.Experiment.cr_policy)
-                   );
-                   ("autolock", Json.Bool row.Experiment.cr_autolock);
-                   ("scans", Json.Int row.Experiment.cr_scans);
-                   ("detected", Json.Int row.Experiment.cr_detected);
-                   ("alarms", Json.Int row.Experiment.cr_alarms);
-                   ("false_alarms", Json.Int row.Experiment.cr_false_alarms);
-                 ])
-             r.Experiment.cf_rows) );
+        rows
+          (fun (row : Experiment.cache_row) ->
+            [
+              ( "fidelity",
+                Json.String
+                  (Satin_attack.Cache_prober.fidelity_to_string
+                     row.Experiment.cr_fidelity) );
+              ( "policy",
+                Json.String
+                  (Satin_cache.Policy.kind_to_string
+                     row.Experiment.cr_policy)
+              );
+              ("autolock", Json.Bool row.Experiment.cr_autolock);
+              ("scans", Json.Int row.Experiment.cr_scans);
+              ("detected", Json.Int row.Experiment.cr_detected);
+              ("alarms", Json.Int row.Experiment.cr_alarms);
+              ("false_alarms", Json.Int row.Experiment.cr_false_alarms);
+            ])
+          r.Experiment.cf_rows );
       ( "validation",
-        Json.List
-          (List.map
-             (fun (row : Experiment.cache_validation_row) ->
-               Json.Obj
-                 [
-                   ("workload", Json.String row.Experiment.cv_name);
-                   ("bytes", Json.Int row.Experiment.cv_bytes);
-                   ("l1_rate", Json.float row.Experiment.cv_l1_rate);
-                   ("l2_rate", Json.float row.Experiment.cv_l2_rate);
-                   ("mem_rate", Json.float row.Experiment.cv_mem_rate);
-                 ])
-             r.Experiment.cf_validation) );
+        rows
+          (fun (row : Experiment.cache_validation_row) ->
+            [
+              ("workload", Json.String row.Experiment.cv_name);
+              ("bytes", Json.Int row.Experiment.cv_bytes);
+              ("l1_rate", Json.float row.Experiment.cv_l1_rate);
+              ("l2_rate", Json.float row.Experiment.cv_l2_rate);
+              ("mem_rate", Json.float row.Experiment.cv_mem_rate);
+            ])
+          r.Experiment.cf_validation );
     ]
 
 let sweep (r : Experiment.sweep_result) =
   Json.Obj
     [
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.sweep_row) ->
-               Json.Obj
-                 [
-                   ("tp_s", Json.float row.Experiment.sw_tp_s);
-                   ("tgoal_s", Json.float row.Experiment.sw_tgoal_s);
-                   ("detect_latency_s", stats row.Experiment.sw_detect_latency);
-                   ("overhead_pct", Json.float row.Experiment.sw_overhead_pct);
-                 ])
-             r.Experiment.sw_rows) );
+        rows
+          (fun (row : Experiment.sweep_row) ->
+            [
+              ("tp_s", Json.float row.Experiment.sw_tp_s);
+              ("tgoal_s", Json.float row.Experiment.sw_tgoal_s);
+              ("detect_latency_s", stats row.Experiment.sw_detect_latency);
+              ("overhead_pct", Json.float row.Experiment.sw_overhead_pct);
+            ])
+          r.Experiment.sw_rows );
     ]
 
 let inject (r : Experiment.inject_result) =
@@ -283,19 +272,17 @@ let inject (r : Experiment.inject_result) =
     [
       ("window_s", Json.Int r.Experiment.inj_window_s);
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.inject_row) ->
-               Json.Obj
-                 [
-                   ("plan", Json.String row.Experiment.inj_plan);
-                   ("trials", Json.Int row.Experiment.inj_trials);
-                   ("detected", Json.Int row.Experiment.inj_detected);
-                   ("first_alarm_s", stats row.Experiment.inj_latency);
-                   ("rounds_mean", Json.float row.Experiment.inj_rounds);
-                   ("faults_mean", Json.float row.Experiment.inj_faults);
-                 ])
-             r.Experiment.inj_rows) );
+        rows
+          (fun (row : Experiment.inject_row) ->
+            [
+              ("plan", Json.String row.Experiment.inj_plan);
+              ("trials", Json.Int row.Experiment.inj_trials);
+              ("detected", Json.Int row.Experiment.inj_detected);
+              ("first_alarm_s", stats row.Experiment.inj_latency);
+              ("rounds_mean", Json.float row.Experiment.inj_rounds);
+              ("faults_mean", Json.float row.Experiment.inj_faults);
+            ])
+          r.Experiment.inj_rows );
     ]
 
 let degrade (r : Experiment.degrade_result) =
@@ -303,19 +290,40 @@ let degrade (r : Experiment.degrade_result) =
     [
       ("window_s", Json.Int r.Experiment.dg_window_s);
       ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiment.degrade_row) ->
-               Json.Obj
-                 [
-                   ("drop_prob", Json.float row.Experiment.dg_drop_prob);
-                   ("trials", Json.Int row.Experiment.dg_trials);
-                   ("detected", Json.Int row.Experiment.dg_detected);
-                   ("first_alarm_s", stats row.Experiment.dg_latency);
-                   ("rounds_mean", Json.float row.Experiment.dg_rounds);
-                   ("drops_mean", Json.float row.Experiment.dg_drops);
-                 ])
-             r.Experiment.dg_rows) );
+        rows
+          (fun (row : Experiment.degrade_row) ->
+            [
+              ("drop_prob", Json.float row.Experiment.dg_drop_prob);
+              ("trials", Json.Int row.Experiment.dg_trials);
+              ("detected", Json.Int row.Experiment.dg_detected);
+              ("first_alarm_s", stats row.Experiment.dg_latency);
+              ("rounds_mean", Json.float row.Experiment.dg_rounds);
+              ("drops_mean", Json.float row.Experiment.dg_drops);
+            ])
+          r.Experiment.dg_rows );
+    ]
+
+let fleet (r : Experiment.fleet_result) =
+  Json.Obj
+    [
+      ("devices", Json.Int r.Experiment.fl_devices);
+      ("window_s", Json.Int r.Experiment.fl_window_s);
+      ("baseline_score", Json.float r.Experiment.fl_baseline);
+      ("detected", Json.Int r.Experiment.fl_detected);
+      ("first_alarm_s", stats r.Experiment.fl_latency);
+      ( "rows",
+        rows
+          (fun (row : Experiment.fleet_row) ->
+            [
+              ("tp_s", Json.float row.Experiment.fr_tp_s);
+              ("randomized", Json.Bool row.Experiment.fr_randomized);
+              ("devices", Json.Int row.Experiment.fr_devices);
+              ("detected", Json.Int row.Experiment.fr_detected);
+              ("first_alarm_s", stats row.Experiment.fr_latency);
+              ("rounds_mean", Json.float row.Experiment.fr_rounds);
+              ("overhead_pct", Json.float row.Experiment.fr_overhead_pct);
+            ])
+          r.Experiment.fl_rows );
     ]
 
 let timeline (p : Race.params) =
@@ -326,3 +334,19 @@ let timeline (p : Race.params) =
       ("hide_time_s", Json.float (Race.hide_time p));
       ("max_area_bytes", Json.Int (Race.max_area_size p));
     ]
+
+let write_document file ~subcommands results =
+  let doc =
+    Json.Obj
+      [
+        ("schema", Json.String "satin-bench/v1");
+        ("identity", identity ());
+        ( "subcommands",
+          Json.List (List.map (fun s -> Json.String s) subcommands) );
+        ("results", Json.Obj results);
+      ]
+  in
+  let oc = open_out_bin file in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Json.to_string doc ^ "\n"))

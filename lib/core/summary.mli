@@ -2,16 +2,18 @@
 
     One function per {!Experiment} result type, each producing a
     {!Satin_obs.Json.t} mirroring the fields the [print_*] renderers show —
-    the structured counterpart of the paper-shaped tables, consumed by
-    [bench/main.exe --json] and downstream tooling. {!stats} is the shared
-    shape for sample sets: count/mean/min/max plus exact p50/p90/p99. *)
+    the structured counterpart of the paper-shaped tables. {!Registry}
+    pairs each experiment with its encoder; [satin_cli --json FILE] writes
+    the encoded results with {!write_document}, as [bench/main.exe --json]
+    does for the micro-benchmarks. {!stats} is the shared shape for sample
+    sets: count/mean/min/max plus exact p50/p90/p99. *)
 
 module Json = Satin_obs.Json
 
 val identity : unit -> Json.t
 (** [{"fingerprint": ..., "config_hash": ...}] — the producing binary's
     {!Satin_store.Fingerprint} and a digest of the ambient key context.
-    Embedded into bench [--json] documents and (via
+    Embedded into [--json] documents and (via
     {!Satin_obs.Obs.set_identity}) metrics exports, so telemetry consumers
     can refuse to compare documents from different campaign setups. *)
 
@@ -36,4 +38,11 @@ val cache_fidelity : Experiment.cache_fidelity_result -> Json.t
 val sweep : Experiment.sweep_result -> Json.t
 val inject : Experiment.inject_result -> Json.t
 val degrade : Experiment.degrade_result -> Json.t
+val fleet : Experiment.fleet_result -> Json.t
 val timeline : Race.params -> Json.t
+
+val write_document :
+  string -> subcommands:string list -> (string * Json.t) list -> unit
+(** Write the [satin-bench/v1] document to a file: schema tag, {!identity}
+    (call it inside the run's key context), the subcommands that ran, and
+    the named results. *)

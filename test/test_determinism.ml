@@ -1,19 +1,32 @@
 (* The parallel runner's contract: a pooled run is a pure wall-clock
-   optimization. The full quick-campaign report and the machine-readable
-   summaries must be byte-identical at jobs=1 and jobs=4, whatever the
-   seed. *)
+   optimization. The full quick evaluation report and every spec's
+   machine-readable summary must be byte-identical at jobs=1 and jobs=4,
+   whatever the seed. *)
 
-module E = Satin.Experiment
-module S = Satin.Summary
+module Registry = Satin.Registry
 module Runner = Satin_runner.Runner
 module Json = Satin_obs.Json
 
-let report ~pool ~seed =
-  let buf = Buffer.create (1 lsl 16) in
-  let fmt = Format.formatter_of_buffer buf in
-  E.run_all ~pool ~seed ~quick:true fmt;
-  Format.pp_print_flush fmt ();
-  Buffer.contents buf
+(* One [Registry.all ~quick:true] per (jobs, seed), shared by the report
+   and summary cases (and by [Test_registry]): the printed report, and the
+   serialized summaries of every spec. *)
+let runs = Hashtbl.create 8
+
+let quick_all ~jobs ~seed =
+  match Hashtbl.find_opt runs (jobs, seed) with
+  | Some r -> r
+  | None ->
+      let pool =
+        if jobs = 1 then Runner.sequential
+        else Runner.create ~clamp:false ~jobs ()
+      in
+      let buf = Buffer.create (1 lsl 16) in
+      let fmt = Format.formatter_of_buffer buf in
+      let summaries = Registry.all fmt ~pool ~seed ~quick:true in
+      Format.pp_print_flush fmt ();
+      let r = (Buffer.contents buf, Json.to_string (Json.Obj summaries)) in
+      Hashtbl.replace runs (jobs, seed) r;
+      r
 
 (* First divergence position, for a failure message that actually helps. *)
 let check_identical what seq par =
@@ -31,31 +44,11 @@ let check_identical what seq par =
       !i (context seq) (context par)
   end
 
-let test_report_identical seed () =
-  let seq = report ~pool:Runner.sequential ~seed in
-  let par = report ~pool:(Runner.create ~clamp:false ~jobs:4 ()) ~seed in
-  check_identical (Printf.sprintf "run_all ~quick report (seed %d)" seed) seq
-    par
-
-(* The bench harness's --json path: structured summaries of the pooled
-   experiments, serialized. None of these builders includes wall-clock. *)
-let summary ~pool ~seed =
-  Json.to_string
-    (Json.Obj
-       [
-         ("e1", S.e1 (E.run_e1 ~pool ~seed ()));
-         ("table2", S.table2 (E.run_table2 ~pool ~seed ~rounds:15 ()));
-         ("uprober", S.uprober (E.run_uprober ~pool ~seed ~trials:6 ()));
-         ( "sweep",
-           S.sweep
-             (E.run_tgoal_sweep ~pool ~seed ~trials:2 ~tps_s:[ 1.0; 4.0 ] ())
-         );
-       ])
-
-let test_json_identical seed () =
-  let seq = summary ~pool:Runner.sequential ~seed in
-  let par = summary ~pool:(Runner.create ~clamp:false ~jobs:4 ()) ~seed in
-  check_identical (Printf.sprintf "--json summary (seed %d)" seed) seq par
+let test_identical what part seed () =
+  check_identical
+    (Printf.sprintf "%s (seed %d)" what seed)
+    (part (quick_all ~jobs:1 ~seed))
+    (part (quick_all ~jobs:4 ~seed))
 
 let seeds = [ 7; 11; 42 ]
 
@@ -65,9 +58,11 @@ let suite =
       [
         Alcotest.test_case
           (Printf.sprintf "run_all report jobs 1 = 4 (seed %d)" seed)
-          `Slow (test_report_identical seed);
+          `Slow
+          (test_identical "all --quick report" fst seed);
         Alcotest.test_case
           (Printf.sprintf "json summary jobs 1 = 4 (seed %d)" seed)
-          `Slow (test_json_identical seed);
+          `Slow
+          (test_identical "--json summary" snd seed);
       ])
     seeds

@@ -1,0 +1,113 @@
+(* The experiment registry is the one declaration every entry point is
+   generated from: the CLI subcommands, campaign, all and the --json
+   summaries. These cases pin that the generated entry points agree. *)
+
+module Registry = Satin.Registry
+module Runner = Satin_runner.Runner
+module Json = Satin_obs.Json
+module Obs = Satin_obs.Obs
+module Metrics = Satin_obs.Metrics
+
+let commands = List.map fst Registry.commands
+
+(* Unique among themselves and against the CLI's fixed subcommands. *)
+let test_names_unique () =
+  let names = [ "all"; "campaign"; "fingerprint"; "telemetry" ] @ commands in
+  Alcotest.(check int)
+    "command names unique" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+let test_default_campaign () =
+  Alcotest.(check (list string))
+    "default campaign"
+    [
+      "e1"; "table1"; "e3"; "uprober"; "table2"; "e6"; "evasion";
+      "satin-detect"; "fig7"; "ablation"; "dkom"; "cache-channel";
+      "cache-fidelity"; "sweep"; "inject"; "degrade";
+    ]
+    Registry.default_campaign
+
+(* [satin_cli NAME --quick --json FILE] as a subprocess, once per command:
+   its stdout and the summary it wrote under NAME. *)
+let cli_runs = Hashtbl.create 32
+
+let cli_quick name =
+  match Hashtbl.find_opt cli_runs name with
+  | Some r -> r
+  | None ->
+      let tmp ext = Filename.temp_file ("satin_registry_" ^ name) ext in
+      let out = tmp ".out" and err = tmp ".err" and json = tmp ".json" in
+      Test_multiproc.wait_ok ("satin_cli " ^ name)
+        (Test_multiproc.launch
+           [ name; "--quick"; "--seed"; "42"; "--no-store"; "--json"; json ]
+           ~out ~err);
+      let summary =
+        match Json.parse (Test_multiproc.read_file json) with
+        | Error e -> Alcotest.failf "%s --json: %s" name e
+        | Ok doc -> (
+            match Json.member "results" doc with
+            | Some results -> Json.member name results
+            | None -> None)
+      in
+      let r = (Test_multiproc.read_file out, summary) in
+      List.iter Sys.remove [ out; err; json ];
+      Hashtbl.replace cli_runs name r;
+      r
+
+let deployment =
+  List.filter_map
+    (fun s ->
+      if Registry.kind s = Registry.Deployment then Some (Registry.name s)
+      else None)
+    Registry.specs
+
+(* Every command takes --quick, and [all] is nothing but the commands'
+   quick reports back to back, each campaign run once. *)
+let test_all_is_concatenation () =
+  let report, _ = Test_determinism.quick_all ~jobs:1 ~seed:42 in
+  let pieces =
+    List.filter_map
+      (fun name ->
+        if List.mem name deployment then None else Some (fst (cli_quick name)))
+      commands
+  in
+  Test_determinism.check_identical "all --quick vs concatenated commands"
+    (String.concat "" pieces) report
+
+let test_every_spec_encodes () =
+  List.iter
+    (fun name ->
+      match snd (cli_quick name) with
+      | Some (Json.Obj (_ :: _)) -> ()
+      | Some _ -> Alcotest.failf "%s: summary is not a non-empty object" name
+      | None -> Alcotest.failf "%s: no summary under results" name)
+    commands
+
+(* experiment.wall_s is recorded on the one run path, labelled with the
+   spec name, whichever entry point ran it. *)
+let test_campaign_wall_labels () =
+  let obs = Obs.create () in
+  Obs.install obs;
+  Fun.protect ~finally:Obs.uninstall (fun () ->
+      ignore
+        (Registry.campaign
+           (Format.make_formatter (fun _ _ _ -> ()) ignore)
+           ~pool:Runner.sequential ~seeds:[ 42 ] ~quick:true [ "e1"; "e3" ]));
+  let labels = ref [] in
+  Metrics.iter_sorted (Obs.wall_metrics obs) (fun name ls _ ->
+      if name = "experiment.wall_s" then
+        labels := List.assoc "experiment" ls :: !labels);
+  Alcotest.(check (list string))
+    "experiment.wall_s labels" [ "e1"; "e3" ] (List.rev !labels)
+
+let suite =
+  [
+    Alcotest.test_case "command names unique" `Quick test_names_unique;
+    Alcotest.test_case "default campaign" `Quick test_default_campaign;
+    Alcotest.test_case "campaign records wall per spec" `Quick
+      test_campaign_wall_labels;
+    Alcotest.test_case "all --quick = concatenated CLI --quick" `Slow
+      test_all_is_concatenation;
+    Alcotest.test_case "every spec has a JSON encoder" `Slow
+      test_every_spec_encodes;
+  ]
