@@ -14,7 +14,8 @@
              against the boxed binary-heap baseline, plus the full engine
              drain loop (BENCH_engine.json).
    - cache   cache-hierarchy lookup/fill throughput and allocation per
-             access (BENCH_cache.json).
+             access, and a warm task-footprint re-dispatch by replay vs
+             by touch_range (BENCH_cache.json).
    - scan    cold / warm-quiescent / N%-dirty introspection rescans with
              incremental hashing against the forced full-re-hash reference
              (BENCH_scan.json).
@@ -582,33 +583,65 @@ let cache_bench_scan cache n =
     Cache.touch_range cache ~core:2 ~addr:(base + (c * chunk mod span)) ~len:chunk
   done
 
+(* The scheduler's path: one task's 8 KiB footprint re-dispatched on its
+   core, warm — by replay, or by the plain walk the replay must equal. *)
+let footprint_addr = 1 lsl 27
+let footprint_len = 8 * 1024
+
+let cache_bench_redispatch touch cache n =
+  for _ = 1 to n / (footprint_len / Cache.line_size cache) do
+    touch cache
+  done
+
 let run_cache_bench () =
   let n = cache_bench_accesses in
   Printf.printf "==== cache benchmark (%d accesses, best of 3) ====\n" n;
-  let row name f =
+  let measure name f =
     let cache = cache_fixture () in
     let aps, wpa = measure_events ~events:n (fun () -> f cache n) in
     Printf.printf "  %-24s %12.0f acc/s  %6.3f words/access\n%!" name aps wpa;
-    ( name,
-      aps,
-      wpa,
-      Json.Obj
-        [
-          ("accesses_per_s", Json.float aps);
-          ("words_per_access", Json.float wpa);
-        ] )
+    if wpa > 0.01 then
+      Printf.printf "  warning: %s allocates %.3f words/access (expected 0)\n%!"
+        name wpa;
+    (aps, wpa)
+  in
+  let fields aps wpa =
+    [ ("accesses_per_s", Json.float aps); ("words_per_access", Json.float wpa) ]
+  in
+  let row name f =
+    let aps, wpa = measure name f in
+    (name, Json.Obj (fields aps wpa))
   in
   let l1 = row "l1 hit (16 KiB loop)" cache_bench_l1 in
   let stream = row "full miss (4 MiB stream)" cache_bench_stream in
   let scan = row "touch_range scan fill" cache_bench_scan in
-  let json_of (name, _, _, j) = (name, j) in
-  let _, _, l1_wpa, _ = l1 in
-  if l1_wpa > 0.5 then
-    Printf.printf
-      "  warning: L1 hit path allocates %.3f words/access (expected ~0)\n%!"
-      l1_wpa;
+  let fp = Cache.footprint ~addr:footprint_addr ~len:footprint_len in
+  let replay_aps, replay_wpa =
+    measure "footprint re-dispatch"
+      (cache_bench_redispatch (fun c -> Cache.touch_footprint c fp ~core:3))
+  in
+  let walk_aps, walk_wpa =
+    measure "  same, by touch_range"
+      (cache_bench_redispatch (fun c ->
+           Cache.touch_range c ~core:3 ~addr:footprint_addr ~len:footprint_len))
+  in
+  let speedup = replay_aps /. walk_aps in
+  Printf.printf "  footprint replay vs walk: %.1fx\n%!" speedup;
   Json.Obj
-    (("accesses", Json.Int n) :: List.map json_of [ l1; stream; scan ])
+    [
+      ("accesses", Json.Int n);
+      l1;
+      stream;
+      scan;
+      ( "footprint re-dispatch",
+        Json.Obj
+          (fields replay_aps replay_wpa
+          @ [
+              ("touch_range_accesses_per_s", Json.float walk_aps);
+              ("touch_range_words_per_access", Json.float walk_wpa);
+              ("speedup", Json.float speedup);
+            ]) );
+    ]
 
 (* ---- scan benchmark: incremental (generation-gated) rescans vs the full
    re-hash reference over a multi-MiB enrolled region — the O(changed

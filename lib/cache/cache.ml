@@ -34,13 +34,34 @@ type stats = { hits : int; misses : int; evictions : int }
 
 (* One physical level: tags.(set * ways + way) is the line address (-1 =
    invalid), pol is the policy's per-set state, incl (L2 only) the per-line
-   bitmask of cores whose L1 holds the line. *)
+   bitmask of cores whose L1 holds the line. epoch (L1 only) counts tag
+   writes: while it stands still, every line sits at the way it had. *)
 type level = {
   geo : geometry;
   tags : int array;
   pol : int array;
   pol_words : int;
   incl : int array; (* length 0 for L1 *)
+  mutable epoch : int;
+}
+
+(* A recorded footprint: its [f_lines] lines all sat in [f_l1] when that
+   L1's epoch was [f_epoch] ([f_ways] is scratch for the walk that
+   records). Replaying them as hits applies
+   [pol.(f_idx.(i)) <- (pol.(f_idx.(i)) land f_keep.(i) lor f_set.(i)) + base]
+   for each of the [f_entries] summary words, [base] being the tick before
+   the replay under Lru and 0 otherwise. *)
+type footprint = {
+  f_addr : int;
+  f_len : int;
+  mutable f_l1 : level option; (* None: nothing recorded *)
+  mutable f_epoch : int;
+  mutable f_lines : int;
+  mutable f_ways : int array;
+  mutable f_entries : int;
+  mutable f_idx : int array;
+  mutable f_keep : int array;
+  mutable f_set : int array;
 }
 
 type t = {
@@ -59,6 +80,7 @@ type t = {
   mutable l2_evictions : int;
   mutable autolock_skips : int;
   mutable back_invals : int;
+  mutable replays : int; (* footprint touches served by replay; not published *)
   (* publish watermarks *)
   mutable p_l1_hits : int;
   mutable p_l1_misses : int;
@@ -86,6 +108,7 @@ let make_level policy g =
       pol = Array.make (g.sets * pol_words) 0;
       pol_words;
       incl = [||];
+      epoch = 0;
     }
   in
   for s = 0 to g.sets - 1 do
@@ -136,6 +159,7 @@ let create ?prng ~clusters cfg =
     l2_evictions = 0;
     autolock_skips = 0;
     back_invals = 0;
+    replays = 0;
     p_l1_hits = 0;
     p_l1_misses = 0;
     p_l2_hits = 0;
@@ -195,6 +219,7 @@ let l1_invalidate t ~core tag =
   let way = find l1 tag in
   if way >= 0 then begin
     l1.tags.((tag mod l1.geo.sets * l1.geo.ways) + way) <- -1;
+    l1.epoch <- l1.epoch + 1;
     t.back_invals <- t.back_invals + 1
   end
 
@@ -205,9 +230,10 @@ let incl_clear l2 ~core tag =
     l2.incl.(i) <- l2.incl.(i) land lnot (1 lsl core)
   end
 
-(* Fill [tag] into [core]'s L1, evicting if the set is full; an evicted
-   line loses its inclusion bit in the L2 (it may have none if it was
-   installed under the AutoLock non-inclusive fallback). *)
+(* Fill [tag] into [core]'s L1, evicting if the set is full, and return
+   the way it took; an evicted line loses its inclusion bit in the L2 (it
+   may have none if it was installed under the AutoLock non-inclusive
+   fallback). *)
 let l1_fill t ~core tag =
   let l1 = t.l1s.(core) and l2 = t.l2s.(t.cluster_of.(core)) in
   let set = tag mod l1.geo.sets in
@@ -228,12 +254,14 @@ let l1_fill t ~core tag =
     | w -> w
   in
   l1.tags.(base + way) <- tag;
+  l1.epoch <- l1.epoch + 1;
   touch_way t l1 ~set ~way;
   let l2way = find l2 tag in
   if l2way >= 0 then begin
     let i = (tag mod l2.geo.sets * l2.geo.ways) + l2way in
     l2.incl.(i) <- l2.incl.(i) lor (1 lsl core)
-  end
+  end;
+  way
 
 (* Fill [tag] into the cluster L2 on behalf of [core]. Under AutoLock a way
    is pinned iff its inclusion mask names any core other than the
@@ -287,14 +315,21 @@ let l2_fill t ~core tag =
     true
   end
 
-let touch t ~core ~addr =
-  let tag = addr / t.cfg.l1.line in
+(* A negative address would index the tag arrays at a negative set. *)
+let check_addr fn addr =
+  if addr < 0 then
+    invalid_arg (Printf.sprintf "Cache.%s: negative address %d" fn addr)
+
+(* Access line [tag] from [core], filling on the way. Returns
+   [(way lsl 2) lor level]: the serving level (0 L1, 1 L2, 2 memory) and
+   the L1 way that holds the line afterwards. *)
+let access t ~core tag =
   let l1 = t.l1s.(core) in
   let way = find l1 tag in
   if way >= 0 then begin
     t.l1_hits <- t.l1_hits + 1;
     touch_way t l1 ~set:(tag mod l1.geo.sets) ~way;
-    0
+    way lsl 2
   end
   else begin
     t.l1_misses <- t.l1_misses + 1;
@@ -312,11 +347,15 @@ let touch t ~core ~addr =
         2
       end
     in
-    l1_fill t ~core tag;
-    level
+    (l1_fill t ~core tag lsl 2) lor level
   end
 
+let touch t ~core ~addr =
+  check_addr "touch" addr;
+  access t ~core (addr / t.cfg.l1.line) land 3
+
 let peek t ~core ~addr =
+  check_addr "peek" addr;
   let tag = addr / t.cfg.l1.line in
   if find t.l1s.(core) tag >= 0 then 0
   else if find t.l2s.(t.cluster_of.(core)) tag >= 0 then 1
@@ -341,14 +380,130 @@ let publish t =
   end
 
 let touch_range t ~core ~addr ~len =
+  check_addr "touch_range" addr;
   if len > 0 then begin
     let line = t.cfg.l1.line in
-    let first = addr / line and last = (addr + len - 1) / line in
-    for l = first to last do
-      ignore (touch t ~core ~addr:(l * line))
+    for tag = addr / line to (addr + len - 1) / line do
+      ignore (access t ~core tag)
     done;
     publish t
   end
+
+(* ---- footprints ---- *)
+
+let footprint ~addr ~len =
+  check_addr "footprint" addr;
+  {
+    f_addr = addr;
+    f_len = len;
+    f_l1 = None;
+    f_epoch = 0;
+    f_lines = 0;
+    f_ways = [||];
+    f_entries = 0;
+    f_idx = [||];
+    f_keep = [||];
+    f_set = [||];
+  }
+
+(* After a walk that left line [first + k] at L1 way [fp.f_ways.(k)],
+   record [fp]'s replay summary against [core]'s L1 — provided every line
+   is still at that way (a later line of the walk may have evicted an
+   earlier one, directly or through an L2 back-invalidation). The summary
+   is what [fp.f_lines] consecutive hits at those ways do to the policy
+   state, whatever it holds: Lru stamps line k with the replay's starting
+   tick + k + 1; the one-word policies compose every touch to an L1 set
+   into one keep/set pair (line k lands on entry k mod [sets]). *)
+let record t fp ~core ~first =
+  let l1 = t.l1s.(core) in
+  let { sets; ways; _ } = l1.geo in
+  let n = fp.f_lines in
+  let resident = ref true in
+  for k = 0 to n - 1 do
+    let tag = first + k in
+    if l1.tags.((tag mod sets * ways) + fp.f_ways.(k)) <> tag then
+      resident := false
+  done;
+  if not !resident then fp.f_l1 <- None
+  else begin
+    let kind = t.cfg.policy in
+    (match kind with
+    | Policy.Lru ->
+        fp.f_entries <- n;
+        for k = 0 to n - 1 do
+          fp.f_idx.(k) <- ((first + k) mod sets * l1.pol_words) + fp.f_ways.(k);
+          fp.f_keep.(k) <- 0;
+          fp.f_set.(k) <- k + 1
+        done
+    | Policy.Tree_plru | Policy.Rand ->
+        let m = min n sets in
+        fp.f_entries <- m;
+        for j = 0 to m - 1 do
+          fp.f_idx.(j) <- (first + j) mod sets * l1.pol_words;
+          fp.f_keep.(j) <- -1;
+          fp.f_set.(j) <- 0
+        done;
+        for k = 0 to n - 1 do
+          let j = k mod m and way = fp.f_ways.(k) in
+          let keep = Policy.touch_keep kind ~ways ~way in
+          fp.f_keep.(j) <- fp.f_keep.(j) land keep;
+          fp.f_set.(j) <-
+            fp.f_set.(j) land keep lor Policy.touch_set kind ~ways ~way
+        done);
+    fp.f_l1 <- Some l1;
+    fp.f_epoch <- l1.epoch
+  end
+
+let touch_footprint t fp ~core =
+  let l1 = t.l1s.(core) in
+  match fp.f_l1 with
+  | Some rec_l1 when rec_l1 == l1 && fp.f_epoch = l1.epoch ->
+      (* No tag of this L1 changed since the record: every line is a hit
+         at its recorded way, so only the policy words, [tick] and the hit
+         count move — exactly as [touch_range] would move them. *)
+      let pol = l1.pol in
+      let base = match t.cfg.policy with Policy.Lru -> t.tick | _ -> 0 in
+      for i = 0 to fp.f_entries - 1 do
+        let w = fp.f_idx.(i) in
+        pol.(w) <- (pol.(w) land fp.f_keep.(i) lor fp.f_set.(i)) + base
+      done;
+      t.tick <- t.tick + fp.f_lines;
+      t.l1_hits <- t.l1_hits + fp.f_lines;
+      t.replays <- t.replays + 1;
+      publish t
+  | Some _ | None ->
+      if fp.f_len > 0 then begin
+        let line = t.cfg.l1.line in
+        let first = fp.f_addr / line in
+        let n = ((fp.f_addr + fp.f_len - 1) / line) - first + 1 in
+        if Array.length fp.f_ways <> n then begin
+          fp.f_ways <- Array.make n 0;
+          fp.f_idx <- Array.make n 0;
+          fp.f_keep <- Array.make n 0;
+          fp.f_set <- Array.make n 0
+        end;
+        fp.f_lines <- n;
+        for k = 0 to n - 1 do
+          fp.f_ways.(k) <- access t ~core (first + k) lsr 2
+        done;
+        publish t;
+        record t fp ~core ~first
+      end
+
+let footprint_replays t = t.replays
+
+let state_digest t =
+  let b = Buffer.create 65536 in
+  let add = Array.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) in
+  let level lvl =
+    add lvl.tags;
+    add lvl.pol;
+    add lvl.incl
+  in
+  Array.iter level t.l1s;
+  Array.iter level t.l2s;
+  Buffer.add_int64_le b (Int64.of_int t.tick);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let l1_stats t =
   { hits = t.l1_hits; misses = t.l1_misses; evictions = t.l1_evictions }

@@ -18,7 +18,8 @@
     fallback).
 
     Counters are plain ints, mirrored into [Obs] as [cache.*] series by
-    {!publish} (called automatically by {!touch_range}). *)
+    {!publish} (called automatically by {!touch_range} and
+    {!touch_footprint}). *)
 
 type geometry = { sets : int; ways : int; line : int }
 
@@ -54,7 +55,9 @@ val cluster_of_core : t -> core:int -> int
 
 val touch : t -> core:int -> addr:int -> int
 (** Access one address from [core], filling on the way: returns the level
-    that served it — [0] L1 hit, [1] L2 hit, [2] memory (miss in both). *)
+    that served it — [0] L1 hit, [1] L2 hit, [2] memory (miss in both).
+    Raises [Invalid_argument] if [addr < 0], as do {!touch_range},
+    {!peek} and {!footprint}. *)
 
 val touch_range : t -> core:int -> addr:int -> len:int -> unit
 (** Touch every line intersecting [\[addr, addr + len)], then {!publish}. *)
@@ -62,6 +65,35 @@ val touch_range : t -> core:int -> addr:int -> len:int -> unit
 val peek : t -> core:int -> addr:int -> int
 (** Like {!touch} but with no side effects at all: no fill, no replacement
     update, no counters. For tests and assertions. *)
+
+type footprint
+(** A fixed address window re-touched again and again — a task's working
+    set, touched on every dispatch — with the replay summary of its last
+    walk. *)
+
+val footprint : addr:int -> len:int -> footprint
+(** The window [\[addr, addr + len)]; nothing recorded yet. *)
+
+val touch_footprint : t -> footprint -> core:int -> unit
+(** Exactly {!touch_range} over the footprint's window — same fills,
+    replacement state, [tick] and counters, then {!publish} — but cheap
+    when nothing moved. After a walk that leaves every line in [core]'s
+    L1, the handle records each line's way and a per-set summary of the
+    replacement update a run of hits makes. Each L1 counts its tag writes
+    (fills, and back-invalidations from any core's L2 fill); when the same
+    core re-touches the footprint and its count has not moved, every line
+    is provably an L1 hit at its recorded way, and the summary is applied
+    in place of the per-line lookups and policy walks. Any other case
+    walks the window again and re-records. *)
+
+val footprint_replays : t -> int
+(** {!touch_footprint} calls served by replay. A host-side diagnostic:
+    not published to [Obs]. *)
+
+val state_digest : t -> string
+(** Hex digest of the whole modeled state: every level's tags,
+    replacement-policy words and inclusion masks, and the touch clock.
+    For differential tests. *)
 
 val line_size : t -> int
 val l2_sets : t -> int

@@ -38,28 +38,47 @@ let init kind ~state ~off ~ways =
 
 (* Tree-PLRU over one word: the [ways - 1] internal nodes of a perfect
    binary tree in heap order (root = node 1, bit [node - 1] of the word).
-   Bit 0 means "the colder half is the left one". A touch flips every bit
-   on the touched way's root path to point at the other half; the victim
-   walk just follows the bits down to a leaf. *)
+   Bit 0 means "the colder half is the left one". A touch points every bit
+   on the touched way's root path at the other half; the victim walk just
+   follows the bits down to a leaf.
+
+   A touch therefore forces a fixed set of bits whatever the word held:
+   [plru_paths.(ways)] holds, for each way, the [keep] mask (every bit off
+   the root path, at index [2 * way]) and the path bits it sets (at
+   [2 * way + 1]), for every power-of-two associativity [validate]
+   accepts. *)
+let plru_paths =
+  Array.init 63 (fun ways ->
+      if not (is_pow2 ways) then [||]
+      else begin
+        let tbl = Array.make (2 * ways) 0 in
+        for way = 0 to ways - 1 do
+          let keep = ref (-1) and set = ref 0 in
+          let node = ref 1 and lo = ref 0 and hi = ref ways in
+          while !hi - !lo > 1 do
+            let mid = (!lo + !hi) / 2 in
+            let b = 1 lsl (!node - 1) in
+            keep := !keep land lnot b;
+            if way < mid then begin
+              (* touched left: colder half is the right one *)
+              set := !set lor b;
+              hi := mid;
+              node := 2 * !node
+            end
+            else begin
+              lo := mid;
+              node := (2 * !node) + 1
+            end
+          done;
+          tbl.(2 * way) <- !keep;
+          tbl.((2 * way) + 1) <- !set
+        done;
+        tbl
+      end)
+
 let plru_touch state off ways way =
-  let bits = ref state.(off) in
-  let node = ref 1 and lo = ref 0 and hi = ref ways in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    let b = !node - 1 in
-    if way < mid then begin
-      (* touched left: colder half is the right one *)
-      bits := !bits lor (1 lsl b);
-      hi := mid;
-      node := 2 * !node
-    end
-    else begin
-      bits := !bits land lnot (1 lsl b);
-      lo := mid;
-      node := (2 * !node) + 1
-    end
-  done;
-  state.(off) <- !bits
+  let p = plru_paths.(ways) in
+  state.(off) <- state.(off) land p.(2 * way) lor p.((2 * way) + 1)
 
 let plru_victim state off ways =
   let bits = state.(off) in
@@ -82,6 +101,18 @@ let touch kind ~state ~off ~ways ~way ~tick =
   | Lru -> state.(off + way) <- tick
   | Tree_plru -> plru_touch state off ways way
   | Rand -> state.(off) <- way
+
+let touch_keep kind ~ways ~way =
+  match kind with
+  | Tree_plru -> plru_paths.(ways).(2 * way)
+  | Rand -> 0
+  | Lru -> invalid_arg "Policy.touch_keep: Lru state is not one word"
+
+let touch_set kind ~ways ~way =
+  match kind with
+  | Tree_plru -> plru_paths.(ways).((2 * way) + 1)
+  | Rand -> way
+  | Lru -> invalid_arg "Policy.touch_set: Lru state is not one word"
 
 let victim kind ~state ~off ~ways ~locked ~prng =
   match kind with

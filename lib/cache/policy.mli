@@ -40,6 +40,15 @@ val touch :
 (** Record a reference to [way]. [tick] is a monotone per-cache counter
     (only {!Lru} reads it). *)
 
+val touch_keep : kind -> ways:int -> way:int -> int
+val touch_set : kind -> ways:int -> way:int -> int
+(** For the one-word policies ({!Tree_plru}, {!Rand}), {!touch} of [way]
+    maps the set's state word [w] to [(w land touch_keep) lor touch_set]
+    whatever [w] holds — {!Tree_plru} forces the bits on the way's root
+    path, {!Rand} overwrites the MRU way. A run of touches to one set thus
+    composes into a single such pair, which is how [Cache] replays a task
+    footprint. Raises [Invalid_argument] for {!Lru}. *)
+
 val victim :
   kind ->
   state:int array ->

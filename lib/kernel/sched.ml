@@ -15,7 +15,11 @@ module Obs = Satin_obs.Obs
    footprint-free tight loops. Slots are assigned per scheduler in
    first-dispatch order — task ids come from a process-global counter, so
    keying the address on them would make the footprint (and the probers'
-   noise floor) depend on how many tasks earlier scenarios created. *)
+   noise floor) depend on how many tasks earlier scenarios created. Each
+   slot keeps a [Cache.footprint] handle: a hot re-dispatch on the same
+   core, with nothing written to that core's L1 in between, replays the
+   recorded hits instead of re-walking the 128 lines (same cache state
+   and counters as [Cache.touch_range], DESIGN §14). *)
 let footprint_bytes = 8192
 let footprint_window = 1 lsl 27
 
@@ -51,22 +55,25 @@ type t = {
   rt_enqueued : (int, Sim_time.t) Hashtbl.t;
       (* task id -> enqueue instant, for the RT dispatch-latency metric;
          populated only while an observability sink is installed *)
-  footprint_slots : (int, int) Hashtbl.t; (* task id -> footprint slot *)
+  footprint_slots : (int, Cache.footprint) Hashtbl.t;
+      (* task id -> footprint handle of its slot *)
   mutable footprint_next : int;
 }
 
-let footprint_base t task =
+let footprint t task =
   let id = Task.id task in
-  let slot =
-    match Hashtbl.find_opt t.footprint_slots id with
-    | Some s -> s
-    | None ->
-        let s = t.footprint_next in
-        t.footprint_next <- s + 1;
-        Hashtbl.add t.footprint_slots id s;
-        s
-  in
-  footprint_window + (slot mod 4096 * footprint_bytes)
+  match Hashtbl.find_opt t.footprint_slots id with
+  | Some fp -> fp
+  | None ->
+      let slot = t.footprint_next in
+      t.footprint_next <- slot + 1;
+      let fp =
+        Cache.footprint
+          ~addr:(footprint_window + (slot mod 4096 * footprint_bytes))
+          ~len:footprint_bytes
+      in
+      Hashtbl.add t.footprint_slots id fp;
+      fp
 
 let exited task = Task.state task = Task.Exited
 
@@ -148,8 +155,8 @@ let rec dispatch ?(fuel = 64) t cs =
         Task.set_state task Task.Running;
         Task.incr_dispatches task;
         if Task.policy task = Task.Cfs then
-          Cache.touch_range t.cache ~core:(Cpu.id cs.cpu)
-            ~addr:(footprint_base t task) ~len:footprint_bytes;
+          Cache.touch_footprint t.cache (footprint t task)
+            ~core:(Cpu.id cs.cpu);
         t.switches <- t.switches + 1;
         if Obs.active () then begin
           Obs.incr "sched.dispatches";

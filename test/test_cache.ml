@@ -156,6 +156,187 @@ let test_cluster_mapping () =
   Alcotest.(check int) "core 1 -> cluster 0" 0 (Cache.cluster_of_core c ~core:1);
   Alcotest.(check int) "core 2 -> cluster 1" 1 (Cache.cluster_of_core c ~core:2)
 
+(* A negative address has no set: every entry point must reject it rather
+   than index the tag arrays at a negative offset (where [peek] would read
+   an "L1 hit" on an empty cache). *)
+let test_negative_address () =
+  let c = two_core_cache ~autolock:false () in
+  let rejects fn f =
+    Alcotest.check_raises fn
+      (Invalid_argument (Printf.sprintf "Cache.%s: negative address -64" fn))
+      f
+  in
+  rejects "touch" (fun () -> ignore (Cache.touch c ~core:0 ~addr:(-64)));
+  rejects "peek" (fun () -> ignore (Cache.peek c ~core:0 ~addr:(-64)));
+  rejects "touch_range" (fun () ->
+      Cache.touch_range c ~core:0 ~addr:(-64) ~len:128);
+  rejects "footprint" (fun () -> ignore (Cache.footprint ~addr:(-64) ~len:128));
+  let l1 = Cache.l1_stats c in
+  Alcotest.(check int) "nothing was counted" 0 (l1.Cache.hits + l1.Cache.misses)
+
+(* ---- footprint replay vs the plain walk ---- *)
+
+(* Tiny levels so footprints collide, get back-invalidated and re-record
+   all the time: a 1 KiB 4-way L1 per core, an 8 KiB 8-way L2 per
+   cluster, two clusters of two cores. *)
+let small_cache policy ~autolock =
+  Cache.create
+    ~clusters:[| [| 0; 1 |]; [| 2; 3 |] |]
+    {
+      Cache.l1 = { Cache.sets = 4; ways = 4; line = 64 };
+      l2 = { Cache.sets = 16; ways = 8; line = 64 };
+      policy;
+      autolock;
+    }
+
+let window = 1 lsl 16
+
+(* Task windows (addr, len): two that fit the L1 (one unaligned), one of
+   two lines (fewer than the L1 sets) and one of 32 lines that never fits
+   (it walks every time). *)
+let tasks =
+  [|
+    (window, 512);
+    (window + 4096 + 32, 300);
+    (window + 8192 + 10, 100);
+    (window + 12288, 2048);
+  |]
+
+type op =
+  | Dispatch of int * int (* task, core *)
+  | Touch of int * int (* core, addr *)
+  | Scan of int * int * int (* core, addr, len *)
+
+let pp_op = function
+  | Dispatch (task, core) -> Printf.sprintf "dispatch %d@%d" task core
+  | Touch (core, addr) -> Printf.sprintf "touch %d@%#x" core addr
+  | Scan (core, addr, len) -> Printf.sprintf "scan %d@%#x+%d" core addr len
+
+(* Dispatches mostly land on the task's home core (hot re-dispatches that
+   replay), sometimes migrate; peer touches and scans hit the same 24 KiB
+   so they share, evict and back-invalidate footprint lines. *)
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          int_bound 3 >>= fun task ->
+          frequency [ (3, return task); (1, int_bound 3) ] >|= fun core ->
+          Dispatch (task, core) );
+        ( 3,
+          map2 (fun core off -> Touch (core, window + off)) (int_bound 3)
+            (int_bound 24575) );
+        ( 1,
+          map3
+            (fun core off len -> Scan (core, window + off, len))
+            (int_bound 3) (int_bound 24575) (int_range 1 8192) );
+      ])
+
+(* Run [ops] on two caches — one replaying footprints, one always walking
+   them with [touch_range] — and fail at the first op after which they
+   disagree. Returns how many dispatches replayed. *)
+let run_differential policy ~autolock ops =
+  let fast = small_cache policy ~autolock
+  and slow = small_cache policy ~autolock in
+  let fps = Array.map (fun (addr, len) -> Cache.footprint ~addr ~len) tasks in
+  List.iteri
+    (fun i op ->
+      let fail fmt =
+        Printf.ksprintf
+          (fun s ->
+            Alcotest.failf "%s autolock=%b, op %d (%s): %s"
+              (Policy.kind_to_string policy)
+              autolock i (pp_op op) s)
+          fmt
+      in
+      (match op with
+      | Dispatch (task, core) ->
+          let addr, len = tasks.(task) in
+          Cache.touch_footprint fast fps.(task) ~core;
+          Cache.touch_range slow ~core ~addr ~len
+      | Touch (core, addr) ->
+          let a = Cache.touch fast ~core ~addr
+          and b = Cache.touch slow ~core ~addr in
+          if a <> b then fail "served by level %d vs %d" a b
+      | Scan (core, addr, len) ->
+          Cache.touch_range fast ~core ~addr ~len;
+          Cache.touch_range slow ~core ~addr ~len);
+      if Cache.l1_stats fast <> Cache.l1_stats slow then fail "l1_stats differ";
+      if Cache.l2_stats fast <> Cache.l2_stats slow then fail "l2_stats differ";
+      if Cache.back_invalidations fast <> Cache.back_invalidations slow then
+        fail "back_invalidations differ";
+      if Cache.autolock_skips fast <> Cache.autolock_skips slow then
+        fail "autolock_skips differ";
+      if Cache.state_digest fast <> Cache.state_digest slow then
+        fail "state digests differ")
+    ops;
+  Cache.footprint_replays fast
+
+let prop_footprint_replay_is_exact =
+  QCheck.Test.make ~name:"footprint replay = touch_range walk" ~count:300
+    QCheck.(
+      triple (int_range 0 2) bool
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+           Gen.(list_size (int_range 1 150) gen_op)))
+    (fun (ki, autolock, ops) ->
+      ignore (run_differential (List.nth Policy.all ki) ~autolock ops);
+      true)
+
+(* The property would pass vacuously if nothing ever replayed: on a fixed
+   long stream every policy must take the replay path often. *)
+let test_replay_path_taken () =
+  let ops =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:2000 gen_op
+  in
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun autolock ->
+          let replays = run_differential policy ~autolock ops in
+          if replays < 100 then
+            Alcotest.failf "%s autolock=%b: only %d replays"
+              (Policy.kind_to_string policy)
+              autolock replays)
+        [ false; true ])
+    Policy.all
+
+(* A hot re-dispatch replays; then a peer core's L2 eviction
+   back-invalidates one footprint line, and the next dispatch must notice,
+   walk again and miss on exactly that line. *)
+let test_back_invalidation_forces_walk () =
+  let c = two_core_cache ~autolock:false () in
+  let addr = 1 lsl 27 and len = 8192 in
+  let fp = Cache.footprint ~addr ~len in
+  let lines = len / Cache.line_size c in
+  Cache.touch_footprint c fp ~core:0;
+  Alcotest.(check int) "cold dispatch walks" 0 (Cache.footprint_replays c);
+  let hits0 = (Cache.l1_stats c).Cache.hits in
+  Cache.touch_footprint c fp ~core:0;
+  Alcotest.(check int) "hot dispatch replays" 1 (Cache.footprint_replays c);
+  Alcotest.(check int) "all hits" (hits0 + lines) (Cache.l1_stats c).Cache.hits;
+  let victim = addr + (5 * Cache.line_size c) in
+  let evictor =
+    Cache.eviction_set c
+      ~l2_set:(Cache.l2_set_of_addr c ~addr:victim)
+      ~base:(1 lsl 28)
+  in
+  Array.iter (fun a -> ignore (Cache.touch c ~core:1 ~addr:a)) evictor;
+  Alcotest.(check int) "footprint line back-invalidated" 2
+    (Cache.peek c ~core:0 ~addr:victim);
+  let l1 = Cache.l1_stats c in
+  Cache.touch_footprint c fp ~core:0;
+  Alcotest.(check int) "no replay after the back-invalidation" 1
+    (Cache.footprint_replays c);
+  let l1' = Cache.l1_stats c in
+  Alcotest.(check int) "exactly the lost line missed" (l1.Cache.misses + 1)
+    l1'.Cache.misses;
+  Alcotest.(check int) "the rest hit" (l1.Cache.hits + lines - 1)
+    l1'.Cache.hits;
+  Cache.touch_footprint c fp ~core:0;
+  Alcotest.(check int) "re-recorded: replays again" 2
+    (Cache.footprint_replays c)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_no_policy_evicts_just_touched;
@@ -170,4 +351,11 @@ let suite =
       test_autolock_pins_cross_core_eviction;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "cluster mapping" `Quick test_cluster_mapping;
+    Alcotest.test_case "negative addresses rejected" `Quick
+      test_negative_address;
+    QCheck_alcotest.to_alcotest prop_footprint_replay_is_exact;
+    Alcotest.test_case "footprint replay path taken" `Quick
+      test_replay_path_taken;
+    Alcotest.test_case "back-invalidation forces a footprint walk" `Quick
+      test_back_invalidation_forces_walk;
   ]
