@@ -547,10 +547,8 @@ module Cache = Satin_cache.Cache
 
 let cache_bench_accesses = 1_000_000
 
-let cache_fixture () =
-  Cache.create
-    ~clusters:[| [| 0; 1; 2; 3 |]; [| 4; 5 |] |]
-    Cache.default_config
+let cache_fixture cfg =
+  Cache.create ~clusters:[| [| 0; 1; 2; 3 |]; [| 4; 5 |] |] cfg
 
 (* Hot loop: a 16 KiB working set resident in one core's L1. *)
 let cache_bench_l1 cache n =
@@ -569,6 +567,18 @@ let cache_bench_stream cache n =
   let base = 1 lsl 24 in
   for i = 0 to n - 1 do
     ignore (Cache.touch cache ~core:1 ~addr:(base + (i mod lines * line)))
+  done
+
+(* Evict+Reload's pattern: cores 0 and 1 of one cluster take turns
+   cycling 17 lines, one L2 span apart, through one 16-way set. Under true
+   LRU every access misses both levels, evicts an L2 line and
+   back-invalidates it from an L1 (under the default Tree-PLRU only ~8%
+   of them would miss the L2). *)
+let cache_bench_thrash cache n =
+  let span = Cache.l2_sets cache * Cache.line_size cache in
+  let base = 1 lsl 28 in
+  for i = 0 to n - 1 do
+    ignore (Cache.touch cache ~core:(i land 1) ~addr:(base + (i mod 17 * span)))
   done
 
 (* The checker's path: chunked [touch_range] fills over a 2 MiB region. *)
@@ -596,8 +606,8 @@ let cache_bench_redispatch touch cache n =
 let run_cache_bench () =
   let n = cache_bench_accesses in
   Printf.printf "==== cache benchmark (%d accesses, best of 3) ====\n" n;
-  let measure name f =
-    let cache = cache_fixture () in
+  let measure ?(cfg = Cache.default_config) name f =
+    let cache = cache_fixture cfg in
     let aps, wpa = measure_events ~events:n (fun () -> f cache n) in
     Printf.printf "  %-24s %12.0f acc/s  %6.3f words/access\n%!" name aps wpa;
     if wpa > 0.01 then
@@ -608,12 +618,17 @@ let run_cache_bench () =
   let fields aps wpa =
     [ ("accesses_per_s", Json.float aps); ("words_per_access", Json.float wpa) ]
   in
-  let row name f =
-    let aps, wpa = measure name f in
+  let row ?cfg name f =
+    let aps, wpa = measure ?cfg name f in
     (name, Json.Obj (fields aps wpa))
   in
   let l1 = row "l1 hit (16 KiB loop)" cache_bench_l1 in
   let stream = row "full miss (4 MiB stream)" cache_bench_stream in
+  let thrash =
+    row
+      ~cfg:{ Cache.default_config with Cache.policy = Satin_cache.Policy.Lru }
+      "same-set thrash" cache_bench_thrash
+  in
   let scan = row "touch_range scan fill" cache_bench_scan in
   let fp = Cache.footprint ~addr:footprint_addr ~len:footprint_len in
   let replay_aps, replay_wpa =
@@ -632,6 +647,7 @@ let run_cache_bench () =
       ("accesses", Json.Int n);
       l1;
       stream;
+      thrash;
       scan;
       ( "footprint re-dispatch",
         Json.Obj

@@ -35,13 +35,21 @@ type stats = { hits : int; misses : int; evictions : int }
 (* One physical level: tags.(set * ways + way) is the line address (-1 =
    invalid), pol is the policy's per-set state, incl (L2 only) the per-line
    bitmask of cores whose L1 holds the line. epoch (L1 only) counts tag
-   writes: while it stands still, every line sits at the way it had. *)
+   writes: while it stands still, every line sits at the way it had.
+   Two arrays are derived from the tags, so that a miss never scans a set
+   for them: free holds one word per set, with bit w set iff way w is
+   invalid, and l2_slot (L1 only) holds, per line, the L2 slot
+   (set * ways + way) whose inclusion bit the line owns, or -1 for an
+   invalid line or one filled under the AutoLock non-inclusive fallback. *)
 type level = {
   geo : geometry;
+  mask : int; (* sets - 1: a tag's set is [tag land mask] *)
   tags : int array;
+  free : int array;
   pol : int array;
   pol_words : int;
   incl : int array; (* length 0 for L1 *)
+  l2_slot : int array; (* length 0 for L2 *)
   mutable epoch : int;
 }
 
@@ -66,6 +74,7 @@ type footprint = {
 
 type t = {
   cfg : config;
+  shift : int; (* log2 line: a line's tag is [addr lsr shift] *)
   clusters : int array array;
   cluster_of : int array;
   l1s : level array; (* per core *)
@@ -96,18 +105,25 @@ let check_geometry name g ~line =
     invalid_arg (Printf.sprintf "Cache.create: bad %s geometry" name);
   if g.line land (g.line - 1) <> 0 then
     invalid_arg (Printf.sprintf "Cache.create: %s line size not a power of two" name);
+  if g.sets land (g.sets - 1) <> 0 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %s set count not a power of two" name);
   if g.line <> line then
     invalid_arg "Cache.create: L1 and L2 line sizes must match"
 
-let make_level policy g =
+let make_level policy g ~l2 =
   let pol_words = Policy.state_words policy ~ways:g.ways in
+  let lines = g.sets * g.ways in
   let lvl =
     {
       geo = g;
-      tags = Array.make (g.sets * g.ways) (-1);
+      mask = g.sets - 1;
+      tags = Array.make lines (-1);
+      free = Array.make g.sets ((1 lsl g.ways) - 1);
       pol = Array.make (g.sets * pol_words) 0;
       pol_words;
-      incl = [||];
+      incl = (if l2 then Array.make lines 0 else [||]);
+      l2_slot = (if l2 then [||] else Array.make lines (-1));
       epoch = 0;
     }
   in
@@ -139,16 +155,16 @@ let create ?prng ~clusters cfg =
   let prng =
     match prng with Some p -> p | None -> Prng.create (Prng.derive 0x5a71 0)
   in
-  let l2_of _ =
-    let lvl = make_level cfg.policy cfg.l2 in
-    { lvl with incl = Array.make (cfg.l2.sets * cfg.l2.ways) 0 }
-  in
+  let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   {
     cfg;
+    shift = log2 cfg.l1.line;
     clusters;
     cluster_of;
-    l1s = Array.init ncores (fun _ -> make_level cfg.policy cfg.l1);
-    l2s = Array.init (Array.length clusters) l2_of;
+    l1s = Array.init ncores (fun _ -> make_level cfg.policy cfg.l1 ~l2:false);
+    l2s =
+      Array.init (Array.length clusters) (fun _ ->
+          make_level cfg.policy cfg.l2 ~l2:true);
     prng;
     tick = 0;
     l1_hits = 0;
@@ -175,7 +191,7 @@ let cluster_of_core t ~core = t.cluster_of.(core)
 let line_size t = t.cfg.l1.line
 let l2_sets t = t.cfg.l2.sets
 let l2_ways t = t.cfg.l2.ways
-let l2_set_of_addr t ~addr = addr / t.cfg.l2.line mod t.cfg.l2.sets
+let l2_set_of_addr t ~addr = (addr lsr t.shift) land (t.cfg.l2.sets - 1)
 
 let eviction_set t ~l2_set ~base =
   let { sets; ways; line } = t.cfg.l2 in
@@ -188,11 +204,12 @@ let eviction_set t ~l2_set ~base =
 
 (* ---- per-level helpers ---- *)
 
-let find lvl tag =
-  let set = tag mod lvl.geo.sets in
-  let base = set * lvl.geo.ways in
+(* The way of [set] holding [tag], or -1. *)
+let find lvl ~set tag =
+  let ways = lvl.geo.ways in
+  let base = set * ways in
   let found = ref (-1) and w = ref 0 in
-  while !found < 0 && !w < lvl.geo.ways do
+  while !found < 0 && !w < ways do
     if Array.unsafe_get lvl.tags (base + !w) = tag then found := !w;
     incr w
   done;
@@ -203,116 +220,117 @@ let touch_way t lvl ~set ~way =
   Policy.touch t.cfg.policy ~state:lvl.pol ~off:(set * lvl.pol_words)
     ~ways:lvl.geo.ways ~way ~tick:t.tick
 
-let invalid_way lvl ~set =
-  let base = set * lvl.geo.ways in
-  let found = ref (-1) and w = ref 0 in
-  while !found < 0 && !w < lvl.geo.ways do
-    if Array.unsafe_get lvl.tags (base + !w) < 0 then found := !w;
-    incr w
+(* [way_of_bit.((1 lsl w) mod 67)] = w for every way w < 62: 2 is a
+   primitive root modulo the prime 67, so those residues are distinct (and
+   a constant modulus compiles to a multiply, not a division). *)
+let way_of_bit =
+  let tbl = Array.make 67 0 in
+  for w = 0 to 61 do
+    tbl.((1 lsl w) mod 67) <- w
   done;
-  !found
+  tbl
 
-(* Drop [tag] from [core]'s L1 and clear its inclusion bit in the cluster
-   L2 (when the line is there). *)
+(* The lowest invalid way of a set whose free word is [free <> 0] — the
+   way a scan of the set's tags for the first invalid one would pick. *)
+let first_free free = Array.unsafe_get way_of_bit ((free land -free) mod 67)
+
+(* Drop [tag] from [core]'s L1: an L2 back-invalidation, whose L2 line is
+   about to be replaced (so the line's pointer dies with it). *)
 let l1_invalidate t ~core tag =
   let l1 = t.l1s.(core) in
-  let way = find l1 tag in
+  let set = tag land l1.mask in
+  let way = find l1 ~set tag in
   if way >= 0 then begin
-    l1.tags.((tag mod l1.geo.sets * l1.geo.ways) + way) <- -1;
+    let i = (set * l1.geo.ways) + way in
+    l1.tags.(i) <- -1;
+    l1.l2_slot.(i) <- -1;
+    l1.free.(set) <- l1.free.(set) lor (1 lsl way);
     l1.epoch <- l1.epoch + 1;
     t.back_invals <- t.back_invals + 1
   end
 
-let incl_clear l2 ~core tag =
-  let way = find l2 tag in
-  if way >= 0 then begin
-    let i = (tag mod l2.geo.sets * l2.geo.ways) + way in
-    l2.incl.(i) <- l2.incl.(i) land lnot (1 lsl core)
-  end
-
-(* Fill [tag] into [core]'s L1, evicting if the set is full, and return
-   the way it took; an evicted line loses its inclusion bit in the L2 (it
-   may have none if it was installed under the AutoLock non-inclusive
-   fallback). *)
-let l1_fill t ~core tag =
-  let l1 = t.l1s.(core) and l2 = t.l2s.(t.cluster_of.(core)) in
-  let set = tag mod l1.geo.sets in
-  let base = set * l1.geo.ways in
+(* Fill [tag] into [set] of [core]'s L1, evicting if the set is full, and
+   return the way it took. [slot] is the cluster L2 slot holding [tag] —
+   the line sets its inclusion bit there — or -1 after an AutoLock skip.
+   An evicted line clears its own bit through its [l2_slot] (it has none
+   if it was installed under the AutoLock non-inclusive fallback). *)
+let l1_fill t ~core ~set tag ~slot =
+  let l1 = t.l1s.(core) and incl = t.l2s.(t.cluster_of.(core)).incl in
+  let ways = l1.geo.ways in
+  let base = set * ways and free = l1.free.(set) in
   let way =
-    match invalid_way l1 ~set with
-    | -1 ->
-        let v =
-          Policy.victim t.cfg.policy ~state:l1.pol ~off:(set * l1.pol_words)
-            ~ways:l1.geo.ways ~locked:0 ~prng:t.prng
-        in
-        let old = l1.tags.(base + v) in
-        if old >= 0 then begin
-          t.l1_evictions <- t.l1_evictions + 1;
-          incl_clear l2 ~core old
-        end;
-        v
-    | w -> w
+    if free <> 0 then first_free free
+    else begin
+      let v =
+        Policy.victim t.cfg.policy ~state:l1.pol ~off:(set * l1.pol_words)
+          ~ways ~locked:0 ~prng:t.prng
+      in
+      t.l1_evictions <- t.l1_evictions + 1;
+      let p = l1.l2_slot.(base + v) in
+      if p >= 0 then incl.(p) <- incl.(p) land lnot (1 lsl core);
+      v
+    end
   in
   l1.tags.(base + way) <- tag;
+  l1.l2_slot.(base + way) <- slot;
+  l1.free.(set) <- free land lnot (1 lsl way);
   l1.epoch <- l1.epoch + 1;
   touch_way t l1 ~set ~way;
-  let l2way = find l2 tag in
-  if l2way >= 0 then begin
-    let i = (tag mod l2.geo.sets * l2.geo.ways) + l2way in
-    l2.incl.(i) <- l2.incl.(i) lor (1 lsl core)
-  end;
+  if slot >= 0 then incl.(slot) <- incl.(slot) lor (1 lsl core);
   way
 
-(* Fill [tag] into the cluster L2 on behalf of [core]. Under AutoLock a way
-   is pinned iff its inclusion mask names any core other than the
-   requester — a core may always re-evict its own lines. Returns false when
-   every way is pinned (no allocation happened). *)
-let l2_fill t ~core tag =
+(* Fill [tag] into [set] of the cluster L2 on behalf of [core] and return
+   the slot it took. Under AutoLock a way is pinned iff its inclusion mask
+   names any core other than the requester — a core may always re-evict
+   its own lines. Returns -1 when every way is pinned (no allocation
+   happened). *)
+let l2_fill t ~core ~set tag =
   let l2 = t.l2s.(t.cluster_of.(core)) in
-  let set = tag mod l2.geo.sets in
-  let base = set * l2.geo.ways in
+  let ways = l2.geo.ways in
+  let base = set * ways and free = l2.free.(set) in
   let way =
-    match invalid_way l2 ~set with
-    | -1 ->
-        let locked =
-          if not t.cfg.autolock then 0
-          else begin
-            let m = ref 0 and others = lnot (1 lsl core) in
-            for w = 0 to l2.geo.ways - 1 do
-              if l2.incl.(base + w) land others <> 0 then m := !m lor (1 lsl w)
-            done;
-            !m
-          end
-        in
-        let v =
-          Policy.victim t.cfg.policy ~state:l2.pol ~off:(set * l2.pol_words)
-            ~ways:l2.geo.ways ~locked ~prng:t.prng
-        in
-        if v >= 0 then begin
-          let old = l2.tags.(base + v) in
-          t.l2_evictions <- t.l2_evictions + 1;
-          (* Inclusive back-invalidation: every L1 holding the victim
-             drops it. *)
-          let mask = ref l2.incl.(base + v) in
-          let c = ref 0 in
-          while !mask <> 0 do
-            if !mask land 1 <> 0 then l1_invalidate t ~core:!c old;
-            mask := !mask lsr 1;
-            incr c
-          done
-        end;
-        v
-    | w -> w
+    if free <> 0 then first_free free
+    else begin
+      let locked =
+        if not t.cfg.autolock then 0
+        else begin
+          let m = ref 0 and others = lnot (1 lsl core) in
+          for w = 0 to ways - 1 do
+            if l2.incl.(base + w) land others <> 0 then m := !m lor (1 lsl w)
+          done;
+          !m
+        end
+      in
+      let v =
+        Policy.victim t.cfg.policy ~state:l2.pol ~off:(set * l2.pol_words)
+          ~ways ~locked ~prng:t.prng
+      in
+      if v >= 0 then begin
+        let old = l2.tags.(base + v) in
+        t.l2_evictions <- t.l2_evictions + 1;
+        (* Inclusive back-invalidation: every L1 holding the victim
+           drops it. *)
+        let mask = ref l2.incl.(base + v) in
+        let c = ref 0 in
+        while !mask <> 0 do
+          if !mask land 1 <> 0 then l1_invalidate t ~core:!c old;
+          mask := !mask lsr 1;
+          incr c
+        done
+      end;
+      v
+    end
   in
   if way < 0 then begin
     t.autolock_skips <- t.autolock_skips + 1;
-    false
+    -1
   end
   else begin
     l2.tags.(base + way) <- tag;
     l2.incl.(base + way) <- 0;
+    l2.free.(set) <- free land lnot (1 lsl way);
     touch_way t l2 ~set ~way;
-    true
+    base + way
   end
 
 (* A negative address would index the tag arrays at a negative set. *)
@@ -322,43 +340,47 @@ let check_addr fn addr =
 
 (* Access line [tag] from [core], filling on the way. Returns
    [(way lsl 2) lor level]: the serving level (0 L1, 1 L2, 2 memory) and
-   the L1 way that holds the line afterwards. *)
+   the L1 way that holds the line afterwards. Each level's set is scanned
+   once; the L2 slot found or filled goes straight to [l1_fill]. *)
 let access t ~core tag =
   let l1 = t.l1s.(core) in
-  let way = find l1 tag in
+  let set = tag land l1.mask in
+  let way = find l1 ~set tag in
   if way >= 0 then begin
     t.l1_hits <- t.l1_hits + 1;
-    touch_way t l1 ~set:(tag mod l1.geo.sets) ~way;
+    touch_way t l1 ~set ~way;
     way lsl 2
   end
   else begin
     t.l1_misses <- t.l1_misses + 1;
     let l2 = t.l2s.(t.cluster_of.(core)) in
-    let level =
-      let l2way = find l2 tag in
-      if l2way >= 0 then begin
+    let set2 = tag land l2.mask in
+    let way2 = find l2 ~set:set2 tag in
+    let slot =
+      if way2 >= 0 then begin
         t.l2_hits <- t.l2_hits + 1;
-        touch_way t l2 ~set:(tag mod l2.geo.sets) ~way:l2way;
-        1
+        touch_way t l2 ~set:set2 ~way:way2;
+        (set2 * l2.geo.ways) + way2
       end
       else begin
         t.l2_misses <- t.l2_misses + 1;
-        ignore (l2_fill t ~core tag);
-        2
+        l2_fill t ~core ~set:set2 tag
       end
     in
-    (l1_fill t ~core tag lsl 2) lor level
+    let level = if way2 >= 0 then 1 else 2 in
+    (l1_fill t ~core ~set tag ~slot lsl 2) lor level
   end
 
 let touch t ~core ~addr =
   check_addr "touch" addr;
-  access t ~core (addr / t.cfg.l1.line) land 3
+  access t ~core (addr lsr t.shift) land 3
 
 let peek t ~core ~addr =
   check_addr "peek" addr;
-  let tag = addr / t.cfg.l1.line in
-  if find t.l1s.(core) tag >= 0 then 0
-  else if find t.l2s.(t.cluster_of.(core)) tag >= 0 then 1
+  let tag = addr lsr t.shift in
+  let l1 = t.l1s.(core) and l2 = t.l2s.(t.cluster_of.(core)) in
+  if find l1 ~set:(tag land l1.mask) tag >= 0 then 0
+  else if find l2 ~set:(tag land l2.mask) tag >= 0 then 1
   else 2
 
 let publish t =
@@ -382,8 +404,7 @@ let publish t =
 let touch_range t ~core ~addr ~len =
   check_addr "touch_range" addr;
   if len > 0 then begin
-    let line = t.cfg.l1.line in
-    for tag = addr / line to (addr + len - 1) / line do
+    for tag = addr lsr t.shift to (addr + len - 1) lsr t.shift do
       ignore (access t ~core tag)
     done;
     publish t
@@ -416,12 +437,12 @@ let footprint ~addr ~len =
    into one keep/set pair (line k lands on entry k mod [sets]). *)
 let record t fp ~core ~first =
   let l1 = t.l1s.(core) in
-  let { sets; ways; _ } = l1.geo in
+  let { sets; ways; _ } = l1.geo and mask = l1.mask in
   let n = fp.f_lines in
   let resident = ref true in
   for k = 0 to n - 1 do
     let tag = first + k in
-    if l1.tags.((tag mod sets * ways) + fp.f_ways.(k)) <> tag then
+    if l1.tags.((tag land mask * ways) + fp.f_ways.(k)) <> tag then
       resident := false
   done;
   if not !resident then fp.f_l1 <- None
@@ -431,7 +452,7 @@ let record t fp ~core ~first =
     | Policy.Lru ->
         fp.f_entries <- n;
         for k = 0 to n - 1 do
-          fp.f_idx.(k) <- ((first + k) mod sets * l1.pol_words) + fp.f_ways.(k);
+          fp.f_idx.(k) <- ((first + k) land mask * l1.pol_words) + fp.f_ways.(k);
           fp.f_keep.(k) <- 0;
           fp.f_set.(k) <- k + 1
         done
@@ -439,7 +460,7 @@ let record t fp ~core ~first =
         let m = min n sets in
         fp.f_entries <- m;
         for j = 0 to m - 1 do
-          fp.f_idx.(j) <- (first + j) mod sets * l1.pol_words;
+          fp.f_idx.(j) <- (first + j) land mask * l1.pol_words;
           fp.f_keep.(j) <- -1;
           fp.f_set.(j) <- 0
         done;
@@ -473,9 +494,8 @@ let touch_footprint t fp ~core =
       publish t
   | Some _ | None ->
       if fp.f_len > 0 then begin
-        let line = t.cfg.l1.line in
-        let first = fp.f_addr / line in
-        let n = ((fp.f_addr + fp.f_len - 1) / line) - first + 1 in
+        let first = fp.f_addr lsr t.shift in
+        let n = ((fp.f_addr + fp.f_len - 1) lsr t.shift) - first + 1 in
         if Array.length fp.f_ways <> n then begin
           fp.f_ways <- Array.make n 0;
           fp.f_idx <- Array.make n 0;
@@ -504,6 +524,72 @@ let state_digest t =
   Array.iter level t.l2s;
   Buffer.add_int64_le b (Int64.of_int t.tick);
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let invariant_violations t =
+  let out = ref [] in
+  let fail fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let check_free name lvl =
+    let { sets; ways; _ } = lvl.geo in
+    for set = 0 to sets - 1 do
+      let invalid = ref 0 in
+      for w = 0 to ways - 1 do
+        if lvl.tags.((set * ways) + w) < 0 then
+          invalid := !invalid lor (1 lsl w)
+      done;
+      if lvl.free.(set) <> !invalid then
+        fail "%s set %d: free word %#x, invalid ways %#x" name set
+          lvl.free.(set) !invalid
+    done
+  in
+  Array.iteri (fun c -> check_free (Printf.sprintf "core %d L1" c)) t.l1s;
+  Array.iteri (fun c -> check_free (Printf.sprintf "cluster %d L2" c)) t.l2s;
+  (* Each L1 pointer names an L2 slot holding the line with the core's bit. *)
+  Array.iteri
+    (fun core l1 ->
+      let l2 = t.l2s.(t.cluster_of.(core)) in
+      Array.iteri
+        (fun i slot ->
+          let tag = l1.tags.(i) in
+          if slot >= 0 then begin
+            if
+              tag < 0
+              || slot >= Array.length l2.tags
+              || l2.tags.(slot) <> tag
+              || l2.incl.(slot) land (1 lsl core) = 0
+            then
+              fail "core %d L1 line %d (tag %d): L2 slot %d lacks it or its bit"
+                core i tag slot
+          end
+          else if slot <> -1 then
+            fail "core %d L1 line %d: bad L2 slot %d" core i slot)
+        l1.l2_slot)
+    t.l1s;
+  (* Each inclusion bit is backed by an L1 line of that core pointing back. *)
+  let ncores = Array.length t.l1s in
+  Array.iteri
+    (fun cl l2 ->
+      Array.iteri
+        (fun slot bits ->
+          let tag = l2.tags.(slot) in
+          if bits lsr ncores <> 0 then
+            fail "cluster %d L2 slot %d: bits %#x name no core" cl slot bits;
+          for core = 0 to ncores - 1 do
+            if bits land (1 lsl core) <> 0 then begin
+              let l1 = t.l1s.(core) in
+              let set = tag land l1.mask in
+              let way = if tag < 0 then -1 else find l1 ~set tag in
+              if
+                t.cluster_of.(core) <> cl
+                || way < 0
+                || l1.l2_slot.((set * l1.geo.ways) + way) <> slot
+              then
+                fail "cluster %d L2 slot %d (tag %d): core %d bit unbacked" cl
+                  slot tag core
+            end
+          done)
+        l2.incl)
+    t.l2s;
+  List.rev !out
 
 let l1_stats t =
   { hits = t.l1_hits; misses = t.l1_misses; evictions = t.l1_evictions }

@@ -22,6 +22,8 @@
     {!touch_footprint}). *)
 
 type geometry = { sets : int; ways : int; line : int }
+(** [sets] and [line] must be powers of two (a line's set is its low tag
+    bits), [ways] at most 62, and both levels share one [line]. *)
 
 type config = {
   l1 : geometry;  (** per-core level; default 32 sets x 16 ways x 64 B *)
@@ -47,7 +49,9 @@ val create :
   ?prng:Satin_engine.Prng.t -> clusters:int array array -> config -> t
 (** [clusters] maps cluster index to member core ids (a partition of
     [0 .. ncores - 1]). [prng] feeds only the [Rand] policy; the default is
-    a self-seeded stream so a cache never perturbs its platform's PRNG. *)
+    a self-seeded stream so a cache never perturbs its platform's PRNG.
+    Raises [Invalid_argument] on a geometry that breaks {!geometry}'s
+    rules, e.g. [sets = 48]. *)
 
 val config : t -> config
 val ncores : t -> int
@@ -94,6 +98,14 @@ val state_digest : t -> string
 (** Hex digest of the whole modeled state: every level's tags,
     replacement-policy words and inclusion masks, and the touch clock.
     For differential tests. *)
+
+val invariant_violations : t -> string list
+(** Structural self-check of the structures the miss path derives from
+    the tags, one message per violation (empty when healthy): each set's
+    free word has bit [w] set iff way [w] holds no line; each L1 line's
+    L2 pointer, when not -1, names a slot of its cluster's L2 that holds
+    the same line with the core's inclusion bit set; and each inclusion
+    bit is backed by such an L1 line. O(lines); for tests. *)
 
 val line_size : t -> int
 val l2_sets : t -> int

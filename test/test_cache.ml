@@ -147,6 +147,18 @@ let test_config_validation () =
            {
              Cache.default_config with
              Cache.l1 = { Cache.sets = 32; ways = 4; line = 32 };
+           }));
+  (* Sets are indexed by the low tag bits: 48 sets would silently map
+     lines to the wrong sets. *)
+  Alcotest.check_raises "set count must be a power of two"
+    (Invalid_argument "Cache.create: l2 set count not a power of two")
+    (fun () ->
+      ignore
+        (Cache.create
+           ~clusters:[| [| 0 |] |]
+           {
+             Cache.default_config with
+             Cache.l2 = { Cache.sets = 48; ways = 16; line = 64 };
            }))
 
 let test_cluster_mapping () =
@@ -174,21 +186,24 @@ let test_negative_address () =
   let l1 = Cache.l1_stats c in
   Alcotest.(check int) "nothing was counted" 0 (l1.Cache.hits + l1.Cache.misses)
 
-(* ---- footprint replay vs the plain walk ---- *)
+(* ---- the cache vs the scan-based reference model ---- *)
 
-(* Tiny levels so footprints collide, get back-invalidated and re-record
-   all the time: a 1 KiB 4-way L1 per core, an 8 KiB 8-way L2 per
-   cluster, two clusters of two cores. *)
-let small_cache policy ~autolock =
-  Cache.create
-    ~clusters:[| [| 0; 1 |]; [| 2; 3 |] |]
-    {
-      Cache.l1 = { Cache.sets = 4; ways = 4; line = 64 };
-      l2 = { Cache.sets = 16; ways = 8; line = 64 };
-      policy;
-      autolock;
-    }
+(* Tiny levels so lines collide and get back-invalidated, and footprints
+   re-record, all the time: a 1 KiB 4-way L1 per core, a 16-set L2 per
+   cluster, two clusters of two cores. The 8-way L2 cannot see an AutoLock
+   skip: every line of one L2 set sits in one L1 set, so the requester's
+   one peer pins at most 4 of its 8 ways. The 4-way L2 can, and is there
+   for the skip and the non-inclusive L1 lines it leaves. *)
+let small_config policy ~autolock ~l2_ways =
+  {
+    Cache.l1 = { Cache.sets = 4; ways = 4; line = 64 };
+    l2 = { Cache.sets = 16; ways = l2_ways; line = 64 };
+    policy;
+    autolock;
+  }
 
+let small_clusters = [| [| 0; 1 |]; [| 2; 3 |] |]
+let small_prng () = Prng.create (Prng.derive 3 5)
 let window = 1 lsl 16
 
 (* Task windows (addr, len): two that fit the L1 (one unaligned), one of
@@ -232,56 +247,92 @@ let gen_op =
             (int_bound 3) (int_bound 24575) (int_range 1 8192) );
       ])
 
-(* Run [ops] on two caches — one replaying footprints, one always walking
-   them with [touch_range] — and fail at the first op after which they
-   disagree. Returns how many dispatches replayed. *)
-let run_differential policy ~autolock ops =
-  let fast = small_cache policy ~autolock
-  and slow = small_cache policy ~autolock in
+(* An eviction-set sweep: one core touches 2-6 consecutive lines of L2 set
+   0 or 1 (16 lines apart). Sweeps fill whole sets, so a peer's sweep pins
+   them under AutoLock and a fill of the same set then skips the L2. *)
+let gen_sweep =
+  QCheck.Gen.(
+    map4
+      (fun core set k0 n ->
+        List.init n (fun i ->
+            Touch (core, window + ((set + (16 * (k0 + i))) * 64))))
+      (int_bound 3) (int_bound 1) (int_bound 7) (int_range 2 6))
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (frequency [ (3, gen_op >|= fun op -> [ op ]); (1, gen_sweep) ])
+    >|= List.concat)
+
+(* Run [ops] on the cache — footprints replayed through handles — and on
+   the reference, which walks them, and fail at the first op after which
+   they disagree or the cache breaks an invariant. Returns the dispatches
+   that replayed and the reference's path coverage. *)
+let run_differential policy ~autolock ~l2_ways ops =
+  let cfg = small_config policy ~autolock ~l2_ways in
+  let fast = Cache.create ~prng:(small_prng ()) ~clusters:small_clusters cfg
+  and slow =
+    Cache_ref.create ~prng:(small_prng ()) ~clusters:small_clusters cfg
+  in
   let fps = Array.map (fun (addr, len) -> Cache.footprint ~addr ~len) tasks in
   List.iteri
     (fun i op ->
       let fail fmt =
         Printf.ksprintf
           (fun s ->
-            Alcotest.failf "%s autolock=%b, op %d (%s): %s"
+            Alcotest.failf "%s autolock=%b l2_ways=%d, op %d (%s): %s"
               (Policy.kind_to_string policy)
-              autolock i (pp_op op) s)
+              autolock l2_ways i (pp_op op) s)
           fmt
       in
       (match op with
       | Dispatch (task, core) ->
           let addr, len = tasks.(task) in
           Cache.touch_footprint fast fps.(task) ~core;
-          Cache.touch_range slow ~core ~addr ~len
+          Cache_ref.touch_range slow ~core ~addr ~len
       | Touch (core, addr) ->
           let a = Cache.touch fast ~core ~addr
-          and b = Cache.touch slow ~core ~addr in
+          and b = Cache_ref.touch slow ~core ~addr in
           if a <> b then fail "served by level %d vs %d" a b
       | Scan (core, addr, len) ->
           Cache.touch_range fast ~core ~addr ~len;
-          Cache.touch_range slow ~core ~addr ~len);
-      if Cache.l1_stats fast <> Cache.l1_stats slow then fail "l1_stats differ";
-      if Cache.l2_stats fast <> Cache.l2_stats slow then fail "l2_stats differ";
-      if Cache.back_invalidations fast <> Cache.back_invalidations slow then
+          Cache_ref.touch_range slow ~core ~addr ~len);
+      if Cache.l1_stats fast <> Cache_ref.l1_stats slow then
+        fail "l1_stats differ";
+      if Cache.l2_stats fast <> Cache_ref.l2_stats slow then
+        fail "l2_stats differ";
+      if Cache.back_invalidations fast <> Cache_ref.back_invalidations slow then
         fail "back_invalidations differ";
-      if Cache.autolock_skips fast <> Cache.autolock_skips slow then
+      if Cache.autolock_skips fast <> Cache_ref.autolock_skips slow then
         fail "autolock_skips differ";
-      if Cache.state_digest fast <> Cache.state_digest slow then
-        fail "state digests differ")
+      if Cache.state_digest fast <> Cache_ref.state_digest slow then
+        fail "state digests differ";
+      match Cache.invariant_violations fast with
+      | [] -> ()
+      | v :: _ -> fail "invariant: %s" v)
     ops;
-  Cache.footprint_replays fast
+  (Cache.footprint_replays fast, Cache_ref.coverage slow)
 
-let prop_footprint_replay_is_exact =
-  QCheck.Test.make ~name:"footprint replay = touch_range walk" ~count:300
+let prop_matches_reference =
+  QCheck.Test.make ~name:"reference model differential" ~count:300
     QCheck.(
-      triple (int_range 0 2) bool
+      quad (int_range 0 2) bool bool
         (make
            ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-           Gen.(list_size (int_range 1 150) gen_op)))
-    (fun (ki, autolock, ops) ->
-      ignore (run_differential (List.nth Policy.all ki) ~autolock ops);
+           gen_ops))
+    (fun (ki, autolock, pinnable, ops) ->
+      let l2_ways = if pinnable then 4 else 8 in
+      ignore
+        (run_differential (List.nth Policy.all ki) ~autolock ~l2_ways ops);
       true)
+
+let each_config ~l2_ways f =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun autolock -> List.iter (f policy ~autolock) l2_ways)
+        [ false; true ])
+    Policy.all
 
 (* The property would pass vacuously if nothing ever replayed: on a fixed
    long stream every policy must take the replay path often. *)
@@ -289,17 +340,41 @@ let test_replay_path_taken () =
   let ops =
     QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:2000 gen_op
   in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun autolock ->
-          let replays = run_differential policy ~autolock ops in
-          if replays < 100 then
-            Alcotest.failf "%s autolock=%b: only %d replays"
-              (Policy.kind_to_string policy)
-              autolock replays)
-        [ false; true ])
-    Policy.all
+  each_config ~l2_ways:[ 8 ] (fun policy ~autolock l2_ways ->
+      let replays, _ = run_differential policy ~autolock ~l2_ways ops in
+      if replays < 100 then
+        Alcotest.failf "%s autolock=%b: only %d replays"
+          (Policy.kind_to_string policy)
+          autolock replays)
+
+(* Nor may it pass because the streams miss a path of the fill code: on
+   the fixed stream, every configuration reaches cold fills, L1 victims
+   that own an inclusion bit and back-invalidations of the requester's own
+   L1 set; with AutoLock on the pinnable L2 also reaches full-pin skips, L1
+   victims without a bit (filled after a skip) and peer refills of a
+   skipped line. *)
+let test_streams_reach_every_path () =
+  let ops =
+    List.concat
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:40 gen_ops)
+  in
+  each_config ~l2_ways:[ 8; 4 ] (fun policy ~autolock l2_ways ->
+      let _, (cov : Cache_ref.coverage) =
+        run_differential policy ~autolock ~l2_ways ops
+      in
+      let need name n =
+        if n = 0 then
+          Alcotest.failf "%s autolock=%b l2_ways=%d: no %s"
+            (Policy.kind_to_string policy)
+            autolock l2_ways name
+      in
+      need "cold fill" cov.cold_fills;
+      need "inclusive L1 victim" cov.victims_inclusive;
+      need "own-set back-invalidation" cov.own_set_back_invals;
+      if autolock && l2_ways = 4 then begin
+        need "non-inclusive L1 victim" cov.victims_non_inclusive;
+        need "peer refill after a skip" cov.peer_refills
+      end)
 
 (* A hot re-dispatch replays; then a peer core's L2 eviction
    back-invalidates one footprint line, and the next dispatch must notice,
@@ -353,9 +428,11 @@ let suite =
     Alcotest.test_case "cluster mapping" `Quick test_cluster_mapping;
     Alcotest.test_case "negative addresses rejected" `Quick
       test_negative_address;
-    QCheck_alcotest.to_alcotest prop_footprint_replay_is_exact;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
     Alcotest.test_case "footprint replay path taken" `Quick
       test_replay_path_taken;
+    Alcotest.test_case "reference streams reach every path" `Quick
+      test_streams_reach_every_path;
     Alcotest.test_case "back-invalidation forces a footprint walk" `Quick
       test_back_invalidation_forces_walk;
   ]
