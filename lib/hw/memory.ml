@@ -19,6 +19,10 @@ type guard = {
 
 exception Write_trapped of { addr : int; guard_name : string }
 
+(* A loaded image: [src] was copied to [img_addr] by the write stamped
+   [img_gen]. *)
+type image = { img_addr : int; img_src : string; img_gen : int }
+
 type t = {
   data : Bytes.t;
   gens : int array; (* per-page stamp: write_gen of the last write touching it *)
@@ -26,6 +30,7 @@ type t = {
   mutable region_list : region list; (* sorted by base *)
   mutable watchers : watcher list;
   mutable guards : guard list;
+  mutable images : image list;
 }
 
 exception Access_violation of { world : World.t; addr : int; region : string }
@@ -49,6 +54,7 @@ let create ~size =
     region_list = [];
     watchers = [];
     guards = [];
+    images = [];
   }
 
 let size t = Bytes.length t.data
@@ -249,6 +255,27 @@ let bump_generation t ~addr ~len =
   for p = p0 to p1 do
     Array.unsafe_set t.gens p g
   done
+
+let load_image t ~addr src =
+  write_string t ~world:World.Secure ~addr src;
+  t.images <-
+    { img_addr = addr; img_src = src; img_gen = t.write_gen } :: t.images
+
+(* Stamps only grow, and the load stamped every page it covers with
+   [img_gen]: a range whose pages still carry no later stamp has not been
+   written since, so its bytes are the image's. *)
+let image_slice t ~addr ~len =
+  if len <= 0 || addr < 0 || addr + len > Bytes.length t.data then None
+  else
+    List.find_map
+      (fun img ->
+        if
+          addr >= img.img_addr
+          && addr + len <= img.img_addr + String.length img.img_src
+          && generation t ~addr ~len <= img.img_gen
+        then Some (img.img_src, addr - img.img_addr)
+        else None)
+      t.images
 
 let add_write_watcher t notify =
   let w = { active = true; notify } in

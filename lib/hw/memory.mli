@@ -146,3 +146,24 @@ val bump_generation : t -> addr:int -> len:int -> unit
     without writing any byte or notifying watchers. For callers that mutate
     the backing store out-of-band and must force downstream caches to
     re-derive. *)
+
+(** {1 Loaded images}
+
+    The boot loader copies an immutable image into memory with
+    {!load_image}; the memory keeps a reference to the source string. A
+    consumer that needs a read-only copy of image bytes (the checker's
+    golden content) can then alias the source instead of copying, for as
+    long as the write generations prove the live bytes unchanged. *)
+
+val load_image : t -> addr:int -> string -> unit
+(** [load_image t ~addr src] writes [src] at [addr] as a secure-world
+    {!write_string} (same checks, one generation bump, watchers notified)
+    and records [src] as the image loaded there. [src] must never be
+    mutated afterwards. *)
+
+val image_slice : t -> addr:int -> len:int -> (string * int) option
+(** [Some (src, off)] when [\[addr, addr+len)] lies inside an image loaded
+    with {!load_image} and no page covering it has been stamped since that
+    load, so the live bytes equal [src.[off .. off+len-1]]. [None]
+    otherwise, including for an empty or out-of-bounds range; [None] does
+    not mean the bytes differ (rewriting the same bytes still stamps). *)

@@ -16,32 +16,36 @@ let style_to_string = function
 
 let pp_style fmt s = Format.pp_print_string fmt (style_to_string s)
 
-(* Per-enrolled-range incremental state, one slot per page-aligned block
-   (absolute 4 KiB pages, so a block maps to exactly one
+(* The golden state of an enrolled range that is a pure function of
+   (algo, base, bytes), fixed at enroll and never mutated, so checkers
+   enrolling the same image bytes share one (DESIGN §16). Blocks are
+   page-aligned (absolute 4 KiB pages, so a block maps to exactly one
    [Memory.generation] stamp; first/last blocks may be partial).
+   [g_digest]/[g_pow] hold each block's seed-independent golden digest and
+   multiplier power (combinable algorithms only). *)
+type gold = {
+  g_content : string; (* the range is [g_off, g_off + g_len) of it *)
+  g_off : int;
+  g_len : int;
+  g_hash : int64;
+  g_bounds : int array; (* nblocks+1 block-start offsets; last entry = len *)
+  g_digest : int64 array;
+  g_pow : int64 array;
+}
 
+(* A checker's incremental state over a [gold], one slot per block.
    [c_clean_gen.(b)] is the page stamp at the moment block [b] was last
    proven byte-equal to golden; the block is still equal iff the page stamp
    has not advanced past it (the simulator is single-threaded, so the
    stamp-read/compare pair inside one event callback cannot be interleaved
    by a write). [c_live_digest]/[c_digest_gen] cache the seed-independent
    digest of a {e tampered} block's live content, valid while the stamp is
-   unchanged. [c_gold_digest]/[c_pow] are fixed at enroll (combinable
-   algorithms only). *)
-type block_cache = {
-  c_bounds : int array; (* nblocks+1 block-start offsets; last entry = len *)
+   unchanged. *)
+type golden = {
+  gold : gold;
   c_clean_gen : int array;
   c_live_digest : int64 array;
   c_digest_gen : int array;
-  c_gold_digest : int64 array;
-  c_pow : int64 array;
-}
-
-type golden = {
-  g_len : int;
-  g_content : string;
-  g_hash : int64;
-  g_blocks : block_cache;
 }
 
 let block_bounds ~base ~len =
@@ -112,44 +116,69 @@ let algo t = t.algo
 let style t = t.style
 let scratch_capacity t = Bytes.length t.scratch
 
-let make_block_cache t ~base ~content =
-  let len = String.length content in
+let make_gold algo ~base ~content ~off ~len =
   let bounds = block_bounds ~base ~len in
   let n = Array.length bounds - 1 in
-  let gold = Array.make n 0L and pow = Array.make n 1L in
-  if Hash.combinable t.algo then
+  let digest = Array.make n 0L and pow = Array.make n 1L in
+  if Hash.combinable algo then
     for b = 0 to n - 1 do
       let lo = bounds.(b) and hi = bounds.(b + 1) in
-      gold.(b) <- Hash.block_digest_string t.algo content ~off:lo ~len:(hi - lo);
-      pow.(b) <- Hash.block_pow t.algo ~len:(hi - lo)
+      digest.(b) <-
+        Hash.block_digest_string algo content ~off:(off + lo) ~len:(hi - lo);
+      pow.(b) <- Hash.block_pow algo ~len:(hi - lo)
     done;
   {
-    c_bounds = bounds;
-    c_clean_gen = Array.make n (-1);
-    c_live_digest = Array.make n 0L;
-    c_digest_gen = Array.make n (-1);
-    c_gold_digest = gold;
-    c_pow = pow;
+    g_content = content;
+    g_off = off;
+    g_len = len;
+    g_hash = Hash.hash_sub algo (Bytes.unsafe_of_string content) ~off ~len;
+    g_bounds = bounds;
+    g_digest = digest;
+    g_pow = pow;
   }
 
+(* Golds of image slices, shared by every checker in the process and keyed
+   by (algo, base, len). An entry is reused only for the very same source
+   string at the same offset, which [Memory.image_slice] guarantees equals
+   the live bytes; a different image at the same key replaces it. Copied
+   golds never enter, so a range tampered before enroll cannot leak into a
+   later checker. Runner domains enroll concurrently, hence the lock. *)
+let shared_golds : (Hash.algo * int * int, gold) Hashtbl.t = Hashtbl.create 64
+let shared_golds_lock = Mutex.create ()
+
+let shared_gold algo ~base ~src ~off ~len =
+  Mutex.protect shared_golds_lock (fun () ->
+      match Hashtbl.find_opt shared_golds (algo, base, len) with
+      | Some g when g.g_content == src && g.g_off = off -> g
+      | _ ->
+          let g = make_gold algo ~base ~content:src ~off ~len in
+          Hashtbl.replace shared_golds (algo, base, len) g;
+          g)
+
 let enroll t ~base ~len =
-  let content =
-    Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
-      ~f:(fun data off -> Bytes.sub_string data off len)
+  let gold =
+    match Memory.image_slice t.memory ~addr:base ~len with
+    | Some (src, off) -> shared_gold t.algo ~base ~src ~off ~len
+    | None ->
+        let content =
+          Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
+            ~f:(fun data off -> Bytes.sub_string data off len)
+        in
+        make_gold t.algo ~base ~content ~off:0 ~len
   in
   if len > Bytes.length t.scratch then t.scratch <- Bytes.create len;
-  let hash = Hash.hash_string t.algo content in
+  let n = Array.length gold.g_bounds - 1 in
   Hashtbl.replace t.golden (base, len)
     {
-      g_len = len;
-      g_content = content;
-      g_hash = hash;
-      g_blocks = make_block_cache t ~base ~content;
+      gold;
+      c_clean_gen = Array.make n (-1);
+      c_live_digest = Array.make n 0L;
+      c_digest_gen = Array.make n (-1);
     };
-  hash
+  gold.g_hash
 
 let enrolled_hash t ~base ~len =
-  Option.map (fun g -> g.g_hash) (Hashtbl.find_opt t.golden (base, len))
+  Option.map (fun g -> g.gold.g_hash) (Hashtbl.find_opt t.golden (base, len))
 
 type verdict = {
   v_base : int;
@@ -216,8 +245,9 @@ let range_equal data doff golden goff blen =
 let diff_block = 4096
 
 let dirty_ranges_full t sc golden ~base =
-  let len = golden.g_len in
-  count_rehashed t sc (Array.length golden.g_blocks.c_bounds - 1);
+  let g = golden.gold in
+  let len = g.g_len in
+  count_rehashed t sc (Array.length g.g_bounds - 1);
   with_live t ~base ~len ~f:(fun data off ->
       let ranges = ref [] in
       let run_start = ref (-1) in
@@ -231,11 +261,12 @@ let dirty_ranges_full t sc golden ~base =
       while !block * diff_block < len do
         let lo = !block * diff_block in
         let blen = min diff_block (len - lo) in
-        if not (range_equal data (off + lo) golden.g_content lo blen) then
+        if not (range_equal data (off + lo) g.g_content (g.g_off + lo) blen)
+        then
           for i = lo to lo + blen - 1 do
             if
               Bytes.unsafe_get data (off + i)
-              <> String.unsafe_get golden.g_content i
+              <> String.unsafe_get g.g_content (g.g_off + i)
             then begin
               if !run_start < 0 then run_start := i
             end
@@ -259,9 +290,9 @@ let dirty_ranges_full t sc golden ~base =
    host work with no modeled cost, so skipping it changes nothing
    observable. *)
 let dirty_ranges_incr t sc golden ~base =
-  let len = golden.g_len in
-  let c = golden.g_blocks in
-  let n = Array.length c.c_bounds - 1 in
+  let g = golden.gold in
+  let len = g.g_len in
+  let n = Array.length g.g_bounds - 1 in
   Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
     ~f:(fun data off ->
       let ranges = ref [] in
@@ -273,25 +304,26 @@ let dirty_ranges_incr t sc golden ~base =
         end
       in
       for b = 0 to n - 1 do
-        let lo = Array.unsafe_get c.c_bounds b in
-        let hi = Array.unsafe_get c.c_bounds (b + 1) in
+        let lo = Array.unsafe_get g.g_bounds b in
+        let hi = Array.unsafe_get g.g_bounds (b + 1) in
         let blen = hi - lo in
         let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:blen in
-        if Array.unsafe_get c.c_clean_gen b >= stamp then begin
+        if Array.unsafe_get golden.c_clean_gen b >= stamp then begin
           count_cached t sc 1;
           flush lo
         end
         else begin
           count_rehashed t sc 1;
-          if range_equal data (off + lo) golden.g_content lo blen then begin
-            Array.unsafe_set c.c_clean_gen b stamp;
+          if range_equal data (off + lo) g.g_content (g.g_off + lo) blen
+          then begin
+            Array.unsafe_set golden.c_clean_gen b stamp;
             flush lo
           end
           else
             for i = lo to hi - 1 do
               if
                 Bytes.unsafe_get data (off + i)
-                <> String.unsafe_get golden.g_content i
+                <> String.unsafe_get g.g_content (g.g_off + i)
               then begin
                 if !run_start < 0 then run_start := i
               end
@@ -317,34 +349,36 @@ let dirty_ranges t sc golden ~base =
    range that is dirty at the verdict falls back to one honest full
    re-hash — the quiescent case (every block clean) is still O(blocks). *)
 let observed_hash_full t golden ~base =
-  let len = golden.g_len in
+  let g = golden.gold in
+  let len = g.g_len in
   with_live t ~base ~len ~f:(fun data off ->
-      if range_equal data off golden.g_content 0 len then golden.g_hash
+      if range_equal data off g.g_content g.g_off len then g.g_hash
       else Hash.hash_sub t.algo data ~off ~len)
 
 let observed_hash_incr t sc golden ~base =
-  let len = golden.g_len in
-  let c = golden.g_blocks in
-  let n = Array.length c.c_bounds - 1 in
+  let g = golden.gold in
+  let len = g.g_len in
+  let n = Array.length g.g_bounds - 1 in
   let comb = Hash.combinable t.algo in
   Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
     ~f:(fun data off ->
       let h = ref (Hash.init t.algo) in
       let any_dirty = ref false in
       for b = 0 to n - 1 do
-        let lo = Array.unsafe_get c.c_bounds b in
-        let hi = Array.unsafe_get c.c_bounds (b + 1) in
+        let lo = Array.unsafe_get g.g_bounds b in
+        let hi = Array.unsafe_get g.g_bounds (b + 1) in
         let blen = hi - lo in
         let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:blen in
         let clean =
-          if Array.unsafe_get c.c_clean_gen b >= stamp then begin
+          if Array.unsafe_get golden.c_clean_gen b >= stamp then begin
             count_cached t sc 1;
             true
           end
           else begin
             count_rehashed t sc 1;
-            if range_equal data (off + lo) golden.g_content lo blen then begin
-              Array.unsafe_set c.c_clean_gen b stamp;
+            if range_equal data (off + lo) g.g_content (g.g_off + lo) blen
+            then begin
+              Array.unsafe_set golden.c_clean_gen b stamp;
               true
             end
             else false
@@ -354,32 +388,32 @@ let observed_hash_incr t sc golden ~base =
           if comb then
             h :=
               Hash.combine_block !h
-                ~pow:(Array.unsafe_get c.c_pow b)
-                ~digest:(Array.unsafe_get c.c_gold_digest b)
+                ~pow:(Array.unsafe_get g.g_pow b)
+                ~digest:(Array.unsafe_get g.g_digest b)
         end
         else begin
           any_dirty := true;
           if comb then begin
-            if Array.unsafe_get c.c_digest_gen b <> stamp then begin
-              Array.unsafe_set c.c_live_digest b
+            if Array.unsafe_get golden.c_digest_gen b <> stamp then begin
+              Array.unsafe_set golden.c_live_digest b
                 (Hash.block_digest t.algo data ~off:(off + lo) ~len:blen);
-              Array.unsafe_set c.c_digest_gen b stamp
+              Array.unsafe_set golden.c_digest_gen b stamp
             end;
             h :=
               Hash.combine_block !h
-                ~pow:(Array.unsafe_get c.c_pow b)
-                ~digest:(Array.unsafe_get c.c_live_digest b)
+                ~pow:(Array.unsafe_get g.g_pow b)
+                ~digest:(Array.unsafe_get golden.c_live_digest b)
           end
         end
       done;
-      if not !any_dirty then golden.g_hash
+      if not !any_dirty then g.g_hash
       else if comb then !h
       else Hash.hash_sub t.algo data ~off ~len)
 
 let observed_hash t sc golden ~base =
   if Incremental.enabled () then observed_hash_incr t sc golden ~base
   else begin
-    count_rehashed t sc (Array.length golden.g_blocks.c_bounds - 1);
+    count_rehashed t sc (Array.length golden.gold.g_bounds - 1);
     observed_hash_full t golden ~base
   end
 
@@ -437,17 +471,17 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
      stamp-clean at fire time, its bytes are known equal to golden and the
      compare loop would record nothing — skip it. (A chunk is <= 256 bytes,
      so this tests at most two stamps.) *)
+  let g = golden.gold in
   let chunk_clean offset rlen =
-    let c = golden.g_blocks in
     let ps = Memory.gen_page_size in
     let p0 = base / ps in
     let first = ((base + offset) / ps) - p0 in
     let last = ((base + offset + rlen - 1) / ps) - p0 in
     let clean = ref true in
     for b = first to last do
-      let lo = c.c_bounds.(b) and hi = c.c_bounds.(b + 1) in
+      let lo = g.g_bounds.(b) and hi = g.g_bounds.(b + 1) in
       let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:(hi - lo) in
-      if c.c_clean_gen.(b) < stamp then clean := false
+      if golden.c_clean_gen.(b) < stamp then clean := false
     done;
     !clean
   in
@@ -463,7 +497,7 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
                  for i = 0 to rlen - 1 do
                    if
                      Bytes.unsafe_get data (off + i)
-                     <> String.unsafe_get golden.g_content (offset + i)
+                     <> String.unsafe_get g.g_content (g.g_off + offset + i)
                    then Hashtbl.replace caught (offset + i) ()
                  done)))
   in
@@ -516,7 +550,7 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
              v_len = len;
              v_tampered = tampered;
              v_offsets = offsets;
-             v_hash_expected = golden.g_hash;
+             v_hash_expected = g.g_hash;
              v_hash_observed = observed;
            }));
   duration

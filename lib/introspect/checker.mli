@@ -1,6 +1,6 @@
 (** Integrity-checking primitive with faithful race semantics.
 
-    A checker owns the golden (boot-time) content and hashes of enrolled
+    A checker holds the golden (boot-time) content and hashes of enrolled
     kernel ranges and performs timed scans over physical memory. The crucial
     modelling decision: a scan is {e not} an instantaneous hash. Its scan
     front advances linearly at the sampled per-byte rate, and a tampered byte
@@ -51,7 +51,13 @@ val scratch_capacity : t -> int
 
 val enroll : t -> base:int -> len:int -> int64
 (** Capture the golden content and hash of a range (trusted boot). Returns
-    the authorized hash. Re-enrolling a range replaces its golden state. *)
+    the authorized hash. Re-enrolling a range replaces its golden state.
+    A range that {!Satin_hw.Memory.image_slice} proves to be unwritten
+    image bytes is not copied: its golden content aliases the loaded
+    image, and its hash and per-block golden digests come from a
+    process-wide table shared by every checker (domain-safe). Any other
+    range is copied and hashed. Both give the same hash and verdicts; the
+    per-block incremental state is always this checker's own. *)
 
 val enrolled_hash : t -> base:int -> len:int -> int64 option
 

@@ -175,26 +175,54 @@ let area_index_of_addr t addr =
   in
   go 0 t.base t.area_sizes
 
+(* Installed content of every image built in this process, keyed by
+   (content seed, size, syscall-table offset): the pseudo-random fill with
+   the syscall table laid in. Scenarios share each string read-only (the
+   checker aliases it as golden content), so an image is generated once per
+   process rather than once per trial. Runner domains boot concurrently,
+   hence the lock; a miss generates under it, so concurrent boots of one
+   image wait for a single build. *)
+let images : (int * int * int, string) Hashtbl.t = Hashtbl.create 4
+let images_lock = Mutex.create ()
+
+let generate ~seed ~size ~table_off =
+  let b = Bytes.create size in
+  let prng = Prng.create seed in
+  (* Little-endian 64-bit draws so that integrity hashes are non-trivial;
+     a partial last word keeps its low bytes. *)
+  let words = size / 8 in
+  for w = 0 to words - 1 do
+    Bytes.set_int64_le b (8 * w) (Prng.next_int64 prng)
+  done;
+  if size > 8 * words then begin
+    let last = Bytes.create 8 in
+    Bytes.set_int64_le last 0 (Prng.next_int64 prng);
+    Bytes.blit last 0 b (8 * words) (size - (8 * words))
+  end;
+  (* Syscall table entries look like kernel text pointers. *)
+  for n = 0 to syscall_table_entries - 1 do
+    Bytes.set_int64_le b
+      (table_off + (n * 8))
+      (Int64.add 0xffff000008080000L (Int64.of_int (n * 0x400)))
+  done;
+  Bytes.unsafe_to_string b
+
+let image_content ~seed ~size ~table_off =
+  Mutex.protect images_lock (fun () ->
+      let key = (seed, size, table_off) in
+      match Hashtbl.find_opt images key with
+      | Some s -> s
+      | None ->
+          let s = generate ~seed ~size ~table_off in
+          Hashtbl.add images key s;
+          s)
+
 let install t memory ~seed =
   let region =
     Memory.add_region memory ~name:"kernel_image" ~base:t.base ~size:t.total_size
       ~security:Memory.Non_secure_region
   in
-  let prng = Prng.create seed in
-  (* Fill the image 8 bytes at a time with deterministic pseudo-random
-     content so that integrity hashes are non-trivial. *)
-  let buf = Buffer.create t.total_size in
-  while Buffer.length buf < t.total_size do
-    Buffer.add_int64_le buf (Prng.next_int64 prng)
-  done;
-  Memory.write_string memory ~world:Satin_hw.World.Secure ~addr:t.base
-    (String.sub (Buffer.contents buf) 0 t.total_size);
-  (* Syscall table entries look like kernel text pointers. *)
-  let tbl = Buffer.create syscall_table_size in
-  for n = 0 to syscall_table_entries - 1 do
-    Buffer.add_int64_le tbl
-      (Int64.add 0xffff000008080000L (Int64.of_int (n * 0x400)))
-  done;
-  Memory.write_string memory ~world:Satin_hw.World.Secure
-    ~addr:t.syscall_table.sym_addr (Buffer.contents tbl);
+  Memory.load_image memory ~addr:t.base
+    (image_content ~seed ~size:t.total_size
+       ~table_off:(t.syscall_table.sym_addr - t.base));
   region

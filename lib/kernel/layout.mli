@@ -52,7 +52,12 @@ val area_index_of_addr : t -> int -> int
 val install : t -> Satin_hw.Memory.t -> seed:int -> Satin_hw.Memory.region
 (** Declares the kernel image as a non-secure region and fills it with
     deterministic content (so hashes are meaningful), including a distinct
-    recognizable pattern for the syscall table entries. *)
+    recognizable pattern for the syscall table entries. The content is a
+    function of [seed], the image size and the table's offset; it is built
+    once per process, kept for the process lifetime, and loaded with
+    {!Satin_hw.Memory.load_image}, so every memory booted with the same
+    image shares one read-only source string. Safe to call from several
+    domains at once. *)
 
 val paper_total_size : int
 (** 11,916,240. *)
