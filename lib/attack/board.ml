@@ -8,6 +8,8 @@ type t = {
   platform : Platform.t;
   prng : Prng.t;
   period : Sim_time.t;
+  window_len : int; (* [period], at least 1 ns: the staleness window *)
+  law : Cycle_model.staleness_law;
   slots : Sim_time.t array;
   counts : int array;
   (* One staleness draw per target per probing round: the delay reflects the
@@ -23,6 +25,10 @@ let create ~platform ~period =
     platform;
     prng = Platform.split_prng platform;
     period;
+    window_len = max 1 period;
+    law =
+      Cycle_model.staleness_law platform.Platform.cycle
+        ~period_s:(Sim_time.to_sec_f period);
     slots = Array.make n Sim_time.zero;
     counts = Array.make n 0;
     stale_window = Array.make n (-1);
@@ -39,12 +45,10 @@ let last_report t ~core = t.slots.(core)
 
 let staleness_of t ~target =
   let now = Engine.now t.platform.Platform.engine in
-  let window = now / max 1 t.period in
+  let window = now / t.window_len in
   if t.stale_window.(target) <> window then begin
     t.stale_window.(target) <- window;
-    t.stale_sample.(target) <-
-      Cycle_model.sample_cross_staleness t.prng t.platform.Platform.cycle
-        ~period_s:(Sim_time.to_sec_f t.period)
+    t.stale_sample.(target) <- Cycle_model.sample_staleness t.prng t.law
   end;
   t.stale_sample.(target)
 

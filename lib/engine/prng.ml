@@ -1,13 +1,22 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field would
+   box every new state (3 words) and pay a [caml_modify] on each draw, while
+   [Bytes.get/set_int64_le] compile to plain loads and stores, so a draw
+   allocates nothing once [next_int64] is inlined into its caller. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
+
+let create seed = of_state (mix64 (Int64.of_int seed))
 
 let derive seed index =
   (* Two mix64 rounds over (seed, index) — a full-avalanche combiner, so
@@ -19,15 +28,13 @@ let derive seed index =
           (mix64 (Int64.of_int seed))
           (Int64.mul golden_gamma (Int64.of_int (index + 1)))))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix64 state
 
-let split t =
-  let s = next_int64 t in
-  { state = mix64 s }
-
-let copy t = { state = t.state }
+let split t = of_state (mix64 (next_int64 t))
+let copy = Bytes.copy
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let float01 t =

@@ -11,8 +11,8 @@ let of_ns_f x = int_of_float (Float.round x)
 let add = ( + )
 let sub = ( - )
 let diff a b = a - b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+let min (a : t) (b : t) = if a <= b then a else b
+let max (a : t) (b : t) = if a >= b then a else b
 let compare (a : t) (b : t) = Stdlib.compare a b
 let scale t k = of_ns_f (float_of_int t *. k)
 let is_negative t = t < 0

@@ -109,15 +109,21 @@ let cross_staleness_mean ~period_s =
    average of round maxima on Table II's curve. *)
 let max_of_n_adjust = 2.0
 
-let sample_cross_staleness prng t ~period_s =
-  let median = cross_staleness_mean ~period_s /. max_of_n_adjust in
-  let common = median *. Prng.lognormal prng ~mu:0.0 ~sigma:0.55 in
-  let p_tail =
-    Float.min 0.02
-      (t.cross_read_tail_rate_hz
-      +. (0.002 *. log (Float.max 1.0 (period_s /. 8.0))))
-  in
-  if Prng.bernoulli prng p_tail then common +. sample prng t.cross_read_tail
+type staleness_law = { median : float; p_tail : float; tail : triple }
+
+let staleness_law t ~period_s =
+  {
+    median = cross_staleness_mean ~period_s /. max_of_n_adjust;
+    p_tail =
+      Float.min 0.02
+        (t.cross_read_tail_rate_hz
+        +. (0.002 *. log (Float.max 1.0 (period_s /. 8.0))));
+    tail = t.cross_read_tail;
+  }
+
+let sample_staleness prng law =
+  let common = law.median *. Prng.lognormal prng ~mu:0.0 ~sigma:0.55 in
+  if Prng.bernoulli prng law.p_tail then common +. sample prng law.tail
   else common
 
 let per_byte_duration prng t ~bytes =

@@ -93,9 +93,17 @@ val cross_staleness_mean : period_s:float -> float
     The fit is logarithmic: [2.61e-4 + 1.105e-4 · ln(period/8)], floored at
     6×10⁻⁵ s for sub-second periods such as KProber-II's 200 µs rounds. *)
 
-val sample_cross_staleness :
-  Satin_engine.Prng.t -> t -> period_s:float -> float
-(** One observed staleness: lognormal spread around
-    {!cross_staleness_mean}, plus — with probability growing with the
-    period — an additive tail drawn from [cross_read_tail] (the paper's
-    "abnormal large delay ... up to 1.3×10⁻³ s"). *)
+type staleness_law
+(** The staleness distribution of one probing period, with everything that
+    depends only on the period and the platform computed once. *)
+
+val staleness_law : t -> period_s:float -> staleness_law
+(** The law for probing period [period_s] on platform timing [t]: a
+    lognormal spread around {!cross_staleness_mean}, plus — with
+    probability growing with the period — an additive tail drawn from
+    [cross_read_tail] (the paper's "abnormal large delay ... up to
+    1.3×10⁻³ s"). *)
+
+val sample_staleness : Satin_engine.Prng.t -> staleness_law -> float
+(** One observed staleness. Each draw takes one gaussian and one bernoulli
+    deviate, plus one triangular deviate when the tail fires. *)

@@ -80,6 +80,13 @@ let exited task = Task.state task = Task.Exited
 let rt_prio task =
   match Task.policy task with Task.Rt_fifo p -> p | Task.Cfs -> -1
 
+(* Matches, not [Task.policy task = Task.Cfs] or [cs.cur = None]: neither
+   type is immediate, so [=] on it is a polymorphic compare. *)
+let is_cfs task =
+  match Task.policy task with Task.Cfs -> true | Task.Rt_fifo _ -> false
+
+let idle cs = match cs.cur with None -> true | Some _ -> false
+
 (* ---- queue plumbing ---- *)
 
 let insert_rt cs task ~front =
@@ -107,11 +114,11 @@ let remove_task cs task =
 let nr_cfs cs =
   List.length cs.cfs_queue
   + match cs.cur with
-    | Some r when Task.policy r.r_task = Task.Cfs -> 1
+    | Some r when is_cfs r.r_task -> 1
     | Some _ | None -> 0
 
 let cfs_slice cs =
-  let n = max 1 (nr_cfs cs) in
+  let n = Int.max 1 (nr_cfs cs) in
   Sim_time.max Params.min_granularity
     (Sim_time.ns (Params.sched_latency / n))
 
@@ -122,9 +129,9 @@ let cfs_slice cs =
 let update_min_vruntime cs =
   let candidate =
     match cs.cur, cs.cfs_queue with
-    | Some r, head :: _ when Task.policy r.r_task = Task.Cfs ->
+    | Some r, head :: _ when is_cfs r.r_task ->
         Some (Float.min (Task.vruntime r.r_task) (Task.vruntime head))
-    | Some r, [] when Task.policy r.r_task = Task.Cfs ->
+    | Some r, [] when is_cfs r.r_task ->
         Some (Task.vruntime r.r_task)
     | _, head :: _ -> Some (Task.vruntime head)
     | _, [] -> None
@@ -135,7 +142,7 @@ let update_min_vruntime cs =
 
 let charge cs r elapsed =
   Task.add_cpu_time r.r_task elapsed;
-  (if Task.policy r.r_task = Task.Cfs then begin
+  (if is_cfs r.r_task then begin
      let v = Task.vruntime r.r_task +. Sim_time.to_sec_f elapsed in
      Task.set_vruntime r.r_task v;
      update_min_vruntime cs
@@ -143,7 +150,7 @@ let charge cs r elapsed =
   r.r_left <- Sim_time.sub r.r_left elapsed
 
 let rec dispatch ?(fuel = 64) t cs =
-  if cs.cur = None && not (Cpu.in_secure cs.cpu) then begin
+  if idle cs && not (Cpu.in_secure cs.cpu) then begin
     match pick cs with
     | None -> ()
     | Some task ->
@@ -154,7 +161,7 @@ let rec dispatch ?(fuel = 64) t cs =
         | _ -> remove_task cs task);
         Task.set_state task Task.Running;
         Task.incr_dispatches task;
-        if Task.policy task = Task.Cfs then
+        if is_cfs task then
           Cache.touch_footprint t.cache (footprint t task)
             ~core:(Cpu.id cs.cpu);
         t.switches <- t.switches + 1;
@@ -296,7 +303,7 @@ and wake t task =
       (* Sleeper credit (GENTLE_FAIR_SLEEPERS): a waking task is placed half
          a latency period behind the queue floor, so an interactive task can
          preempt a CPU hog on wake-up. *)
-      (if Task.policy task = Task.Cfs then begin
+      (if is_cfs task then begin
          let credit =
            (match Task.affinity task, Task.assigned_core task with
             | Some c, _ | None, Some c -> t.cores.(c).min_vruntime
@@ -411,7 +418,7 @@ let wake = wake
 let scheduler_tick t ~core =
   let cs = t.cores.(core) in
   match cs.cur with
-  | Some r when Task.policy r.r_task = Task.Cfs -> (
+  | Some r when is_cfs r.r_task -> (
       match cs.cfs_queue with
       | other :: _
         when Task.vruntime r.r_task -. Task.vruntime other
@@ -426,7 +433,9 @@ let current t ~core =
 
 let has_work t ~core =
   let cs = t.cores.(core) in
-  cs.cur <> None || cs.rt_queue <> [] || cs.cfs_queue <> []
+  match cs.cur, cs.rt_queue, cs.cfs_queue with
+  | None, [], [] -> false
+  | Some _, _, _ | _, _ :: _, _ | _, _, _ :: _ -> true
 
 let runnable_count t ~core =
   let cs = t.cores.(core) in

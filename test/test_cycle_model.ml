@@ -89,33 +89,80 @@ let test_staleness_mean_monotone_in_period () =
 
 let test_staleness_samples_positive () =
   let prng = Prng.create 5 in
+  let law = Cycle_model.staleness_law cycle ~period_s:8.0 in
   for _ = 1 to 10_000 do
-    let x = Cycle_model.sample_cross_staleness prng cycle ~period_s:8.0 in
+    let x = Cycle_model.sample_staleness prng law in
     if x <= 0.0 then Alcotest.failf "non-positive staleness %g" x;
     if x > 3e-3 then Alcotest.failf "staleness beyond physical tail: %g" x
   done
-
 
 let test_tail_rate_knob () =
   (* Setting the documented knob to zero suppresses the tail at short
      periods entirely. *)
   let quiet = { cycle with Cycle_model.cross_read_tail_rate_hz = 0.0 } in
+  let law = Cycle_model.staleness_law quiet ~period_s:1.0 in
   let prng = Prng.create 6 in
   for _ = 1 to 20_000 do
-    let x = Cycle_model.sample_cross_staleness prng quiet ~period_s:1.0 in
+    let x = Cycle_model.sample_staleness prng law in
     if x > 4.0e-4 then Alcotest.failf "tail fired with rate 0: %g" x
   done;
   (* A raised knob produces visibly more tails than the default. *)
   let count rate =
     let prng = Prng.create 7 in
     let c = { cycle with Cycle_model.cross_read_tail_rate_hz = rate } in
+    let law = Cycle_model.staleness_law c ~period_s:1.0 in
     let n = ref 0 in
     for _ = 1 to 20_000 do
-      if Cycle_model.sample_cross_staleness prng c ~period_s:1.0 > 4.0e-4 then incr n
+      if Cycle_model.sample_staleness prng law > 4.0e-4 then incr n
     done;
     !n
   in
   Alcotest.(check bool) "knob raises tail frequency" true (count 0.02 > count 0.004 * 2)
+
+(* The per-draw formula as it stood before the law was hoisted out of the
+   draw: the mean, the median and the tail probability recomputed each
+   time. [tails] counts the draws that took the tail branch. *)
+let reference_staleness prng (t : Cycle_model.t) ~period_s ~tails =
+  let mean = Float.max 6e-5 (2.61e-4 +. (1.105e-4 *. log (period_s /. 8.0))) in
+  let median = mean /. 2.0 in
+  let common = median *. Prng.lognormal prng ~mu:0.0 ~sigma:0.55 in
+  let p_tail =
+    Float.min 0.02
+      (t.Cycle_model.cross_read_tail_rate_hz
+      +. (0.002 *. log (Float.max 1.0 (period_s /. 8.0))))
+  in
+  if Prng.bernoulli prng p_tail then begin
+    incr tails;
+    common +. Cycle_model.sample prng t.Cycle_model.cross_read_tail
+  end
+  else common
+
+let test_staleness_law_matches_per_draw_formula () =
+  let tail_heavy = { cycle with Cycle_model.cross_read_tail_rate_hz = 0.5 } in
+  List.iter
+    (fun (name, t, period_s) ->
+      let law = Cycle_model.staleness_law t ~period_s in
+      let prng = Prng.create 8 in
+      let ref_prng = Prng.copy prng in
+      let tails = ref 0 in
+      for i = 1 to 20_000 do
+        let got = Cycle_model.sample_staleness prng law in
+        let want = reference_staleness ref_prng t ~period_s ~tails in
+        if not (Float.equal got want) then
+          Alcotest.failf "%s, draw %d: %h <> %h" name i got want
+      done;
+      if !tails = 0 then Alcotest.failf "%s: the tail branch never ran" name;
+      Alcotest.(check int64)
+        (name ^ ": streams stay in step")
+        (Prng.next_int64 ref_prng) (Prng.next_int64 prng))
+    [
+      ("200 us", cycle, 2e-4);
+      ("500 us", cycle, 5e-4);
+      ("8 s", cycle, 8.0);
+      ("120 s", cycle, 120.0);
+      ("300 s", cycle, 300.0);
+      ("200 us, tail rate capped at 0.02", tail_heavy, 2e-4);
+    ]
 
 let test_core_type_helpers () =
   Alcotest.(check string) "A53" "A53" (Cycle_model.core_type_to_string Cycle_model.A53);
@@ -137,5 +184,7 @@ let suite =
     Alcotest.test_case "staleness monotone" `Quick test_staleness_mean_monotone_in_period;
     Alcotest.test_case "staleness positive" `Quick test_staleness_samples_positive;
     Alcotest.test_case "tail rate knob" `Quick test_tail_rate_knob;
+    Alcotest.test_case "staleness law = per-draw formula" `Quick
+      test_staleness_law_matches_per_draw_formula;
     Alcotest.test_case "core type helpers" `Quick test_core_type_helpers;
   ]

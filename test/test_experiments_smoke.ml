@@ -45,8 +45,12 @@ let test_run_e1_e6_seed_independence () =
   let a = E.run_e1 ~seed:1 () and b = E.run_e1 ~seed:2 () in
   Alcotest.(check bool) "different draws" false
     (Stats.mean a.E.e1_a53 = Stats.mean b.E.e1_a53);
-  let e6 = E.run_e6 ~seed:3 ~rounds:20 () in
-  Alcotest.(check bool) "single-core cheaper to probe" true (e6.E.e6_ratio < 0.6)
+  (* The paper reports single-core / all-core ~ 1/4; seeds 1-5 and 42
+     measure 0.21-0.27 at 50 rounds, seed 3 0.23. *)
+  let e6 = E.run_e6 ~seed:3 ~rounds:50 () in
+  let ratio = e6.E.e6_ratio in
+  if not (ratio > 0.15 && ratio < 0.35) then
+    Alcotest.failf "single/all threshold ratio %.3f outside (0.15, 0.35)" ratio
 
 let test_run_ablation_quick () =
   let r = E.run_ablation ~seed:11 ~passes:1 () in

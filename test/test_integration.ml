@@ -145,17 +145,40 @@ let test_run_e9 () =
   Alcotest.(check bool) "bound holds" true r.Experiment.e9_all_below_bound;
   Alcotest.(check int) "syscall area" 14 r.Experiment.e9_syscall_area
 
+(* Table II's averages per probing period (§IV-B2). Seed 5 measures -6, +5,
+   +6, +24 and +6 % against them; a staleness law that doubled or halved
+   every draw falls outside the band. Maxima are not banded: one tail draw
+   moves them (2.04e-3 at 120 s for this seed). *)
+let table2_paper_avg =
+  [
+    (8.0, 2.61e-4); (16.0, 3.54e-4); (30.0, 4.21e-4); (120.0, 5.26e-4);
+    (300.0, 6.61e-4);
+  ]
+
 let test_run_table2_quick () =
-  let r = Experiment.run_table2 ~seed:5 ~rounds:10 ~periods_s:[ 8.0; 120.0 ] () in
-  match r.Experiment.t2_rows with
-  | [ a; b ] ->
-      Alcotest.(check int) "10 rounds" 10 (Stats.count a.Experiment.t2_thresholds);
-      let ma = Stats.mean a.Experiment.t2_thresholds in
-      let mb = Stats.mean b.Experiment.t2_thresholds in
-      Alcotest.(check bool) "longer period, larger threshold" true (mb > ma);
-      Alcotest.(check bool) "threshold magnitude ~1e-4" true
-        (ma > 5e-5 && ma < 8e-4)
-  | _ -> Alcotest.fail "two rows expected"
+  let r = Experiment.run_table2 ~seed:5 ~rounds:50 () in
+  let rows = r.Experiment.t2_rows in
+  Alcotest.(check (list (float 0.0))) "the paper's five periods"
+    (List.map fst table2_paper_avg)
+    (List.map (fun row -> row.Experiment.t2_period_s) rows);
+  let means =
+    List.map2
+      (fun row (period, paper) ->
+        Alcotest.(check int) "50 rounds" 50
+          (Stats.count row.Experiment.t2_thresholds);
+        let m = Stats.mean row.Experiment.t2_thresholds in
+        if Float.abs (m -. paper) > 0.3 *. paper then
+          Alcotest.failf "%g s: average %.3e outside the paper's %.3e +- 30%%"
+            period m paper;
+        m)
+      rows table2_paper_avg
+  in
+  let rec increasing = function
+    | a :: (b :: _ as tl) -> a < b && increasing tl
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "longer period, larger average threshold" true
+    (increasing means)
 
 let test_run_e1_within_calibration () =
   let r = Experiment.run_e1 ~seed:3 () in

@@ -143,6 +143,45 @@ let test_sim_duration_positive () =
     if d <= 0 then Alcotest.fail "sim_duration not positive"
   done
 
+(* Known answers recorded from the boxed-state implementation: the state's
+   representation must not change a single output. *)
+let test_known_answers () =
+  let draws p n = List.init n (fun _ -> Prng.next_int64 p) in
+  let check name want got = Alcotest.(check (list int64)) name want got in
+  check "create 42" [ -7450291807549245335L; 2958219263312191191L ]
+    (draws (Prng.create 42) 2);
+  let parent = Prng.create 42 in
+  let child = Prng.split parent in
+  check "split child"
+    [ 3734525477312840781L; -3743987319569077566L; -6540948407623921172L ]
+    (draws child 3);
+  check "parent after split" [ 2958219263312191191L; 3069497704473277141L ]
+    (draws parent 2);
+  let c = Prng.copy parent in
+  check "copy" [ 885919558081284366L; -353919125003956057L ] (draws c 2);
+  check "original after copy" [ 885919558081284366L; -353919125003956057L ]
+    (draws parent 2);
+  let q = Prng.create 7 in
+  let b1 = Prng.bits q in
+  let b2 = Prng.bits q in
+  let f = Prng.float01 q in
+  let i = Prng.int q 1000 in
+  Alcotest.(check (list int)) "bits" [ 2418118848055258963; 1393370355107282181 ]
+    [ b1; b2 ];
+  Alcotest.(check (float 0.0)) "float01" 0x1.e1ca420e19806p-1 f;
+  Alcotest.(check int) "int" 718 i
+
+let test_bits_allocation_free () =
+  let p = Prng.create 1 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc lxor Prng.bits p
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  Alcotest.(check (float 0.0)) "minor words for 1e5 draws" 0.0 words
+
 let prop_pick_member =
   QCheck.Test.make ~name:"pick returns a member"
     QCheck.(array_of_size Gen.(1 -- 20) small_int)
@@ -155,6 +194,8 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed independence" `Quick test_seed_independence;
     Alcotest.test_case "copy replays" `Quick test_copy_replays;
+    Alcotest.test_case "known answers" `Quick test_known_answers;
+    Alcotest.test_case "bits allocation-free" `Quick test_bits_allocation_free;
     Alcotest.test_case "split diverges" `Quick test_split_diverges;
     Alcotest.test_case "float01 range" `Quick test_float01_range;
     Alcotest.test_case "float01 mean" `Slow test_float01_mean;
