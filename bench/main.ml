@@ -115,19 +115,6 @@ let bench_prng =
     (let prng = Prng.create 7 in
      Staged.stage (fun () -> ignore (Prng.gaussian prng ~mu:0.0 ~sigma:1.0)))
 
-(* The Merkle extension's headline operation: O(log n) authorized update. *)
-let bench_merkle_update =
-  Test.make ~name:"merkle/update-page-64KiB-tree"
-    (let s = Scenario.create ~seed:103 () in
-     let base = 8 * 1024 * 1024 in
-     let tree =
-       Satin_introspect.Merkle.build Hash.Djb2
-         s.Scenario.platform.Platform.memory ~base ~len:region_len
-     in
-     Staged.stage (fun () ->
-         Satin_introspect.Merkle.update_page tree
-           s.Scenario.platform.Platform.memory ~page:7))
-
 let micro_tests =
   [
     bench_table1_hash;
@@ -136,7 +123,6 @@ let micro_tests =
     bench_fig7_dilation;
     bench_engine;
     bench_prng;
-    bench_merkle_update;
   ]
 
 (* Prints the table and returns (name, ns-per-run estimate, r^2) rows for

@@ -59,8 +59,7 @@ let check_arg =
 let full_rehash_arg =
   let doc =
     "Disable incremental (generation-gated) host-side hashing: every scan \
-     round re-hashes its full range and every Merkle verification \
-     recomputes every leaf — the reference path. Reports are \
+     round re-hashes its full range — the reference path. Reports are \
      byte-identical with or without this flag (only host wall-clock \
      changes); trials key separately in the result store so the two modes' \
      capsules never mix."

@@ -5,8 +5,7 @@ type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable fired : int;
   mutable observer : (time:Sim_time.t -> pending:int -> unit) option;
-  mutable batch_observer : (size:int -> cascades:int -> unit) option;
-  mutable cascades_seen : int;
+  mutable batch_observer : (size:int -> unit) option;
   (* The drain callback handed to [Event_queue.drain_batch], built once at
      creation: [step]/[run_all]/[run_until] run with zero allocation
      (DESIGN §10/§12). *)
@@ -23,7 +22,6 @@ let create () =
       fired = 0;
       observer = None;
       batch_observer = None;
-      cascades_seen = 0;
       dispatch = (fun _ _ -> ());
     }
   in
@@ -62,12 +60,12 @@ let every t ~period ?start f =
   if first < t.clock then
     invalid_arg "Engine.every: ~start is in the past";
   (* One body closure serves the whole recurrence: each occurrence re-arms
-     by pushing the same closure, so the steady state allocates only the
-     queue's payload cell (the words/event <= 2 periodic-timer contract) —
-     and the period stays within the wheel window, so every re-arm is an
-     O(1) wheel insert. The lazy knot ties the cell (which must exist
-     before the first occurrence can re-arm through it) to the first
-     occurrence (which initializes the cell) without a throwaway entry. *)
+     by pushing the same closure, and the queue stores payloads unwrapped,
+     so the steady state allocates nothing per occurrence (the
+     words/event <= 2 periodic-timer contract). The lazy knot ties the
+     cell (which must exist before the first occurrence can re-arm through
+     it) to the first occurrence (which initializes the cell) without a
+     throwaway entry. *)
   let rec body () =
     (* Re-arm first: the callback can then cancel !cell to stop the
        recurrence (the .mli contract). *)
@@ -82,12 +80,7 @@ let step t = Event_queue.pop_into t.queue t.dispatch
 (* Report one dispatched batch to the observability hook; a single match
    when no hook is installed, so un-instrumented runs pay nothing. *)
 let[@inline] note_batch t size =
-  match t.batch_observer with
-  | None -> ()
-  | Some obs ->
-      let c = Event_queue.cascades t.queue in
-      obs ~size ~cascades:(c - t.cascades_seen);
-      t.cascades_seen <- c
+  match t.batch_observer with None -> () | Some obs -> obs ~size
 
 let run_until t stop =
   (* [peek_time_or] with a [max_int] sentinel keeps the bound check

@@ -33,13 +33,13 @@ val observer : t -> (time:Sim_time.t -> pending:int -> unit) option
     simulation sanitizer) can chain to it instead of silently replacing
     it. *)
 
-val set_batch_observer : t -> (size:int -> cascades:int -> unit) option -> unit
+val set_batch_observer : t -> (size:int -> unit) option -> unit
 (** [set_batch_observer t (Some f)] calls [f] after each dispatched batch
-    ({!run_all}/{!run_until} drain same-instant events as one batch) with
-    the number of events it fired and the wheel cascades it took — the
-    hook behind the [engine.batch_size]/[engine.cascades] series. Runs
-    {e between} batches, never inside a dispatch. [None] (the default)
-    removes it; the per-batch cost is then a single match. *)
+    ({!run_all}/{!run_until} drain same-instant events as one batch, see
+    {!Event_queue.drain_batch}) with the number of events it fired — the
+    hook behind the [engine.batch_size] series. Runs {e between} batches,
+    never inside a dispatch. [None] (the default) removes it; the
+    per-batch cost is then a single match. *)
 
 val schedule : t -> after:Sim_time.t -> (unit -> unit) -> handle
 (** [schedule t ~after f] runs [f] at [now t + after]. [after] must not be
@@ -63,8 +63,8 @@ val every :
     occurrence; cancel it to stop the recurrence. Raises [Invalid_argument]
     if [start] is in the past. The recurrence reuses one re-arming closure
     and the queue stores payloads unwrapped, so a warmed-up recurrence
-    allocates nothing per occurrence: each re-arm is an O(1) timing-wheel
-    insert (a regression test pins the whole path at <= 2 words/event). *)
+    allocates nothing per occurrence: each re-arm is one heap push (a
+    regression test pins the whole path at <= 2 words/event). *)
 
 val run_until : t -> Sim_time.t -> unit
 (** Fire all events up to and including the given instant; the clock ends at

@@ -1,45 +1,24 @@
-(* Hierarchical timing wheel with a 4-ary heap overflow tier.
+(* 4-ary min-heap over unboxed parallel arrays.
 
-   Nearly every event the simulator schedules is a near-deadline periodic
-   timer or scheduler tick, so the pending set is a Varghese–Lauck
-   hierarchical timing wheel: [levels] levels of [wheel_slots] slots, level
-   [l] spanning deltas below [2^((l+1) * slot_bits)] at a granularity of
-   [2^(l * slot_bits)] ticks. Insertion picks the level of the highest
-   bit-group in which the event time differs from the wheel cursor
-   ([time lxor cur]), which guarantees the target slot is strictly ahead of
-   the cursor at that level — so a slot is expired exactly once, when the
-   cursor enters it: level 0 slots dispatch (every entry shares one exact
-   tick), higher-level slots cascade their chain down a level. Push and
-   cancel are O(1); expiry is amortized O(1) per event per level.
+   The heap is three [int array]s walked in lockstep — [times], [seqs],
+   [slots] — ordered by (time, seq), so a sift touches flat integer memory
+   only, and the 4-ary fan-out halves the tree height of a binary heap.
+   Sifts move a hole rather than swapping: each level costs one entry move
+   and the sifted entry is written once, where it lands. The simulator's
+   pending sets are tens to hundreds of events deep, so a push or a pop is
+   a handful of levels (DESIGN §12).
 
-   Events outside the wheel window — farther out than the cursor's aligned
-   [2^(levels * slot_bits)] block, or (only via direct queue use; the
-   engine forbids it) scheduled before the cursor — live in the overflow
-   tier: the 4-ary min-heap over unboxed parallel int arrays that used to
-   be the whole queue. As the cursor advances, heap entries whose time
-   enters the window refill the wheel; past entries are popped straight
-   from the heap (they precede everything in the wheel by construction, so
-   ordering needs no cross-structure tie-break).
+   Payloads and lifecycle live in a slot table indexed by the [slots]
+   entries. A handle is an immediate int packing (slot, generation);
+   slots are recycled through a free-list threaded via [slot_next], and
+   the generation guards stale handles: cancelling a handle whose slot has
+   since been reused is a no-op, exactly like cancelling an already-fired
+   event. Every slot is on the heap or on the free-list, so the heap and
+   the slot table share one capacity.
 
-   Payloads and lifecycle live in a slot table indexed by integer slot ids.
-   A handle is an immediate int packing (slot, generation); slots are
-   recycled through a free-list, and the generation guards stale handles:
-   cancelling a handle whose slot has since been reused is a no-op, exactly
-   like cancelling an already-fired event. Per-slot metadata — (time, seq,
-   next, generation+state) — is packed four words to a slot in one int
-   array, so the cascade loop's walk of a chain costs one cache line per
-   entry rather than four scattered ones; [next] doubles as the intrusive
-   wheel-chain link and the free-list thread — a slot is on one or the
-   other, never both.
-
-   Dispatch is batched: [drain_batch] claims the whole level-0 chain at the
-   earliest occupied tick, orders it by insertion sequence (chains are
-   append-ordered, but a cascade or heap refill can land an older event
-   behind a newer same-tick one, so the batch is insertion-sorted — almost
-   always a no-op pass), and dispatches pending entries in (time, seq)
-   order, rechecking each entry's state so a callback cancelling a
-   later same-tick event still suppresses it, exactly as one-at-a-time
-   popping would. *)
+   Packing (time, seq) into one int key was considered and rejected:
+   native sim times use the full 63-bit range and a split key caps either
+   the horizon or the event count with a silent-wraparound cliff. *)
 
 let state_free = 0
 let state_pending = 1
@@ -55,87 +34,30 @@ let gen_mask = (1 lsl gen_bits) - 1
    physical equality only, never dereferenced as a payload. *)
 let no_payload : Obj.t = Obj.repr (ref "event-queue-no-payload")
 
-(* Wheel geometry: 3 levels of 2048 slots. Level l covers deltas below
-   2048^(l+1), so the window reaches 2^33 ticks (~8.6 simulated seconds at
-   nanosecond resolution) — periodic timers and scheduler ticks always hit
-   the wheel; only end-of-campaign markers overflow to the heap. The wide,
-   shallow shape is deliberate: a sub-millisecond delta lands directly in
-   level 0 (no cascade at all), and a multi-millisecond one cascades once,
-   where a 256-slot wheel would charge most events two cascades. *)
-let slot_bits = 11
-let wheel_slots = 1 lsl slot_bits
-let slot_mask = wheel_slots - 1
-let levels = 3
-let window = 1 lsl (levels * slot_bits)
-
-(* Occupancy bitmaps: one bit per wheel slot (set iff the chain is
-   non-empty), packed 32 slots per word. Finding the next occupied slot is
-   then a few word reads plus a de Bruijn count-trailing-zeros, instead of
-   walking up to [wheel_slots] chain heads — the difference between
-   O(slots) and O(1) per dispatch on sparse wheels. *)
-let occ_shift = slot_bits - 5
-let occ_words = wheel_slots lsr 5
-
-let ntz32_table =
-  [|
-    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
-    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
-  |]
-
-(* Index of the lowest set bit of a non-zero 32-bit value (de Bruijn
-   multiply; the [land 0xFFFFFFFF] emulates the 32-bit truncation the
-   classic sequence relies on). *)
-let[@inline] ntz32 x =
-  Array.unsafe_get ntz32_table
-    ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
-
 type handle = int
 
 type 'a t = {
-  (* overflow tier: parallel arrays, min-ordered by (time, seq); entries
-     beyond [heap_size] are dead integers (no pointers). *)
+  (* heap, min-ordered by (time, seq); entries from [size] on are dead *)
   mutable times : int array;
   mutable seqs : int array;
   mutable slots : int array;
-  mutable heap_size : int;
-  (* wheel: chain heads/tails per (level, slot), -1 empty; level l slot j
-     lives at index [(l lsl slot_bits) lor j]. *)
-  wheel_head : int array;
-  wheel_tail : int array;
-  occ : int array; (* per-level occupancy bitmaps, [occ_words] words each *)
-  level_count : int array; (* chain entries per level, tombstones included *)
-  mutable wheel_count : int;
-  mutable cur : int; (* wheel cursor; advances monotonically *)
-  mutable cascades : int; (* cumulative slots cascaded (refills included) *)
+  mutable size : int;
   mutable next_seq : int;
   mutable live : int;
-  (* cancelled entries still threaded through a chain or the heap. When
-     zero — the common case; cancellation is rare — every occupied slot is
-     known to hold only pending entries, so the dispatch path skips the
-     tombstone-purge walk entirely. *)
-  mutable dead : int;
-  (* slot table: metadata packed 4 words per slot — [time; seq; next;
-     (gen lsl 2) lor state] — plus the payload alongside. Payloads are
-     stored unwrapped in an [Obj.t] array (the static [no_payload] sentinel
-     marks vacancy), so a push allocates nothing at all: an ['a option]
-     cell here used to cost 2 minor words per event plus a write-barrier
-     hit and an extra dependent load on every dispatch. The array's static
-     element type is [Obj.t], so it is always a uniform pointer array —
-     float payloads stay individually boxed rather than flattening the
-     array. Payload slots are re-sentineled the moment a slot leaves the
-     structures (or is cancelled), so fired and cancelled closures are
-     collectible. *)
-  mutable slot_meta : int array;
+  (* latest instant any peek or drain has returned (see [drain_batch]) *)
+  mutable horizon : int;
+  mutable draining : bool;
+  (* Slot table. Payloads are stored unwrapped against [no_payload], so a
+     push allocates nothing (an ['a option] cell cost 2 words per event
+     and a dependent load per dispatch); the static element type [Obj.t]
+     keeps the array a uniform pointer array even for float payloads. A
+     payload is re-sentineled the moment its event fires or is cancelled,
+     so the closure is collectible. [slot_gs] packs [(gen lsl 2) lor
+     state]; [slot_next] threads the free-list, -1 terminating. *)
   mutable slot_payload : Obj.t array;
+  mutable slot_gs : int array;
+  mutable slot_next : int array;
   mutable free_head : int;
-  (* in-flight batch: slot ids claimed off a level-0 chain, dispatched in
-     seq order. Tracked in the record (not a local) so the sanitizer's
-     invariant check — which runs from event callbacks mid-batch — can
-     account for claimed-but-undispatched entries. *)
-  mutable batch : int array;
-  mutable batch_len : int;
-  mutable batch_pos : int;
-  mutable batch_active : bool;
 }
 
 let create () =
@@ -143,567 +65,204 @@ let create () =
     times = [||];
     seqs = [||];
     slots = [||];
-    heap_size = 0;
-    wheel_head = Array.make (levels * wheel_slots) (-1);
-    wheel_tail = Array.make (levels * wheel_slots) (-1);
-    occ = Array.make (levels * occ_words) 0;
-    level_count = Array.make levels 0;
-    wheel_count = 0;
-    cur = 0;
-    cascades = 0;
+    size = 0;
     next_seq = 0;
     live = 0;
-    dead = 0;
-    slot_meta = [||];
+    horizon = 0;
+    draining = false;
     slot_payload = [||];
+    slot_gs = [||];
+    slot_next = [||];
     free_head = -1;
-    batch = [||];
-    batch_len = 0;
-    batch_pos = 0;
-    batch_active = false;
   }
 
 let is_empty t = t.live = 0
 let length t = t.live
-let cascades t = t.cascades
 
 let handle_slot h = h lsr gen_bits
 let handle_gen h = h land gen_mask
 
-(* ---- packed slot metadata ----
-
-   The unsafe accessors are only ever applied to slot ids drawn from the
-   structures themselves (chains, heap entries, free-list, validated
-   handles), which are in range by construction; [invariant_violations]
-   bounds-checks explicitly before touching anything. *)
-
-let slot_capacity t = Array.length t.slot_meta lsr 2
-
-let[@inline] m_time t s = Array.unsafe_get t.slot_meta (s lsl 2)
-let[@inline] m_seq t s = Array.unsafe_get t.slot_meta ((s lsl 2) + 1)
-let[@inline] m_next t s = Array.unsafe_get t.slot_meta ((s lsl 2) + 2)
-let[@inline] m_gs t s = Array.unsafe_get t.slot_meta ((s lsl 2) + 3)
-let[@inline] m_state t s = m_gs t s land 3
-let[@inline] set_next t s v = Array.unsafe_set t.slot_meta ((s lsl 2) + 2) v
-let[@inline] set_gs t s v = Array.unsafe_set t.slot_meta ((s lsl 2) + 3) v
-
 let is_live t h =
   let s = handle_slot h in
-  s < slot_capacity t
-  &&
-  let gs = m_gs t s in
-  gs lsr 2 = handle_gen h && gs land 3 = state_pending
+  s < Array.length t.slot_gs
+  && t.slot_gs.(s) = (handle_gen h lsl 2) lor state_pending
 
-(* ---- overflow heap (ordering identical to the old all-heap queue) ---- *)
+(* ---- sifts: indices are below [size] by construction, so these skip
+   the bounds checks; [invariant_violations] checks explicitly ---- *)
 
-let[@inline] heap_before t i j =
-  let ti = Array.unsafe_get t.times i and tj = Array.unsafe_get t.times j in
-  ti < tj || (ti = tj && Array.unsafe_get t.seqs i < Array.unsafe_get t.seqs j)
+let[@inline] before (times : int array) (seqs : int array) i j =
+  let ti = Array.unsafe_get times i and tj = Array.unsafe_get times j in
+  ti < tj || (ti = tj && Array.unsafe_get seqs i < Array.unsafe_get seqs j)
 
-let[@inline] heap_swap t i j =
-  let tm = Array.unsafe_get t.times i in
-  Array.unsafe_set t.times i (Array.unsafe_get t.times j);
-  Array.unsafe_set t.times j tm;
-  let sq = Array.unsafe_get t.seqs i in
-  Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs j);
-  Array.unsafe_set t.seqs j sq;
-  let sl = Array.unsafe_get t.slots i in
-  Array.unsafe_set t.slots i (Array.unsafe_get t.slots j);
-  Array.unsafe_set t.slots j sl
+let[@inline] set_entry (times : int array) (seqs : int array)
+    (slots : int array) i ~time ~seq ~slot =
+  Array.unsafe_set times i time;
+  Array.unsafe_set seqs i seq;
+  Array.unsafe_set slots i slot
 
-let rec heap_sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 4 in
-    if heap_before t i parent then begin
-      heap_swap t i parent;
-      heap_sift_up t parent
+let[@inline] move times seqs slots ~src ~dst =
+  set_entry times seqs slots dst ~time:(Array.unsafe_get times src)
+    ~seq:(Array.unsafe_get seqs src) ~slot:(Array.unsafe_get slots src)
+
+(* Move the hole at [i] up past every parent later than [time]; returns
+   where it stops. Only [push] sifts up, and a pushed entry carries the
+   largest seq yet, so it precedes a parent on time alone. *)
+let rec hole_up times seqs slots i (time : int) =
+  let parent = (i - 1) lsr 2 in
+  if i > 0 && time < Array.unsafe_get times parent then begin
+    move times seqs slots ~src:parent ~dst:i;
+    hole_up times seqs slots parent time
+  end
+  else i
+
+(* Move the hole at [i] down past every earliest child, among the first
+   [n] entries, that precedes (time, seq); returns where it stops. *)
+let rec hole_down times seqs slots n i (time : int) (seq : int) =
+  let c = (i lsl 2) + 1 in
+  if c >= n then i
+  else
+    let m = c in
+    let m = if c + 1 < n && before times seqs (c + 1) m then c + 1 else m in
+    let m = if c + 2 < n && before times seqs (c + 2) m then c + 2 else m in
+    let m = if c + 3 < n && before times seqs (c + 3) m then c + 3 else m in
+    let mt = Array.unsafe_get times m in
+    if mt < time || (mt = time && Array.unsafe_get seqs m < seq) then begin
+      move times seqs slots ~src:m ~dst:i;
+      hole_down times seqs slots n m time seq
     end
-  end
-
-let rec heap_sift_down t i =
-  let base = (i * 4) + 1 in
-  if base < t.heap_size then begin
-    let c = base in
-    let c =
-      if base + 1 < t.heap_size && heap_before t (base + 1) c then base + 1
-      else c
-    in
-    let c =
-      if base + 2 < t.heap_size && heap_before t (base + 2) c then base + 2
-      else c
-    in
-    let c =
-      if base + 3 < t.heap_size && heap_before t (base + 3) c then base + 3
-      else c
-    in
-    if heap_before t c i then begin
-      heap_swap t i c;
-      heap_sift_down t c
-    end
-  end
-
-let heap_grow t =
-  let cap = Array.length t.times in
-  let ncap = if cap = 0 then 16 else 2 * cap in
-  let grow_int a =
-    let n = Array.make ncap 0 in
-    Array.blit a 0 n 0 cap;
-    n
-  in
-  t.times <- grow_int t.times;
-  t.seqs <- grow_int t.seqs;
-  t.slots <- grow_int t.slots
-
-let heap_push t ~time ~seq s =
-  if t.heap_size = Array.length t.times then heap_grow t;
-  let i = t.heap_size in
-  t.times.(i) <- time;
-  t.seqs.(i) <- seq;
-  t.slots.(i) <- s;
-  t.heap_size <- i + 1;
-  heap_sift_up t i
-
-(* Restructure only — the caller owns the removed slot id. *)
-let heap_remove_top t =
-  let n = t.heap_size - 1 in
-  t.heap_size <- n;
-  if n > 0 then begin
-    t.times.(0) <- t.times.(n);
-    t.seqs.(0) <- t.seqs.(n);
-    t.slots.(0) <- t.slots.(n);
-    heap_sift_down t 0
-  end
+    else i
 
 (* ---- slot table ---- *)
 
-let grow_slots t =
-  let cap = slot_capacity t in
+let grow t =
+  let cap = Array.length t.times in
   let ncap = if cap = 0 then 16 else 2 * cap in
-  let nmeta = Array.make (ncap lsl 2) 0 in
-  Array.blit t.slot_meta 0 nmeta 0 (cap lsl 2);
-  t.slot_meta <- nmeta;
-  let npayload = Array.make ncap no_payload in
-  Array.blit t.slot_payload 0 npayload 0 cap;
-  t.slot_payload <- npayload;
-  (* Chain the new slots onto the free-list, lowest id on top so fresh
-     queues hand out slot 0, 1, 2, ... in order. A zeroed metadata block is
-     already [state_free] at generation 0. *)
+  let extend a fill =
+    let n = Array.make ncap fill in
+    Array.blit a 0 n 0 cap;
+    n
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.slot_payload <- extend t.slot_payload no_payload;
+  t.slot_gs <- extend t.slot_gs 0 (* state_free at generation 0 *);
+  t.slot_next <- extend t.slot_next (-1);
+  (* Lowest id on top, so fresh queues hand out slots 0, 1, 2, ... *)
   for s = ncap - 1 downto cap do
-    set_next t s t.free_head;
+    t.slot_next.(s) <- t.free_head;
     t.free_head <- s
   done
 
 let release_slot t s =
   t.slot_payload.(s) <- no_payload;
-  let gen = ((m_gs t s lsr 2) + 1) land gen_mask in
-  set_gs t s (gen lsl 2) (* state_free *);
-  set_next t s t.free_head;
+  t.slot_gs.(s) <- (((t.slot_gs.(s) lsr 2) + 1) land gen_mask) lsl 2;
+  t.slot_next.(s) <- t.free_head;
   t.free_head <- s
 
-(* ---- wheel ---- *)
-
-let[@inline] occ_set t ~level j =
-  let w = (level lsl occ_shift) lor (j lsr 5) in
-  t.occ.(w) <- t.occ.(w) lor (1 lsl (j land 31))
-
-let[@inline] occ_clear t ~level j =
-  let w = (level lsl occ_shift) lor (j lsr 5) in
-  t.occ.(w) <- t.occ.(w) land lnot (1 lsl (j land 31))
-
-(* First occupied slot of [level] with index >= [from], or -1. *)
-let occ_next t ~level from =
-  if from >= wheel_slots then -1
-  else begin
-    let base = level lsl occ_shift in
-    let w0 = from lsr 5 in
-    let bits =
-      t.occ.(base lor w0) land (0xFFFFFFFF lsl (from land 31)) land 0xFFFFFFFF
-    in
-    if bits <> 0 then (w0 lsl 5) lor ntz32 bits
-    else begin
-      let res = ref (-1) in
-      let w = ref (w0 + 1) in
-      while !res < 0 && !w < occ_words do
-        let b = t.occ.(base lor !w) in
-        if b <> 0 then res := (!w lsl 5) lor ntz32 b else incr w
-      done;
-      !res
-    end
-  end
-
-(* Level for a time at-or-ahead of the cursor: the highest bit-group of
-   [time lxor cur], or [-1] when the time is outside the wheel window
-   (beyond the cursor's aligned 2^33 block). The xor mapping guarantees
-   the slot index at the chosen level differs from the cursor's, i.e. the
-   slot is strictly ahead and will be expired when the cursor crosses it. *)
-let[@inline] wheel_level_of t time =
-  let x = time lxor t.cur in
-  if x < 1 lsl slot_bits then 0
-  else if x < 1 lsl (2 * slot_bits) then 1
-  else if x < 1 lsl (3 * slot_bits) then 2
-  else -1
-
-let wheel_append t s ~time ~level =
-  let j = (time lsr (level * slot_bits)) land slot_mask in
-  let idx = (level lsl slot_bits) lor j in
-  set_next t s (-1);
-  let tail = t.wheel_tail.(idx) in
-  if tail < 0 then begin
-    t.wheel_head.(idx) <- s;
-    occ_set t ~level j
-  end
-  else set_next t tail s;
-  t.wheel_tail.(idx) <- s;
-  t.level_count.(level) <- t.level_count.(level) + 1;
-  t.wheel_count <- t.wheel_count + 1
-
-(* Route a pending slot to the wheel or the overflow tier. *)
-let insert_event t s ~time ~seq =
-  if time < t.cur then heap_push t ~time ~seq s
-  else
-    let level = wheel_level_of t time in
-    if level < 0 then heap_push t ~time ~seq s
-    else wheel_append t s ~time ~level
-
 let push t ~time payload =
-  if t.free_head < 0 then grow_slots t;
+  if t.free_head < 0 then grow t;
   let s = t.free_head in
-  t.free_head <- m_next t s;
+  t.free_head <- t.slot_next.(s);
   t.slot_payload.(s) <- Obj.repr payload;
-  let base = s lsl 2 in
-  Array.unsafe_set t.slot_meta base time;
+  let gs = t.slot_gs.(s) in
+  t.slot_gs.(s) <- gs lor state_pending;
   let seq = t.next_seq in
-  Array.unsafe_set t.slot_meta (base + 1) seq;
   t.next_seq <- seq + 1;
-  let gs = Array.unsafe_get t.slot_meta (base + 3) in
-  Array.unsafe_set t.slot_meta (base + 3) (gs lor state_pending);
   t.live <- t.live + 1;
-  insert_event t s ~time ~seq;
+  let i = t.size in
+  t.size <- i + 1;
+  let i = hole_up t.times t.seqs t.slots i time in
+  set_entry t.times t.seqs t.slots i ~time ~seq ~slot:s;
   (s lsl gen_bits) lor (gs lsr 2)
 
 let cancel t h =
-  let s = handle_slot h in
-  if s < slot_capacity t then begin
-    let gs = m_gs t s in
-    if gs lsr 2 = handle_gen h && gs land 3 = state_pending then begin
-      set_gs t s ((gs land lnot 3) lor state_cancelled);
-      (* The tombstone stays chained until the cursor (or a cascade) reaches
-         it, but the closure is collectible right away. *)
-      t.slot_payload.(s) <- no_payload;
-      t.live <- t.live - 1;
-      t.dead <- t.dead + 1
-    end
+  if is_live t h then begin
+    (* The tombstone stays on the heap until it reaches the top; the
+       closure is collectible right away. *)
+    let s = handle_slot h in
+    t.slot_gs.(s) <- (handle_gen h lsl 2) lor state_cancelled;
+    t.slot_payload.(s) <- no_payload;
+    t.live <- t.live - 1
   end
 
-(* Move every entry of a level-l slot one tier down: the cursor has entered
-   the slot, so each entry now maps strictly below [level] (or dispatches
-   at level 0 on the rescan). Tombstones are released instead of moved. *)
-let cascade_slot t ~level idx =
-  let n = ref 0 in
-  let s = ref t.wheel_head.(idx) in
-  t.wheel_head.(idx) <- -1;
-  t.wheel_tail.(idx) <- -1;
-  occ_clear t ~level (idx land slot_mask);
-  while !s >= 0 do
-    let next = m_next t !s in
-    incr n;
-    if m_state t !s = state_pending then begin
-      (* The cursor just entered this slot, so every entry maps below
-         [level] and at-or-ahead of the cursor: append straight to the
-         wheel, skipping [insert_event]'s past/overflow routing. *)
-      let time = m_time t !s in
-      wheel_append t !s ~time ~level:(wheel_level_of t time)
-    end
-    else begin
-      release_slot t !s;
-      t.dead <- t.dead - 1
-    end;
-    s := next
-  done;
-  t.level_count.(level) <- t.level_count.(level) - !n;
-  t.wheel_count <- t.wheel_count - !n;
-  t.cascades <- t.cascades + 1
+(* Remove the top entry and free its slot. *)
+let remove_top t =
+  let s = t.slots.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    let time = times.(n) and seq = seqs.(n) and slot = slots.(n) in
+    let i = hole_down times seqs slots n 0 time seq in
+    set_entry times seqs slots i ~time ~seq ~slot
+  end;
+  release_slot t s
 
-(* Drop tombstones from one chain, preserving order of the survivors. *)
-let purge_chain t ~level idx =
-  let head = ref (-1) and tail = ref (-1) and dropped = ref 0 in
-  let s = ref t.wheel_head.(idx) in
-  while !s >= 0 do
-    let next = m_next t !s in
-    if m_state t !s = state_pending then begin
-      if !tail < 0 then head := !s else set_next t !tail !s;
-      set_next t !s (-1);
-      tail := !s
-    end
-    else begin
-      release_slot t !s;
-      incr dropped
-    end;
-    s := next
-  done;
-  t.wheel_head.(idx) <- !head;
-  t.wheel_tail.(idx) <- !tail;
-  if !head < 0 then occ_clear t ~level (idx land slot_mask);
-  t.level_count.(level) <- t.level_count.(level) - !dropped;
-  t.wheel_count <- t.wheel_count - !dropped;
-  t.dead <- t.dead - !dropped
+let[@inline] top_pending t = t.slot_gs.(t.slots.(0)) land 3 = state_pending
 
-(* Pull overflow entries whose time has entered the wheel window (and shed
-   cancelled heap tops). The heap is (time, seq)-min ordered, so stopping
-   at the first out-of-window or past top loses nothing: a past top
-   precedes the whole wheel and pops directly from the heap. *)
-let heap_refill t =
-  let continue = ref true in
-  while !continue && t.heap_size > 0 do
-    let s = t.slots.(0) in
-    if m_state t s <> state_pending then begin
-      heap_remove_top t;
-      release_slot t s;
-      t.dead <- t.dead - 1
-    end
-    else
-      let tm = t.times.(0) in
-      if tm >= t.cur && tm lxor t.cur < window then begin
-        heap_remove_top t;
-        wheel_append t s ~time:tm ~level:(wheel_level_of t tm)
-      end
-      else continue := false
-  done
-
-(* Ensure the earliest pending event is exposed, advancing the cursor and
-   cascading as needed. Returns [`Empty], [`Heap] (the heap top — a past
-   event — is earliest; the cursor does not move backwards for it), or
-   [`Wheel] (the level-0 slot at [cur land slot_mask] holds the earliest
-   events, every one pending at exactly time [cur]). *)
-let rec find_next t =
-  heap_refill t;
-  if t.heap_size > 0 && t.times.(0) < t.cur then `Heap
-  else if t.wheel_count = 0 then begin
-    if t.heap_size = 0 then `Empty
-    else begin
-      (* Whole wheel empty: jump the cursor to the far-future heap top so
-         the refill pass can adopt it. *)
-      t.cur <- t.times.(0);
-      find_next t
-    end
+(* Time of the earliest live event, or [default], dropping cancelled
+   tombstones that have reached the top; records the time as returned. *)
+let rec expose_top t ~default =
+  if t.size = 0 then default
+  else if not (top_pending t) then begin
+    remove_top t;
+    expose_top t ~default
   end
   else begin
-    (* Level 0: first occupied tick at or ahead of the cursor in the
-       current wrap, located through the occupancy bitmap. Tombstone-only
-       chains are purged in passing (which clears their bit), so the
-       cursor never strands a dead entry behind itself. *)
-    let found = ref (-1) in
-    if t.level_count.(0) > 0 then
-      if t.dead = 0 then
-        (* No tombstones anywhere: an occupied slot holds only pending
-           entries, so the first set bit is the answer — no purge walk. *)
-        found := occ_next t ~level:0 (t.cur land slot_mask)
-      else begin
-        let j = ref (occ_next t ~level:0 (t.cur land slot_mask)) in
-        while !found < 0 && !j >= 0 do
-          purge_chain t ~level:0 !j;
-          if t.wheel_head.(!j) >= 0 then found := !j
-          else j := occ_next t ~level:0 (!j + 1)
-        done
-      end;
-    match !found with
-    | j when j >= 0 ->
-        t.cur <- t.cur land lnot slot_mask lor j;
-        `Wheel
-    | _ ->
-        (* Lower levels strictly precede higher ones (level l entries all
-           fall inside the cursor's current level-(l+1) slot), so the first
-           occupied slot of the lowest occupied level is the next work:
-           enter it and cascade. *)
-        let level = ref 1 and idx = ref (-1) in
-        while !idx < 0 && !level < levels do
-          let l = !level in
-          if t.level_count.(l) > 0 then begin
-            let shift = l * slot_bits in
-            idx := occ_next t ~level:l ((t.cur lsr shift land slot_mask) + 1)
-          end;
-          if !idx < 0 then incr level
-        done;
-        if !idx < 0 then
-          (* The level-0 purge walk above may have dropped the wheel's last
-             tombstones, emptying it mid-scan. Retry from the top so the
-             empty-wheel branch can jump the cursor to a far-future heap
-             top (or report a genuinely empty queue). *)
-          if t.wheel_count = 0 then find_next t
-          else `Empty (* unreachable while wheel_count > 0 *)
-        else begin
-          let l = !level in
-          let shift = l * slot_bits in
-          let above = lnot ((1 lsl (shift + slot_bits)) - 1) in
-          t.cur <- t.cur land above lor (!idx lsl shift);
-          cascade_slot t ~level:l ((l lsl slot_bits) lor !idx);
-          find_next t
-        end
+    let time = t.times.(0) in
+    if time > t.horizon then t.horizon <- time;
+    time
   end
 
-(* ---- dispatch ---- *)
-
-(* Insertion sort by seq: batches are near-sorted (chains append in push
-   order; only a cascade or refill lands an older event behind a newer
-   same-tick one), so this is one comparison per element in the common
-   case — and allocation-free always. *)
-let sort_batch t n =
-  let b = t.batch in
-  for i = 1 to n - 1 do
-    let s = b.(i) in
-    let key = m_seq t s in
-    let j = ref (i - 1) in
-    while !j >= 0 && m_seq t b.(!j) > key do
-      b.(!j + 1) <- b.(!j);
-      decr j
-    done;
-    b.(!j + 1) <- s
-  done
-
-let[@inline] payload_exn t s =
-  let p = Array.unsafe_get t.slot_payload s in
-  assert (p != no_payload);
-  Obj.obj p
-
-(* Claim the level-0 chain at the cursor tick into the batch scratch. The
-   chain was purged by [find_next], so every claimed entry is pending. *)
-let claim_batch t idx =
-  let n = ref 0 in
-  let s = ref t.wheel_head.(idx) in
-  while !s >= 0 do
-    if !n >= Array.length t.batch then begin
-      let ncap = max 16 (2 * Array.length t.batch) in
-      let nb = Array.make ncap 0 in
-      Array.blit t.batch 0 nb 0 !n;
-      t.batch <- nb
-    end;
-    t.batch.(!n) <- !s;
-    incr n;
-    s := m_next t !s
-  done;
-  t.wheel_head.(idx) <- -1;
-  t.wheel_tail.(idx) <- -1;
-  occ_clear t ~level:0 idx;
-  t.level_count.(0) <- t.level_count.(0) - !n;
-  t.wheel_count <- t.wheel_count - !n;
-  !n
-
-(* Return unclaimed batch entries to their chain after a capped dispatch
-   (they keep their pending state; the next batch re-sorts anyway). *)
-let unclaim_batch t idx =
-  for i = t.batch_len - 1 downto t.batch_pos do
-    let s = t.batch.(i) in
-    set_next t s t.wheel_head.(idx);
-    t.wheel_head.(idx) <- s;
-    if t.wheel_tail.(idx) < 0 then t.wheel_tail.(idx) <- s;
-    t.level_count.(0) <- t.level_count.(0) + 1;
-    t.wheel_count <- t.wheel_count + 1
-  done;
-  if t.wheel_head.(idx) >= 0 then occ_set t ~level:0 idx;
-  t.batch_pos <- 0;
-  t.batch_len <- 0;
-  t.batch_active <- false
+(* Dispatch the pending entries at [time] with seq below [bound] off the
+   top, dropping tombstones in passing, until [max_events] have fired. *)
+let rec drain_top t ~time ~bound ~max_events f n =
+  if n >= max_events || t.size = 0 then n
+  else if not (top_pending t) then begin
+    remove_top t;
+    drain_top t ~time ~bound ~max_events f n
+  end
+  else if t.times.(0) <> time || t.seqs.(0) >= bound then n
+  else begin
+    let p = t.slot_payload.(t.slots.(0)) in
+    assert (p != no_payload);
+    (* Restructure before [f]: the callback is free to push. *)
+    remove_top t;
+    t.live <- t.live - 1;
+    f time (Obj.obj p);
+    drain_top t ~time ~bound ~max_events f (n + 1)
+  end
 
 (* [max_events] is a required label: an optional argument given a computed
-   value boxes a [Some] per call, which alone would cost the engine drain
-   ~2 minor words/event. *)
+   value boxes a [Some] per call, ~2 minor words per event on the engine
+   drain.
+
+   The batch is the live events at the top instant whose seq is below
+   [next_seq] at drain start, so a same-instant push from a callback
+   starts the next batch. The exception is an instant earlier than
+   [horizon]: there such a push joins the current batch, as it did in the
+   timing wheel this heap replaced. [Engine.run_until] peeks past its
+   stop, so such instants occur, and the traced [engine.batches] counts in
+   bench_e2e's baseline depend on the exception (DESIGN §12). *)
 let drain_batch t ~max_events f =
   if max_events <= 0 then 0
-  else if t.batch_active then
+  else if t.draining then
     invalid_arg "Event_queue.drain_batch: nested drain from a dispatch callback"
   else
-    match find_next t with
-    | `Empty -> 0
-    | `Heap ->
-        (* Past events pop straight off the overflow heap in (time, seq)
-           order; a callback pushing at the same past instant lands back on
-           the heap top and joins the batch, just as repeated pops would. *)
-        let time = t.times.(0) in
-        let n = ref 0 in
-        let continue = ref true in
-        while !continue do
-          if t.heap_size = 0 || !n >= max_events then continue := false
-          else begin
-            let s = t.slots.(0) in
-            if m_state t s <> state_pending then begin
-              heap_remove_top t;
-              release_slot t s;
-              t.dead <- t.dead - 1
-            end
-            else if t.times.(0) <> time then continue := false
-            else begin
-              let p = payload_exn t s in
-              heap_remove_top t;
-              release_slot t s;
-              t.live <- t.live - 1;
-              f time p;
-              incr n
-            end
-          end
-        done;
-        !n
-    | `Wheel -> (
-        let time = t.cur in
-        let idx = time land slot_mask in
-        let head = t.wheel_head.(idx) in
-        (* Issue the payload load alongside the chain-link load: the two
-           are independent, and overlapping them hides one of the two
-           cache misses a dispatch costs on a cold slot. *)
-        let p0 = Array.unsafe_get t.slot_payload head in
-        if m_next t head < 0 then begin
-          (* Single-entry tick — the overwhelmingly common case on sparse
-             wheels: dispatch straight off the chain, skipping the batch
-             scratch and sort. [find_next] purged the chain, so the entry
-             is pending. *)
-          t.wheel_head.(idx) <- -1;
-          t.wheel_tail.(idx) <- -1;
-          occ_clear t ~level:0 idx;
-          t.level_count.(0) <- t.level_count.(0) - 1;
-          t.wheel_count <- t.wheel_count - 1;
-          assert (p0 != no_payload);
-          let p = Obj.obj p0 in
-          release_slot t head;
-          t.live <- t.live - 1;
-          t.batch_active <- true;
-          (try f time p
-           with exn ->
-             t.batch_active <- false;
-             raise exn);
-          t.batch_active <- false;
-          1
-        end
-        else begin
-          let m = claim_batch t idx in
-          sort_batch t m;
-          t.batch_len <- m;
-          t.batch_pos <- 0;
-          t.batch_active <- true;
-          let n = ref 0 in
-          (try
-             while t.batch_pos < t.batch_len && !n < max_events do
-               let s = t.batch.(t.batch_pos) in
-               t.batch_pos <- t.batch_pos + 1;
-               (* Recheck: a callback earlier in this batch may have
-                  cancelled this entry — it must not fire, exactly as under
-                  one-at-a-time popping. *)
-               if m_state t s = state_pending then begin
-                 let p = payload_exn t s in
-                 release_slot t s;
-                 t.live <- t.live - 1;
-                 f time p;
-                 incr n
-               end
-               else begin
-                 release_slot t s;
-                 t.dead <- t.dead - 1
-               end
-             done
-           with exn ->
-             unclaim_batch t idx;
-             raise exn);
-          unclaim_batch t idx;
-          !n
-        end)
+    let time = expose_top t ~default:max_int in
+    if t.size = 0 then 0
+    else begin
+      let bound = if time < t.horizon then max_int else t.next_seq in
+      t.draining <- true;
+      match drain_top t ~time ~bound ~max_events f 0 with
+      | n ->
+          t.draining <- false;
+          n
+      | exception exn ->
+          t.draining <- false;
+          raise exn
+    end
 
 let pop_into t f = drain_batch t ~max_events:1 f > 0
 
@@ -711,44 +270,51 @@ let pop t =
   let out = ref None in
   if pop_into t (fun time p -> out := Some (time, p)) then !out else None
 
-let peek_time_or t ~default =
-  match find_next t with
-  | `Empty -> default
-  | `Heap -> t.times.(0)
-  | `Wheel -> t.cur
+let peek_time_or t ~default = expose_top t ~default
 
 let peek_time t =
-  match find_next t with
-  | `Empty -> None
-  | `Heap -> Some t.times.(0)
-  | `Wheel -> Some t.cur
+  let time = expose_top t ~default:0 in
+  if t.size = 0 then None else Some time
 
 (* ---- invariant checking (the simulation sanitizer's substrate view) ---- *)
 
 let invariant_violations t =
   let bad = ref [] in
   let report fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in
-  let cap = slot_capacity t in
-  if Array.length t.slot_meta <> cap lsl 2 || Array.length t.slot_payload <> cap
-  then report "slot-table arrays disagree on capacity %d" cap;
-  let hcap = Array.length t.times in
-  if Array.length t.seqs <> hcap || Array.length t.slots <> hcap then
-    report "heap arrays disagree on capacity %d" hcap;
-  if t.heap_size < 0 || t.heap_size > hcap then
-    report "heap size %d outside [0, capacity %d]" t.heap_size hcap;
-  if t.wheel_count < 0 then report "wheel count %d negative" t.wheel_count;
-  if t.cur < 0 then report "wheel cursor %d negative" t.cur;
+  let cap = Array.length t.times in
+  if
+    List.exists
+      (fun n -> n <> cap)
+      [
+        Array.length t.seqs;
+        Array.length t.slots;
+        Array.length t.slot_payload;
+        Array.length t.slot_gs;
+        Array.length t.slot_next;
+      ]
+  then report "parallel arrays disagree on capacity %d" cap;
+  let size = max 0 (min t.size cap) in
+  if t.size <> size then report "size %d outside [0, capacity %d]" t.size cap;
+  if t.live < 0 || t.live > size then
+    report "live count %d outside [0, size %d]" t.live size;
+  for i = 1 to size - 1 do
+    let parent = (i - 1) / 4 in
+    if before t.times t.seqs i parent then
+      report
+        "heap order broken at entry %d (time %d seq %d before parent time %d \
+         seq %d)"
+        i t.times.(i) t.seqs.(i) t.times.(parent) t.seqs.(parent)
+  done;
   let referenced = Array.make (max cap 1) false in
   let pending = ref 0 in
-  let see where s =
-    if s < 0 || s >= cap then begin
-      report "%s references bad slot %d" where s;
-      false
-    end
+  for i = 0 to size - 1 do
+    let s = t.slots.(i) in
+    if s < 0 || s >= cap then report "heap entry %d references bad slot %d" i s
     else begin
-      if referenced.(s) then report "slot %d referenced more than once" s;
+      if referenced.(s) then
+        report "slot %d referenced by more than one heap entry" s;
       referenced.(s) <- true;
-      (match m_state t s with
+      match t.slot_gs.(s) land 3 with
       | st when st = state_pending ->
           incr pending;
           if t.slot_payload.(s) == no_payload then
@@ -756,124 +322,30 @@ let invariant_violations t =
       | st when st = state_cancelled ->
           if t.slot_payload.(s) != no_payload then
             report "cancelled slot %d retains its payload" s
-      | _ -> report "%s references freed slot %d" where s);
-      true
-    end
-  in
-  (* Overflow heap: order + membership. *)
-  for i = 1 to t.heap_size - 1 do
-    let parent = (i - 1) / 4 in
-    if heap_before t i parent then
-      report
-        "heap order broken at entry %d (time %d seq %d before parent time %d \
-         seq %d)"
-        i t.times.(i) t.seqs.(i) t.times.(parent) t.seqs.(parent)
-  done;
-  for i = 0 to t.heap_size - 1 do
-    let s = t.slots.(i) in
-    if see "heap" s then begin
-      if m_time t s <> t.times.(i) || m_seq t s <> t.seqs.(i) then
-        report "heap entry %d disagrees with slot %d on (time, seq)" i s;
-      (* Heap entries are past or out-of-window; an in-window future entry
-         belongs to the wheel (refill runs before every dispatch, so this
-         is only sampled between drains — where the invariant holds). *)
-      if
-        t.times.(i) >= t.cur
-        && t.times.(i) lxor t.cur < window
-        && not t.batch_active
-      then
-        report "heap entry %d (time %d) inside the wheel window (cur %d)" i
-          t.times.(i) t.cur
+      | _ -> report "heap entry %d references freed slot %d" i s
     end
   done;
-  (* Wheel chains: geometry + hygiene. Walks are bounded by [cap + 1] so a
-     link cycle reports instead of hanging. *)
-  let counted_levels = Array.make levels 0 in
-  let wheel_total = ref 0 in
-  for level = 0 to levels - 1 do
-    let shift = level * slot_bits in
-    for j = 0 to wheel_slots - 1 do
-      let idx = (level lsl slot_bits) lor j in
-      let s = ref t.wheel_head.(idx) in
-      let last = ref (-1) in
-      let steps = ref 0 in
-      while !s >= 0 && !steps <= cap do
-        if see (Printf.sprintf "wheel L%d slot %d" level j) !s then begin
-          let tm = m_time t !s in
-          if tm lsr shift land slot_mask <> j then
-            report "wheel L%d slot %d holds time %d (wrong slot index)" level j
-              tm;
-          if tm < t.cur then
-            report "wheel L%d slot %d holds past time %d (cur %d)" level j tm
-              t.cur
-          else if tm lxor t.cur >= 1 lsl (shift + slot_bits) then
-            report "wheel L%d slot %d holds time %d outside the level range"
-              level j tm
-          else if level > 0 && tm lxor t.cur < 1 lsl shift then
-            report
-              "wheel L%d slot %d holds time %d that belongs to a lower level"
-              level j tm
-        end;
-        incr steps;
-        counted_levels.(level) <- counted_levels.(level) + 1;
-        incr wheel_total;
-        last := !s;
-        s := if !s >= 0 && !s < cap then m_next t !s else -1
-      done;
-      if !steps > cap then report "wheel L%d slot %d chain cycles" level j;
-      if t.wheel_tail.(idx) <> !last then
-        report "wheel L%d slot %d tail pointer is stale" level j;
-      let bit =
-        t.occ.((level lsl occ_shift) lor (j lsr 5)) lsr (j land 31) land 1
-      in
-      if (bit = 1) <> (t.wheel_head.(idx) >= 0) then
-        report "wheel L%d slot %d occupancy bit disagrees with its chain" level
-          j;
-      if level > 0 && j = t.cur lsr shift land slot_mask && !steps > 0 then
-        report "wheel L%d cursor slot %d is occupied (missed cascade)" level j
-    done
-  done;
-  for level = 0 to levels - 1 do
-    if counted_levels.(level) <> t.level_count.(level) then
-      report "level %d count %d disagrees with %d chained entries" level
-        t.level_count.(level)
-        counted_levels.(level)
-  done;
-  if !wheel_total <> t.wheel_count then
-    report "wheel count %d disagrees with %d chained entries" t.wheel_count
-      !wheel_total;
-  (* In-flight batch entries: claimed off their chain but not yet
-     dispatched — still pending, still owed to the live count. *)
-  if t.batch_active then
-    for i = t.batch_pos to t.batch_len - 1 do
-      ignore (see "in-flight batch" t.batch.(i))
-    done
-  else if t.batch_len <> 0 || t.batch_pos <> 0 then
-    report "batch scratch not reset (%d/%d)" t.batch_pos t.batch_len;
   if !pending <> t.live then
     report "live count %d disagrees with %d pending entries" t.live !pending;
-  (* Free-list: exactly the unreferenced slots, each clean. *)
+  (* Free-list: exactly the unreferenced slots, each clean. A cycle or a
+     crosslink into the heap would loop, so walk at most [cap] links. *)
   let free = ref 0 in
   let s = ref t.free_head in
   while !s >= 0 && !free <= cap do
     if !s >= cap then report "free-list references bad slot %d" !s
     else begin
       if referenced.(!s) then
-        report "slot %d is both chained and on the free-list" !s;
-      if m_state t !s <> state_free then
+        report "slot %d is both on the heap and on the free-list" !s;
+      if t.slot_gs.(!s) land 3 <> state_free then
         report "free-list slot %d is not marked free" !s;
       if t.slot_payload.(!s) != no_payload then
         report "vacated slot %d retains a stale payload" !s
     end;
     incr free;
-    s := if !s < cap then m_next t !s else -1
+    s := if !s < cap then t.slot_next.(!s) else -1
   done;
-  let expected_free =
-    cap - t.heap_size - !wheel_total
-    - (if t.batch_active then t.batch_len - t.batch_pos else 0)
-  in
-  if !free <> expected_free then
-    report "free-list holds %d slots, expected %d" !free expected_free;
+  if !free <> cap - size then
+    report "free-list holds %d slots, expected %d" !free (cap - size);
   List.rev !bad
 
 module Unsafe = struct

@@ -1,20 +1,16 @@
 (** Pending-event set for the discrete-event engine.
 
-    A hierarchical timing wheel (3 levels × 2048 slots, spanning a 2^33-tick
-    window ahead of the wheel cursor) with the former 4-ary unboxed min-heap
-    demoted to an overflow tier for far-future events; everything is ordered
-    by (time, insertion sequence), so events scheduled for the same instant
-    fire in insertion order and simulations stay deterministic. Push and
-    cancel are O(1) wheel-slot operations; expiry cascades a slot's chain
-    down one level when the cursor enters it, amortized O(1) per event per
-    level (DESIGN §12).
+    A 4-ary min-heap over unboxed parallel arrays, ordered by (time,
+    insertion sequence): events scheduled for the same instant fire in
+    insertion order, so simulations stay deterministic. Push and pop sift
+    a hole through O(log_4 n) levels; the simulator's pending sets are tens
+    to hundreds of events deep (DESIGN §12).
 
-    Payloads live in a recycled slot table; a {!handle} is an immediate int
-    packing (slot, generation), so a push allocates only the payload cell
-    and the {!pop_into}/{!drain_batch} dispatch path allocates nothing at
-    all. Cancellation is O(1) (a tombstone flag that also frees the
-    payload); tombstones are dropped lazily when the cursor, a cascade, or
-    the overflow heap's top reaches them. *)
+    Payloads live in a recycled slot table, stored unwrapped; a {!handle}
+    is an immediate int packing (slot, generation), so a push allocates
+    nothing and the {!pop_into}/{!drain_batch} dispatch path allocates
+    nothing either. Cancellation is O(1) (a tombstone flag that also frees
+    the payload); tombstones are dropped lazily when they reach the top. *)
 
 type 'a t
 
@@ -31,8 +27,8 @@ val length : 'a t -> int
 (** Number of live (non-cancelled) events. *)
 
 val push : 'a t -> time:Sim_time.t -> 'a -> handle
-(** Schedule a payload at an absolute time. O(1): one wheel-chain append
-    (or an overflow-heap insert when [time] is outside the wheel window). *)
+(** Schedule a payload at an absolute time. O(log n) sift-up; allocates
+    nothing once the slot table has grown to the queue's depth. *)
 
 val cancel : 'a t -> handle -> unit
 (** Cancel a scheduled event. Cancelling an already-fired or already-
@@ -54,24 +50,25 @@ val pop_into : 'a t -> (Sim_time.t -> 'a -> unit) -> bool
     closure. *)
 
 val drain_batch : 'a t -> max_events:int -> (Sim_time.t -> 'a -> unit) -> int
-(** [drain_batch t ~max_events f] removes every live event sharing the earliest
-    pending timestamp — at most [max_events] of them, lowest insertion
-    sequence first — and calls [f time payload] for each; returns the
-    number dispatched (0 when the queue is empty). [max_events] is a
+(** [drain_batch t ~max_events f] removes the live events sharing the
+    earliest pending timestamp — at most [max_events] of them, lowest
+    insertion sequence first — and calls [f time payload] for each; returns
+    the number dispatched (0 when the queue is empty). [max_events] is a
     required label (pass [max_int] for "the whole batch"): an optional
     argument fed a computed bound would box a [Some] per call, defeating
-    the allocation-free drain. The batch is claimed
-    before the first call, so a callback pushing at the same instant
-    starts a {e new} batch (global (time, seq) dispatch order is
-    unchanged), while a callback cancelling a later event of the current
-    batch still suppresses it, exactly as one-at-a-time popping would.
-    Allocation-free on the steady state: the batch is gathered into a
-    reusable scratch and insertion-sorted in place.
+    the allocation-free drain.
+
+    The batch is the events already pending when the drain starts, so a
+    callback pushing at the same instant starts a {e new} batch (global
+    (time, seq) dispatch order is unchanged), while a callback cancelling
+    a later event of the current batch still suppresses it, exactly as
+    one-at-a-time popping would. One exception keeps batch boundaries
+    where the engine's traced counts expect them: at an instant earlier
+    than the latest one any {!peek_time}/{!peek_time_or} or drain has
+    returned, a same-instant push joins the current batch.
 
     [f] may push and cancel, but must not re-enter [pop]/[pop_into]/
-    [drain_batch] on the same queue (raises [Invalid_argument]): the
-    undispatched remainder of the batch is claimed and would be invisible
-    to a nested drain. *)
+    [drain_batch] on the same queue (raises [Invalid_argument]). *)
 
 val peek_time : 'a t -> Sim_time.t option
 (** Time of the earliest live event without removing it. *)
@@ -80,23 +77,14 @@ val peek_time_or : 'a t -> default:Sim_time.t -> Sim_time.t
 (** Allocation-free {!peek_time}: the earliest live event's time, or
     [default] when the queue is empty. *)
 
-val cascades : 'a t -> int
-(** Cumulative count of wheel-slot cascades (overflow-tier refills
-    included) since creation — the batched-dispatch observability hook
-    behind the [engine.cascades] series. *)
-
 val invariant_violations : 'a t -> string list
 (** Structural self-check, one message per violated invariant (empty when
-    healthy): wheel-chain geometry (every chained event in the slot its
-    time maps to, within its level's range, never behind the cursor, no
-    link cycles, accurate tails and per-level counts), 4-ary heap order
-    over the overflow tier and its membership contract (past or
-    out-of-window entries only), live-count agreement with the pending
-    slots actually referenced (in-flight batch entries included), slot-
-    table hygiene (each slot referenced at most once, pending slots hold
-    payloads, cancelled and vacated slots do not) and free-list integrity
-    (exactly the unreferenced slots, each clean). The simulation sanitizer
-    samples this on a cadence; it is O(capacity). *)
+    healthy): 4-ary heap order, live-count agreement with the pending
+    slots the heap references, slot-table hygiene (each slot referenced at
+    most once, pending slots hold payloads, cancelled and vacated slots do
+    not) and free-list integrity (exactly the unreferenced slots, each
+    clean). The simulation sanitizer samples this on a cadence, also from
+    inside dispatch callbacks; it is O(capacity). *)
 
 module Unsafe : sig
   val skew_live : 'a t -> int -> unit

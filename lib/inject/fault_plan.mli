@@ -14,8 +14,8 @@
       above the calibrated triple (cold caches, SMC contention) stretch the
       race window of §IV-C;
     - {e memory corruption} ([Flip_kernel_bits]): bits flip inside enrolled
-      kernel areas; the checker/Merkle alarm path must catch them when the
-      scan front passes;
+      kernel areas; the checker's alarm path must catch them when the scan
+      front passes;
     - {e scheduling pressure} ([Starve_rt_probers], [Cfs_storm]): SCHED_FIFO
       hogs at prober priority and CFS task storms stress the normal-world
       substrate the attacks (and any normal-world agent) depend on —

@@ -18,8 +18,7 @@ val step : algo -> int64 -> int -> int64
 
 val absorb_int64 : algo -> int64 -> int64 -> int64
 (** [absorb_int64 algo h v] absorbs [v]'s eight little-endian bytes into the
-    running state [h] (used when chaining digests: Merkle nodes, the alarm
-    log). *)
+    running state [h] (used when chaining digests, e.g. the alarm log). *)
 
 val hash_string : algo -> string -> int64
 val hash_bytes : algo -> bytes -> int64

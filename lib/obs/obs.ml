@@ -162,41 +162,31 @@ let attach_engine engine =
   let sink_batch =
     match !current_state with
     | None -> None
-    | Some s ->
-        Some
-          ( Metrics.histogram s.metrics "engine.batch_size",
-            Metrics.histogram s.metrics "engine.cascades" )
+    | Some s -> Some (Metrics.histogram s.metrics "engine.batch_size")
   in
   let capture_batch =
     if Atomic.get capture_count > 0 then
       match !(capture_slot ()) with
-      | Some m ->
-          Some
-            ( Metrics.histogram m "engine.batch_size",
-              Metrics.histogram m "engine.cascades" )
+      | Some m -> Some (Metrics.histogram m "engine.batch_size")
       | None -> None
     else None
   in
   (match (sink_batch, capture_batch) with
   | None, None -> ()
   | _ ->
-      (* Batched dispatch shape: events per same-instant batch and wheel
-         cascades charged to it. Deterministic series (batch boundaries are
-         a function of the schedule alone), so they belong in [metrics],
-         not [wall_metrics]. Runs once per batch, between dispatches. *)
+      (* Batched dispatch shape: events per same-instant batch. A
+         deterministic series (batch boundaries are a function of the
+         schedule alone), so it belongs in [metrics], not [wall_metrics].
+         Runs once per batch, between dispatches. *)
       Engine.set_batch_observer engine
         (Some
-           (fun ~size ~cascades ->
+           (fun ~size ->
              (match sink_batch with
              | None -> ()
-             | Some (bs, cs) ->
-                 Stats.add bs (float_of_int size);
-                 Stats.add cs (float_of_int cascades));
+             | Some bs -> Stats.add bs (float_of_int size));
              match capture_batch with
              | None -> ()
-             | Some (bs, cs) ->
-                 Stats.add bs (float_of_int size);
-                 Stats.add cs (float_of_int cascades))));
+             | Some bs -> Stats.add bs (float_of_int size))));
   match (sink_cells, capture_cells) with
   | None, None -> ()
   | _ ->

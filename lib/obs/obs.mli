@@ -96,13 +96,12 @@ val name_track : int -> string -> unit
 val attach_engine : Satin_engine.Engine.t -> unit
 (** Register the engine-level observers: every fired event bumps the
     ["engine.events_fired"] counter and updates the ["engine.queue_depth"]
-    gauge, and every dispatched batch records its event count and wheel
-    cascades into the ["engine.batch_size"] and ["engine.cascades"]
-    histograms — in the sink, the current domain's capture registry, or
-    both. All four are deterministic series (batch boundaries are a
-    function of the schedule alone), so they flow into capsules and
-    [telemetry report], never into wall-metrics. A no-op (and no observer
-    is installed) when neither destination is active, so an
+    gauge, and every dispatched batch records its event count into the
+    ["engine.batch_size"] histogram — in the sink, the current domain's
+    capture registry, or both. All three are deterministic series (batch
+    boundaries are a function of the schedule alone), so they flow into
+    capsules and [telemetry report], never into wall-metrics. A no-op (and
+    no observer is installed) when neither destination is active, so an
     un-instrumented run keeps the engine's bare step loop. *)
 
 (** {1 Exports} *)

@@ -164,14 +164,14 @@ let test_run_all_outcomes () =
   | Engine.Limit_hit -> Alcotest.fail "empty queue hit a limit"
 
 let test_every_rearm_allocation_free () =
-  (* Satellite of the timing-wheel PR: a pure periodic-timer workload must
-     stay within 2 minor words per event in steady state — the re-arm goes
-     through the wheel's O(1) insert and [run_until]'s batched dispatch,
-     neither of which allocates once warm. *)
+  (* A pure periodic-timer workload must stay within 2 minor words per
+     event in steady state: the re-arm is one heap push of the same
+     closure and [run_until] dispatches in batches, and neither allocates
+     once the slot table has grown. *)
   let e = Engine.create () in
   let hits = ref 0 in
   ignore (Engine.every e ~period:(Sim_time.us 1) (fun () -> incr hits));
-  (* Warm-up: slot-table growth, closure knots, first cascades. *)
+  (* Warm-up: slot-table growth and closure knots. *)
   Engine.run_until e (Sim_time.ms 1);
   let c0 = !hits in
   let w0 = Gc.minor_words () in

@@ -184,15 +184,18 @@ let test_dispatch_allocation_free () =
   if per_event > 0.5 then
     Alcotest.failf "pop_into allocates %.2f words/event (want 0)" per_event
 
-(* ---- timing-wheel structure tests (cascades, overflow tier, batches) ---- *)
+(* ---- far-future events, tombstones, batches ----
 
-let far_time = (1 lsl 33) + 12_345 (* beyond the 2^33 window from cur = 0 *)
+   The first four case names come from an earlier timing-wheel queue; the
+   cases stay as black-box inputs, with times spread over many magnitudes
+   and cancellations in between. *)
+
+let far_time = (1 lsl 33) + 12_345 (* ~8.6 s out at nanosecond ticks *)
 
 let test_tombstone_purge_reaches_overflow () =
-  (* Regression (found by the qcheck model): when the wheel holds only
-     tombstones, the [find_next] level scan purges them and empties the
-     wheel mid-scan — it must then still jump the cursor to an
-     out-of-window overflow entry rather than reporting the queue empty. *)
+  (* Regression (found by the qcheck model): once the nearer events are
+     fired or cancelled, a peek must skip the tombstone and reach the one
+     far-future event rather than reporting the queue empty. *)
   let q = Event_queue.create () in
   ignore (Event_queue.push q ~time:100 "a");
   let hb = Event_queue.push q ~time:200 "b" in
@@ -200,8 +203,7 @@ let test_tombstone_purge_reaches_overflow () =
   (match Event_queue.pop q with
   | Some (100, "a") -> ()
   | _ -> Alcotest.fail "expected event a");
-  (* Only a tombstone remains on the wheel; the sole live event is in the
-     overflow heap, beyond the window. *)
+  (* Only a tombstone remains ahead of the sole live, far-future event. *)
   Event_queue.cancel q hb;
   Alcotest.(check (option int)) "peek purges through to the heap"
     (Some far_time) (Event_queue.peek_time q);
@@ -218,8 +220,8 @@ let test_tombstone_purge_reaches_overflow () =
     (Event_queue.invariant_violations q)
 
 let test_overflow_tier_refill () =
-  (* An event beyond the wheel horizon lives in the overflow heap until the
-     wheel empties and the cursor jumps forward to adopt it. *)
+  (* A far-future event pushed before a near one fires after it, at its own
+     time. *)
   let q = Event_queue.create () in
   ignore (Event_queue.push q ~time:far_time "far");
   ignore (Event_queue.push q ~time:10 "near");
@@ -237,9 +239,9 @@ let test_overflow_tier_refill () =
     (Event_queue.invariant_violations q)
 
 let test_cancel_mid_cascade () =
-  (* 99_999 and 100_000 share a level-1 slot from cur = 0; cancelling one
-     before the cascade must release the tombstone during the cascade and
-     never fire it. *)
+  (* Two near-simultaneous events, the later one cancelled before either
+     fires: the tombstone must never fire, and dropping it must leave the
+     structure clean. *)
   let q = Event_queue.create () in
   let doomed = Event_queue.push q ~time:100_000 "doomed" in
   ignore (Event_queue.push q ~time:99_999 "walker");
@@ -249,12 +251,12 @@ let test_cancel_mid_cascade () =
   | Some (99_999, "walker") -> ()
   | _ -> Alcotest.fail "expected walker");
   Alcotest.(check bool) "tombstone never fires" true (Event_queue.pop q = None);
-  Alcotest.(check (list string)) "clean after cascade" []
+  Alcotest.(check (list string)) "clean after tombstone drop" []
     (Event_queue.invariant_violations q)
 
 let test_stale_handle_across_cascade () =
-  (* A handle that fired via a cascade path must stay dead after its slot
-     is recycled by a later push. *)
+  (* A handle to a fired event must stay dead after its slot is recycled
+     by a later push. *)
   let q = Event_queue.create () in
   let h = Event_queue.push q ~time:5_000 "first" in
   (match Event_queue.pop q with
@@ -291,8 +293,8 @@ let test_drain_batch_cap_and_order () =
     (List.rev !got)
 
 let test_cancel_mid_batch_suppresses () =
-  (* A callback cancelling a later event of the same claimed batch must
-     suppress it, exactly as one-at-a-time popping would. *)
+  (* A callback cancelling a later event of the same batch must suppress
+     it, exactly as one-at-a-time popping would. *)
   let q = Event_queue.create () in
   ignore (Event_queue.push q ~time:3 "a");
   let b = Event_queue.push q ~time:3 "b" in
@@ -310,7 +312,7 @@ let test_cancel_mid_batch_suppresses () =
 
 let test_nested_drain_rejected () =
   let q = Event_queue.create () in
-  (* Two same-tick events: the claimed-batch path. *)
+  (* Two same-tick events: rejected on every dispatch of a batch. *)
   ignore (Event_queue.push q ~time:1 ());
   ignore (Event_queue.push q ~time:1 ());
   let raised = ref 0 in
@@ -322,7 +324,7 @@ let test_nested_drain_rejected () =
   let n = Event_queue.drain_batch q ~max_events:max_int f in
   Alcotest.(check int) "batch dispatched" 2 n;
   Alcotest.(check int) "nested drains rejected" 2 !raised;
-  (* Single-entry fast path must reject re-entry too. *)
+  (* A single-event batch must reject re-entry too. *)
   ignore (Event_queue.push q ~time:2 ());
   raised := 0;
   let n = Event_queue.drain_batch q ~max_events:max_int f in
@@ -331,14 +333,45 @@ let test_nested_drain_rejected () =
   Alcotest.(check (list string)) "clean after rejections" []
     (Event_queue.invariant_violations q)
 
+let test_batch_rule () =
+  (* A callback pushing at its own instant starts the next batch (a),
+     unless a peek has already returned a later instant (b): then the
+     push joins the batch being drained. *)
+  let run ~peek_first =
+    let q = Event_queue.create () in
+    ignore (Event_queue.push q ~time:5000 "later");
+    if peek_first then
+      Alcotest.(check (option int)) "peek returns 5000" (Some 5000)
+        (Event_queue.peek_time q);
+    ignore (Event_queue.push q ~time:100 "first");
+    let fired = ref [] in
+    let f time v =
+      fired := (time, v) :: !fired;
+      if v = "first" then ignore (Event_queue.push q ~time "again")
+    in
+    let n1 = Event_queue.drain_batch q ~max_events:max_int f in
+    let n2 = Event_queue.drain_batch q ~max_events:max_int f in
+    Alcotest.(check (list string)) "clean after both batches" []
+      (Event_queue.invariant_violations q);
+    ((n1, n2), List.rev !fired)
+  in
+  let sizes, fired = run ~peek_first:false in
+  Alcotest.(check (pair int int)) "(a) same-instant push starts a batch"
+    (1, 1) sizes;
+  Alcotest.(check (list (pair int string))) "(a) order"
+    [ (100, "first"); (100, "again") ] fired;
+  let sizes, fired = run ~peek_first:true in
+  Alcotest.(check (pair int int)) "(b) push before a peeked instant joins"
+    (2, 1) sizes;
+  Alcotest.(check (list (pair int string))) "(b) order"
+    [ (100, "first"); (100, "again"); (5000, "later") ] fired
+
 (* Model-based property: the queue against a reference implementation (a
    sorted association list keyed by (time, insertion seq)) under an
    arbitrary interleaving of push / cancel / pop / pop_into / drain / peek.
-   Push times mix three magnitudes: level-0 locals, mid-range times that
-   land in levels 1–2 and cascade on drain, and times beyond the 2^33
-   wheel horizon that exercise the overflow tier, cursor jumps, and
-   heap-to-wheel refill (plus the past-time heap path once the cursor has
-   jumped ahead of later small pushes). *)
+   Push times mix three magnitudes — small, mid-range and beyond 2^33 — so
+   later pushes often land before instants a peek or pop has already
+   returned. *)
 type op = Push of int | Cancel of int | Pop | Pop_into | Drain_batch | Peek
 
 let op_gen =
@@ -510,6 +543,7 @@ let suite =
     Alcotest.test_case "cancel mid-batch suppresses" `Quick
       test_cancel_mid_batch_suppresses;
     Alcotest.test_case "nested drain rejected" `Quick test_nested_drain_rejected;
+    Alcotest.test_case "batch rule" `Quick test_batch_rule;
     QCheck_alcotest.to_alcotest prop_matches_reference_model;
     QCheck_alcotest.to_alcotest prop_heap_orders_any_sequence;
     QCheck_alcotest.to_alcotest prop_cancel_half;

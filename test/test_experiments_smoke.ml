@@ -20,19 +20,26 @@ let test_run_e8_quick () =
     if m < 6.5e-3 || m > 10.0e-3 then Alcotest.failf "reaction %g" m
   end
 
+(* Fig. 7's shape (EXPERIMENTS.md): the two per-core-warm-state-bound
+   programs near 4 %, everything else near or below 1 %. At seed 11 they
+   measure 3.875 % and 3.947 %, the other ten 0.150-1.010 %, the mean
+   1.065 %; seeds 42 and 7 give the same shape. The bands fail if every
+   degradation doubles or halves. *)
 let test_run_fig7_tiny () =
   let r = E.run_fig7 ~seed:11 ~window_s:6 () in
   Alcotest.(check int) "12 programs" 12 (List.length r.E.f7_rows);
-  let find name = List.find (fun row -> row.E.f7_program = name) r.E.f7_rows in
-  let fc = find "file_copy_256" and dh = find "dhrystone2" in
-  Alcotest.(check bool) "memory-bound worst" true
-    (fc.E.f7_deg_1task > 3.0 *. dh.E.f7_deg_1task);
+  let within what lo hi v =
+    if not (v >= lo && v <= hi) then
+      Alcotest.failf "%s: %.3f %% outside [%.1f, %.1f] %%" what v lo hi
+  in
   List.iter
     (fun row ->
-      if row.E.f7_deg_1task < -0.5 || row.E.f7_deg_1task > 10.0 then
-        Alcotest.failf "%s degradation out of range: %g" row.E.f7_program
-          row.E.f7_deg_1task)
-    r.E.f7_rows
+      match row.E.f7_program with
+      | "file_copy_256" | "context_switching" ->
+          within row.E.f7_program 3.0 4.5 row.E.f7_deg_1task
+      | name -> within name 0.0 1.2 row.E.f7_deg_1task)
+    r.E.f7_rows;
+  within "1-task mean" 0.7 1.4 r.E.f7_avg_1task
 
 let test_run_uprober_quick () =
   let r = E.run_uprober ~seed:11 ~trials:6 () in

@@ -1,8 +1,8 @@
 (* Incremental scan hashing: the cached-block fast path must be
    observationally identical to a full re-hash — same verdicts, same
-   caught offsets, same observed hashes, same Merkle roots — under any
-   interleaving of writes, restores, and scans. The only permitted
-   difference is host work, which we check via the rehash counters. *)
+   caught offsets, same observed hashes — under any interleaving of
+   writes, restores, and scans. The only permitted difference is host
+   work, which we check via the rehash counters. *)
 
 open Satin_introspect
 open Satin_hw
@@ -137,38 +137,6 @@ let test_tamper_restore_roundtrip () =
   | _ -> Alcotest.fail "expected one verdict"
 
 (* ------------------------------------------------------------------ *)
-(* Merkle incremental live hashing                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_merkle_incremental_counters () =
-  let memory = Memory.create ~size:(1024 * 1024) in
-  let base = 4096 and len = 16 * 4096 in
-  for i = 0 to len - 1 do
-    Memory.write_byte memory ~world:World.Secure ~addr:(base + i)
-      (pattern_byte i)
-  done;
-  let t = Merkle.build Hash.Djb2 memory ~base ~len in
-  Alcotest.(check bool) "verifies clean" true (Merkle.verify_root t memory);
-  let r1 = Merkle.live_leaf_rehashes t in
-  Alcotest.(check bool) "quiescent verify cached" true
-    (Merkle.verify_root t memory
-    && Merkle.live_leaf_rehashes t = r1
-    && Merkle.live_leaf_cached t > 0);
-  Memory.write_byte memory ~world:World.Normal ~addr:(base + (9 * 4096) + 5)
-    0xEE;
-  Alcotest.(check (list int)) "dirty page pinpointed" [ 9 ]
-    (Merkle.dirty_pages t memory);
-  Alcotest.(check int) "exactly one leaf re-hashed" (r1 + 1)
-    (Merkle.live_leaf_rehashes t);
-  Alcotest.(check bool) "root mismatch" false (Merkle.verify_root t memory);
-  Merkle.update_page t memory ~page:9;
-  Alcotest.(check bool) "clean after authorized update" true
-    (Merkle.verify_root t memory);
-  (* Incremental and reference roots agree on the updated tree. *)
-  let live_incr = Incremental.with_enabled true (fun () -> Merkle.root t) in
-  Alcotest.(check bool) "roots stable" true (Int64.equal live_incr (Merkle.root t))
-
-(* ------------------------------------------------------------------ *)
 (* Differential properties: incremental == full re-hash                *)
 (* ------------------------------------------------------------------ *)
 
@@ -236,60 +204,6 @@ let prop_scan_differential =
       let full = run_scan_trace ~incremental:false ~algo ~style ops in
       incr = full)
 
-(* Host-side Merkle differential: a random sequence of page writes,
-   restores and tree queries must produce identical roots and dirty-page
-   reports whether the live hashing is cached or recomputed. *)
-type mop = Mwrite of int * int | Mrestore of int | Mquery | Mupdate of int
-
-let run_merkle_trace ~incremental ops =
-  Incremental.with_enabled incremental (fun () ->
-      let memory = Memory.create ~size:(256 * 1024) in
-      let base = 4096 and len = (11 * 4096) + 100 in
-      for i = 0 to len - 1 do
-        Memory.write_byte memory ~world:World.Secure ~addr:(base + i)
-          (pattern_byte i)
-      done;
-      let t = Merkle.build Hash.Djb2 memory ~base ~len in
-      let out = ref [] in
-      List.iter
-        (fun op ->
-          match op with
-          | Mwrite (off, v) ->
-              Memory.write_byte memory ~world:World.Normal ~addr:(base + off) v
-          | Mrestore off ->
-              Memory.write_byte memory ~world:World.Normal ~addr:(base + off)
-                (pattern_byte off)
-          | Mquery ->
-              out :=
-                (Merkle.verify_root t memory, Merkle.dirty_pages t memory)
-                :: !out
-          | Mupdate page -> Merkle.update_page t memory ~page)
-        ops;
-      out := (Merkle.verify_root t memory, Merkle.dirty_pages t memory) :: !out;
-      List.rev !out)
-
-let merkle_trace_gen =
-  QCheck.Gen.(
-    let len = (11 * 4096) + 100 in
-    let op =
-      frequency
-        [
-          (4, map2 (fun o v -> Mwrite (o, v)) (int_bound (len - 1)) (int_bound 255));
-          (2, map (fun o -> Mrestore o) (int_bound (len - 1)));
-          (3, return Mquery);
-          (1, map (fun p -> Mupdate p) (int_bound 10));
-        ]
-    in
-    list_size (int_range 0 30) op)
-
-let prop_merkle_differential =
-  QCheck.Test.make ~count:50
-    ~name:"incremental merkle == full recompute (roots, dirty pages)"
-    (QCheck.make merkle_trace_gen)
-    (fun ops ->
-      run_merkle_trace ~incremental:true ops
-      = run_merkle_trace ~incremental:false ops)
-
 let suite =
   [
     Alcotest.test_case "toggle semantics" `Quick test_toggle;
@@ -299,8 +213,5 @@ let suite =
       test_dirty_rescan_rehashes_only_touched;
     Alcotest.test_case "tamper/restore roundtrip" `Quick
       test_tamper_restore_roundtrip;
-    Alcotest.test_case "merkle incremental counters" `Quick
-      test_merkle_incremental_counters;
     QCheck_alcotest.to_alcotest prop_scan_differential;
-    QCheck_alcotest.to_alcotest prop_merkle_differential;
   ]
