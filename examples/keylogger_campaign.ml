@@ -27,9 +27,11 @@ type outcome = {
 }
 
 (* Simulated user typing: each keystroke is captured iff the hijack is live
-   at that instant (the key-logger's interrupt hook is its attack trace). *)
+   at that instant (the key-logger's interrupt hook is its attack trace).
+   Each run builds its platform with [Scenario.with_], which releases it
+   when the run returns, so the next run reuses its 32 MiB of DRAM. *)
 let run_campaign ~label ~defense seed =
-  let s = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun s ->
   let detections = ref 0 in
   let first_detection = ref None in
   let note_round r =

@@ -39,6 +39,10 @@ let derive = Prng.derive
    from colliding in the store. *)
 let keyf = Satin_store.Key.f
 
+(* Every scenario below is built with [Scenario.with_]: the body returns
+   plain values, and the scenario's 32 MiB memory goes to the next
+   scenario built in the same domain instead of to the GC. *)
+
 (* ------------------------------------------------------------------ *)
 (* E1 — world-switch latency                                           *)
 (* ------------------------------------------------------------------ *)
@@ -126,7 +130,7 @@ let run_table1 ?(pool = Runner.sequential) ?(seed = 42) ?(runs = 50) () =
   (* Functional check: a real hash over the installed image matches its
      enrolled value on a quiescent system. *)
   let n = Layout.paper_total_size in
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let base = Layout.base scenario.Scenario.kernel.Satin_kernel.Kernel.layout in
   let enrolled = Checker.enroll scenario.Scenario.checker ~base ~len:n in
   let rehash =
@@ -168,7 +172,7 @@ let print_table1 fmt r =
 type e3_result = { e3_a53 : Stats.t; e3_a57 : Stats.t }
 
 let measure_recovery ~seed ~runs ~cleanup_core =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let rootkit = Rootkit.create scenario.Scenario.kernel ~cleanup_core () in
   let stats = Stats.create () in
   Rootkit.arm rootkit;
@@ -231,7 +235,7 @@ type uprober_result = {
    unavailable) and, on A57 trials, the duration of the full-kernel check
    (the paper's 8.04e-2 s comparison point). *)
 let uprober_trial ~seed ~trial_index =
-  let scenario = Scenario.create ~seed:(derive seed trial_index) () in
+  Scenario.with_ ~seed:(derive seed trial_index) @@ fun scenario ->
   let platform = scenario.Scenario.platform in
   let engine = Scenario.engine scenario in
   (* Background CFS load so the probe threads ride a busy fair scheduler. *)
@@ -357,7 +361,7 @@ type table2_row = { t2_period_s : float; t2_thresholds : Stats.t }
 type table2_result = { t2_rows : table2_row list; t2_rounds : int }
 
 let measure_thresholds ~seed ~rounds ~period ~watched =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let config =
     { Kprober.default_config with period; watched_cores = watched; threshold = infinity }
   in
@@ -549,7 +553,7 @@ let evader_config_fast target_addr =
   }
 
 let run_e8_campaign ~seed ~duration_s ~target_addr =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let baseline =
     Scenario.install_baseline scenario
       {
@@ -696,7 +700,7 @@ let memo_campaign ~experiment ~seed ~config body =
   | _ -> assert false
 
 let run_e10_campaign ~seed ~target_rounds ~probe_period_us () =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let satin = Scenario.install_satin scenario () in
   let evader =
     Evader.deploy scenario.Scenario.kernel
@@ -855,7 +859,7 @@ let overhead_satin_config =
   { Satin_def.default_config with t_goal = Sim_time.s 19 }
 
 let fig7_score ~seed ~window_s ~program ~copies ~with_satin =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   if with_satin then
     ignore (Scenario.install_satin scenario ~config:overhead_satin_config ());
   let inst = Unixbench.launch scenario.Scenario.kernel program ~copies () in
@@ -1018,7 +1022,7 @@ let run_predictive ~scenario ~satin ~rootkit ~area_aware =
   schedule_for (Sim_time.add (Engine.now engine) tp)
 
 let run_ablation_variant ~seed ~passes ~config ~attacker =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let satin = Scenario.install_satin scenario ~config () in
   let span = Sim_time.scale config.Satin_def.t_goal (float_of_int passes +. 0.5) in
   let rootkit =
@@ -1120,7 +1124,7 @@ type e13_result = {
 }
 
 let run_e13_campaign ~seed ~checks () =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let platform = scenario.Scenario.platform in
   let engine = Scenario.engine scenario in
   (* Kernel heap with a population of processes; pid 1337 is the malware. *)
@@ -1227,7 +1231,7 @@ type e14_result = {
 }
 
 let run_e14_campaign ~seed ~passes () =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let t_goal = Sim_time.s 76 in
   let satin =
     Scenario.install_satin scenario
@@ -1355,7 +1359,7 @@ type sweep_row = {
 type sweep_result = { sw_rows : sweep_row list }
 
 let time_to_first_alarm ~seed ~tp_s =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let t_goal = Sim_time.of_sec_f (tp_s *. 19.0) in
   let satin =
     Scenario.install_satin scenario
@@ -1399,7 +1403,7 @@ let sweep_score_trial ~seed ~tps ~trial_index =
   let with_satin = trial_index mod 2 = 1 in
   let program = Unixbench.find_program "file_copy_256" in
   let t_goal_s = int_of_float (Float.round (tp_s *. 19.0)) in
-  let s = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun s ->
   if with_satin then
     ignore
       (Scenario.install_satin s
@@ -1497,7 +1501,7 @@ type fault_trial = {
 }
 
 let fault_campaign_trial ~seed ~window_s plan =
-  let scenario = Scenario.create ~seed () in
+  Scenario.with_ ~seed @@ fun scenario ->
   let kernel = scenario.Scenario.kernel in
   let injector =
     Injector.install ~plan ~seed:(derive seed 97)
@@ -1730,7 +1734,7 @@ let fleet_class_of ~trial_index =
 
 let fleet_device_trial ~seed ~window_s ~trial_index =
   let cls = fleet_class_of ~trial_index in
-  let s = Scenario.create ~seed:(derive seed trial_index) () in
+  Scenario.with_ ~seed:(derive seed trial_index) @@ fun s ->
   let t_goal_s = max 1 (int_of_float (Float.round (cls.fc_tp_s *. 19.0))) in
   let satin =
     Scenario.install_satin s
@@ -1767,7 +1771,7 @@ let fleet_device_trial ~seed ~window_s ~trial_index =
    the whole fleet; the seed offset keeps baseline devices disjoint from
    fleet devices of the same index. *)
 let fleet_baseline_trial ~seed ~window_s ~trial_index =
-  let s = Scenario.create ~seed:(derive seed (0x5EED + trial_index)) () in
+  Scenario.with_ ~seed:(derive seed (0x5EED + trial_index)) @@ fun s ->
   let program = Unixbench.find_program "file_copy_256" in
   let inst = Unixbench.launch s.Scenario.kernel program ~copies:1 () in
   Scenario.run_for s (Sim_time.s window_s);
@@ -1961,10 +1965,9 @@ let cache_scan_len layout = min (Layout.total_size layout) (2 * 1024 * 1024)
 
 let cache_fidelity_trial ~seed ~trials ~window_s ~cells ~trial_index =
   let cell = cells.(trial_index / trials) in
-  let s =
-    Scenario.create ~seed:(derive seed trial_index)
-      ~cache:(cache_config_of_cell cell) ()
-  in
+  Scenario.with_ ~seed:(derive seed trial_index)
+    ~cache:(cache_config_of_cell cell)
+  @@ fun s ->
   let platform = s.Scenario.platform in
   let engine = Scenario.engine s in
   let kernel = s.Scenario.kernel in

@@ -1,6 +1,7 @@
 module Engine = Satin_engine.Engine
 module Sim_time = Satin_engine.Sim_time
 module Platform = Satin_hw.Platform
+module Memory = Satin_hw.Memory
 module Obs = Satin_obs.Obs
 
 type t = {
@@ -56,9 +57,16 @@ let create ?(seed = 42) ?cycle ?cache ?layout
   in
   { platform; kernel; tsp; secure_memory; checker; sanitizer }
 
+let with_ ?seed ?cycle ?cache ?layout ?algo ?style f =
+  let t = create ?seed ?cycle ?cache ?layout ?algo ?style () in
+  Fun.protect
+    ~finally:(fun () -> Memory.release t.platform.Platform.memory)
+    (fun () -> f t)
+
 let engine t = t.platform.Platform.engine
 let now t = Engine.now (engine t)
 let run_until t time =
+  Memory.check_live t.platform.Platform.memory;
   Engine.run_until (engine t) time;
   (* One full sweep per run call: short scenarios never reach the sampled
      cadence, and corruption introduced after the last sampled event must

@@ -30,12 +30,33 @@ val create :
   t
 (** Defaults: seed 42, Juno r1 calibration, the default cache geometry
     ({!Satin_cache.Cache.default_config}), the paper kernel layout, djb2,
-    direct hash. *)
+    direct hash. The scenario lives as long as anything references it; its
+    32 MiB memory is freed by the GC. *)
+
+val with_ :
+  ?seed:int ->
+  ?cycle:Satin_hw.Cycle_model.t ->
+  ?cache:Satin_cache.Cache.config ->
+  ?layout:Satin_kernel.Layout.t ->
+  ?algo:Satin_introspect.Hash.algo ->
+  ?style:Satin_introspect.Checker.style ->
+  (t -> 'a) ->
+  'a
+(** [with_ … f] builds a scenario as {!create} does, applies [f] to it and
+    releases it, also when [f] raises. Release hands the scenario's memory
+    to the next scenario built in the same domain
+    ({!Satin_hw.Memory.release}), which then skips allocating a fresh
+    32 MiB; what that scenario computes is unchanged. [f] must take
+    everything it needs out of the scenario before returning: afterwards
+    every memory access, and {!run_for}/{!run_until}, raise
+    {!Satin_hw.Memory.Released}. *)
 
 val run_for : t -> Satin_engine.Sim_time.t -> unit
 (** Advance the simulation by a duration. Under [--check], every
     [run_for]/[run_until] ends with one full sanitizer sweep, so even a
-    scenario too short to reach the sampled cadence gets validated. *)
+    scenario too short to reach the sampled cadence gets validated.
+    Raises {!Satin_hw.Memory.Released} on a scenario released by
+    {!with_}. *)
 
 val run_until : t -> Satin_engine.Sim_time.t -> unit
 

@@ -24,8 +24,8 @@ exception Write_trapped of { addr : int; guard_name : string }
 type image = { img_addr : int; img_src : string; img_gen : int }
 
 type t = {
-  data : Bytes.t;
-  gens : int array; (* per-page stamp: write_gen of the last write touching it *)
+  mutable data : Bytes.t; (* empty once released *)
+  mutable gens : int array; (* per-page stamp: write_gen of the last write touching it *)
   mutable write_gen : int;
   mutable region_list : region list; (* sorted by base *)
   mutable watchers : watcher list;
@@ -37,6 +37,8 @@ exception Access_violation of { world : World.t; addr : int; region : string }
 
 exception Bad_address of int
 
+exception Released
+
 (* Generation granularity. 4 KiB matches the architectural page size the
    paper's areas are laid out on, and is the block size the incremental
    checker caches digests at — one int stamp per page keeps the metadata at
@@ -45,11 +47,30 @@ exception Bad_address of int
 let gen_page_bits = 12
 let gen_page_size = 1 lsl gen_page_bits
 
+(* A live memory always has bytes ([create] rejects size 0), so an empty
+   backing store marks a released one. *)
+let check_live t = if Bytes.length t.data = 0 then raise Released
+
+(* Each domain keeps at most one idle backing store, all zero bytes and
+   zero stamps: exactly what a fresh [create] of its size would allocate.
+   Taking it instead skips the page faults of mapping 32 MiB anew. *)
+let pool : (Bytes.t * int array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
 let create ~size =
   if size <= 0 then invalid_arg "Memory.create: size must be positive";
+  let data, gens =
+    match Domain.DLS.get pool with
+    | Some ((data, _) as store) when Bytes.length data = size ->
+        Domain.DLS.set pool None;
+        store
+    | _ ->
+        ( Bytes.make size '\000',
+          Array.make (((size - 1) lsr gen_page_bits) + 1) 0 )
+  in
   {
-    data = Bytes.make size '\000';
-    gens = Array.make (((size - 1) lsr gen_page_bits) + 1) 0;
+    data;
+    gens;
     write_gen = 0;
     region_list = [];
     watchers = [];
@@ -57,12 +78,43 @@ let create ~size =
     images = [];
   }
 
-let size t = Bytes.length t.data
+(* Every byte that differs from zero was written by an entry point that
+   stamped its page, so zeroing the stamped pages restores a fresh store.
+   One fill per maximal run of stamped pages: per page, the fills of a
+   released scenario took twice as long. The store then replaces the
+   domain's idle one, and [t] keeps an empty store, on which every entry
+   point raises. *)
+let release t =
+  check_live t;
+  let data = t.data and gens = t.gens in
+  let pages = Array.length gens in
+  let p = ref 0 in
+  while !p < pages do
+    if gens.(!p) = 0 then incr p
+    else begin
+      let first = !p in
+      while !p < pages && gens.(!p) <> 0 do
+        gens.(!p) <- 0;
+        incr p
+      done;
+      let lo = first lsl gen_page_bits in
+      let hi = min (!p lsl gen_page_bits) (Bytes.length data) in
+      Bytes.fill data lo (hi - lo) '\000'
+    end
+  done;
+  Domain.DLS.set pool (Some (data, gens));
+  t.data <- Bytes.empty;
+  t.gens <- [||]
+
+let size t =
+  check_live t;
+  Bytes.length t.data
 
 let overlaps a b =
   a.base < b.base + b.size && b.base < a.base + a.size
 
 let add_region t ~name ~base ~size ~security =
+  check_live t;
   if base < 0 || size <= 0 || base + size > Bytes.length t.data then
     invalid_arg (Printf.sprintf "Memory.add_region %s: out of address space" name);
   let r = { name; base; size; security } in
@@ -78,9 +130,12 @@ let add_region t ~name ~base ~size ~security =
   r
 
 let region_of_addr t addr =
+  check_live t;
   List.find_opt (fun r -> addr >= r.base && addr < r.base + r.size) t.region_list
 
-let regions t = t.region_list
+let regions t =
+  check_live t;
+  t.region_list
 
 (* Closure-free region walk: [write_byte] sits on workload inner loops and
    must not allocate, so no [find_opt]/[Some] on the hit path. Regions never
@@ -96,6 +151,7 @@ let rec check_normal_access rs ~world ~addr =
       else check_normal_access rest ~world ~addr
 
 let check_access t ~world ~addr =
+  check_live t;
   if addr < 0 || addr >= Bytes.length t.data then raise (Bad_address addr);
   match world with
   | World.Secure -> ()
@@ -116,6 +172,7 @@ let rec check_normal_range rs ~world ~addr ~len =
       else check_normal_range rest ~world ~addr ~len
 
 let check_range t ~world ~addr ~len =
+  check_live t;
   if len < 0 then invalid_arg "Memory: negative length";
   if addr < 0 || addr + len > Bytes.length t.data then raise (Bad_address addr);
   match world with
@@ -220,6 +277,7 @@ let blit_within t ~world ~src ~dst ~len =
   notify_write t ~addr:dst ~len
 
 let add_write_guard t ~name ~base ~len ~decide =
+  check_live t;
   if len <= 0 then invalid_arg "Memory.add_write_guard: empty range";
   let g =
     { guard_name = name; g_base = base; g_len = len; decide; g_active = true }
@@ -227,13 +285,18 @@ let add_write_guard t ~name ~base ~len ~decide =
   t.guards <- g :: t.guards;
   g
 
-let remove_write_guard t g = t.guards <- List.filter (fun x -> x != g) t.guards
+let remove_write_guard t g =
+  check_live t;
+  t.guards <- List.filter (fun x -> x != g) t.guards
 let disable_write_guard g = g.g_active <- false
 let guard_active g = g.g_active
 
-let write_generation t = t.write_gen
+let write_generation t =
+  check_live t;
+  t.write_gen
 
 let generation t ~addr ~len =
+  check_live t;
   if len <= 0 then invalid_arg "Memory.generation: empty range";
   if addr < 0 || addr + len > Bytes.length t.data then raise (Bad_address addr);
   let p0 = addr lsr gen_page_bits
@@ -246,6 +309,7 @@ let generation t ~addr ~len =
   !g
 
 let bump_generation t ~addr ~len =
+  check_live t;
   if len <= 0 then invalid_arg "Memory.bump_generation: empty range";
   if addr < 0 || addr + len > Bytes.length t.data then raise (Bad_address addr);
   let g = t.write_gen + 1 in
@@ -265,6 +329,7 @@ let load_image t ~addr src =
    [img_gen]: a range whose pages still carry no later stamp has not been
    written since, so its bytes are the image's. *)
 let image_slice t ~addr ~len =
+  check_live t;
   if len <= 0 || addr < 0 || addr + len > Bytes.length t.data then None
   else
     List.find_map
@@ -278,10 +343,12 @@ let image_slice t ~addr ~len =
       t.images
 
 let add_write_watcher t notify =
+  check_live t;
   let w = { active = true; notify } in
   t.watchers <- w :: t.watchers;
   w
 
 let remove_write_watcher t w =
+  check_live t;
   w.active <- false;
   t.watchers <- List.filter (fun x -> x != w) t.watchers

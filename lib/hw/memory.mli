@@ -23,9 +23,28 @@ exception Access_violation of { world : World.t; addr : int; region : string }
 
 exception Bad_address of int
 
+exception Released
+(** Raised by every function taking a [t] once that [t] has been
+    {!release}d. *)
+
 val create : size:int -> t
 (** Fresh memory of [size] bytes, zero-filled, with no regions declared.
-    Addresses with no declared region are treated as non-secure DRAM. *)
+    Addresses with no declared region are treated as non-secure DRAM.
+    When the calling domain holds an idle backing store of [size] bytes
+    (see {!release}), the memory takes it instead of allocating one; no
+    entry point can tell the two apart. *)
+
+val release : t -> unit
+(** Ends [t]'s lifetime. The pages whose write generation is nonzero are
+    zeroed (every write stamps its pages, so these are the only bytes that
+    can differ from zero), the stamps are reset, and the backing store
+    becomes the calling domain's one idle store, replacing any older one,
+    for the next {!create} of its size. [t] itself is poisoned: every
+    function taking it, [release] included, raises {!Released}, so a
+    leaked reference can never read or write a later owner's bytes. *)
+
+val check_live : t -> unit
+(** Raises {!Released} if [t] has been released; does nothing otherwise. *)
 
 val size : t -> int
 

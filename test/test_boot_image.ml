@@ -241,22 +241,56 @@ let test_images_keep_their_golds () =
 
 (* Independent of host speed: after a warm-up, building a scenario and
    installing SATIN allocates the 32 MiB memory plus slack, not a fresh
-   image and golden copies. *)
+   image and golden copies; a build on the memory an earlier bracket
+   released allocates only the slack. *)
 let test_build_allocation () =
-  let build () =
-    ignore (Scenario.install_satin (Scenario.create ~seed:42 ()) ())
+  let allocated build =
+    build ();
+    let before = Gc.allocated_bytes () in
+    build ();
+    (Gc.allocated_bytes () -. before) /. float_of_int mib
   in
-  build ();
-  let before = Gc.allocated_bytes () in
-  build ();
-  let allocated = (Gc.allocated_bytes () -. before) /. float_of_int mib in
-  if allocated > 36.0 then
+  (* The warm-up build takes any store an earlier test released and keeps
+     it, so the measured one allocates afresh. *)
+  let fresh =
+    allocated (fun () ->
+        ignore (Scenario.install_satin (Scenario.create ~seed:42 ()) ()))
+  in
+  if fresh > 36.0 then
     Alcotest.failf "warm create + install_satin allocated %.1f MiB (ceiling 36)"
-      allocated
+      fresh;
+  let reused =
+    allocated (fun () ->
+        Scenario.with_ ~seed:42 (fun s -> ignore (Scenario.install_satin s ())))
+  in
+  if reused > 4.0 then
+    Alcotest.failf
+      "warm create + install_satin on a released memory allocated %.1f MiB \
+       (ceiling 4)"
+      reused
+
+(* A scenario that escapes its bracket is dead: its memory may already
+   back the next scenario, so running it raises, whether the body returned
+   or raised. *)
+let test_leaked_scenario_raises () =
+  let leaked = ref None in
+  let leak s =
+    leaked := Some s;
+    Scenario.run_for s (Sim_time.ms 1)
+  in
+  let run_leaked () = Scenario.run_for (Option.get !leaked) (Sim_time.ms 1) in
+  Scenario.with_ ~seed:1 leak;
+  Alcotest.check_raises "after return" Memory.Released run_leaked;
+  Alcotest.check_raises "the body's exception passes through" Exit (fun () ->
+      Scenario.with_ ~seed:2 (fun s ->
+          leak s;
+          raise Exit));
+  Alcotest.check_raises "after raise" Memory.Released run_leaked
 
 (* Four domains boot and enroll concurrently. The layout is booted by no
    other test, so both memos start cold and the domains contend on their
-   first misses. *)
+   first misses. Each trial is bracketed, so a domain's later trials boot
+   on the memory its earlier ones released. *)
 let test_parallel_builds () =
   let layout =
     Layout.synthetic ~base:(2 * mib) ~total_size:((3 * mib) + 13) ~areas:19
@@ -264,7 +298,7 @@ let test_parallel_builds () =
   in
   let trial i =
     let algo = List.nth Hash.all_algos (i mod List.length Hash.all_algos) in
-    let s = Scenario.create ~seed:i ~layout ~algo () in
+    Scenario.with_ ~seed:i ~layout ~algo @@ fun s ->
     let satin = Scenario.install_satin s () in
     List.map
       (fun a ->
@@ -295,6 +329,8 @@ let suite =
       test_images_keep_their_golds;
     Alcotest.test_case "warm build allocation ceiling" `Quick
       test_build_allocation;
+    Alcotest.test_case "leaked scenario raises" `Quick
+      test_leaked_scenario_raises;
     Alcotest.test_case "parallel builds equal sequential" `Quick
       test_parallel_builds;
   ]

@@ -296,6 +296,235 @@ let prop_rw_any_byte =
       Memory.write_byte m ~world:World.Normal ~addr v;
       Memory.read_byte m ~world:World.Normal ~addr = v)
 
+(* ---- released memories ---- *)
+
+let test_released_raises () =
+  let m = make () in
+  Memory.load_image m ~addr:2048 "image";
+  let g =
+    Memory.add_write_guard m ~name:"g" ~base:0 ~len:8 ~decide:(fun ~addr:_ ~len:_ ->
+        `Allow)
+  in
+  let w = Memory.add_write_watcher m (fun ~addr:_ ~len:_ -> ()) in
+  Alcotest.(check bool) "an image slice before release" true
+    (Memory.image_slice m ~addr:2048 ~len:5 <> None);
+  Memory.release m;
+  let raises name f =
+    Alcotest.check_raises name Memory.Released (fun () -> ignore (f ()))
+  in
+  let world = World.Secure in
+  raises "size" (fun () -> Memory.size m);
+  raises "add_region" (fun () ->
+      Memory.add_region m ~name:"r" ~base:3072 ~size:16
+        ~security:Memory.Non_secure_region);
+  raises "region_of_addr" (fun () -> Memory.region_of_addr m 0);
+  raises "regions" (fun () -> Memory.regions m);
+  raises "check_access" (fun () -> Memory.check_access m ~world ~addr:0);
+  raises "read_byte" (fun () -> Memory.read_byte m ~world ~addr:0);
+  raises "write_byte" (fun () -> Memory.write_byte m ~world ~addr:0 1);
+  raises "read_bytes" (fun () -> Memory.read_bytes m ~world ~addr:0 ~len:8);
+  raises "write_string" (fun () -> Memory.write_string m ~world ~addr:0 "x");
+  raises "empty write_string" (fun () -> Memory.write_string m ~world ~addr:0 "");
+  raises "read_int64_le" (fun () -> Memory.read_int64_le m ~world ~addr:0);
+  raises "write_int64_le" (fun () -> Memory.write_int64_le m ~world ~addr:0 1L);
+  raises "fold_range" (fun () ->
+      Memory.fold_range m ~world ~addr:0 ~len:8 ~init:0 ~f:( + ));
+  raises "with_range_ro" (fun () ->
+      Memory.with_range_ro m ~world ~addr:0 ~len:8 ~f:(fun _ _ -> ()));
+  raises "blit_within" (fun () -> Memory.blit_within m ~world ~src:0 ~dst:8 ~len:8);
+  raises "add_write_guard" (fun () ->
+      Memory.add_write_guard m ~name:"h" ~base:0 ~len:8 ~decide:(fun ~addr:_ ~len:_ ->
+          `Deny));
+  raises "remove_write_guard" (fun () -> Memory.remove_write_guard m g);
+  raises "add_write_watcher" (fun () ->
+      Memory.add_write_watcher m (fun ~addr:_ ~len:_ -> ()));
+  raises "remove_write_watcher" (fun () -> Memory.remove_write_watcher m w);
+  raises "write_generation" (fun () -> Memory.write_generation m);
+  raises "generation" (fun () -> Memory.generation m ~addr:0 ~len:8);
+  raises "bump_generation" (fun () -> Memory.bump_generation m ~addr:0 ~len:8);
+  raises "load_image" (fun () -> Memory.load_image m ~addr:0 "image");
+  raises "image_slice of the loaded image" (fun () ->
+      Memory.image_slice m ~addr:2048 ~len:5);
+  raises "release" (fun () -> Memory.release m);
+  raises "check_live" (fun () -> Memory.check_live m)
+
+(* One constructor per mutating entry point. Addresses reach past the end
+   and guards may deny, so a step can raise; its outcome is then part of
+   what two memories must agree on. *)
+type op =
+  | Write_byte of World.t * int * int
+  | Write_string of World.t * int * string
+  | Write_int64 of World.t * int * int64
+  | Blit of World.t * int * int * int
+  | Load_image of int * string
+  | Bump of int * int
+  | Add_region of int * int * Memory.security
+  | Add_guard of int * int * bool (* deny? *)
+  | Drop_guard of bool (* remove (true) or disable (false) the newest *)
+  | Add_watcher
+  | Drop_watcher
+
+let world_name = function World.Normal -> "ns" | World.Secure -> "s"
+
+let pp_op = function
+  | Write_byte (w, a, v) -> Printf.sprintf "byte %s@%d=%d" (world_name w) a v
+  | Write_string (w, a, s) ->
+      Printf.sprintf "string %s@%d+%d" (world_name w) a (String.length s)
+  | Write_int64 (w, a, _) -> Printf.sprintf "int64 %s@%d" (world_name w) a
+  | Blit (w, src, dst, len) ->
+      Printf.sprintf "blit %s %d->%d+%d" (world_name w) src dst len
+  | Load_image (a, s) -> Printf.sprintf "image @%d+%d" a (String.length s)
+  | Bump (a, len) -> Printf.sprintf "bump @%d+%d" a len
+  | Add_region (b, n, sec) ->
+      Printf.sprintf "region @%d+%d %s" b n
+        (if sec = Memory.Secure_region then "secure" else "ns")
+  | Add_guard (b, n, deny) -> Printf.sprintf "guard @%d+%d deny=%b" b n deny
+  | Drop_guard remove -> if remove then "remove guard" else "disable guard"
+  | Add_watcher -> "watch"
+  | Drop_watcher -> "unwatch"
+
+(* Seven pages, the last one partial. *)
+let reuse_size = (6 * Memory.gen_page_size) + 100
+
+let gen_op =
+  let ps = Memory.gen_page_size in
+  QCheck.Gen.(
+    let addr = int_bound (reuse_size + 16) in
+    let world = oneofl [ World.Normal; World.Secure ] in
+    let bytes n = string_size ~gen:char (int_bound n) in
+    frequency
+      [
+        (4, map3 (fun w a v -> Write_byte (w, a, v)) world addr (int_bound 255));
+        (3, map3 (fun w a s -> Write_string (w, a, s)) world addr (bytes (2 * ps)));
+        (3, map3 (fun w a v -> Write_int64 (w, a, v)) world addr ui64);
+        ( 2,
+          map4 (fun w src dst len -> Blit (w, src, dst, len)) world addr addr
+            (int_bound (2 * ps)) );
+        (2, map2 (fun a s -> Load_image (a, s)) addr (bytes (3 * ps)));
+        (2, map2 (fun a len -> Bump (a, len)) addr (int_bound (2 * ps)));
+        ( 1,
+          map3
+            (fun b n sec -> Add_region (b, n, sec))
+            addr (int_bound (2 * ps))
+            (oneofl [ Memory.Secure_region; Memory.Non_secure_region ]) );
+        (1, map3 (fun b n deny -> Add_guard (b, n, deny)) addr (int_bound ps) bool);
+        (1, map (fun remove -> Drop_guard remove) bool);
+        (1, return Add_watcher);
+        (1, return Drop_watcher);
+      ])
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
+    QCheck.Gen.(list_size (int_range 0 40) gen_op)
+
+(* A memory with the guards and watchers registered on it so far; every
+   watcher logs each write it is told about. *)
+type handle = {
+  mem : Memory.t;
+  mutable guards : Memory.guard list;
+  mutable watchers : Memory.watcher list;
+  mutable log : (int * int * int) list;
+}
+
+let handle mem = { mem; guards = []; watchers = []; log = [] }
+
+let apply h op =
+  let m = h.mem in
+  match op with
+  | Write_byte (world, addr, v) -> Memory.write_byte m ~world ~addr v
+  | Write_string (world, addr, s) -> Memory.write_string m ~world ~addr s
+  | Write_int64 (world, addr, v) -> Memory.write_int64_le m ~world ~addr v
+  | Blit (world, src, dst, len) -> Memory.blit_within m ~world ~src ~dst ~len
+  | Load_image (addr, s) -> Memory.load_image m ~addr s
+  | Bump (addr, len) -> Memory.bump_generation m ~addr ~len
+  | Add_region (base, size, security) ->
+      ignore
+        (Memory.add_region m
+           ~name:(Printf.sprintf "r%d" base)
+           ~base ~size ~security)
+  | Add_guard (base, len, deny) ->
+      let g =
+        Memory.add_write_guard m ~name:"g" ~base ~len ~decide:(fun ~addr:_ ~len:_ ->
+            if deny then `Deny else `Allow)
+      in
+      h.guards <- g :: h.guards
+  | Drop_guard remove -> (
+      match h.guards with
+      | g :: rest when remove ->
+          Memory.remove_write_guard m g;
+          h.guards <- rest
+      | g :: _ -> Memory.disable_write_guard g
+      | [] -> ())
+  | Add_watcher ->
+      let id = List.length h.watchers in
+      let w =
+        Memory.add_write_watcher m (fun ~addr ~len ->
+            h.log <- (id, addr, len) :: h.log)
+      in
+      h.watchers <- w :: h.watchers
+  | Drop_watcher -> (
+      match h.watchers with
+      | w :: rest ->
+          Memory.remove_write_watcher m w;
+          h.watchers <- rest
+      | [] -> ())
+
+(* Each step's outcome: "ok" or the exception it raised. *)
+let run h ops =
+  List.map
+    (fun op ->
+      match apply h op with () -> "ok" | exception e -> Printexc.to_string e)
+    ops
+
+(* Everything a caller can observe of a memory's state. *)
+let observe m ranges =
+  let ps = Memory.gen_page_size in
+  ( Memory.read_bytes m ~world:World.Secure ~addr:0 ~len:(Memory.size m),
+    List.init
+      ((Memory.size m + ps - 1) / ps)
+      (fun p -> Memory.generation m ~addr:(p * ps) ~len:1),
+    Memory.write_generation m,
+    Memory.regions m,
+    List.map (fun (addr, len) -> Memory.image_slice m ~addr ~len) ranges )
+
+(* The reuse oracle: memory B, built on the store that A released, must be
+   indistinguishable from a fresh memory, before and after one more random
+   sequence runs on both. *)
+let prop_reuse_equals_fresh =
+  QCheck.Test.make ~name:"a memory on a released store equals a fresh one"
+    ~count:200
+    QCheck.(
+      triple arb_ops arb_ops
+        (list_of_size Gen.(int_range 1 8)
+           (pair (int_bound reuse_size) (int_bound (3 * Memory.gen_page_size)))))
+    (fun (before, after, ranges) ->
+      (* The backing store, let out of [with_range_ro] only to compare its
+         identity. *)
+      let store m =
+        Memory.with_range_ro m ~world:World.Secure ~addr:0 ~len:1
+          ~f:(fun data _ -> data)
+      in
+      let a = handle (Memory.create ~size:reuse_size) in
+      ignore (run a before);
+      let a_store = store a.mem in
+      let a_log = a.log in
+      Memory.release a.mem;
+      let b = handle (Memory.create ~size:reuse_size) in
+      if store b.mem != a_store then
+        QCheck.Test.fail_report "B did not take A's released store";
+      let fresh = handle (Memory.create ~size:reuse_size) in
+      if observe b.mem ranges <> observe fresh.mem ranges then
+        QCheck.Test.fail_report "B differs from a fresh memory";
+      if run b after <> run fresh after then
+        QCheck.Test.fail_report "a step's outcome differs";
+      if b.log <> fresh.log then QCheck.Test.fail_report "watcher logs differ";
+      if a.log != a_log then
+        QCheck.Test.fail_report "a watcher of the released memory fired";
+      if observe b.mem ranges <> observe fresh.mem ranges then
+        QCheck.Test.fail_report "B differs from the fresh memory afterwards";
+      true)
+
 let suite =
   [
     Alcotest.test_case "rw roundtrip" `Quick test_rw_roundtrip;
@@ -324,4 +553,6 @@ let suite =
     Alcotest.test_case "write path allocates nothing" `Quick
       test_write_path_zero_alloc;
     QCheck_alcotest.to_alcotest prop_rw_any_byte;
+    Alcotest.test_case "released memory raises" `Quick test_released_raises;
+    QCheck_alcotest.to_alcotest prop_reuse_equals_fresh;
   ]
