@@ -63,7 +63,7 @@ let bench_table1_hash =
     (Staged.stage (fun () ->
          let s, base, _ = Lazy.force fixture in
          ignore
-           (Hash.hash_region Hash.Djb2 s.Scenario.platform.Platform.memory
+           (Hash.hash_region s.Scenario.platform.Platform.memory
               ~world:World.Secure ~addr:base ~len:region_len)))
 
 (* Table II / Figure 4's primitive: one KProber comparer pass over 6 cores. *)
@@ -213,16 +213,16 @@ let run_runner ~jobs =
   let base = 6 * 1024 * 1024 in
   (* Baseline: the generic one-closure-per-byte fold [hash_sub] replaced. *)
   let generic_pass () =
-    let h = ref (Hash.init Hash.Djb2) in
+    let h = ref Hash.init in
     Satin_hw.Memory.with_range_ro memory ~world:World.Secure ~addr:base ~len
       ~f:(fun data off ->
         for i = off to off + len - 1 do
-          h := Hash.step Hash.Djb2 !h (Char.code (Bytes.get data i))
+          h := Hash.step !h (Char.code (Bytes.get data i))
         done);
     ignore !h
   in
   let specialized_pass () =
-    ignore (Hash.hash_region Hash.Djb2 memory ~world:World.Secure ~addr:base ~len)
+    ignore (Hash.hash_region memory ~world:World.Secure ~addr:base ~len)
   in
   let generic_bps = throughput generic_pass in
   let specialized_bps = throughput specialized_pass in
@@ -670,8 +670,7 @@ let scan_fixture () =
   done;
   let checker =
     Checker.create ~memory ~cycle:platform.Platform.cycle
-      ~prng:(Platform.split_prng platform) ~algo:Hash.Djb2
-      ~style:Checker.Direct_hash ()
+      ~prng:(Platform.split_prng platform) ()
   in
   ignore (Checker.enroll checker ~base:scan_bench_base ~len:scan_bench_len);
   (platform, checker)

@@ -216,6 +216,14 @@ let opts_term =
     const make $ quick_arg $ jobs_arg $ trace_arg $ metrics_arg $ check_arg
     $ full_rehash_arg $ store_arg $ no_store_arg $ progress_arg $ json_arg)
 
+(* A width below 1 would make [Runner.create] raise; refuse it the way
+   every bad flag is refused: one line on stderr, exit 2. *)
+let check_jobs cmd o =
+  if o.jobs < 1 then begin
+    Printf.eprintf "%s: --jobs must be at least 1\n" cmd;
+    exit 2
+  end
+
 (* Run [f pool] inside every wrapper [o] asks for; [f] returns the named
    summaries that --json writes, inside the run's key context. *)
 let with_opts o ~subcommands f =
@@ -235,6 +243,7 @@ let with_opts o ~subcommands f =
 (* One subcommand per registry command, plus [all]. *)
 let experiment_cmd (name, doc) =
   let run seed o =
+    check_jobs name o;
     with_opts o ~subcommands:[ name ] (fun pool ->
         if name = "all" then Registry.all fmt ~pool ~seed ~quick:o.quick
         else [ (name, Registry.run fmt ~pool ~seed ~quick:o.quick name) ])
@@ -360,6 +369,7 @@ let campaign_cmd =
     Arg.(value & flag & info [ "report" ] ~doc)
   in
   let run experiments seeds o shard workers lease_ttl report =
+    check_jobs "campaign" o;
     if seeds = [] then begin
       prerr_endline "campaign: --seeds must name at least one seed";
       exit 2
@@ -561,6 +571,12 @@ let telemetry_gate_cmd =
       & info [ "threshold" ] ~docv:"FRACTION" ~doc)
   in
   let run baseline current store fingerprint threshold =
+    if not (Float.is_finite threshold && threshold > 0.0) then begin
+      Printf.eprintf
+        "telemetry gate: --threshold must be a finite fraction above 0, got %g\n"
+        threshold;
+      exit 2
+    end;
     let baseline = read_json_file baseline in
     let current =
       match current with

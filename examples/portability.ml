@@ -36,8 +36,7 @@ let () =
   in
   let checker =
     Checker.create ~memory:platform.Platform.memory ~cycle
-      ~prng:(Platform.split_prng platform) ~algo:Satin_introspect.Hash.Djb2
-      ~style:Checker.Direct_hash ()
+      ~prng:(Platform.split_prng platform) ()
   in
 
   (* The slower privileged-mode switch changes the race budget. *)

@@ -134,7 +134,7 @@ let run_table1 ?(pool = Runner.sequential) ?(seed = 42) ?(runs = 50) () =
   let base = Layout.base scenario.Scenario.kernel.Satin_kernel.Kernel.layout in
   let enrolled = Checker.enroll scenario.Scenario.checker ~base ~len:n in
   let rehash =
-    Hash.hash_region Hash.Djb2 scenario.Scenario.platform.Platform.memory
+    Hash.hash_region scenario.Scenario.platform.Platform.memory
       ~world:Satin_hw.World.Secure ~addr:base ~len:n
   in
   {

@@ -18,9 +18,7 @@ type t = {
 let secure_base = 24 * 1024 * 1024
 let secure_size = 1024 * 1024
 
-let create ?(seed = 42) ?cycle ?cache ?layout
-    ?(algo = Satin_introspect.Hash.Djb2)
-    ?(style = Satin_introspect.Checker.Direct_hash) () =
+let create ?(seed = 42) ?cycle ?cache ?layout () =
   let platform = Platform.juno_r1 ~seed ?cycle ?cache () in
   (* The engine observer feeds the global sink and/or the current domain's
      capsule capture; track naming is a sink-only (tracing) concern. *)
@@ -42,7 +40,7 @@ let create ?(seed = 42) ?cycle ?cache ?layout
   let checker =
     Satin_introspect.Checker.create ~cache:platform.Platform.cache
       ~memory:platform.Platform.memory ~cycle:platform.Platform.cycle
-      ~prng:(Platform.split_prng platform) ~algo ~style ()
+      ~prng:(Platform.split_prng platform) ()
   in
   (* Under --check, every scenario carries its own sanitizer instance
      (domain-confined; aggregates are global atomics), chained after any
@@ -57,8 +55,8 @@ let create ?(seed = 42) ?cycle ?cache ?layout
   in
   { platform; kernel; tsp; secure_memory; checker; sanitizer }
 
-let with_ ?seed ?cycle ?cache ?layout ?algo ?style f =
-  let t = create ?seed ?cycle ?cache ?layout ?algo ?style () in
+let with_ ?seed ?cycle ?cache ?layout f =
+  let t = create ?seed ?cycle ?cache ?layout () in
   Fun.protect
     ~finally:(fun () -> Memory.release t.platform.Platform.memory)
     (fun () -> f t)

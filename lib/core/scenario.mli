@@ -24,22 +24,18 @@ val create :
   ?cycle:Satin_hw.Cycle_model.t ->
   ?cache:Satin_cache.Cache.config ->
   ?layout:Satin_kernel.Layout.t ->
-  ?algo:Satin_introspect.Hash.algo ->
-  ?style:Satin_introspect.Checker.style ->
   unit ->
   t
 (** Defaults: seed 42, Juno r1 calibration, the default cache geometry
-    ({!Satin_cache.Cache.default_config}), the paper kernel layout, djb2,
-    direct hash. The scenario lives as long as anything references it; its
-    32 MiB memory is freed by the GC. *)
+    ({!Satin_cache.Cache.default_config}) and the paper kernel layout. The
+    scenario lives as long as anything references it; its 32 MiB memory is
+    freed by the GC. *)
 
 val with_ :
   ?seed:int ->
   ?cycle:Satin_hw.Cycle_model.t ->
   ?cache:Satin_cache.Cache.config ->
   ?layout:Satin_kernel.Layout.t ->
-  ?algo:Satin_introspect.Hash.algo ->
-  ?style:Satin_introspect.Checker.style ->
   (t -> 'a) ->
   'a
 (** [with_ … f] builds a scenario as {!create} does, applies [f] to it and

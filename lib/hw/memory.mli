@@ -85,7 +85,7 @@ val with_range_ro :
     once — same checks as a read — and applies [f backing addr] directly to
     the backing store: the read-only bulk fast path (no per-byte closure, no
     snapshot copy) that {!Satin_introspect.Hash.hash_region} runs its
-    specialized loops over. [f] must treat the bytes as read-only, stay
+    unrolled loop over. [f] must treat the bytes as read-only, stay
     within [\[addr, addr+len)], and must not let the buffer escape. *)
 
 external unsafe_get_int64_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"

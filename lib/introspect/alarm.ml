@@ -13,7 +13,6 @@ type entry = {
 }
 
 type t = {
-  algo : Hash.algo;
   log_clean_rounds : bool;
   genesis : int64;
   mutable log : entry list; (* newest first *)
@@ -23,9 +22,8 @@ type t = {
 
 let genesis_value = 0x5a71a17e_0001L
 
-let create ?(algo = Hash.Djb2) ?(log_clean_rounds = false) () =
+let create ?(log_clean_rounds = false) () =
   {
-    algo;
     log_clean_rounds;
     genesis = genesis_value;
     log = [];
@@ -43,9 +41,9 @@ let payload_string ~seq ~time ~severity ~area_index ~core ~offsets =
     area_index core
     (String.concat "," (List.map string_of_int offsets))
 
-let chain_digest algo ~prev ~payload =
-  let h = Hash.absorb_int64 algo (Hash.init algo) prev in
-  String.fold_left (fun acc c -> Hash.step algo acc (Char.code c)) h payload
+let chain_digest ~prev ~payload =
+  let h = Hash.absorb_int64 Hash.init prev in
+  String.fold_left (fun acc c -> Hash.step acc (Char.code c)) h payload
 
 let head_digest t =
   match t.log with [] -> t.genesis | e :: _ -> e.digest
@@ -54,7 +52,7 @@ let append t ~time ~severity ~area_index ~core ~offsets =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let payload = payload_string ~seq ~time ~severity ~area_index ~core ~offsets in
-  let digest = chain_digest t.algo ~prev:(head_digest t) ~payload in
+  let digest = chain_digest ~prev:(head_digest t) ~payload in
   let entry = { seq; time; severity; area_index; core; offsets; digest } in
   t.log <- entry :: t.log;
   if severity = Alert then List.iter (fun f -> f entry) t.alarm_hooks;
@@ -76,7 +74,7 @@ let entries t = List.rev t.log
 let alarms t = List.rev (List.filter (fun e -> e.severity = Alert) t.log)
 let count t = List.length t.log
 
-let verify_entries ~genesis ~algo log =
+let verify_entries ~genesis log =
   let rec go prev expected_seq = function
     | [] -> true
     | e :: rest ->
@@ -85,11 +83,11 @@ let verify_entries ~genesis ~algo log =
             ~area_index:e.area_index ~core:e.core ~offsets:e.offsets
         in
         e.seq = expected_seq
-        && Int64.equal e.digest (chain_digest algo ~prev ~payload)
+        && Int64.equal e.digest (chain_digest ~prev ~payload)
         && go e.digest (expected_seq + 1) rest
   in
   go genesis 0 log
 
-let verify_chain t = verify_entries ~genesis:t.genesis ~algo:t.algo (entries t)
+let verify_chain t = verify_entries ~genesis:t.genesis (entries t)
 
 let on_alarm t f = t.alarm_hooks <- t.alarm_hooks @ [ f ]

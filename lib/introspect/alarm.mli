@@ -24,7 +24,7 @@ type entry = {
 
 type t
 
-val create : ?algo:Hash.algo -> ?log_clean_rounds:bool -> unit -> t
+val create : ?log_clean_rounds:bool -> unit -> t
 (** [log_clean_rounds] (default false) also chains an Info entry per clean
     round — a heartbeat proving the introspection kept running. *)
 
@@ -50,7 +50,7 @@ val head_digest : t -> int64
 val verify_chain : t -> bool
 (** Recompute the chain from genesis; [false] if any entry was altered. *)
 
-val verify_entries : genesis:int64 -> algo:Hash.algo -> entry list -> bool
+val verify_entries : genesis:int64 -> entry list -> bool
 (** Chain verification for an exported log (e.g. on the "server side"). *)
 
 val on_alarm : t -> (entry -> unit) -> unit

@@ -8,21 +8,13 @@ module Cycle_model = Satin_hw.Cycle_model
 module Cache = Satin_cache.Cache
 module Obs = Satin_obs.Obs
 
-type style = Direct_hash | Snapshot
-
-let style_to_string = function
-  | Direct_hash -> "direct-hash"
-  | Snapshot -> "snapshot"
-
-let pp_style fmt s = Format.pp_print_string fmt (style_to_string s)
-
 (* The golden state of an enrolled range that is a pure function of
-   (algo, base, bytes), fixed at enroll and never mutated, so checkers
+   (base, bytes), fixed at enroll and never mutated, so checkers
    enrolling the same image bytes share one (DESIGN §16). Blocks are
    page-aligned (absolute 4 KiB pages, so a block maps to exactly one
    [Memory.generation] stamp; first/last blocks may be partial).
    [g_digest]/[g_pow] hold each block's seed-independent golden digest and
-   multiplier power (combinable algorithms only). *)
+   multiplier power. *)
 type gold = {
   g_content : string; (* the range is [g_off, g_off + g_len) of it *)
   g_off : int;
@@ -63,20 +55,11 @@ type t = {
   memory : Memory.t;
   cycle : Cycle_model.t;
   prng : Prng.t;
-  algo : Hash.algo;
-  style : style;
   cache : Cache.t option;
       (* when present, a scan's streaming reads fill the modeled cache
          hierarchy as the front advances — the eviction signal the
          modeled cache probers time (DESIGN §14) *)
   golden : (int * int, golden) Hashtbl.t; (* keyed by (base, len) *)
-  mutable scratch : Bytes.t;
-      (* [Snapshot]-style capture buffer, hoisted to checker creation and
-         grown (only) at [enroll] to the largest enrolled range: scan
-         rounds reuse it instead of allocating a fresh snapshot per round
-         (DESIGN §10). Each use is transient — capture, analyze, return —
-         within a single event callback, so one buffer per checker is
-         enough even with several areas mid-scan. *)
   mutable scans : int;
   mutable tampered : int;
   mutable blocks_rehashed : int;
@@ -96,77 +79,67 @@ let count_cached t sc n =
   t.blocks_cached <- t.blocks_cached + n;
   sc.sc_cached <- sc.sc_cached + n
 
-let create ?cache ~memory ~cycle ~prng ~algo ~style () =
+let create ?cache ~memory ~cycle ~prng () =
   {
     memory;
     cycle;
     prng;
-    algo;
-    style;
     cache;
     golden = Hashtbl.create 32;
-    scratch = Bytes.create 0;
     scans = 0;
     tampered = 0;
     blocks_rehashed = 0;
     blocks_cached = 0;
   }
 
-let algo t = t.algo
-let style t = t.style
-let scratch_capacity t = Bytes.length t.scratch
-
-let make_gold algo ~base ~content ~off ~len =
+let make_gold ~base ~content ~off ~len =
   let bounds = block_bounds ~base ~len in
   let n = Array.length bounds - 1 in
   let digest = Array.make n 0L and pow = Array.make n 1L in
-  if Hash.combinable algo then
-    for b = 0 to n - 1 do
-      let lo = bounds.(b) and hi = bounds.(b + 1) in
-      digest.(b) <-
-        Hash.block_digest_string algo content ~off:(off + lo) ~len:(hi - lo);
-      pow.(b) <- Hash.block_pow algo ~len:(hi - lo)
-    done;
+  for b = 0 to n - 1 do
+    let lo = bounds.(b) and hi = bounds.(b + 1) in
+    digest.(b) <- Hash.block_digest_string content ~off:(off + lo) ~len:(hi - lo);
+    pow.(b) <- Hash.block_pow ~len:(hi - lo)
+  done;
   {
     g_content = content;
     g_off = off;
     g_len = len;
-    g_hash = Hash.hash_sub algo (Bytes.unsafe_of_string content) ~off ~len;
+    g_hash = Hash.hash_sub (Bytes.unsafe_of_string content) ~off ~len;
     g_bounds = bounds;
     g_digest = digest;
     g_pow = pow;
   }
 
 (* Golds of image slices, shared by every checker in the process and keyed
-   by (algo, base, len). An entry is reused only for the very same source
+   by (base, len). An entry is reused only for the very same source
    string at the same offset, which [Memory.image_slice] guarantees equals
    the live bytes; a different image at the same key replaces it. Copied
    golds never enter, so a range tampered before enroll cannot leak into a
    later checker. Runner domains enroll concurrently, hence the lock. *)
-let shared_golds : (Hash.algo * int * int, gold) Hashtbl.t = Hashtbl.create 64
+let shared_golds : (int * int, gold) Hashtbl.t = Hashtbl.create 64
 let shared_golds_lock = Mutex.create ()
 
-let shared_gold algo ~base ~src ~off ~len =
+let shared_gold ~base ~src ~off ~len =
   Mutex.protect shared_golds_lock (fun () ->
-      match Hashtbl.find_opt shared_golds (algo, base, len) with
+      match Hashtbl.find_opt shared_golds (base, len) with
       | Some g when g.g_content == src && g.g_off = off -> g
       | _ ->
-          let g = make_gold algo ~base ~content:src ~off ~len in
-          Hashtbl.replace shared_golds (algo, base, len) g;
+          let g = make_gold ~base ~content:src ~off ~len in
+          Hashtbl.replace shared_golds (base, len) g;
           g)
 
 let enroll t ~base ~len =
   let gold =
     match Memory.image_slice t.memory ~addr:base ~len with
-    | Some (src, off) -> shared_gold t.algo ~base ~src ~off ~len
+    | Some (src, off) -> shared_gold ~base ~src ~off ~len
     | None ->
         let content =
           Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
             ~f:(fun data off -> Bytes.sub_string data off len)
         in
-        make_gold t.algo ~base ~content ~off:0 ~len
+        make_gold ~base ~content ~off:0 ~len
   in
-  if len > Bytes.length t.scratch then t.scratch <- Bytes.create len;
   let n = Array.length gold.g_bounds - 1 in
   Hashtbl.replace t.golden (base, len)
     {
@@ -189,33 +162,18 @@ type verdict = {
   v_hash_observed : int64;
 }
 
-let per_byte_triple t core_type =
-  match t.style with
-  | Direct_hash -> t.cycle.Cycle_model.hash_1byte core_type
-  | Snapshot -> t.cycle.Cycle_model.snapshot_1byte core_type
-
-(* Present the live range to [f] as [(data, off)] without a per-round
-   allocation: [Direct_hash] analyzes the memory backing store in place
-   (the paper's streaming style); [Snapshot] captures into the per-checker
-   scratch buffer first — same bytes at the same instant, so detection
-   outcomes and hashes are identical, but the capture models the
-   copy-then-analyze style without allocating a fresh buffer per round. *)
+(* Present the live range to [f] as [(data, off)]: the memory backing
+   store itself, analyzed in place without a per-round allocation (the
+   paper's direct-hash style). *)
 let with_live t ~base ~len ~f =
-  match t.style with
-  | Direct_hash ->
-      Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len ~f
-  | Snapshot ->
-      Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
-        ~f:(fun data off -> Bytes.blit data off t.scratch 0 len);
-      f t.scratch 0
+  Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len ~f
 
 (* Word-level equality of [data[doff..)] against golden content: eight
    bytes per comparison over the aligned middle, byte tail after. One
    explicit bounds check up front licenses the unchecked word loads in the
-   loop ([with_live] hands us a [with_range_ro]-validated window, but the
-   offsets are computed here, so the hoisted check keeps the unsafe loads
-   honest while still paying it once per block instead of twice per
-   word). *)
+   loop ([with_live] hands us a validated window, but the offsets are
+   computed here, so the hoisted check keeps the unsafe loads honest while
+   still paying it once per block instead of twice per word). *)
 let range_equal data doff golden goff blen =
   if
     blen < 0 || doff < 0 || goff < 0
@@ -286,15 +244,12 @@ let dirty_ranges_full t sc golden ~base =
    maximal dirty ranges produced are a pure function of the live content,
    so the result is identical to [dirty_ranges_full] (runs still span
    block boundaries; flushes happen exactly at clean bytes / clean
-   blocks). Reads the backing store directly — the [Snapshot] blit is pure
-   host work with no modeled cost, so skipping it changes nothing
-   observable. *)
+   blocks). *)
 let dirty_ranges_incr t sc golden ~base =
   let g = golden.gold in
   let len = g.g_len in
   let n = Array.length g.g_bounds - 1 in
-  Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
-    ~f:(fun data off ->
+  with_live t ~base ~len ~f:(fun data off ->
       let ranges = ref [] in
       let run_start = ref (-1) in
       let flush i =
@@ -343,26 +298,22 @@ let dirty_ranges t sc golden ~base =
    [hash_sub]. Incremental path: walk blocks; stamp-clean ones contribute
    their cached golden digest, stale ones are compared (re-stamping on
    equality) and, when tampered, their live digest is (re)computed only if
-   the stamp moved since it was last cached. For combinable algorithms the
-   per-block digests recombine to the exact [hash_sub] value (affine
-   factorization, see {!Hash.combine_block}); FNV-1a does not factor, so a
-   range that is dirty at the verdict falls back to one honest full
-   re-hash — the quiescent case (every block clean) is still O(blocks). *)
+   the stamp moved since it was last cached. The per-block digests
+   recombine to the exact [hash_sub] value (affine factorization, see
+   {!Hash.combine_block}). *)
 let observed_hash_full t golden ~base =
   let g = golden.gold in
   let len = g.g_len in
   with_live t ~base ~len ~f:(fun data off ->
       if range_equal data off g.g_content g.g_off len then g.g_hash
-      else Hash.hash_sub t.algo data ~off ~len)
+      else Hash.hash_sub data ~off ~len)
 
 let observed_hash_incr t sc golden ~base =
   let g = golden.gold in
   let len = g.g_len in
   let n = Array.length g.g_bounds - 1 in
-  let comb = Hash.combinable t.algo in
-  Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
-    ~f:(fun data off ->
-      let h = ref (Hash.init t.algo) in
+  with_live t ~base ~len ~f:(fun data off ->
+      let h = ref Hash.init in
       let any_dirty = ref false in
       for b = 0 to n - 1 do
         let lo = Array.unsafe_get g.g_bounds b in
@@ -384,31 +335,21 @@ let observed_hash_incr t sc golden ~base =
             else false
           end
         in
-        if clean then begin
-          if comb then
-            h :=
-              Hash.combine_block !h
-                ~pow:(Array.unsafe_get g.g_pow b)
-                ~digest:(Array.unsafe_get g.g_digest b)
-        end
-        else begin
-          any_dirty := true;
-          if comb then begin
+        let digest =
+          if clean then Array.unsafe_get g.g_digest b
+          else begin
+            any_dirty := true;
             if Array.unsafe_get golden.c_digest_gen b <> stamp then begin
               Array.unsafe_set golden.c_live_digest b
-                (Hash.block_digest t.algo data ~off:(off + lo) ~len:blen);
+                (Hash.block_digest data ~off:(off + lo) ~len:blen);
               Array.unsafe_set golden.c_digest_gen b stamp
             end;
-            h :=
-              Hash.combine_block !h
-                ~pow:(Array.unsafe_get g.g_pow b)
-                ~digest:(Array.unsafe_get golden.c_live_digest b)
+            Array.unsafe_get golden.c_live_digest b
           end
-        end
+        in
+        h := Hash.combine_block !h ~pow:(Array.unsafe_get g.g_pow b) ~digest
       done;
-      if not !any_dirty then g.g_hash
-      else if comb then !h
-      else Hash.hash_sub t.algo data ~off ~len)
+      if !any_dirty then !h else g.g_hash)
 
 let observed_hash t sc golden ~base =
   if Incremental.enabled () then observed_hash_incr t sc golden ~base
@@ -431,7 +372,9 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
     Obs.observe "checker.scan_bytes" (float_of_int len)
   end;
   let sc = { sc_rehashed = 0; sc_cached = 0 } in
-  let rate_s = Cycle_model.sample t.prng (per_byte_triple t (Cpu.core_type core)) in
+  let rate_s =
+    Cycle_model.sample t.prng (t.cycle.Cycle_model.hash_1byte (Cpu.core_type core))
+  in
   let duration = Sim_time.of_sec_f (rate_s *. float_of_int len) in
   let t0 = Engine.now engine in
   let pass_time offset =

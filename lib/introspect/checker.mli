@@ -11,18 +11,9 @@
     missed until the next round (the paper's attacker only cleans, but the
     model handles both directions).
 
-    Two styles, timed from Table I's calibration:
-    - [Direct_hash]: stream the live memory through the hash (cheaper,
-      no buffer — the style the paper recommends).
-    - [Snapshot]: copy then hash (slightly dearer per byte and needs a
-      buffer; the capture front races the attacker the same way). The
-      capture buffer is allocated once per checker and reused across scan
-      rounds — see {!scratch_capacity}. *)
-
-type style = Direct_hash | Snapshot
-
-val style_to_string : style -> string
-val pp_style : Format.formatter -> style -> unit
+    The checker hashes directly: it streams the live memory through djb2
+    ({!Hash}) with no snapshot buffer, at Table I's direct-hash per-byte
+    cost — the style the paper recommends over snapshot-then-hash. *)
 
 type t
 
@@ -31,8 +22,6 @@ val create :
   memory:Satin_hw.Memory.t ->
   cycle:Satin_hw.Cycle_model.t ->
   prng:Satin_engine.Prng.t ->
-  algo:Hash.algo ->
-  style:style ->
   unit ->
   t
 (** With [?cache] (normally the platform's), every scan also drives the
@@ -40,14 +29,6 @@ val create :
     chunked line fills on the scanning core, pacing the cross-core eviction
     signal the modeled cache probers detect. Without it, scans leave the
     cache untouched (the pre-cache behaviour). *)
-
-val algo : t -> Hash.algo
-val style : t -> style
-
-val scratch_capacity : t -> int
-(** Size in bytes of the per-checker capture buffer ([Snapshot] style).
-    Grows only at {!enroll} (to the largest enrolled range), never during
-    a scan round — the zero-buffer-growth regression test pins this. *)
 
 val enroll : t -> base:int -> len:int -> int64
 (** Capture the golden content and hash of a range (trusted boot). Returns
@@ -81,10 +62,6 @@ val start_scan :
 (** Begin scanning now on [core]; returns the scan's total duration (pass
     this to the monitor payload). [on_verdict] fires when the front reaches
     the end of the range. The range must be enrolled. *)
-
-val per_byte_triple :
-  t -> Satin_hw.Cycle_model.core_type -> Satin_hw.Cycle_model.triple
-(** The calibrated per-byte cost triple for this checker's style. *)
 
 val scans_started : t -> int
 val tampered_verdicts : t -> int

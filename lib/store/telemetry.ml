@@ -412,7 +412,8 @@ let id_config_hash doc =
   | None -> None
 
 let gate ?(threshold = gate_threshold_default) ~baseline ~current () =
-  if threshold <= 0.0 then invalid_arg "Telemetry.gate: threshold must be > 0";
+  if not (Float.is_finite threshold && threshold > 0.0) then
+    invalid_arg "Telemetry.gate: threshold must be finite and > 0";
   match (id_config_hash baseline, id_config_hash current) with
   | Some a, Some b when not (String.equal a b) ->
       Error

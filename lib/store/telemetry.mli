@@ -90,7 +90,9 @@ val gate :
     mismatched [identity.config_hash] fields are an [Error] (the documents
     describe different campaigns), and fingerprint fields are ignored.
     [missing] paths are reported but only regressions should fail a CI
-    gate. *)
+    gate. Raises [Invalid_argument] unless [threshold] is finite and
+    positive: nothing exceeds a NaN or infinite threshold, so such a gate
+    would pass any regression. *)
 
 val gate_threshold_default : float
 (** [0.10]. *)

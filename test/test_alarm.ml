@@ -52,8 +52,7 @@ let test_chain_verifies () =
   done;
   Alcotest.(check bool) "chain intact" true (Alarm.verify_chain sink);
   Alcotest.(check bool) "exported chain verifies" true
-    (Alarm.verify_entries ~genesis:(Alarm.genesis sink) ~algo:Hash.Djb2
-       (Alarm.entries sink))
+    (Alarm.verify_entries ~genesis:(Alarm.genesis sink) (Alarm.entries sink))
 
 let test_tampered_log_detected () =
   let sink = Alarm.create ~log_clean_rounds:true () in
@@ -64,7 +63,7 @@ let test_tampered_log_detected () =
   (* An attacker rewriting history: drop an alarm from the middle. *)
   let doctored = List.filteri (fun i _ -> i <> 2) entries in
   Alcotest.(check bool) "dropped entry breaks the chain" false
-    (Alarm.verify_entries ~genesis:(Alarm.genesis sink) ~algo:Hash.Djb2 doctored);
+    (Alarm.verify_entries ~genesis:(Alarm.genesis sink) doctored);
   (* ...or whitewash an alarm's offsets. *)
   let whitewashed =
     List.map
@@ -72,7 +71,7 @@ let test_tampered_log_detected () =
       entries
   in
   Alcotest.(check bool) "altered entry breaks the chain" false
-    (Alarm.verify_entries ~genesis:(Alarm.genesis sink) ~algo:Hash.Djb2 whitewashed)
+    (Alarm.verify_entries ~genesis:(Alarm.genesis sink) whitewashed)
 
 let test_on_alarm_hook () =
   let sink = Alarm.create () in

@@ -90,11 +90,9 @@ let finish platform verdicts =
 
 let verdicts_t = Alcotest.(list (pair (list int) int64))
 
-let shared_equals_copy ~incremental algo =
-  let name =
-    Hash.algo_to_string algo ^ if incremental then "" else " full-rehash"
-  in
-  let s = Scenario.create ~seed:42 ~algo () in
+let shared_equals_copy ~incremental =
+  let name = if incremental then "incremental" else "full-rehash" in
+  let s = Scenario.create ~seed:42 () in
   let layout = s.Scenario.kernel.Satin_kernel.Kernel.layout in
   let mem = s.Scenario.platform.Platform.memory in
   (* The reference: the same bytes written by hand into a platform that
@@ -105,8 +103,7 @@ let shared_equals_copy ~incremental algo =
     (kernel_bytes mem layout);
   let ref_checker =
     Checker.create ~memory:ref_mem ~cycle:ref_platform.Platform.cycle
-      ~prng:(Platform.split_prng ref_platform) ~algo
-      ~style:Checker.Direct_hash ()
+      ~prng:(Platform.split_prng ref_platform) ()
   in
   let rs = ranges layout in
   List.iter
@@ -179,7 +176,7 @@ let test_shared_equals_copy () =
   List.iter
     (fun incremental ->
       Satin_introspect.Incremental.with_enabled incremental (fun () ->
-          List.iter (shared_equals_copy ~incremental) Hash.all_algos))
+          shared_equals_copy ~incremental))
     [ true; false ]
 
 let test_tampered_before_enroll () =
@@ -202,7 +199,7 @@ let test_tampered_before_enroll () =
     (Memory.image_slice mem ~addr:a0.Area.base ~len:a0.Area.size <> None);
   let tampered = enroll s in
   Alcotest.(check int64) "copy path hashes the live bytes"
-    (Hash.hash_region Hash.Djb2 mem ~world:World.Secure ~addr:base ~len)
+    (Hash.hash_region mem ~world:World.Secure ~addr:base ~len)
     tampered;
   Alcotest.(check bool) "tampered hash differs" true (tampered <> pristine);
   Alcotest.(check int64) "next fresh scenario enrolls the pristine hash"
@@ -230,12 +227,11 @@ let test_images_keep_their_golds () =
       ignore (Layout.install layout memory ~seed);
       let checker =
         Checker.create ~memory ~cycle:platform.Platform.cycle
-          ~prng:(Platform.split_prng platform) ~algo:Hash.Djb2
-          ~style:Checker.Direct_hash ()
+          ~prng:(Platform.split_prng platform) ()
       in
       Alcotest.(check int64)
         (Printf.sprintf "content seed %d" seed)
-        (Hash.hash_region Hash.Djb2 memory ~world:World.Secure ~addr:base ~len)
+        (Hash.hash_region memory ~world:World.Secure ~addr:base ~len)
         (Checker.enroll checker ~base ~len))
     [ 5; 6; 5 ]
 
@@ -297,8 +293,7 @@ let test_parallel_builds () =
       ~seed:1515
   in
   let trial i =
-    let algo = List.nth Hash.all_algos (i mod List.length Hash.all_algos) in
-    Scenario.with_ ~seed:i ~layout ~algo @@ fun s ->
+    Scenario.with_ ~seed:i ~layout @@ fun s ->
     let satin = Scenario.install_satin s () in
     List.map
       (fun a ->

@@ -15,7 +15,7 @@ let setup () =
   done;
   let checker =
     Checker.create ~memory ~cycle:platform.Platform.cycle
-      ~prng:(Platform.split_prng platform) ~algo:Hash.Djb2 ~style:Checker.Direct_hash ()
+      ~prng:(Platform.split_prng platform) ()
   in
   platform, checker, base, len
 
@@ -180,54 +180,6 @@ let test_counters () =
   Alcotest.(check int) "scans" 2 (Checker.scans_started checker);
   Alcotest.(check int) "tampered verdicts" 1 (Checker.tampered_verdicts checker)
 
-let test_snapshot_style_also_races () =
-  let platform, _, base, len = setup () in
-  let checker =
-    Checker.create ~memory:platform.Platform.memory ~cycle:platform.Platform.cycle
-      ~prng:(Platform.split_prng platform) ~algo:Hash.Djb2 ~style:Checker.Snapshot ()
-  in
-  ignore (Checker.enroll checker ~base ~len);
-  Memory.write_byte platform.Platform.memory ~world:World.Normal ~addr:(base + 10) 0x99;
-  let verdict = ref None in
-  let d = scan platform checker ~base ~len ~verdict in
-  (* Snapshot per-byte cost is higher on average. *)
-  Alcotest.(check bool) "positive duration" true (d > Sim_time.zero);
-  run platform (Sim_time.ms 30);
-  match !verdict with
-  | Some v -> Alcotest.(check bool) "tampered" true v.Checker.v_tampered
-  | None -> Alcotest.fail "verdict missing"
-
-(* Regression: the [Snapshot] capture buffer is hoisted to the checker and
-   sized at enroll — repeated scan rounds (clean and tampered) must never
-   grow it. Before the hoist, every round allocated a fresh snapshot. *)
-let test_snapshot_buffer_no_growth () =
-  let platform, _, base, len = setup () in
-  let checker =
-    Checker.create ~memory:platform.Platform.memory ~cycle:platform.Platform.cycle
-      ~prng:(Platform.split_prng platform) ~algo:Hash.Djb2 ~style:Checker.Snapshot ()
-  in
-  Alcotest.(check int) "empty before enroll" 0 (Checker.scratch_capacity checker);
-  ignore (Checker.enroll checker ~base ~len);
-  let cap = Checker.scratch_capacity checker in
-  Alcotest.(check int) "sized to the enrolled range" len cap;
-  (* Smaller ranges reuse the big buffer; only a larger enroll may grow it. *)
-  ignore (Checker.enroll checker ~base ~len:(len / 2));
-  Alcotest.(check int) "smaller enroll reuses" cap (Checker.scratch_capacity checker);
-  for round = 1 to 4 do
-    if round = 3 then
-      Memory.write_byte platform.Platform.memory ~world:World.Normal
-        ~addr:(base + 123_456) 0xEE;
-    let verdict = ref None in
-    ignore (scan platform checker ~base ~len ~verdict);
-    run platform (Sim_time.ms 30);
-    Alcotest.(check bool)
-      (Printf.sprintf "verdict delivered in round %d" round)
-      true (!verdict <> None);
-    Alcotest.(check int)
-      (Printf.sprintf "no buffer growth after round %d" round)
-      cap (Checker.scratch_capacity checker)
-  done
-
 let test_enrolled_hash_lookup () =
   let _, checker, base, len = setup () in
   Alcotest.(check bool) "absent before enroll" true
@@ -278,9 +230,6 @@ let suite =
     Alcotest.test_case "write ahead of front caught" `Quick test_write_ahead_of_front_caught;
     Alcotest.test_case "write behind front missed" `Quick test_write_behind_front_missed;
     Alcotest.test_case "counters" `Quick test_counters;
-    Alcotest.test_case "snapshot style races too" `Quick test_snapshot_style_also_races;
-    Alcotest.test_case "snapshot buffer never grows mid-scan" `Quick
-      test_snapshot_buffer_no_growth;
     Alcotest.test_case "enrolled hash lookup" `Quick test_enrolled_hash_lookup;
     QCheck_alcotest.to_alcotest prop_race_predicate;
   ]

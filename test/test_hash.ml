@@ -1,95 +1,63 @@
 open Satin_introspect
 open Satin_hw
 
-(* Known-answer values computed from the reference C implementations
-   (djb2: h = h*33 + c from 5381; sdbm: c + (h<<6) + (h<<16) - h;
-   FNV-1a 64-bit). *)
+(* Known-answer values computed from the reference C implementation
+   (djb2: h = h*33 + c from 5381). *)
 let test_djb2_known () =
-  Alcotest.(check int64) "empty" 5381L (Hash.hash_string Hash.Djb2 "");
+  Alcotest.(check int64) "empty" 5381L (Hash.hash_string "");
   Alcotest.(check int64) "a" (Int64.add (Int64.mul 5381L 33L) 97L)
-    (Hash.hash_string Hash.Djb2 "a");
+    (Hash.hash_string "a");
   (* djb2("hello") computed stepwise *)
   let expect =
     List.fold_left
       (fun h c -> Int64.add (Int64.mul h 33L) (Int64.of_int (Char.code c)))
       5381L [ 'h'; 'e'; 'l'; 'l'; 'o' ]
   in
-  Alcotest.(check int64) "hello" expect (Hash.hash_string Hash.Djb2 "hello")
-
-let test_fnv1a_known () =
-  Alcotest.(check int64) "empty is offset basis" 0xcbf29ce484222325L
-    (Hash.hash_string Hash.Fnv1a "");
-  (* FNV-1a 64 of "a" is a published constant. *)
-  Alcotest.(check int64) "a" 0xaf63dc4c8601ec8cL (Hash.hash_string Hash.Fnv1a "a")
-
-let test_sdbm_zero_start () =
-  Alcotest.(check int64) "empty" 0L (Hash.hash_string Hash.Sdbm "");
-  Alcotest.(check int64) "single byte" 97L (Hash.hash_string Hash.Sdbm "a")
-
-let test_algos_differ () =
-  let s = "the quick brown fox" in
-  let h1 = Hash.hash_string Hash.Djb2 s in
-  let h2 = Hash.hash_string Hash.Sdbm s in
-  let h3 = Hash.hash_string Hash.Fnv1a s in
-  Alcotest.(check bool) "djb2 <> sdbm" false (Int64.equal h1 h2);
-  Alcotest.(check bool) "djb2 <> fnv" false (Int64.equal h1 h3)
+  Alcotest.(check int64) "hello" expect (Hash.hash_string "hello")
 
 let test_single_bit_sensitivity () =
-  List.iter
-    (fun algo ->
-      let a = Hash.hash_string algo "abcdefgh" in
-      let b = Hash.hash_string algo "abcdefgi" in
-      if Int64.equal a b then
-        Alcotest.failf "%s missed a one-byte change" (Hash.algo_to_string algo))
-    Hash.all_algos
+  let a = Hash.hash_string "abcdefgh" in
+  let b = Hash.hash_string "abcdefgi" in
+  if Int64.equal a b then Alcotest.fail "djb2 missed a one-byte change"
 
 let test_streaming_matches_whole () =
-  List.iter
-    (fun algo ->
-      let s = "stream me in pieces" in
-      let whole = Hash.hash_string algo s in
-      let stepped =
-        String.fold_left (fun h c -> Hash.step algo h (Char.code c)) (Hash.init algo) s
-      in
-      Alcotest.(check int64) (Hash.algo_to_string algo) whole stepped)
-    Hash.all_algos
+  let s = "stream me in pieces" in
+  let stepped =
+    String.fold_left (fun h c -> Hash.step h (Char.code c)) Hash.init s
+  in
+  Alcotest.(check int64) "djb2" (Hash.hash_string s) stepped
 
 let test_hash_region_matches_string () =
   let m = Memory.create ~size:1024 in
   Memory.write_string m ~world:World.Normal ~addr:100 "region contents";
-  List.iter
-    (fun algo ->
-      Alcotest.(check int64)
-        (Hash.algo_to_string algo)
-        (Hash.hash_string algo "region contents")
-        (Hash.hash_region algo m ~world:World.Secure ~addr:100 ~len:15))
-    Hash.all_algos
+  Alcotest.(check int64) "djb2"
+    (Hash.hash_string "region contents")
+    (Hash.hash_region m ~world:World.Secure ~addr:100 ~len:15)
 
 let test_hash_bytes_matches_string () =
   let b = Bytes.of_string "bytes" in
-  Alcotest.(check int64) "bytes = string" (Hash.hash_string Hash.Djb2 "bytes")
-    (Hash.hash_bytes Hash.Djb2 b)
+  Alcotest.(check int64) "bytes = string" (Hash.hash_string "bytes")
+    (Hash.hash_bytes b)
 
-(* The unrolled [hash_sub] loops must agree with a plain [step] fold at every
+let step_fold data ~off ~len =
+  let h = ref Hash.init in
+  for i = off to off + len - 1 do
+    h := Hash.step !h (Char.code (Bytes.get data i))
+  done;
+  !h
+
+(* The unrolled [hash_sub] loop must agree with a plain [step] fold at every
    length around the 4-byte unroll boundary and at every offset. *)
 let test_hash_sub_edge_lengths () =
   let data = Bytes.init 64 (fun i -> Char.chr ((i * 37) land 0xff)) in
-  List.iter
-    (fun algo ->
-      for off = 0 to 5 do
-        for len = 0 to 9 do
-          let expect = ref (Hash.init algo) in
-          for i = off to off + len - 1 do
-            expect := Hash.step algo !expect (Char.code (Bytes.get data i))
-          done;
-          Alcotest.(check int64)
-            (Printf.sprintf "%s off=%d len=%d" (Hash.algo_to_string algo) off
-               len)
-            !expect
-            (Hash.hash_sub algo data ~off ~len)
-        done
-      done)
-    Hash.all_algos
+  for off = 0 to 5 do
+    for len = 0 to 9 do
+      Alcotest.(check int64)
+        (Printf.sprintf "off=%d len=%d" off len)
+        (step_fold data ~off ~len)
+        (Hash.hash_sub data ~off ~len)
+    done
+  done
 
 let test_hash_sub_bounds () =
   let data = Bytes.create 16 in
@@ -99,9 +67,9 @@ let test_hash_sub_bounds () =
       Alcotest.failf "%s accepted" name
     with Invalid_argument _ -> ()
   in
-  reject "negative off" (fun () -> Hash.hash_sub Hash.Djb2 data ~off:(-1) ~len:4);
-  reject "negative len" (fun () -> Hash.hash_sub Hash.Djb2 data ~off:0 ~len:(-1));
-  reject "past the end" (fun () -> Hash.hash_sub Hash.Djb2 data ~off:10 ~len:7)
+  reject "negative off" (fun () -> Hash.hash_sub data ~off:(-1) ~len:4);
+  reject "negative len" (fun () -> Hash.hash_sub data ~off:0 ~len:(-1));
+  reject "past the end" (fun () -> Hash.hash_sub data ~off:10 ~len:7)
 
 let prop_hash_sub_matches_fold =
   QCheck.Test.make ~name:"hash_sub = step fold at any split"
@@ -110,42 +78,28 @@ let prop_hash_sub_matches_fold =
       let data = Bytes.of_string s in
       let off = if Bytes.length data = 0 then 0 else k mod Bytes.length data in
       let len = Bytes.length data - off in
-      List.for_all
-        (fun algo ->
-          let expect = ref (Hash.init algo) in
-          for i = off to off + len - 1 do
-            expect := Hash.step algo !expect (Char.code (Bytes.get data i))
-          done;
-          Int64.equal !expect (Hash.hash_sub algo data ~off ~len))
-        Hash.all_algos)
+      Int64.equal (step_fold data ~off ~len) (Hash.hash_sub data ~off ~len))
 
 let prop_deterministic =
   QCheck.Test.make ~name:"hash deterministic" QCheck.string (fun s ->
-      List.for_all
-        (fun algo ->
-          Int64.equal (Hash.hash_string algo s) (Hash.hash_string algo s))
-        Hash.all_algos)
+      Int64.equal (Hash.hash_string s) (Hash.hash_string s))
 
 let prop_concat_streaming =
   QCheck.Test.make ~name:"hash(a^b) = resume(hash a, b)"
     QCheck.(pair string string)
     (fun (a, b) ->
-      List.for_all
-        (fun algo ->
-          let whole = Hash.hash_string algo (a ^ b) in
-          let resumed =
-            String.fold_left
-              (fun h c -> Hash.step algo h (Char.code c))
-              (Hash.hash_string algo a) b
-          in
-          Int64.equal whole resumed)
-        Hash.all_algos)
+      let resumed =
+        String.fold_left
+          (fun h c -> Hash.step h (Char.code c))
+          (Hash.hash_string a) b
+      in
+      Int64.equal (Hash.hash_string (a ^ b)) resumed)
 
-(* The affine factorization behind incremental scans: for the combinable
-   algorithms, hashing a concatenation equals folding cached per-block
-   digests with [combine_block]. Splits are arbitrary, not page-sized. *)
+(* The affine factorization behind incremental scans: hashing a
+   concatenation equals folding cached per-block digests with
+   [combine_block]. Splits are arbitrary, not page-sized. *)
 let prop_block_combine =
-  QCheck.Test.make ~name:"hash = fold of block digests (combinable algos)"
+  QCheck.Test.make ~name:"hash = fold of block digests (djb2)"
     QCheck.(pair string (small_list small_nat))
     (fun (s, cuts) ->
       let data = Bytes.of_string s in
@@ -158,37 +112,23 @@ let prop_block_combine =
         | a :: (b :: _ as rest) -> (a, b - a) :: blocks rest
         | _ -> []
       in
-      List.for_all
-        (fun algo ->
-          if not (Hash.combinable algo) then true
-          else
-            let h =
-              List.fold_left
-                (fun h (off, len) ->
-                  Hash.combine_block h
-                    ~pow:(Hash.block_pow algo ~len)
-                    ~digest:(Hash.block_digest algo data ~off ~len))
-                (Hash.init algo) (blocks bounds)
-            in
-            Int64.equal h (Hash.hash_sub algo data ~off:0 ~len:n))
-        Hash.all_algos)
+      let h =
+        List.fold_left
+          (fun h (off, len) ->
+            Hash.combine_block h ~pow:(Hash.block_pow ~len)
+              ~digest:(Hash.block_digest data ~off ~len))
+          Hash.init (blocks bounds)
+      in
+      Int64.equal h (Hash.hash_sub data ~off:0 ~len:n))
 
-let test_combinable_flags () =
-  Alcotest.(check bool) "djb2 combinable" true (Hash.combinable Hash.Djb2);
-  Alcotest.(check bool) "sdbm combinable" true (Hash.combinable Hash.Sdbm);
-  Alcotest.(check bool) "fnv1a not combinable" false
-    (Hash.combinable Hash.Fnv1a);
-  Alcotest.(check int64) "pow^0 = 1" 1L (Hash.block_pow Hash.Djb2 ~len:0);
-  Alcotest.(check int64) "pow^1 = m" 33L (Hash.block_pow Hash.Djb2 ~len:1);
-  Alcotest.(check int64) "pow^2 = m*m" (Int64.mul 65599L 65599L)
-    (Hash.block_pow Hash.Sdbm ~len:2)
+let test_block_pow () =
+  Alcotest.(check int64) "pow^0 = 1" 1L (Hash.block_pow ~len:0);
+  Alcotest.(check int64) "pow^1 = m" 33L (Hash.block_pow ~len:1);
+  Alcotest.(check int64) "pow^2 = m*m" 1089L (Hash.block_pow ~len:2)
 
 let suite =
   [
     Alcotest.test_case "djb2 known answers" `Quick test_djb2_known;
-    Alcotest.test_case "fnv1a known answers" `Quick test_fnv1a_known;
-    Alcotest.test_case "sdbm basics" `Quick test_sdbm_zero_start;
-    Alcotest.test_case "algos differ" `Quick test_algos_differ;
     Alcotest.test_case "single-bit sensitivity" `Quick test_single_bit_sensitivity;
     Alcotest.test_case "streaming matches whole" `Quick test_streaming_matches_whole;
     Alcotest.test_case "hash_region" `Quick test_hash_region_matches_string;
@@ -198,7 +138,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hash_sub_matches_fold;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_concat_streaming;
-    Alcotest.test_case "combinable flags + block_pow" `Quick
-      test_combinable_flags;
+    Alcotest.test_case "block_pow" `Quick test_block_pow;
     QCheck_alcotest.to_alcotest prop_block_combine;
   ]

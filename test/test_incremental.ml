@@ -16,8 +16,7 @@ let ps = Memory.gen_page_size
 
 let pattern_byte off = (off * 131) land 0xff
 
-let setup ?(seed = 23) ?(algo = Hash.Djb2) ?(style = Checker.Direct_hash)
-    ?(len = (16 * ps) + 123) () =
+let setup ?(seed = 23) ?(len = (16 * ps) + 123) () =
   let platform = Platform.juno_r1 ~seed () in
   let memory = platform.Platform.memory in
   let base = 4 * 1024 * 1024 in
@@ -32,7 +31,7 @@ let setup ?(seed = 23) ?(algo = Hash.Djb2) ?(style = Checker.Direct_hash)
   done;
   let checker =
     Checker.create ~memory ~cycle:platform.Platform.cycle
-      ~prng:(Platform.split_prng platform) ~algo ~style ()
+      ~prng:(Platform.split_prng platform) ()
   in
   (platform, checker, base, len)
 
@@ -145,9 +144,9 @@ type op = Tamper of int | Restore of int
 (* Replay one generated trace — three scans with writes and restores
    interleaved at generated sim-times — and collect every observable:
    verdict flags, caught offsets, observed/expected hashes, in order. *)
-let run_scan_trace ~incremental ~algo ~style ops =
+let run_scan_trace ~incremental ops =
   Incremental.with_enabled incremental (fun () ->
-      let platform, checker, base, len = setup ~algo ~style () in
+      let platform, checker, base, len = setup () in
       ignore (Checker.enroll checker ~base ~len);
       let memory = platform.Platform.memory in
       let verdicts = ref [] in
@@ -191,18 +190,15 @@ let trace_gen =
            bool
            (int_bound (len - 5)))
     in
-    triple (list_size (int_range 0 12) op)
-      (oneofl [ Hash.Djb2; Hash.Sdbm; Hash.Fnv1a ])
-      (oneofl [ Checker.Direct_hash; Checker.Snapshot ]))
+    list_size (int_range 0 12) op)
 
 let prop_scan_differential =
   QCheck.Test.make ~count:25
     ~name:"incremental scans == full re-hash (verdicts, offsets, hashes)"
     (QCheck.make trace_gen)
-    (fun (ops, algo, style) ->
-      let incr = run_scan_trace ~incremental:true ~algo ~style ops in
-      let full = run_scan_trace ~incremental:false ~algo ~style ops in
-      incr = full)
+    (fun ops ->
+      run_scan_trace ~incremental:true ops
+      = run_scan_trace ~incremental:false ops)
 
 let suite =
   [

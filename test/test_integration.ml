@@ -180,6 +180,35 @@ let test_run_table2_quick () =
   Alcotest.(check bool) "longer period, larger average threshold" true
     (increasing means)
 
+(* Table I's per-byte direct-hash averages (§V-A1). Seed 42 measures
+   1.0587e-08 on the A53 and 6.9298e-09 on the A57, -1 % and +3 % against
+   the paper; a hash cost scaled by 1.15 or 0.87 falls outside the +-10 %
+   band. Snapshot-then-hash stays dearer than direct hashing on both
+   cores, and a djb2 pass over the installed image matches its enrolled
+   hash. *)
+let table1_paper_hash_avg =
+  [ (Satin_hw.Cycle_model.A53, 1.07e-08); (Satin_hw.Cycle_model.A57, 6.71e-09) ]
+
+let test_run_table1 () =
+  let r = Experiment.run_table1 ~seed:42 () in
+  let rows = r.Experiment.t1_rows in
+  Alcotest.(check int) "one row per core" 2 (List.length rows);
+  List.iter2
+    (fun row (core, paper) ->
+      let name = Satin_hw.Cycle_model.core_type_to_string core in
+      Alcotest.(check bool) (name ^ " row") true (row.Experiment.t1_core = core);
+      let hash = Stats.mean row.Experiment.t1_hash in
+      let snapshot = Stats.mean row.Experiment.t1_snapshot in
+      if Float.abs (hash -. paper) > 0.1 *. paper then
+        Alcotest.failf "%s: hash average %.4e outside the paper's %.3e +- 10%%"
+          name hash paper;
+      if not (snapshot > hash) then
+        Alcotest.failf "%s: snapshot average %.4e not above hash average %.4e"
+          name snapshot hash)
+    rows table1_paper_hash_avg;
+  Alcotest.(check bool) "quiescent image hashes to its enrolled value" true
+    r.Experiment.t1_verified_clean
+
 let test_run_e1_within_calibration () =
   let r = Experiment.run_e1 ~seed:3 () in
   let check_stats s =
@@ -205,6 +234,7 @@ let suite =
     Alcotest.test_case "run_e7" `Quick test_run_e7;
     Alcotest.test_case "run_e9" `Quick test_run_e9;
     Alcotest.test_case "run_table2 quick" `Quick test_run_table2_quick;
+    Alcotest.test_case "run_table1" `Quick test_run_table1;
     Alcotest.test_case "run_e1 calibration" `Quick test_run_e1_within_calibration;
     Alcotest.test_case "run_e3 band" `Quick test_run_e3_matches_paper_band;
   ]

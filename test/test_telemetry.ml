@@ -206,6 +206,47 @@ let test_gate_directions_and_threshold () =
   Alcotest.(check int) "no false regression" 0
     (List.length m.Telemetry.regressions)
 
+let test_gate_rejects_bad_thresholds () =
+  let d = doc [ ("p50", Json.Float 1.0) ] in
+  List.iter
+    (fun threshold ->
+      match Telemetry.gate ~threshold ~baseline:d ~current:d () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "threshold %g accepted" threshold)
+    [ Float.nan; Float.infinity; 0.0; -0.1 ]
+
+(* The CLI refuses those thresholds, and a --jobs width below 1, with one
+   line on stderr and exit 2. The current document triples the baseline,
+   so a gate that took the threshold would have to fail, not pass. *)
+let test_cli_rejects_bad_flags () =
+  let dir = tmp_dir () in
+  Store.mkdir_p dir;
+  let write name p50 =
+    let path = Filename.concat dir name in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Json.to_string (doc [ ("p50", Json.Float p50) ])));
+    path
+  in
+  let baseline = write "baseline.json" 1.0 in
+  let current = write "current.json" 3.0 in
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  let rejects args =
+    let name = String.concat " " args in
+    let status = snd (Unix.waitpid [] (Test_multiproc.launch args ~out ~err)) in
+    Alcotest.(check bool) (name ^ " exits 2") true (status = Unix.WEXITED 2);
+    let e = Test_multiproc.read_file err in
+    Alcotest.(check bool) (name ^ ": one line on stderr") true
+      (e <> "" && String.index e '\n' = String.length e - 1)
+  in
+  List.iter
+    (fun t ->
+      rejects
+        [ "telemetry"; "gate"; "--baseline"; baseline; "--current"; current;
+          "--threshold=" ^ t ])
+    [ "nan"; "inf"; "0"; "-0.1" ];
+  rejects [ "e1"; "--jobs"; "0"; "--no-store" ];
+  rejects [ "campaign"; "-e"; "e1"; "--jobs"; "0"; "--no-store" ]
+
 let test_gate_refuses_config_mismatch () =
   let a = doc [ ("p50", Json.Float 1.0) ] in
   let b =
@@ -361,6 +402,10 @@ let suite =
     Alcotest.test_case "openmetrics shape" `Quick test_openmetrics_shape;
     Alcotest.test_case "gate directions + threshold" `Quick
       test_gate_directions_and_threshold;
+    Alcotest.test_case "gate rejects bad thresholds" `Quick
+      test_gate_rejects_bad_thresholds;
+    Alcotest.test_case "CLI rejects bad --threshold/--jobs" `Quick
+      test_cli_rejects_bad_flags;
     Alcotest.test_case "gate refuses config mismatch" `Quick
       test_gate_refuses_config_mismatch;
     Alcotest.test_case "gate ignores fingerprints" `Quick
