@@ -401,8 +401,10 @@ let campaign_cmd =
         prerr_endline "campaign: --workers must be at least 1";
         exit 2
     | _ -> ());
-    if lease_ttl <= 0.0 then begin
-      prerr_endline "campaign: --lease-ttl must be positive";
+    if not (Float.is_finite lease_ttl && lease_ttl > 0.0) then begin
+      Printf.eprintf
+        "campaign: --lease-ttl must be a finite number of seconds above 0, got %g\n"
+        lease_ttl;
       exit 2
     end;
     Memo.set_lease_ttl lease_ttl;

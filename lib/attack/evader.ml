@@ -5,6 +5,12 @@ module Cpu = Satin_hw.Cpu
 module Kernel = Satin_kernel.Kernel
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let hide_latency = Obs.key "evader.hide_latency"
+  let hides = Obs.key "evader.hides"
+  let rearms = Obs.key "evader.rearms"
+end
+
 type config = {
   prober : Kprober.config;
   cleanup_core : int;
@@ -47,7 +53,7 @@ let schedule_rearm t =
          (fun () ->
            t.rearm_pending <- None;
            if t.running && not (Kprober.suspected_any t.prober) then begin
-             Obs.incr "evader.rearms";
+             Obs.incr Metric.rearms;
              Rootkit.start_rearm t.rootkit ()
            end))
 
@@ -66,8 +72,8 @@ let on_suspect t (det : Kprober.detection) =
       ~on_hidden:(fun () ->
         let reaction = Sim_time.to_sec_f (Sim_time.diff (now t) entry) in
         if Obs.active () then begin
-          Obs.incr "evader.hides";
-          Obs.observe "evader.hide_latency" reaction;
+          Obs.incr Metric.hides;
+          Obs.observe Metric.hide_latency reaction;
           Obs.instant ~time:(now t) ~track:t.config.cleanup_core ~cat:"attack"
             "hide-complete"
         end;

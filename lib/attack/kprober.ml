@@ -8,6 +8,14 @@ module Timer_irq = Satin_kernel.Timer_irq
 module Vector_table = Satin_kernel.Vector_table
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let clears = Obs.key "kprober.clears"
+  let suspects = Obs.key "kprober.suspects"
+
+  let probe_gap core =
+    Obs.key ~labels:[ ("core", string_of_int core) ] "kprober.probe_gap"
+end
+
 type reporter_kind = Tick_reporter | Rt_reporter
 
 type config = {
@@ -44,6 +52,7 @@ type t = {
   staleness_scale : float;
   lateness_trace : (int * float) Trace.t;
   last_probe : Sim_time.t option array; (* per-core previous probe instant *)
+  probe_gap : Obs.key array; (* kprober.probe_gap{core} *)
   mutable record_lateness : bool;
   mutable running : bool;
   mutable hijacked_vector : bool;
@@ -72,7 +81,7 @@ let compare_pass t ~reader =
             in
             t.detections <- det :: t.detections;
             if Obs.active () then begin
-              Obs.incr "kprober.suspects";
+              Obs.incr Metric.suspects;
               Obs.instant ~time:det.det_time ~track:target ~cat:"attack"
                 ~args:[ ("lateness_s", Satin_obs.Json.float lateness) ]
                 "kprober-suspect"
@@ -82,7 +91,7 @@ let compare_pass t ~reader =
         end
         else if t.suspected.(target) && lateness < t.config.threshold /. 2.0 then begin
           t.suspected.(target) <- false;
-          Obs.incr "kprober.clears";
+          Obs.incr Metric.clears;
           List.iter (fun f -> f ~core:target) t.clear_hooks
         end
       end)
@@ -96,9 +105,7 @@ let note_probe t ~core =
     let instant = now t in
     (match t.last_probe.(core) with
     | Some prev ->
-        Obs.observe_time "kprober.probe_gap"
-          ~labels:[ ("core", string_of_int core) ]
-          (Sim_time.diff instant prev)
+        Obs.observe_time t.probe_gap.(core) (Sim_time.diff instant prev)
     | None -> ());
     t.last_probe.(core) <- Some instant
   end
@@ -152,6 +159,7 @@ let deploy kernel config =
          sqrt (float_of_int (k - 1) /. float_of_int (max 1 (n - 1))));
       lateness_trace = Trace.create ();
       last_probe = Array.make (Platform.ncores platform) None;
+      probe_gap = Array.init (Platform.ncores platform) Metric.probe_gap;
       record_lateness = false;
       running = true;
       hijacked_vector = false;

@@ -1,6 +1,16 @@
 module Prng = Satin_engine.Prng
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let l1_hits = Obs.key "cache.l1.hits"
+  let l1_misses = Obs.key "cache.l1.misses"
+  let l2_hits = Obs.key "cache.l2.hits"
+  let l2_misses = Obs.key "cache.l2.misses"
+  let l2_evictions = Obs.key "cache.l2.evictions"
+  let autolock_skips = Obs.key "cache.autolock_skips"
+  let back_invalidations = Obs.key "cache.back_invalidations"
+end
+
 type geometry = { sets : int; ways : int; line : int }
 
 type config = {
@@ -385,20 +395,20 @@ let peek t ~core ~addr =
 
 let publish t =
   if Obs.active () then begin
-    let flush name cur prev =
+    let flush key cur prev =
       let d = cur - prev in
-      if d > 0 then Obs.incr ~by:d name;
+      if d > 0 then Obs.incr ~by:d key;
       cur
     in
-    t.p_l1_hits <- flush "cache.l1.hits" t.l1_hits t.p_l1_hits;
-    t.p_l1_misses <- flush "cache.l1.misses" t.l1_misses t.p_l1_misses;
-    t.p_l2_hits <- flush "cache.l2.hits" t.l2_hits t.p_l2_hits;
-    t.p_l2_misses <- flush "cache.l2.misses" t.l2_misses t.p_l2_misses;
-    t.p_l2_evictions <- flush "cache.l2.evictions" t.l2_evictions t.p_l2_evictions;
+    t.p_l1_hits <- flush Metric.l1_hits t.l1_hits t.p_l1_hits;
+    t.p_l1_misses <- flush Metric.l1_misses t.l1_misses t.p_l1_misses;
+    t.p_l2_hits <- flush Metric.l2_hits t.l2_hits t.p_l2_hits;
+    t.p_l2_misses <- flush Metric.l2_misses t.l2_misses t.p_l2_misses;
+    t.p_l2_evictions <- flush Metric.l2_evictions t.l2_evictions t.p_l2_evictions;
     t.p_autolock_skips <-
-      flush "cache.autolock_skips" t.autolock_skips t.p_autolock_skips;
+      flush Metric.autolock_skips t.autolock_skips t.p_autolock_skips;
     t.p_back_invals <-
-      flush "cache.back_invalidations" t.back_invals t.p_back_invals
+      flush Metric.back_invalidations t.back_invals t.p_back_invals
   end
 
 let touch_range t ~core ~addr ~len =

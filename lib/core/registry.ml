@@ -126,8 +126,8 @@ let default_campaign =
 let exec fmt ~pool ~seed ~quick (Spec s) cmds =
   let t0 = Unix.gettimeofday () in
   let r = s.run ~pool ~seed ~quick in
-  Obs.observe_wall "experiment.wall_s"
-    ~labels:[ ("experiment", s.name) ]
+  Obs.observe_wall
+    (Obs.key ~labels:[ ("experiment", s.name) ] "experiment.wall_s")
     (Unix.gettimeofday () -. t0);
   List.iter
     (fun cmd ->

@@ -3,17 +3,34 @@ module Sim_time = Satin_engine.Sim_time
 module Prng = Satin_engine.Prng
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let switch_entry_cost = Obs.key "monitor.switch_entry_cost"
+  let world_switches = Obs.key "monitor.world_switches"
+
+  let smc_calls core =
+    Obs.key ~labels:[ ("core", string_of_int core) ] "monitor.smc_calls"
+end
+
 type t = {
   engine : Engine.t;
   gic : Gic.t;
   cycle : Cycle_model.t;
   prng : Prng.t;
+  smc_calls : Obs.key array; (* monitor.smc_calls{core} *)
   mutable switches : int;
   mutable switch_fault : (Sim_time.t -> Sim_time.t) option;
 }
 
-let create ~engine ~gic ~cycle ~prng =
-  { engine; gic; cycle; prng; switches = 0; switch_fault = None }
+let create ~engine ~gic ~cycle ~prng ~ncores =
+  {
+    engine;
+    gic;
+    cycle;
+    prng;
+    smc_calls = Array.init ncores Metric.smc_calls;
+    switches = 0;
+    switch_fault = None;
+  }
 
 let set_switch_fault t f = t.switch_fault <- f
 
@@ -39,8 +56,8 @@ let enter_secure t ~cpu ~payload ?on_exit () =
   let entry_cost = sample_switch t ~cpu in
   if Obs.active () then begin
     let core = Cpu.id cpu in
-    Obs.incr "monitor.smc_calls" ~labels:[ ("core", string_of_int core) ];
-    Obs.observe_time "monitor.switch_entry_cost" entry_cost;
+    Obs.incr t.smc_calls.(core);
+    Obs.observe_time Metric.switch_entry_cost entry_cost;
     Obs.span_begin ~time:(Engine.now t.engine) ~track:core ~cat:"world"
       "secure-world"
   end;
@@ -58,7 +75,7 @@ let enter_secure t ~cpu ~payload ?on_exit () =
                 t.switches <- t.switches + 1;
                 if Obs.active () then begin
                   Obs.span_end ~time:(Engine.now t.engine) ~track:(Cpu.id cpu);
-                  Obs.incr "monitor.world_switches"
+                  Obs.incr Metric.world_switches
                 end;
                 Gic.flush_pending t.gic ~core:(Cpu.id cpu)
                   ~world_of_core:(fun () -> Cpu.world cpu);

@@ -14,6 +14,7 @@ val create :
   gic:Gic.t ->
   cycle:Cycle_model.t ->
   prng:Satin_engine.Prng.t ->
+  ncores:int ->
   t
 
 val enter_secure :

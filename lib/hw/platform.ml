@@ -50,7 +50,7 @@ let create ?(seed = 42) ?(cycle = Cycle_model.default)
     ~name:"cntps (secure physical timer)";
   Gic.define gic ~irq:tick_irq ~group:Gic.Group1_non_secure
     ~name:"cntp (non-secure physical timer)";
-  let monitor = Monitor.create ~engine ~gic ~cycle ~prng in
+  let monitor = Monitor.create ~engine ~gic ~cycle ~prng ~ncores in
   let timer_for irq cpu = Timer.create ~engine ~gic ~cpu ~irq in
   let clusters = clusters_of_core_types core_types in
   (* The cache draws only for the Rand policy, from a stream derived purely

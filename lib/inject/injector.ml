@@ -11,6 +11,13 @@ module Task = Satin_kernel.Task
 module Area = Satin_introspect.Area
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let bit_flips = Obs.key "inject.bit_flips"
+  let switch_spikes = Obs.key "inject.switch_spikes"
+  let timer_delays = Obs.key "inject.timer_delays"
+  let timer_drops = Obs.key "inject.timer_drops"
+end
+
 type t = {
   plan : Fault_plan.t;
   platform : Platform.t;
@@ -62,7 +69,7 @@ let install ~plan ~seed ~platform ~kernel ~areas =
             (Some
                (fun ~deadline:_ ->
                  if Prng.bernoulli prng prob then begin
-                   Obs.incr "inject.timer_drops";
+                   Obs.incr Metric.timer_drops;
                    Timer.Drop
                  end
                  else Timer.Deliver)))
@@ -74,7 +81,7 @@ let install ~plan ~seed ~platform ~kernel ~areas =
             (Some
                (fun ~deadline:_ ->
                  if Prng.bernoulli prng prob then begin
-                   Obs.incr "inject.timer_delays";
+                   Obs.incr Metric.timer_delays;
                    Timer.Delay
                      (Sim_time.of_sec_f
                         (Prng.uniform prng 0.0 (Sim_time.to_sec_f max_delay)))
@@ -87,7 +94,7 @@ let install ~plan ~seed ~platform ~kernel ~areas =
            (fun cost ->
              if Prng.bernoulli prng prob then begin
                t.switch_spikes <- t.switch_spikes + 1;
-               Obs.incr "inject.switch_spikes";
+               Obs.incr Metric.switch_spikes;
                Sim_time.scale cost factor
              end
              else cost))
@@ -107,7 +114,7 @@ let install ~plan ~seed ~platform ~kernel ~areas =
                  (old lxor (1 lsl bit));
                t.flips <- t.flips + 1;
                t.flip_sites <- (addr, Engine.now engine) :: t.flip_sites;
-               Obs.incr "inject.bit_flips"
+               Obs.incr Metric.bit_flips
              done))
   | Fault_plan.Starve_rt_probers { priority; burst; duty } ->
       t.tasks <-

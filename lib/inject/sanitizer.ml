@@ -4,6 +4,11 @@ module Sched = Satin_kernel.Sched
 module Proc_table = Satin_kernel.Proc_table
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let checks = Obs.key "sanitizer.checks"
+  let violations = Obs.key "sanitizer.violations"
+end
+
 (* ---- global state ----
 
    Campaigns fan trials out over domains, so the global aggregates are a
@@ -63,14 +68,14 @@ let violations t = t.violations
 let record t found =
   t.checks <- t.checks + 1;
   Atomic.incr g_checks;
-  Obs.incr "sanitizer.checks";
+  Obs.incr Metric.checks;
   match found with
   | [] -> ()
   | found ->
       let n = List.length found in
       t.violations <- t.violations + n;
       ignore (Atomic.fetch_and_add g_violations n);
-      Obs.incr "sanitizer.violations" ~by:n;
+      Obs.incr Metric.violations ~by:n;
       Mutex.lock g_mutex;
       List.iter
         (fun v ->

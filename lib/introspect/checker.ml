@@ -8,6 +8,15 @@ module Cycle_model = Satin_hw.Cycle_model
 module Cache = Satin_cache.Cache
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let blocks_cached = Obs.key "scan.blocks_cached"
+  let blocks_rehashed = Obs.key "scan.blocks_rehashed"
+  let rehash_fraction = Obs.key "scan.rehash_fraction"
+  let scan_bytes = Obs.key "checker.scan_bytes"
+  let scans = Obs.key "checker.scans"
+  let tampered_verdicts = Obs.key "checker.tampered_verdicts"
+end
+
 (* The golden state of an enrolled range that is a pure function of
    (base, bytes), fixed at enroll and never mutated, so checkers
    enrolling the same image bytes share one (DESIGN §16). Blocks are
@@ -368,8 +377,8 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
   in
   t.scans <- t.scans + 1;
   if Obs.active () then begin
-    Obs.incr "checker.scans";
-    Obs.observe "checker.scan_bytes" (float_of_int len)
+    Obs.incr Metric.scans;
+    Obs.observe Metric.scan_bytes (float_of_int len)
   end;
   let sc = { sc_rehashed = 0; sc_cached = 0 } in
   let rate_s =
@@ -476,15 +485,15 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
          let tampered = offsets <> [] in
          if tampered then begin
            t.tampered <- t.tampered + 1;
-           Obs.incr "checker.tampered_verdicts"
+           Obs.incr Metric.tampered_verdicts
          end;
          let observed = observed_hash t sc golden ~base in
          if Obs.active () then begin
-           Obs.incr "scan.blocks_rehashed" ~by:sc.sc_rehashed;
-           Obs.incr "scan.blocks_cached" ~by:sc.sc_cached;
+           Obs.incr Metric.blocks_rehashed ~by:sc.sc_rehashed;
+           Obs.incr Metric.blocks_cached ~by:sc.sc_cached;
            let total = sc.sc_rehashed + sc.sc_cached in
            if total > 0 then
-             Obs.observe "scan.rehash_fraction"
+             Obs.observe Metric.rehash_fraction
                (float_of_int sc.sc_rehashed /. float_of_int total)
          end;
          on_verdict

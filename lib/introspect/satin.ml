@@ -9,6 +9,16 @@ module Monitor = Satin_hw.Monitor
 module Secure_memory = Satin_tz.Secure_memory
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let detections = Obs.key "satin.detections"
+  let rounds = Obs.key "satin.rounds"
+
+  let check_duration (area : Area.t) =
+    Obs.key
+      ~labels:[ ("area", string_of_int area.Area.index) ]
+      "satin.check_duration"
+end
+
 type config = {
   t_goal : Sim_time.t;
   randomize_area : bool;
@@ -32,6 +42,7 @@ type t = {
   config : config;
   prng : Prng.t;
   areas : Area.t array;
+  check_duration : Obs.key array; (* satin.check_duration{area}, as [areas] *)
   tp : Sim_time.t;
   (* Secure-memory state: the shared area set, the wake-up time queue and
      its availability bits, and the next generation's base instant. *)
@@ -89,7 +100,7 @@ let next_area t =
   Secure_memory.set t.smem t.area_set choice 0L;
   (* Drawing the last area completes one whole-kernel pass. *)
   if area_set_available t = [] then t.full_passes <- t.full_passes + 1;
-  t.areas.(choice)
+  choice
 
 (* ---- wake-up time queue in secure memory (§V-D) ---- *)
 
@@ -149,7 +160,8 @@ let handle t ~core =
       t.round_index <- t.round_index + 1;
       Monitor.enter_secure t.platform.Platform.monitor ~cpu
         ~payload:(fun () ->
-          let area = next_area t in
+          let choice = next_area t in
+          let area = t.areas.(choice) in
           let scan_started = Engine.now engine in
           if Obs.active () then
             Obs.span_begin ~time:scan_started ~track:core ~cat:"introspect"
@@ -179,15 +191,14 @@ let handle t ~core =
                 in
                 if Obs.active () then begin
                   Obs.span_end ~time:(Engine.now engine) ~track:core;
-                  Obs.incr "satin.rounds";
-                  Obs.observe_time "satin.check_duration"
-                    ~labels:[ ("area", string_of_int area.Area.index) ]
+                  Obs.incr Metric.rounds;
+                  Obs.observe_time t.check_duration.(choice)
                     round.Round.duration
                 end;
                 if verdict.Checker.v_tampered then begin
                   t.detections <- t.detections + 1;
                   if Obs.active () then begin
-                    Obs.incr "satin.detections";
+                    Obs.incr Metric.detections;
                     Obs.instant ~time:(Engine.now engine) ~track:core
                       ~cat:"alarm"
                       ~args:[ ("area", Satin_obs.Json.Int area.Area.index) ]
@@ -262,6 +273,7 @@ let install ~tsp ~kernel ~checker ~secure_memory ?areas config =
       config;
       prng = Platform.split_prng platform;
       areas;
+      check_duration = Array.map Metric.check_duration areas;
       tp = Sim_time.ns (config.t_goal / Array.length areas);
       area_set = Secure_memory.alloc secure_memory ~name:"satin.area_set" ~slots:(Array.length areas);
       wake_queue = Secure_memory.alloc secure_memory ~name:"satin.wake_queue" ~slots:n;

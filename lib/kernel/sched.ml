@@ -5,6 +5,14 @@ module Platform = Satin_hw.Platform
 module Cache = Satin_cache.Cache
 module Obs = Satin_obs.Obs
 
+module Metric = struct
+  let dispatches = Obs.key "sched.dispatches"
+  let rt_dispatch_latency = Obs.key "sched.rt_dispatch_latency"
+
+  let preemptions core =
+    Obs.key ~labels:[ ("core", string_of_int core) ] "sched.preemptions"
+end
+
 (* Every CFS task owns a fixed 8 KiB working-set footprint in a dedicated
    address window (above the 32 MiB simulated DRAM — the cache model is
    presence-only, so footprints need no backing store). Dispatching the
@@ -43,6 +51,7 @@ type core_sched = {
   mutable cfs_queue : Task.t list; (* asc vruntime *)
   mutable cur : running option;
   mutable min_vruntime : float;
+  preemptions : Obs.key; (* sched.preemptions{core} *)
 }
 
 type t = {
@@ -52,9 +61,6 @@ type t = {
   mutable enqueue_hooks : (core:int -> unit) list;
   mutable switches : int;
   mutable spawned : (int, unit) Hashtbl.t;
-  rt_enqueued : (int, Sim_time.t) Hashtbl.t;
-      (* task id -> enqueue instant, for the RT dispatch-latency metric;
-         populated only while an observability sink is installed *)
   footprint_slots : (int, Cache.footprint) Hashtbl.t;
       (* task id -> footprint handle of its slot *)
   mutable footprint_next : int;
@@ -166,13 +172,13 @@ let rec dispatch ?(fuel = 64) t cs =
             ~core:(Cpu.id cs.cpu);
         t.switches <- t.switches + 1;
         if Obs.active () then begin
-          Obs.incr "sched.dispatches";
-          match Task.policy task, Hashtbl.find_opt t.rt_enqueued (Task.id task) with
-          | Task.Rt_fifo _, Some enq ->
-              Hashtbl.remove t.rt_enqueued (Task.id task);
-              Obs.observe_time "sched.rt_dispatch_latency"
-                (Sim_time.diff (Engine.now t.engine) enq)
-          | _ -> ()
+          Obs.incr Metric.dispatches;
+          let enq = Task.rt_enqueued_at task in
+          if enq >= 0 then begin
+            Task.set_rt_enqueued_at task (-1);
+            Obs.observe_time Metric.rt_dispatch_latency
+              (Sim_time.diff (Engine.now t.engine) enq)
+          end
         end;
         begin_step t cs task ~fuel
   end
@@ -289,9 +295,7 @@ and preempt t cs =
       (match Task.policy r.r_task with
       | Task.Rt_fifo _ -> insert_rt cs r.r_task ~front:true
       | Task.Cfs -> insert_cfs cs r.r_task);
-      if Obs.active () then
-        Obs.incr "sched.preemptions"
-          ~labels:[ ("core", string_of_int (Cpu.id cs.cpu)) ];
+      if Obs.active () then Obs.incr cs.preemptions;
       cs.cur <- None
 
 and wake t task =
@@ -345,8 +349,7 @@ and enqueue t core task =
   let cs = t.cores.(core) in
   (match Task.policy task with
   | Task.Rt_fifo _ ->
-      if Obs.active () then
-        Hashtbl.replace t.rt_enqueued (Task.id task) (Engine.now t.engine);
+      if Obs.active () then Task.set_rt_enqueued_at task (Engine.now t.engine);
       insert_rt cs task ~front:false
   | Task.Cfs ->
       (* A waking CFS task must not monopolize: bring it up to the queue's
@@ -379,12 +382,18 @@ let create platform =
       cores =
         Array.map
           (fun cpu ->
-            { cpu; rt_queue = []; cfs_queue = []; cur = None; min_vruntime = 0.0 })
+            {
+              cpu;
+              rt_queue = [];
+              cfs_queue = [];
+              cur = None;
+              min_vruntime = 0.0;
+              preemptions = Metric.preemptions (Cpu.id cpu);
+            })
           platform.Platform.cores;
       enqueue_hooks = [];
       switches = 0;
       spawned = Hashtbl.create 64;
-      rt_enqueued = Hashtbl.create 16;
       footprint_slots = Hashtbl.create 64;
       footprint_next = 0;
     }

@@ -23,6 +23,7 @@ type t = {
   mutable assigned_core : int option;
   mutable remaining : step option;
   mutable sleep_epoch : int;
+  mutable rt_enqueued_at : Sim_time.t; (* negative: none pending *)
 }
 
 (* Atomic: scenarios on concurrent runner domains create tasks in
@@ -49,6 +50,7 @@ let create ~name ~policy ?affinity ~body () =
     assigned_core = None;
     remaining = None;
     sleep_epoch = 0;
+    rt_enqueued_at = -1;
   }
 
 let id t = t.id
@@ -80,3 +82,5 @@ let remaining t = t.remaining
 let set_remaining t r = t.remaining <- r
 let sleep_epoch t = t.sleep_epoch
 let bump_sleep_epoch t = t.sleep_epoch <- t.sleep_epoch + 1
+let rt_enqueued_at t = t.rt_enqueued_at
+let set_rt_enqueued_at t time = t.rt_enqueued_at <- time

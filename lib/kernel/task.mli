@@ -80,3 +80,10 @@ val sleep_epoch : t -> int
     be sleeping again for a different reason). *)
 
 val bump_sleep_epoch : t -> unit
+
+val rt_enqueued_at : t -> Satin_engine.Sim_time.t
+(** The instant an RT task was last queued by a wake-up and not yet
+    dispatched since, for the RT dispatch-latency metric; negative when
+    none is pending. Kept only while metrics are recorded. *)
+
+val set_rt_enqueued_at : t -> Satin_engine.Sim_time.t -> unit

@@ -32,6 +32,7 @@ let of_metrics ~experiment ~seed ~trial ~fingerprint ~config metrics =
         | `Counter c -> Counter c
         | `Gauge g -> Gauge g
         | `Histogram st -> Histogram (Histogram.of_stats st)
+        | `Buckets h -> Histogram h
       in
       acc := (name, labels, s) :: !acc);
   {

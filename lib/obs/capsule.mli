@@ -5,8 +5,9 @@
     later: the experiment id, seed, trial index, the {e code fingerprint}
     of the binary that produced it, and the full config field list
     (ambient context included). Counters stay exact integers, gauges keep
-    their final value, and exact-quantile histograms are re-bucketed into
-    mergeable {!Histogram.t}s — so capsules from any number of trials,
+    their final value, and histograms are mergeable {!Histogram.t}s
+    (bucketed on arrival by a capture registry) — so capsules from any
+    number of trials,
     shards, or resumed campaign runs combine into exact population
     distributions.
 
@@ -40,8 +41,12 @@ val of_metrics :
   config:(string * string) list ->
   Metrics.t ->
   t
-(** Seal a live registry. Exact-stats histogram series are converted with
-    {!Histogram.of_stats}. Raises [Invalid_argument] on a duplicate
+(** Seal a live registry. A bucketed registry's histograms are taken as
+    they are (the capsule shares them, so seal a registry nobody writes
+    any more); an exact registry's are bucketed with {!Histogram.of_stats}.
+    Both give the same capsule for the same samples, because bucket counts,
+    count, zero, min and max do not depend on the order samples arrived
+    in. Raises [Invalid_argument] on a duplicate
     config field name (the same rule as store keys). *)
 
 val to_json : t -> Json.t

@@ -6,7 +6,8 @@ module Stats = Satin_engine.Stats
    are clamped into [e_min, e_max]; anything beyond falls into the
    outermost bucket of that side, which keeps the array fixed-size while
    still counting (and min/max still track the exact extremes). *)
-let sub = 16
+let sub_bits = 4
+let sub = 1 lsl sub_bits
 let e_min = -64
 let e_max = 64
 let n_buckets = (e_max - e_min + 1) * sub
@@ -30,17 +31,24 @@ let create () =
     max = neg_infinity;
   }
 
-(* Bucket index of a positive finite magnitude. *)
-let index_of_magnitude v =
-  let m, e = Float.frexp v in
+let bucket e s =
   let e = if e < e_min then e_min else if e > e_max then e_max else e in
-  let s =
-    (* m in [0.5, 1) so (2m - 1) in [0, 1); clamp guards the e-clamped
-       cases where m no longer corresponds to the stored exponent. *)
-    let s = int_of_float (((2.0 *. m) -. 1.0) *. float_of_int sub) in
-    if s < 0 then 0 else if s >= sub then sub - 1 else s
-  in
   ((e - e_min) * sub) + s
+
+(* Bucket index of a positive finite magnitude. For a normal v, frexp's
+   e is the biased IEEE exponent minus 1022 and floor((2m - 1) * sub) is
+   the top [sub_bits] bits of the stored mantissa, so both are read
+   straight from the bits: no libm call and no allocation on the capture
+   path. Subnormals (biased exponent 0) take frexp, which normalizes. *)
+let index_of_magnitude v =
+  let bits = Int64.bits_of_float v in
+  let biased = Int64.to_int (Int64.shift_right_logical bits 52) in
+  if biased > 0 then
+    bucket (biased - 1022)
+      (Int64.to_int (Int64.shift_right_logical bits (52 - sub_bits)) land (sub - 1))
+  else
+    let m, e = Float.frexp v in
+    bucket e (int_of_float (((2.0 *. m) -. 1.0) *. float_of_int sub))
 
 let add t v =
   if Float.is_nan v then invalid_arg "Histogram.add: NaN sample";

@@ -33,8 +33,9 @@ val add : t -> float -> unit
     [±Float.max_float] and land in the outermost buckets. *)
 
 val of_stats : Satin_engine.Stats.t -> t
-(** Bucket every sample of an exact-stats accumulator — the bridge from
-    the metrics registry's exact histograms to mergeable capsules. *)
+(** Bucket every sample of an exact-stats accumulator, in insertion
+    order — the bridge from an exact registry's histograms to mergeable
+    capsules, and the reference that on-arrival bucketing must equal. *)
 
 val count : t -> int
 val is_empty : t -> bool

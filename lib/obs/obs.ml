@@ -1,6 +1,5 @@
 module Sim_time = Satin_engine.Sim_time
 module Engine = Satin_engine.Engine
-module Stats = Satin_engine.Stats
 
 type t = {
   metrics : Metrics.t;
@@ -57,7 +56,7 @@ let active () = enabled () || capturing ()
 let with_capture f =
   let slot = capture_slot () in
   let saved = !slot in
-  let m = Metrics.create () in
+  let m = Metrics.create ~bucketed:true () in
   slot := Some m;
   Atomic.incr capture_count;
   Fun.protect
@@ -68,50 +67,55 @@ let with_capture f =
       let r = f () in
       (m, r))
 
-(* ---- hook entry points ---- *)
+(* ---- hook entry points ----
 
-let incr ?labels ?by name =
+   Each hook resolves its series through the key's cell in the sink's and
+   the capture's registry: one array load and one mutation per
+   destination. *)
+
+type key = Metrics.key
+
+let key = Metrics.key
+
+let incr ?(by = 1) k =
   (match !current_state with
   | None -> ()
-  | Some s -> Metrics.incr s.metrics ?labels ?by name);
+  | Some s ->
+      let r = Metrics.counter s.metrics k in
+      r := !r + by);
   if Atomic.get capture_count > 0 then
     match !(capture_slot ()) with
     | None -> ()
-    | Some m -> Metrics.incr m ?labels ?by name
+    | Some m ->
+        let r = Metrics.counter m k in
+        r := !r + by
 
-let set_gauge ?labels name v =
+let set_gauge k v =
   (match !current_state with
   | None -> ()
-  | Some s -> Metrics.set s.metrics ?labels name v);
+  | Some s -> Metrics.gauge s.metrics k := v);
   if Atomic.get capture_count > 0 then
     match !(capture_slot ()) with
     | None -> ()
-    | Some m -> Metrics.set m ?labels name v
+    | Some m -> Metrics.gauge m k := v
 
-let observe ?labels name v =
+let observe k v =
   (match !current_state with
   | None -> ()
-  | Some s -> Metrics.observe s.metrics ?labels name v);
+  | Some s -> Metrics.record (Metrics.histogram s.metrics k) v);
   if Atomic.get capture_count > 0 then
     match !(capture_slot ()) with
     | None -> ()
-    | Some m -> Metrics.observe m ?labels name v
+    | Some m -> Metrics.record (Metrics.histogram m k) v
 
-let observe_time ?labels name d =
-  (match !current_state with
-  | None -> ()
-  | Some s -> Metrics.observe_time s.metrics ?labels name d);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.observe_time m ?labels name d
+let observe_time k d = observe k (Sim_time.to_sec_f d)
 
-let observe_wall ?labels name v =
+let observe_wall k v =
   (* Wall-clock samples stay out of capture: capsules persist and merge
      across runs, so they must hold only deterministic series. *)
   match !current_state with
   | None -> ()
-  | Some s -> Metrics.observe s.wall_metrics ?labels name v
+  | Some s -> Metrics.record (Metrics.histogram s.wall_metrics k) v
 
 let span_begin ~time ~track ?cat ?args name =
   match !current_state with
@@ -139,41 +143,28 @@ let name_track track name =
   | None -> ()
   | Some s -> Tracing.set_track_name s.tracing track name
 
+let events_fired = key "engine.events_fired"
+let queue_depth = key "engine.queue_depth"
+let batch_size = key "engine.batch_size"
+
 let attach_engine engine =
-  let sink_cells =
-    match !current_state with
-    | None -> None
-    | Some s ->
-        Some
-          ( Metrics.counter s.metrics "engine.events_fired",
-            Metrics.gauge s.metrics "engine.queue_depth",
-            s )
+  let capture =
+    if Atomic.get capture_count > 0 then !(capture_slot ()) else None
   in
-  let capture_cells =
-    if Atomic.get capture_count > 0 then
-      match !(capture_slot ()) with
-      | Some m ->
-          Some
-            ( Metrics.counter m "engine.events_fired",
-              Metrics.gauge m "engine.queue_depth" )
-      | None -> None
-    else None
-  in
-  let sink_batch =
-    match !current_state with
-    | None -> None
-    | Some s -> Some (Metrics.histogram s.metrics "engine.batch_size")
-  in
-  let capture_batch =
-    if Atomic.get capture_count > 0 then
-      match !(capture_slot ()) with
-      | Some m -> Some (Metrics.histogram m "engine.batch_size")
-      | None -> None
-    else None
-  in
-  (match (sink_batch, capture_batch) with
+  match (!current_state, capture) with
   | None, None -> ()
-  | _ ->
+  | sink, capture ->
+      (* Cells are resolved once here, so the per-event observer stays a
+         pair of raw mutations even when both destinations are live. This
+         also creates all three series before the first event, so a
+         registry holds them even for an engine that never runs. *)
+      let cells m =
+        ( Metrics.counter m events_fired,
+          Metrics.gauge m queue_depth,
+          Metrics.histogram m batch_size )
+      in
+      let sink = Option.map (fun s -> (s, cells s.metrics)) sink in
+      let capture = Option.map cells capture in
       (* Batched dispatch shape: events per same-instant batch. A
          deterministic series (batch boundaries are a function of the
          schedule alone), so it belongs in [metrics], not [wall_metrics].
@@ -181,29 +172,23 @@ let attach_engine engine =
       Engine.set_batch_observer engine
         (Some
            (fun ~size ->
-             (match sink_batch with
+             let v = float_of_int size in
+             (match sink with
              | None -> ()
-             | Some bs -> Stats.add bs (float_of_int size));
-             match capture_batch with
-             | None -> ()
-             | Some bs -> Stats.add bs (float_of_int size))));
-  match (sink_cells, capture_cells) with
-  | None, None -> ()
-  | _ ->
-      (* Cells are resolved once here, so the per-event observer stays a
-         pair of raw mutations even when both destinations are live. *)
+             | Some (_, (_, _, h)) -> Metrics.record h v);
+             match capture with None -> () | Some (_, _, h) -> Metrics.record h v));
       Engine.set_observer engine
         (Some
            (fun ~time ~pending ->
-             (match sink_cells with
+             (match sink with
              | None -> ()
-             | Some (fired, depth, s) ->
+             | Some (s, (fired, depth, _)) ->
                  fired := !fired + 1;
                  depth := float_of_int pending;
                  touch s time);
-             match capture_cells with
+             match capture with
              | None -> ()
-             | Some (fired, depth) ->
+             | Some (fired, depth, _) ->
                  fired := !fired + 1;
                  depth := float_of_int pending))
 

@@ -43,10 +43,14 @@ val enabled : unit -> bool
     (Domain.DLS), so concurrent trials on worker domains each seal their
     own registry; captures nest (the innermost wins) and never touch the
     global sink, tracing, or wall-clock series. With no capture active
-    anywhere, the added hook cost is one atomic load. *)
+    anywhere, the added hook cost is one atomic load.
+
+    A capture registry is bucketed ({!Metrics.create}): each histogram
+    sample is added on arrival to the {!Histogram.t} its capsule
+    serializes, so a trial's capture holds no sample buffers. *)
 
 val with_capture : (unit -> 'a) -> Metrics.t * 'a
-(** Run [f] with a fresh capture registry on the current domain; return
+(** Run [f] with a fresh bucketed registry on the current domain; return
     that registry (sealed — no further hooks write to it) with [f]'s
     result. The previous capture, if any, is restored even on raise. *)
 
@@ -61,14 +65,24 @@ val active : unit -> bool
     would leave capture-only runs (store-backed campaigns) with empty
     capsules. Tracing-only sites may keep guarding on {!enabled}. *)
 
-(** {1 Hook entry points (no-ops when no sink is installed)} *)
+(** {1 Hook entry points (no-ops when no sink is installed)}
 
-val incr : ?labels:Metrics.labels -> ?by:int -> string -> unit
-val set_gauge : ?labels:Metrics.labels -> string -> float -> unit
-val observe : ?labels:Metrics.labels -> string -> float -> unit
-val observe_time : ?labels:Metrics.labels -> string -> Satin_engine.Sim_time.t -> unit
+    A metrics hook names its series by {!key}, never by string: intern the
+    key once (at module level, or per core or area when a component is
+    created) and the hook is one array load and one mutation per live
+    registry. *)
 
-val observe_wall : ?labels:Metrics.labels -> string -> float -> unit
+type key = Metrics.key
+
+val key : ?labels:Metrics.labels -> string -> key
+(** {!Metrics.key}: a metric name plus canonical labels, interned once. *)
+
+val incr : ?by:int -> key -> unit
+val set_gauge : key -> float -> unit
+val observe : key -> float -> unit
+val observe_time : key -> Satin_engine.Sim_time.t -> unit
+
+val observe_wall : key -> float -> unit
 (** Record a host wall-clock measurement into {!wall_metrics}. Use this —
     never {!observe} — for [Unix.gettimeofday] deltas and anything else
     nondeterministic, so the deterministic registry stays byte-stable. *)
@@ -100,9 +114,11 @@ val attach_engine : Satin_engine.Engine.t -> unit
     ["engine.batch_size"] histogram — in the sink, the current domain's
     capture registry, or both. All three are deterministic series (batch
     boundaries are a function of the schedule alone), so they flow into
-    capsules and [telemetry report], never into wall-metrics. A no-op (and
-    no observer is installed) when neither destination is active, so an
-    un-instrumented run keeps the engine's bare step loop. *)
+    capsules and [telemetry report], never into wall-metrics. All three
+    series are created at attach time, so a registry holds them even for
+    an engine that never fires. A no-op (and no observer is installed)
+    when neither destination is active, so an un-instrumented run keeps
+    the engine's bare step loop. *)
 
 (** {1 Exports} *)
 

@@ -1,7 +1,25 @@
 module Obs = Satin_obs.Obs
 module Progress = Satin_obs.Progress
 
-type t = { jobs : int; effective_jobs : int; mutable last_wall_s : float }
+module Metric = struct
+  let batches = Obs.key "runner.batches"
+  let trials = Obs.key "runner.trials"
+  let queue_depth = Obs.key "runner.queue_depth"
+  let batch_wall_s = Obs.key "runner.batch_wall_s"
+  let jobs_requested = Obs.key "runner.jobs_requested"
+  let jobs_effective = Obs.key "runner.jobs_effective"
+  let trials_resolved = Obs.key "runner.trials_resolved"
+
+  let domain_trials w =
+    Obs.key ~labels:[ ("domain", string_of_int w) ] "runner.domain_trials"
+end
+
+type t = {
+  jobs : int;
+  effective_jobs : int;
+  domain_trials : Obs.key array; (* runner.domain_trials{domain=i} *)
+  mutable last_wall_s : float;
+}
 
 (* Domains beyond the host's cores only add GC-synchronization stalls:
    BENCH_runner.json showed --jobs 4 running at 0.22-0.74x of --jobs 1 on
@@ -17,7 +35,8 @@ let create ?(clamp = true) ?(jobs = 1) () =
       "runner: --jobs %d exceeds the %d available core(s); clamping to %d\n%!"
       jobs cores cores;
   let effective_jobs = if clamp then min jobs cores else jobs in
-  { jobs; effective_jobs; last_wall_s = 0.0 }
+  let domain_trials = Array.init effective_jobs Metric.domain_trials in
+  { jobs; effective_jobs; domain_trials; last_wall_s = 0.0 }
 
 let sequential = create ()
 let jobs t = t.jobs
@@ -52,23 +71,18 @@ let collect results =
       | Pending -> assert false)
     results
 
-let record_metrics ~n ~requested ~effective ~wall executed =
-  Obs.incr "runner.batches";
-  Obs.incr "runner.trials" ~by:n;
-  Obs.set_gauge "runner.queue_depth" 0.0;
+let record_metrics pool ~n ~effective ~wall executed =
+  Obs.incr Metric.batches;
+  Obs.incr Metric.trials ~by:n;
+  Obs.set_gauge Metric.queue_depth 0.0;
   (* Wall time is the one nondeterministic reading here; it goes to the
      segregated real-time registry so --metrics output stays byte-stable.
      The pool widths join it because the effective width is a property of
      the host (the clamp), not of the simulated run. *)
-  Obs.observe_wall "runner.batch_wall_s" wall;
-  Obs.observe_wall "runner.jobs_requested" (float_of_int requested);
-  Obs.observe_wall "runner.jobs_effective" (float_of_int effective);
-  Array.iteri
-    (fun w c ->
-      Obs.incr "runner.domain_trials"
-        ~labels:[ ("domain", string_of_int w) ]
-        ~by:c)
-    executed
+  Obs.observe_wall Metric.batch_wall_s wall;
+  Obs.observe_wall Metric.jobs_requested (float_of_int pool.jobs);
+  Obs.observe_wall Metric.jobs_effective (float_of_int effective);
+  Array.iteri (fun w c -> Obs.incr pool.domain_trials.(w) ~by:c) executed
 
 let map pool n f =
   if n < 0 then invalid_arg "Runner.map: negative batch size";
@@ -78,7 +92,7 @@ let map pool n f =
      so a batch under an installed sink runs sequentially (same results —
      that is the whole point of the pool — just no overlap). *)
   let jobs = if Obs.enabled () then 1 else min pool.effective_jobs n in
-  Obs.set_gauge "runner.queue_depth" (float_of_int n);
+  Obs.set_gauge Metric.queue_depth (float_of_int n);
   Progress.batch_start n;
   let wall0 = Unix.gettimeofday () in
   let results = Array.make n Pending in
@@ -133,7 +147,7 @@ let map pool n f =
   in
   let wall = Unix.gettimeofday () -. wall0 in
   pool.last_wall_s <- wall;
-  record_metrics ~n ~requested:pool.jobs ~effective:jobs ~wall executed;
+  record_metrics pool ~n ~effective:jobs ~wall executed;
   collect results
 
 let map_cached pool n ~lookup ?(on_computed = fun _ _ -> ()) f =
@@ -148,7 +162,7 @@ let map_cached pool n ~lookup ?(on_computed = fun _ _ -> ()) f =
   done;
   let misses = Array.of_list !misses in
   let resolved_count = n - Array.length misses in
-  Obs.incr "runner.trials_resolved" ~by:resolved_count;
+  Obs.incr Metric.trials_resolved ~by:resolved_count;
   (* Progress accounting split: this layer reports the warm trials, the
      inner [map] reports the misses it actually runs — together exactly
      [n], with no double count. *)

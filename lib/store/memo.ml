@@ -5,6 +5,11 @@ module Capsule = Satin_obs.Capsule
 module Progress = Satin_obs.Progress
 module Sim_time = Satin_engine.Sim_time
 
+module Metric = struct
+  let trials_resolved = Obs.key "runner.trials_resolved"
+  let write_errors = Obs.key "store.write_errors"
+end
+
 let store_track = 63
 
 (* Lane position for cache spans: simulated time is meaningless for host-
@@ -70,7 +75,8 @@ let shard () = !shard_state
 let lease_ttl_ref = ref 60.0
 
 let set_lease_ttl t =
-  if t <= 0.0 then invalid_arg "Memo.set_lease_ttl: must be positive";
+  if not (Float.is_finite t && t > 0.0) then
+    invalid_arg "Memo.set_lease_ttl: must be finite and positive";
   lease_ttl_ref := t
 
 let lease_ttl () = !lease_ttl_ref
@@ -119,7 +125,7 @@ let map_sharded store pool ~experiment ~seed ~config ~trial_config ~si ~sn n
        Store.add store ~key:keys.(i) ~experiment v;
        Store.add_capsule store ~key:keys.(i) ~experiment payload
      with e ->
-       Obs.incr "store.write_errors";
+       Obs.incr Metric.write_errors;
        Logs.warn (fun m ->
            m "store: failed to persist %s: %s" keys.(i)
              (Printexc.to_string e)));
@@ -131,7 +137,7 @@ let map_sharded store pool ~experiment ~seed ~config ~trial_config ~si ~sn n
   let resolved_count =
     Array.fold_left (fun a r -> if r = None then a else a + 1) 0 resolved
   in
-  Obs.incr "runner.trials_resolved" ~by:resolved_count;
+  Obs.incr Metric.trials_resolved ~by:resolved_count;
   if Progress.enabled () && resolved_count > 0 then begin
     Progress.batch_start resolved_count;
     for _ = 1 to resolved_count do
@@ -173,7 +179,7 @@ let map_sharded store pool ~experiment ~seed ~config ~trial_config ~si ~sn n
         | Some v ->
             resolved.(i) <- Some v;
             progressed := true;
-            Obs.incr "runner.trials_resolved";
+            Obs.incr Metric.trials_resolved;
             if Progress.enabled () then begin
               Progress.batch_start 1;
               Progress.trial_done ~hit:true
@@ -259,7 +265,7 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
              its result — count it and move on. *)
           (try Store.add store ~key:keys.(i) ~experiment v
            with e ->
-             Obs.incr "store.write_errors";
+             Obs.incr Metric.write_errors;
              Logs.warn (fun m ->
                  m "store: failed to persist %s: %s" keys.(i)
                    (Printexc.to_string e)));
@@ -268,7 +274,7 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
           | Some payload -> (
               try Store.add_capsule store ~key:keys.(i) ~experiment payload
               with e ->
-                Obs.incr "store.write_errors";
+                Obs.incr Metric.write_errors;
                 Logs.warn (fun m ->
                     m "store: failed to persist capsule %s: %s" keys.(i)
                       (Printexc.to_string e))))

@@ -77,7 +77,9 @@ val shard : unit -> (int * int) option
 val set_lease_ttl : float -> unit
 (** Seconds a trial claim protects its owner before peers may steal it
     (default 60). Also the grace a waiting shard extends to owners that
-    have not yet claimed a trial at all. Raises [Invalid_argument] on a
-    non-positive value. *)
+    have not yet claimed a trial at all. Raises [Invalid_argument] unless
+    the value is finite and positive: under a NaN or infinite TTL that
+    grace never ends, and a shard waits forever for a trial nobody
+    claimed. *)
 
 val lease_ttl : unit -> float

@@ -4,6 +4,19 @@ let src = Logs.Src.create "satin.store" ~doc:"trial result store"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
+module Metric = struct
+  let capsule_hits = Obs.key "store.capsule_hits"
+  let capsule_misses = Obs.key "store.capsule_misses"
+  let capsule_writes = Obs.key "store.capsule_writes"
+  let claim_steals = Obs.key "store.claim_steals"
+  let claims = Obs.key "store.claims"
+  let corrupt = Obs.key "store.corrupt"
+  let evictions = Obs.key "store.evictions"
+  let hits = Obs.key "store.hits"
+  let misses = Obs.key "store.misses"
+  let writes = Obs.key "store.writes"
+end
+
 type counters = {
   hits : int;
   misses : int;
@@ -276,14 +289,14 @@ let quarantine t key err =
   drop_live t key;
   append_index t (Printf.sprintf "! %s\n" key);
   t.corrupt <- t.corrupt + 1;
-  Obs.incr "store.corrupt";
+  Obs.incr Metric.corrupt;
   Log.warn (fun m ->
       m "quarantined record %s: %s" key (Codec.error_to_string err))
 
 let find_locked t ~key =
   let miss () =
     t.misses <- t.misses + 1;
-    Obs.incr "store.misses";
+    Obs.incr Metric.misses;
     None
   in
   (* A live-table miss may just mean another process added the record
@@ -304,7 +317,7 @@ let find_locked t ~key =
         match Codec.decode raw with
         | Ok v ->
             t.hits <- t.hits + 1;
-            Obs.incr "store.hits";
+            Obs.incr Metric.hits;
             Some v
         | Error err ->
             quarantine t key err;
@@ -340,7 +353,7 @@ let enforce_bound t =
         (try Sys.remove (capsule_path t key) with Sys_error _ -> ());
         append_index t (Printf.sprintf "- %s\n" key);
         t.evictions <- t.evictions + 1;
-        Obs.incr "store.evictions"
+        Obs.incr Metric.evictions
     | _ -> () (* stale entry: already evicted/quarantined/superseded *)
   done
 
@@ -366,7 +379,7 @@ let add t ~key ~experiment v =
             append_index t (index_line_add key size experiment)
           end;
           t.writes <- t.writes + 1;
-          Obs.incr "store.writes";
+          Obs.incr Metric.writes;
           enforce_bound t))
 
 (* ---- claims ----
@@ -416,7 +429,8 @@ let claim_lease t ~key =
 
 let try_claim t ~key ~ttl_s =
   if not (is_hex_key key) then invalid_arg "Store.try_claim: malformed key";
-  if ttl_s <= 0.0 then invalid_arg "Store.try_claim: ttl_s must be positive";
+  if not (Float.is_finite ttl_s && ttl_s > 0.0) then
+    invalid_arg "Store.try_claim: ttl_s must be finite and positive";
   Mutex.protect t.mutex (fun () ->
       with_file_lock t (fun () ->
           let path = claim_path t key in
@@ -427,10 +441,10 @@ let try_claim t ~key ~ttl_s =
                  (Lazy.force hostname)
                  (Unix.gettimeofday () +. ttl_s));
             t.claims <- t.claims + 1;
-            Obs.incr "store.claims";
+            Obs.incr Metric.claims;
             if stolen then begin
               t.claim_steals <- t.claim_steals + 1;
-              Obs.incr "store.claim_steals";
+              Obs.incr Metric.claim_steals;
               Log.info (fun m -> m "stole stale lease on %s" key)
             end;
             true
@@ -467,14 +481,14 @@ let add_capsule t ~key ~experiment payload =
       mkdir_p (Filename.dirname path);
       write_file_atomic path record;
       t.capsule_writes <- t.capsule_writes + 1;
-      Obs.incr "store.capsule_writes")
+      Obs.incr Metric.capsule_writes)
 
 let quarantine_capsule t key err =
   let path = capsule_path t key in
   (try Sys.rename path (capsule_quarantine_path t key)
    with Sys_error _ -> (try Sys.remove path with Sys_error _ -> ()));
   t.corrupt <- t.corrupt + 1;
-  Obs.incr "store.corrupt";
+  Obs.incr Metric.corrupt;
   Log.warn (fun m ->
       m "quarantined capsule %s: %s" key (Codec.error_to_string err))
 
@@ -482,7 +496,7 @@ let find_capsule t ~key =
   Mutex.protect t.mutex (fun () ->
       let miss () =
         t.capsule_misses <- t.capsule_misses + 1;
-        Obs.incr "store.capsule_misses";
+        Obs.incr Metric.capsule_misses;
         None
       in
       match read_file (capsule_path t key) with
@@ -491,7 +505,7 @@ let find_capsule t ~key =
           match Codec.decode_raw raw with
           | Ok (_, payload) ->
               t.capsule_hits <- t.capsule_hits + 1;
-              Obs.incr "store.capsule_hits";
+              Obs.incr Metric.capsule_hits;
               Some payload
           | Error err ->
               quarantine_capsule t key err;

@@ -107,7 +107,8 @@ val try_claim : t -> key:string -> ttl_s:float -> bool
     now holds the lease: the key was unclaimed, the existing lease was
     stale (counted as a steal), or we already held it (the expiry is
     refreshed). [false] while another live process holds it. Raises
-    [Invalid_argument] on a malformed key or non-positive TTL. *)
+    [Invalid_argument] on a malformed key or a TTL that is not finite and
+    positive. *)
 
 val release_claim : t -> key:string -> unit
 (** Drop any lease on [key]. Callable by non-owners (used to clear a

@@ -18,7 +18,7 @@ let test_counter () =
     (Metrics.counter_value m "hits");
   Alcotest.(check (option int)) "unknown series" None
     (Metrics.counter_value m "misses");
-  let h = Metrics.counter m "hits" in
+  let h = Metrics.counter m (Metrics.key "hits") in
   incr h;
   Alcotest.(check (option int)) "handle shares storage" (Some 6)
     (Metrics.counter_value m "hits")
@@ -146,9 +146,9 @@ let test_wall_metrics_segregated () =
     let obs = Obs.create () in
     Obs.install obs;
     Fun.protect ~finally:Obs.uninstall (fun () ->
-        Obs.incr "deterministic.counter";
-        Obs.observe "deterministic.histo" 0.25;
-        Obs.observe_wall "runner.batch_wall_s" wall_sample);
+        Obs.incr (Obs.key "deterministic.counter");
+        Obs.observe (Obs.key "deterministic.histo") 0.25;
+        Obs.observe_wall (Obs.key "runner.batch_wall_s") wall_sample);
     obs
   in
   let a = run 0.001 and b = run 123.456 in
@@ -296,6 +296,40 @@ let prop_histogram_codec_and_bounds =
                        [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
                 end))
 
+(* [Histogram.add] reads a sample's bucket from its IEEE bits; the
+   definition is frexp's: v = m * 2^e with m in [0.5, 1), sub-bucket
+   floor((2m - 1) * 16) of e clamped to [-64, 64]. *)
+let frexp_index v =
+  let m, e = Float.frexp v in
+  let e = max (-64) (min 64 e) in
+  ((e + 64) * 16) + int_of_float (((2.0 *. m) -. 1.0) *. 16.0)
+
+let prop_histogram_bucket_is_frexp =
+  let magnitude =
+    QCheck.Gen.(
+      oneof
+        [
+          map Float.abs float;
+          map2 Float.ldexp (float_range 0.5 1.0) (int_range (-1074) 1023);
+          map
+            (fun i -> Float.ldexp (float_of_int i) (-1074))
+            (int_range 1 (1 lsl 20));
+          oneofl [ Float.min_float; Float.max_float; 4.9e-324; 1.0; 0.5 ];
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"histogram bucket = frexp definition"
+    (QCheck.make ~print:(Printf.sprintf "%h") magnitude)
+    (fun v ->
+      QCheck.assume (Float.is_finite v && v > 0.0);
+      let sparse t side =
+        match Json.member side (Histogram.to_json t) with
+        | Some (Json.List [ Json.List [ Json.Int i; Json.Int 1 ] ]) -> i
+        | _ -> -1
+      in
+      let i = frexp_index v in
+      sparse (hist_of_list [ v ]) "pos" = i
+      && sparse (hist_of_list [ -.v ]) "neg" = i)
+
 let test_histogram_exact_extremes () =
   let t = hist_of_list [ 4.0; 1.0; 9.5; -2.0; 0.0 ] in
   Alcotest.(check int) "count" 5 (Histogram.count t);
@@ -362,16 +396,26 @@ let test_capsule_rejects_junk () =
 
 (* ---- per-domain capture ---- *)
 
+(* Sample count of a capture registry's (bucketed) histogram series, or
+   -1 when the registry holds no bucketed histogram of that name. *)
+let captured_count m name =
+  let n = ref (-1) in
+  Metrics.iter_sorted m (fun name' _ v ->
+      match v with
+      | `Buckets h when name' = name -> n := Histogram.count h
+      | _ -> ());
+  !n
+
 let test_with_capture () =
   Alcotest.(check bool) "idle: not capturing" false (Obs.capturing ());
   let outer, () =
     Obs.with_capture (fun () ->
         Alcotest.(check bool) "capturing inside" true (Obs.capturing ());
         Alcotest.(check bool) "active without a sink" true (Obs.active ());
-        Obs.incr "c";
-        Obs.observe "h" 1.0;
+        Obs.incr (Obs.key "c");
+        Obs.observe (Obs.key "h") 1.0;
         (* nesting: the innermost capture wins for its extent *)
-        let inner, () = Obs.with_capture (fun () -> Obs.incr "c") in
+        let inner, () = Obs.with_capture (fun () -> Obs.incr (Obs.key "c")) in
         Alcotest.(check (option int))
           "inner saw only its own" (Some 1)
           (Metrics.counter_value inner "c"))
@@ -379,8 +423,8 @@ let test_with_capture () =
   Alcotest.(check (option int))
     "outer missed the nested incr" (Some 1)
     (Metrics.counter_value outer "c");
-  Alcotest.(check bool) "histogram captured" true
-    (Metrics.histogram_stats outer "h" <> None);
+  Alcotest.(check int) "histogram captured, bucketed" 1
+    (captured_count outer "h");
   Alcotest.(check bool) "sealed afterwards" false (Obs.capturing ());
   Alcotest.(check bool) "inactive afterwards" false (Obs.active ())
 
@@ -389,11 +433,11 @@ let test_capture_is_per_domain () =
      and the other domain must not observe a capture it never opened. *)
   let m, () =
     Obs.with_capture (fun () ->
-        Obs.incr "mine";
+        Obs.incr (Obs.key "mine");
         let d =
           Domain.spawn (fun () ->
               let was_capturing = Obs.capturing () in
-              Obs.incr "theirs";
+              Obs.incr (Obs.key "theirs");
               was_capturing)
         in
         Alcotest.(check bool)
@@ -403,6 +447,171 @@ let test_capture_is_per_domain () =
     (Metrics.counter_value m "mine");
   Alcotest.(check (option int)) "foreign sample excluded" None
     (Metrics.counter_value m "theirs")
+
+(* ---- keyed hooks and bucketed capture ----
+
+   The capture exactness oracle: a capsule sealed from [Obs.with_capture]
+   (keyed hooks, histograms bucketed on arrival) renders byte-identically
+   to one sealed from an exact registry fed the same stream by name
+   (samples kept in [Stats], bucketed at seal time by
+   [Histogram.of_stats]). *)
+
+type op =
+  | Incr of int * int * int (* name, labels, by *)
+  | Set of int * int * float
+  | Observe of int * int * float
+  | Observe_time of int * int * int (* nanoseconds *)
+
+let counter_names = [| "o.c0"; "o.c1" |]
+let gauge_names = [| "o.g0"; "o.g1" |]
+let histogram_names = [| "o.h0"; "o.h1"; "o.h2" |]
+
+let label_sets =
+  [| []; [ ("core", "0") ]; [ ("core", "1") ]; [ ("core", "1"); ("area", "14") ] |]
+
+let op_name = function
+  | Incr (n, _, _) -> counter_names.(n)
+  | Set (n, _, _) -> gauge_names.(n)
+  | Observe (n, _, _) | Observe_time (n, _, _) -> histogram_names.(n)
+
+let op_labels = function
+  | Incr (_, l, _) | Set (_, l, _) | Observe (_, l, _) | Observe_time (_, l, _) ->
+      label_sets.(l)
+
+let edge_values =
+  [
+    0.0; -0.0; -1.5; 1.0; 4.9e-324; -4.9e-324; Float.min_float /. 4.0;
+    Float.max_float; -.Float.max_float; Float.infinity; Float.neg_infinity;
+    1e-30; 3e25; 0.1;
+  ]
+
+let op_gen =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        oneofl edge_values;
+        map (fun x -> if Float.is_nan x then 0.0 else x) float;
+        float_range (-1e3) 1e3;
+      ]
+  in
+  let labels = int_bound (Array.length label_sets - 1) in
+  frequency
+    [
+      ( 3,
+        map3
+          (fun n l by -> Incr (n, l, by))
+          (int_bound 1) labels (int_range (-3) 1000) );
+      (2, map3 (fun n l v -> Set (n, l, v)) (int_bound 1) labels value);
+      (4, map3 (fun n l v -> Observe (n, l, v)) (int_bound 2) labels value);
+      ( 1,
+        map3
+          (fun n l ns -> Observe_time (n, l, ns))
+          (int_bound 2) labels (int_range 0 1_000_000_000) );
+    ]
+
+let print_op op =
+  let series =
+    Printf.sprintf "%s{%s}" (op_name op)
+      (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) (op_labels op)))
+  in
+  match op with
+  | Incr (_, _, by) -> Printf.sprintf "incr %s by %d" series by
+  | Set (_, _, v) -> Printf.sprintf "set %s %h" series v
+  | Observe (_, _, v) -> Printf.sprintf "observe %s %h" series v
+  | Observe_time (_, _, ns) -> Printf.sprintf "observe_time %s %dns" series ns
+
+let seal m =
+  Json.to_string
+    (Capsule.to_json
+       (Capsule.of_metrics ~experiment:"oracle" ~seed:1 ~trial:0
+          ~fingerprint:"f" ~config:[] m))
+
+let prop_capture_exact =
+  QCheck.Test.make ~count:300
+    ~name:"capture capsule = exact registry bucketed at seal"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 0 80) op_gen))
+    (fun ops ->
+      let keyed op = Obs.key ~labels:(op_labels op) (op_name op) in
+      let captured, () =
+        Obs.with_capture (fun () ->
+            (* Creates engine.batch_size (a histogram never observed here),
+               engine.events_fired and engine.queue_depth. *)
+            Obs.attach_engine (Satin_engine.Engine.create ());
+            List.iter
+              (fun op ->
+                match op with
+                | Incr (_, _, by) -> Obs.incr ~by (keyed op)
+                | Set (_, _, v) -> Obs.set_gauge (keyed op) v
+                | Observe (_, _, v) -> Obs.observe (keyed op) v
+                | Observe_time (_, _, ns) -> Obs.observe_time (keyed op) ns)
+              ops)
+      in
+      let exact = Metrics.create () in
+      Metrics.incr exact ~by:0 "engine.events_fired";
+      Metrics.set exact "engine.queue_depth" 0.0;
+      ignore (Metrics.histogram exact (Metrics.key "engine.batch_size"));
+      List.iter
+        (fun op ->
+          let labels = op_labels op and name = op_name op in
+          match op with
+          | Incr (_, _, by) -> Metrics.incr exact ~labels ~by name
+          | Set (_, _, v) -> Metrics.set exact ~labels name v
+          | Observe (_, _, v) -> Metrics.observe exact ~labels name v
+          | Observe_time (_, _, ns) -> Metrics.observe_time exact ~labels name ns)
+        ops;
+      let a = seal captured and b = seal exact in
+      if a <> b then QCheck.Test.fail_reportf "capture:\n%s\nexact:\n%s" a b;
+      true)
+
+let test_capture_memory () =
+  let k = Obs.key "mem.h" in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let m, () =
+    Obs.with_capture (fun () ->
+        for i = 1 to 1_000_000 do
+          Obs.observe k (float_of_int (i land 1023))
+        done)
+  in
+  let added = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check int) "every sample counted" 1_000_000 (captured_count m "mem.h");
+  if added >= 65536.0 then
+    Alcotest.failf "1M captured samples added %.0f major words (bound 65536)" added
+
+let test_key_interning () =
+  let labels_ab = [ ("a", "1"); ("b", "2") ] in
+  let labels_ba = [ ("b", "2"); ("a", "1") ] in
+  let keys =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let labels = if d mod 2 = 0 then labels_ab else labels_ba in
+            Obs.key ~labels "intern.x"))
+    |> List.map Domain.join
+  in
+  let k = Obs.key ~labels:labels_ab "intern.x" in
+  Alcotest.(check bool) "one key from 4 domains, any label order" true
+    (List.for_all (fun k' -> k' = k) keys);
+  Alcotest.(check bool) "another label value, another key" false
+    (Obs.key ~labels:[ ("a", "1"); ("b", "3") ] "intern.x" = k);
+  Alcotest.(check bool) "no labels, another key" false (Obs.key "intern.x" = k);
+  (* Keyed and by-name access reach one series, in either order. *)
+  let m, () = Obs.with_capture (fun () -> Obs.incr ~by:2 k) in
+  Metrics.incr m ~labels:labels_ba ~by:3 "intern.x";
+  Alcotest.(check (option int)) "keyed then by name" (Some 5)
+    (Metrics.counter_value m ~labels:labels_ab "intern.x");
+  let r = Metrics.create () in
+  Metrics.incr r ~labels:labels_ab "intern.x";
+  incr (Metrics.counter r k);
+  Alcotest.(check (option int)) "by name then keyed" (Some 2)
+    (Metrics.counter_value r ~labels:labels_ba "intern.x");
+  Alcotest.(check int) "one series" 1 (Metrics.series_count r);
+  Alcotest.check_raises "keyed kind mismatch"
+    (Invalid_argument "Metrics.gauge: \"intern.x\" is already a counter")
+    (fun () -> ignore (Metrics.gauge r k))
 
 (* ---- per-domain track ownership ---- *)
 
@@ -472,6 +681,7 @@ let suite =
     Alcotest.test_case "json float edge cases" `Quick test_json_float_edges;
     QCheck_alcotest.to_alcotest prop_histogram_merge_laws;
     QCheck_alcotest.to_alcotest prop_histogram_codec_and_bounds;
+    QCheck_alcotest.to_alcotest prop_histogram_bucket_is_frexp;
     Alcotest.test_case "histogram exact extremes" `Quick
       test_histogram_exact_extremes;
     Alcotest.test_case "capsule round-trip" `Quick test_capsule_roundtrip;
@@ -481,6 +691,9 @@ let suite =
     Alcotest.test_case "with_capture scoping" `Quick test_with_capture;
     Alcotest.test_case "capture is per-domain" `Quick
       test_capture_is_per_domain;
+    QCheck_alcotest.to_alcotest prop_capture_exact;
+    Alcotest.test_case "capture memory is fixed" `Quick test_capture_memory;
+    Alcotest.test_case "keys intern once" `Quick test_key_interning;
     Alcotest.test_case "tracing cross-domain guard" `Quick
       test_tracing_cross_domain_raises;
     Alcotest.test_case "progress eta placeholder" `Quick

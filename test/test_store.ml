@@ -447,6 +447,27 @@ let test_mkdir_p () =
 
 (* ---- claims ---- *)
 
+(* A NaN or infinite TTL would make a waiting shard's grace test
+   [now - t0 >= ttl] never true, so it would wait forever for a trial
+   nobody claimed. Both entry points refuse it, as they refuse 0. *)
+let test_lease_ttl_must_be_finite () =
+  let dir = tmp_dir () in
+  let s = Store.open_ dir in
+  let key = Key.make ~experiment:"ttl" ~seed:1 ~trial_index:0 () in
+  let saved = Memo.lease_ttl () in
+  List.iter
+    (fun ttl ->
+      (match Memo.set_lease_ttl ttl with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "Memo.set_lease_ttl %g accepted" ttl);
+      match Store.try_claim s ~key ~ttl_s:ttl with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "Store.try_claim ~ttl_s:%g accepted" ttl)
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0 ];
+  Alcotest.(check (float 0.0)) "TTL unchanged" saved (Memo.lease_ttl ());
+  Alcotest.(check bool) "no lease written" true (Store.claim_lease s ~key = None);
+  Store.close s
+
 let test_claims () =
   let dir = tmp_dir () in
   let s = Store.open_ dir in
@@ -567,5 +588,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_consistent;
     Alcotest.test_case "mkdir_p create-first" `Quick test_mkdir_p;
     Alcotest.test_case "claims: grant, block, steal" `Quick test_claims;
+    Alcotest.test_case "lease TTL must be finite" `Quick
+      test_lease_ttl_must_be_finite;
     Alcotest.test_case "memo sharded in-process" `Quick test_memo_sharded;
   ]

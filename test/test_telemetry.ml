@@ -31,12 +31,19 @@ let with_store dir f =
 (* A synthetic trial that fills all three series kinds. Memo wraps each
    trial in [Obs.with_capture], so these hooks land in the capsule even
    with no sink installed. *)
+let work = Obs.key "t.work"
+let core_hits =
+  Array.init 2 (fun c ->
+      Obs.key ~labels:[ ("core", string_of_int c) ] "t.core_hits")
+let depth = Obs.key "t.depth"
+let lat = Obs.key "t.lat"
+
 let trial i =
-  Obs.incr ~by:(i + 1) "t.work";
-  Obs.incr ~labels:[ ("core", string_of_int (i mod 2)) ] "t.core_hits";
-  Obs.set_gauge "t.depth" (float_of_int i);
-  Obs.observe "t.lat" (float_of_int i +. 0.5);
-  Obs.observe "t.lat" (float_of_int i +. 1.5);
+  Obs.incr ~by:(i + 1) work;
+  Obs.incr core_hits.(i mod 2);
+  Obs.set_gauge depth (float_of_int i);
+  Obs.observe lat (float_of_int i +. 0.5);
+  Obs.observe lat (float_of_int i +. 1.5);
   i * 2
 
 let run_campaign pool dir =
@@ -218,6 +225,15 @@ let test_gate_rejects_bad_thresholds () =
 (* The CLI refuses those thresholds, and a --jobs width below 1, with one
    line on stderr and exit 2. The current document triples the baseline,
    so a gate that took the threshold would have to fail, not pass. *)
+let cli_rejects dir args =
+  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
+  let name = String.concat " " args in
+  let status = snd (Unix.waitpid [] (Test_multiproc.launch args ~out ~err)) in
+  Alcotest.(check bool) (name ^ " exits 2") true (status = Unix.WEXITED 2);
+  let e = Test_multiproc.read_file err in
+  Alcotest.(check bool) (name ^ ": one line on stderr") true
+    (e <> "" && String.index e '\n' = String.length e - 1)
+
 let test_cli_rejects_bad_flags () =
   let dir = tmp_dir () in
   Store.mkdir_p dir;
@@ -229,15 +245,7 @@ let test_cli_rejects_bad_flags () =
   in
   let baseline = write "baseline.json" 1.0 in
   let current = write "current.json" 3.0 in
-  let out = Filename.concat dir "out" and err = Filename.concat dir "err" in
-  let rejects args =
-    let name = String.concat " " args in
-    let status = snd (Unix.waitpid [] (Test_multiproc.launch args ~out ~err)) in
-    Alcotest.(check bool) (name ^ " exits 2") true (status = Unix.WEXITED 2);
-    let e = Test_multiproc.read_file err in
-    Alcotest.(check bool) (name ^ ": one line on stderr") true
-      (e <> "" && String.index e '\n' = String.length e - 1)
-  in
+  let rejects = cli_rejects dir in
   List.iter
     (fun t ->
       rejects
@@ -246,6 +254,17 @@ let test_cli_rejects_bad_flags () =
     [ "nan"; "inf"; "0"; "-0.1" ];
   rejects [ "e1"; "--jobs"; "0"; "--no-store" ];
   rejects [ "campaign"; "-e"; "e1"; "--jobs"; "0"; "--no-store" ]
+
+(* A NaN or infinite --lease-ttl once passed the CLI's check and left a
+   shard waiting forever for a trial nobody claimed. *)
+let test_cli_rejects_bad_lease_ttl () =
+  let dir = tmp_dir () in
+  Store.mkdir_p dir;
+  List.iter
+    (fun ttl ->
+      cli_rejects dir
+        [ "campaign"; "-e"; "e1"; "--quick"; "--no-store"; "--lease-ttl=" ^ ttl ])
+    [ "nan"; "inf" ]
 
 let test_gate_refuses_config_mismatch () =
   let a = doc [ ("p50", Json.Float 1.0) ] in
@@ -406,6 +425,8 @@ let suite =
       test_gate_rejects_bad_thresholds;
     Alcotest.test_case "CLI rejects bad --threshold/--jobs" `Quick
       test_cli_rejects_bad_flags;
+    Alcotest.test_case "CLI rejects bad --lease-ttl" `Quick
+      test_cli_rejects_bad_lease_ttl;
     Alcotest.test_case "gate refuses config mismatch" `Quick
       test_gate_refuses_config_mismatch;
     Alcotest.test_case "gate ignores fingerprints" `Quick
