@@ -2,9 +2,9 @@
 
     Each [run_*] function builds its own scenario(s) from a seed, advances
     the simulation, and returns a result record; each [print_*] renders the
-    paper-shaped table or figure to a formatter. {!run_all} executes the
-    full evaluation in paper order. See DESIGN.md §4 for the experiment
-    index and EXPERIMENTS.md for paper-vs-measured numbers. *)
+    paper-shaped table or figure to a formatter. [Registry.all] runs them
+    in paper order. See DESIGN.md §4 for the experiment index and
+    EXPERIMENTS.md for paper-vs-measured numbers. *)
 
 module Stats = Satin_engine.Stats
 module Cycle_model = Satin_hw.Cycle_model
@@ -21,9 +21,6 @@ module Runner = Satin_runner.Runner
 
 type e1_result = { e1_a53 : Stats.t; e1_a57 : Stats.t; e1_runs : int }
 
-val e1_trial : seed:int -> runs:int -> trial_index:int -> Stats.t
-(** Trial 0 samples the A53 cluster, trial 1 the A57 cluster. *)
-
 val run_e1 : ?pool:Runner.t -> ?seed:int -> ?runs:int -> unit -> e1_result
 val print_e1 : Format.formatter -> e1_result -> unit
 
@@ -37,9 +34,6 @@ type table1_row = {
 
 type table1_result = { t1_rows : table1_row list; t1_verified_clean : bool }
 
-val table1_trial : seed:int -> runs:int -> trial_index:int -> table1_row
-(** Trial 0 is the A53 row, trial 1 the A57 row. *)
-
 val run_table1 :
   ?pool:Runner.t -> ?seed:int -> ?runs:int -> unit -> table1_result
 
@@ -48,9 +42,6 @@ val print_table1 : Format.formatter -> table1_result -> unit
 (** {1 E3 — attacker recovery time (§IV-B2)} *)
 
 type e3_result = { e3_a53 : Stats.t; e3_a57 : Stats.t }
-
-val e3_trial : seed:int -> runs:int -> trial_index:int -> Stats.t
-(** Trial 0 cleans up on an A53, trial 1 on an A57. *)
 
 val run_e3 : ?pool:Runner.t -> ?seed:int -> ?runs:int -> unit -> e3_result
 val print_e3 : Format.formatter -> e3_result -> unit
@@ -69,12 +60,6 @@ type uprober_result = {
           8.04×10⁻² s comparison point *)
 }
 
-val uprober_trial :
-  seed:int -> trial_index:int -> float option * float option
-(** One probing-responsiveness trial on core [trial_index mod ncores] of a
-    fresh scenario: returns the entry→report delay (None if the prober
-    missed) and, on A57 trials, one full-kernel check duration. *)
-
 val run_uprober :
   ?pool:Runner.t -> ?seed:int -> ?trials:int -> unit -> uprober_result
 
@@ -85,11 +70,6 @@ val print_uprober : Format.formatter -> uprober_result -> unit
 type table2_row = { t2_period_s : float; t2_thresholds : Stats.t }
 
 type table2_result = { t2_rows : table2_row list; t2_rounds : int }
-
-val table2_trial :
-  seed:int -> rounds:int -> periods:float array -> trial_index:int -> table2_row
-(** One probing period, one row — seeded [seed + 17 * trial_index] as the
-    sequential version always was. *)
 
 val run_table2 :
   ?pool:Runner.t ->
@@ -109,9 +89,6 @@ type e6_result = {
   e6_single_avg : float;
   e6_ratio : float; (** single / all (paper: ≈ 1/4) *)
 }
-
-val e6_trial : seed:int -> rounds:int -> trial_index:int -> Stats.t
-(** Trial 0 probes all six cores, trial 1 the pinned single-core setup. *)
 
 val run_e6 : ?pool:Runner.t -> ?seed:int -> ?rounds:int -> unit -> e6_result
 val print_e6 : Format.formatter -> e6_result -> unit
@@ -142,9 +119,6 @@ type e8_result = {
   e8_deep : e8_campaign; (** GETTID, ~45% into the image — evades *)
   e8_shallow : e8_campaign; (** IRQ vector, start of image — caught *)
 }
-
-val e8_trial : seed:int -> duration_s:int -> trial_index:int -> e8_campaign
-(** Trial 0 is the deep GETTID hijack, trial 1 the shallow IRQ-vector one. *)
 
 val run_e8 :
   ?pool:Runner.t -> ?seed:int -> ?duration_s:int -> unit -> e8_result
@@ -211,10 +185,6 @@ type fig7_result = {
   f7_avg_6task : float;
 }
 
-val fig7_trial : seed:int -> window_s:int -> trial_index:int -> float
-(** One UnixBench score: program [trial_index / 4], copies 1 or 6 from
-    [(trial_index / 2) mod 2], SATIN off/on from [trial_index mod 2]. *)
-
 val run_fig7 :
   ?pool:Runner.t -> ?seed:int -> ?window_s:int -> unit -> fig7_result
 
@@ -234,9 +204,6 @@ type ablation_row = {
 }
 
 type ablation_result = { ab_rows : ablation_row list }
-
-val ablation_trial : seed:int -> passes:int -> trial_index:int -> ablation_row
-(** The four de-randomization variants, in the table's row order. *)
 
 val run_ablation :
   ?pool:Runner.t -> ?seed:int -> ?passes:int -> unit -> ablation_result
@@ -293,15 +260,6 @@ type sweep_row = {
 
 type sweep_result = { sw_rows : sweep_row list }
 
-val sweep_latency_trial :
-  seed:int -> trials:int -> tps:float array -> trial_index:int -> float option
-(** One time-to-first-alarm trial at tp [tps.(trial_index / trials)]. *)
-
-val sweep_score_trial :
-  seed:int -> tps:float array -> trial_index:int -> float
-(** One worst-case-workload score at cadence [tps.(trial_index / 2)], SATIN
-    off on even indices and on on odd ones. *)
-
 val run_tgoal_sweep :
   ?pool:Runner.t ->
   ?seed:int ->
@@ -342,15 +300,6 @@ type inject_row = {
 
 type inject_result = { inj_rows : inject_row list; inj_window_s : int }
 
-val inject_trial :
-  seed:int ->
-  trials:int ->
-  window_s:int ->
-  plans:Satin_inject.Fault_plan.t array ->
-  trial_index:int ->
-  fault_trial
-(** Plan [trial_index / trials], trial seed [derive seed trial_index]. *)
-
 val run_inject :
   ?pool:Runner.t ->
   ?seed:int ->
@@ -377,15 +326,6 @@ type degrade_row = {
 
 type degrade_result = { dg_rows : degrade_row list; dg_window_s : int }
 
-val degrade_trial :
-  seed:int ->
-  trials:int ->
-  window_s:int ->
-  probs:float array ->
-  trial_index:int ->
-  fault_trial
-(** Drop probability [probs.(trial_index / trials)] (0 means [Control]). *)
-
 val run_degrade :
   ?pool:Runner.t ->
   ?seed:int ->
@@ -402,33 +342,13 @@ val print_degrade : Format.formatter -> degrade_result -> unit
 (** {1 Fleet — per-device detection/overhead sweep}
 
     A deployment-scale campaign: [devices] simulated Junos, each with its
-    own PRNG stream, running SATIN under one of {!fleet_classes} (probing
-    cadence × randomization posture) against a persistent rootkit and the
-    worst-case UnixBench workload. Device [i]'s class is
-    [i mod #classes] and its seed [derive seed i] — the population is a
+    own PRNG stream, running SATIN under one of eight classes (probing
+    cadence 0.5/1/2/4 s × randomizations all-on/all-off) against a
+    persistent rootkit and the worst-case UnixBench workload. Device [i]'s
+    class is [i mod 8] and its seed [derive seed i] — the population is a
     pure function of the index, so growing the fleet (or sweeping it with
     [campaign --shard]) only appends devices and reuses every stored
     per-device record. *)
-
-type fleet_class = { fc_tp_s : float; fc_randomized : bool }
-
-val fleet_classes : fleet_class list
-(** Eight classes: cadence 0.5/1/2/4 s × randomizations all-on/all-off. *)
-
-type fleet_device = {
-  fd_detected : bool;
-  fd_latency_s : float option; (** arm -> first alarmed round's wake-up, s *)
-  fd_rounds : int;
-  fd_score : float; (** workload throughput with SATIN running *)
-}
-
-val fleet_class_of : trial_index:int -> fleet_class
-
-val fleet_device_trial :
-  seed:int -> window_s:int -> trial_index:int -> fleet_device
-
-val fleet_baseline_trial : seed:int -> window_s:int -> trial_index:int -> float
-(** The overhead denominator: the same workload with no SATIN installed. *)
 
 type fleet_row = {
   fr_tp_s : float;
@@ -473,34 +393,6 @@ val print_fleet : Format.formatter -> fleet_result -> unit
     cluster's first core. Ground truth comes from the driver's own scan
     intervals. Plus a cachetrace-style hit-rate validation table for the
     hierarchy itself. *)
-
-type cache_cell = {
-  cc_fidelity : Satin_attack.Cache_prober.fidelity;
-  cc_policy : Satin_cache.Policy.kind;
-  cc_autolock : bool;
-}
-
-val cache_cells : cache_cell list
-(** 18 cells: {abstract, prime+probe, evict+reload} x {lru, tree-plru,
-    random} x {AutoLock off, on}. *)
-
-val cache_config_of_cell : cache_cell -> Satin_cache.Cache.config
-
-type cache_trial = {
-  ctr_scans : int; (** scans the driver completed inside the window *)
-  ctr_detected : int; (** scans with a cluster-0 alarm inside their window *)
-  ctr_alarms : int; (** alarm rounds fired, both clusters *)
-  ctr_false_alarms : int; (** alarms with no secure residency to explain them *)
-}
-
-val cache_fidelity_trial :
-  seed:int ->
-  trials:int ->
-  window_s:int ->
-  cells:cache_cell array ->
-  trial_index:int ->
-  cache_trial
-(** Cell [trial_index / trials], trial seed [derive seed trial_index]. *)
 
 type cache_row = {
   cr_fidelity : Satin_attack.Cache_prober.fidelity;

@@ -14,11 +14,10 @@ type t = {
   bucketed : bool;
   table : (string * labels, series) Hashtbl.t;
   mutable cells : series array; (* by key, filled from [table] on first use *)
-  mutable snaps : Json.t list; (* newest first *)
 }
 
 let create ?(bucketed = false) () =
-  { bucketed; table = Hashtbl.create 64; cells = [||]; snaps = [] }
+  { bucketed; table = Hashtbl.create 64; cells = [||] }
 
 let canonical name labels =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) labels in
@@ -232,7 +231,3 @@ let snapshot t ~at =
       ("gauges", Json.List (bucket "gauge"));
       ("histograms", Json.List (bucket "histogram"));
     ]
-
-let record_snapshot t ~at = t.snaps <- snapshot t ~at :: t.snaps
-
-let snapshots t = List.rev t.snaps

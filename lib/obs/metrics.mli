@@ -93,9 +93,3 @@ val snapshot : t -> at:Satin_engine.Sim_time.t -> Json.t
     registry states render byte-identically. Exact histogram entries carry
     count, total, mean, min, max and the p50/p90/p99 exact quantiles;
     bucketed ones carry their count and {!Histogram.to_json}. *)
-
-val record_snapshot : t -> at:Satin_engine.Sim_time.t -> unit
-(** Take {!snapshot} and append it to the registry's snapshot series. *)
-
-val snapshots : t -> Json.t list
-(** Recorded snapshots, oldest first. *)

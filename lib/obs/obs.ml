@@ -214,7 +214,7 @@ let metrics_json t =
     (with_identity
        [
          ("schema", Json.String "satin-metrics/v1");
-         ("snapshots", Json.List (Metrics.snapshots t.metrics @ [ final ]));
+         ("snapshots", Json.List [ final ]);
        ])
 
 let wall_metrics_json t =
@@ -232,9 +232,5 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 let write_trace t path = write_file path (Json.to_string (trace_json t) ^ "\n")
-
-let write_jsonl t path =
-  write_file path
-    (String.concat "\n" (Tracing.jsonl_lines t.tracing) ^ "\n")
 
 let write_metrics t path = write_file path (Json.to_string (metrics_json t) ^ "\n")

@@ -7,7 +7,7 @@
     CLI's [--trace]/[--metrics] flags and the bench harness install a sink
     around a run and export it afterwards.
 
-    The sink is global (like a {!Logs} reporter) rather than threaded
+    The sink is global (like a logging reporter) rather than threaded
     through every constructor: simulated components are built deep inside
     experiment runners, and the timeline of "the current run" is exactly
     what the exports capture. Timestamps are always supplied by the caller
@@ -139,8 +139,8 @@ val trace_json : t -> Json.t
 (** Chrome trace-event document (see {!Tracing.to_chrome_json}). *)
 
 val metrics_json : t -> Json.t
-(** [{"schema": ..., "snapshots": [...]}] — any recorded snapshots plus a
-    final one stamped at {!horizon}. Deterministic registry only: wall-clock
+(** [{"schema": ..., "snapshots": [final]}] — one snapshot of the
+    registry, stamped at {!horizon}. Deterministic registry only: wall-clock
     measurements never appear here, keeping the export byte-stable. *)
 
 val wall_metrics_json : t -> Json.t
@@ -150,9 +150,6 @@ val wall_metrics_json : t -> Json.t
 
 val write_trace : t -> string -> unit
 (** Write {!trace_json} to a file. *)
-
-val write_jsonl : t -> string -> unit
-(** Write the structured-event JSONL stream to a file. *)
 
 val write_metrics : t -> string -> unit
 (** Write {!metrics_json} to a file. *)

@@ -152,26 +152,3 @@ let to_chrome_json ?(process_name = "satin") t =
       ("traceEvents", Json.List (metadata_events ~process_name t @ body));
       ("displayTimeUnit", Json.String "ns");
     ]
-
-let jsonl_lines t =
-  List.rev
-    (Trace.fold
-       (fun acc time p ->
-         let fields =
-           [
-             ("t_ns", Json.Int time);
-             ("ph", Json.String (ph_string p.p_ph));
-             ("track", Json.Int p.p_track);
-             ("name", Json.String p.p_name);
-           ]
-         in
-         let fields =
-           if p.p_cat = "" then fields
-           else fields @ [ ("cat", Json.String p.p_cat) ]
-         in
-         let fields =
-           if p.p_args = [] then fields
-           else fields @ [ ("args", Json.Obj p.p_args) ]
-         in
-         Json.to_string (Json.Obj fields) :: acc)
-       [] t.buf)

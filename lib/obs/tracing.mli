@@ -4,8 +4,7 @@
     simulated core, so an exported E10 campaign renders as the paper's
     Figure 3 per-core timeline. Exports target the Chrome trace-event JSON
     format, directly loadable in Perfetto ({:https://ui.perfetto.dev}) or
-    [chrome://tracing]; a JSONL sink emits the same events one structured
-    object per line for log-style consumers.
+    [chrome://tracing].
 
     Spans on one track must nest properly (the begun-last span ends first),
     which the instrumentation sites guarantee by construction: an area
@@ -72,6 +71,3 @@ val to_chrome_json : ?process_name:string -> t -> Json.t
 (** [{"traceEvents": [...], "displayTimeUnit": "ns"}] with metadata events
     naming the process (default ["satin"]) and every named track.
     Timestamps are microseconds of simulated time (the format's unit). *)
-
-val jsonl_lines : t -> string list
-(** One compact JSON object per event, in recording order. *)

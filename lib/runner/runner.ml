@@ -8,7 +8,6 @@ module Metric = struct
   let batch_wall_s = Obs.key "runner.batch_wall_s"
   let jobs_requested = Obs.key "runner.jobs_requested"
   let jobs_effective = Obs.key "runner.jobs_effective"
-  let trials_resolved = Obs.key "runner.trials_resolved"
 
   let domain_trials w =
     Obs.key ~labels:[ ("domain", string_of_int w) ] "runner.domain_trials"
@@ -149,39 +148,3 @@ let map pool n f =
   pool.last_wall_s <- wall;
   record_metrics pool ~n ~effective:jobs ~wall executed;
   collect results
-
-let map_cached pool n ~lookup ?(on_computed = fun _ _ -> ()) f =
-  if n < 0 then invalid_arg "Runner.map_cached: negative batch size";
-  (* Resolution runs on the submitting domain, in index order, before any
-     dispatch — the resolved set (and therefore the miss set handed to the
-     pool) is independent of jobs width. *)
-  let resolved = Array.init n lookup in
-  let misses = ref [] in
-  for i = n - 1 downto 0 do
-    if resolved.(i) = None then misses := i :: !misses
-  done;
-  let misses = Array.of_list !misses in
-  let resolved_count = n - Array.length misses in
-  Obs.incr Metric.trials_resolved ~by:resolved_count;
-  (* Progress accounting split: this layer reports the warm trials, the
-     inner [map] reports the misses it actually runs — together exactly
-     [n], with no double count. *)
-  if Progress.enabled () && resolved_count > 0 then begin
-    Progress.batch_start resolved_count;
-    for _ = 1 to resolved_count do
-      Progress.trial_done ~hit:true
-    done
-  end;
-  let computed =
-    map pool (Array.length misses) (fun j ->
-        let i = misses.(j) in
-        let v = f i in
-        on_computed i v;
-        v)
-  in
-  Array.iteri (fun j i -> resolved.(i) <- Some computed.(j)) misses;
-  Array.map (function Some v -> v | None -> assert false) resolved
-
-let map_list pool items f =
-  let arr = Array.of_list items in
-  Array.to_list (map pool (Array.length arr) (fun i -> f arr.(i)))

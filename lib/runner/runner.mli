@@ -19,7 +19,13 @@
     sequential execution — same results, full instrumentation, no data
     races. Pool-level metrics ([runner.batches], [runner.trials],
     [runner.domain_trials{domain=i}], [runner.batch_wall_s],
-    [runner.queue_depth]) are recorded by the submitting domain only. *)
+    [runner.queue_depth]) are recorded by the submitting domain only.
+
+    The pool knows nothing of the result store. Every experiment fan-out
+    reaches it through [Satin_store.Memo.map], which resolves stored trials
+    on the submitting domain first and hands the rest to a single [map]
+    batch, one batch per fan-out whether the store is cold, warm or
+    absent. *)
 
 type t
 
@@ -62,28 +68,6 @@ val map : t -> int -> (int -> 'a) -> 'a array
     Raises [Invalid_argument] when called from inside a running trial
     (nested fan-outs would deadlock the fixed-size pool and break the
     submission-order guarantee), or when [n < 0]. *)
-
-val map_cached :
-  t ->
-  int ->
-  lookup:(int -> 'a option) ->
-  ?on_computed:(int -> 'a -> unit) ->
-  (int -> 'a) ->
-  'a array
-(** [map_cached pool n ~lookup ~on_computed f] is {!map} with an external
-    result cache threaded through: every index is first offered to
-    [lookup] (run sequentially on the submitting domain, in index order),
-    and only the unresolved indices are dispatched to the pool as a [map]
-    batch. [on_computed i v] runs right after trial [i]'s body returns, on
-    the domain that ran it — the persistence hook, called per-trial so an
-    interrupted batch keeps its completed work. Results are returned in
-    submission order; error propagation for the dispatched subset follows
-    {!map} (lowest submitted index wins). Resolved trials count under the
-    [runner.trials_resolved] metric and are never dispatched, so a fully
-    resolved batch spawns no domains. *)
-
-val map_list : t -> 'a list -> ('a -> 'b) -> 'b list
-(** [map_list pool items f] is {!map} over a list, preserving order. *)
 
 val last_batch_wall_s : t -> float
 (** Wall-clock seconds of the pool's most recent completed batch (0. before

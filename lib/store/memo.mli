@@ -1,42 +1,46 @@
-(** Cache-aware trial fan-out: {!Satin_runner.Runner.map_cached} wired to
-    the ambient {!Store}.
+(** Cache-aware trial fan-out: {!Satin_runner.Runner.map} wired to the
+    ambient {!Store}.
 
     [map pool ~experiment ~seed ?config ?trial_config n f] is
     observationally [Runner.map pool n f] — same results, same submission
-    order, same lowest-index failure — but when a store is installed
-    ({!Store.install}), each trial [i] is first looked up under
-    [Key.make ~experiment ~seed ~trial_index:i ~config:(config @
-    trial_config i)]; only the misses are dispatched to the Domain pool,
-    and each miss is persisted the moment its trial body returns (on
-    whichever domain ran it), so an interrupted campaign resumes from the
-    completed trials. Results are byte-identical at any pool width, warm
-    or cold: hits deserialize to exactly the bytes the trial body produced
-    (binary-pinned by the key's fingerprint), and misses run the unchanged
-    body.
+    order, same lowest-index failure — and every call is one loop:
 
-    When a tracing sink is installed, every lookup emits a span on the
+    + {e resolve}: with a store installed ({!Store.install}), each trial
+      [i] is looked up in index order under [Key.make ~experiment ~seed
+      ~trial_index:i ~config:(config @ trial_config i)];
+    + {e compute}: the misses this process owns run as one [Runner.map]
+      batch, and each is persisted the moment its body returns (on
+      whichever domain ran it), so an interrupted campaign resumes from
+      the completed trials;
+    + {e wait}: only when sharded ({!set_shard}), the trials other shards
+      own are served from the store as they are published, or stolen.
+
+    Without a store nothing is looked up or persisted, and an unsharded
+    run is shard 0 of 1: it owns every trial and takes no claims. Results
+    are byte-identical at any pool width, warm or cold: hits deserialize
+    to exactly the bytes the trial body produced (binary-pinned by the
+    key's fingerprint), and misses run the unchanged body. Each call
+    records exactly one [runner.batches]; with a store it also records
+    [runner.trials_resolved], the trials served without running.
+
+    When a tracing sink is installed, every lookup emits a span on a
     dedicated store track ([store.hit]/[store.miss], with the experiment,
     trial index, and key as args) — the cache's contribution to a trial
     is visible in the Perfetto export next to the simulation lanes.
 
     {2 Metric capsules}
 
-    With a store installed, every computed trial body runs inside
-    {!Satin_obs.Obs.with_capture}: its metrics registry is sealed into a
-    {!Satin_obs.Capsule.t} (stamped with the experiment, seed, trial
-    index, binary fingerprint, and the full config — ambient context under
-    its ["ctx:"] namespace) and persisted beside the result via
-    {!Store.add_capsule}, on whichever domain ran the trial. Warm hits
-    replay the persisted capsule instead of recomputing anything. The
-    [telemetry] subcommand aggregates these capsules; the live
-    {!Satin_obs.Progress} reporter, when installed, is fed every sealed or
-    replayed capsule (and captures even without a store, so heartbeats can
-    quote p50s on store-less runs). *)
+    With a store installed or a live {!Satin_obs.Progress} reporter on,
+    every computed trial body runs inside {!Satin_obs.Obs.with_capture}:
+    its metrics registry is sealed into a {!Satin_obs.Capsule.t} (stamped
+    with the experiment, seed, trial index, binary fingerprint, and the
+    full config — ambient context under its ["ctx:"] namespace), fed to
+    the reporter, and persisted beside the result via
+    {!Store.add_capsule}. Warm hits replay the persisted capsule instead
+    of recomputing anything. The [telemetry] subcommand aggregates these
+    capsules. *)
 
 module Runner = Satin_runner.Runner
-
-val store_track : int
-(** Trace track carrying the per-trial cache spans. *)
 
 val map :
   Runner.t ->
@@ -49,7 +53,8 @@ val map :
   'a array
 (** [config] holds parameters shared by the whole fan-out, [trial_config]
     the per-trial ones (probing period, fault plan, ...). With no ambient
-    store this is exactly [Runner.map]. *)
+    store and no live reporter this is exactly [Runner.map]. A claim
+    taken for a trial is released when its body returns or raises. *)
 
 (** {2 Sharding}
 
@@ -68,9 +73,9 @@ val map :
 
 val set_shard : (int * int) option -> unit
 (** [set_shard (Some (i, n))] makes subsequent [map] calls run as shard
-    [i] of [n]; [None] (the default) and [n = 1] restore the unsharded
-    path. Raises [Invalid_argument] unless [0 <= i < n]. Ignored while no
-    store is installed. *)
+    [i] of [n]; [None] (the default) and [n = 1] make every call the
+    unsharded shard 0 of 1. Raises [Invalid_argument] unless
+    [0 <= i < n]. Ignored while no store is installed. *)
 
 val shard : unit -> (int * int) option
 

@@ -1,9 +1,5 @@
 module Obs = Satin_obs.Obs
 
-let src = Logs.Src.create "satin.store" ~doc:"trial result store"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 module Metric = struct
   let capsule_hits = Obs.key "store.capsule_hits"
   let capsule_misses = Obs.key "store.capsule_misses"
@@ -15,6 +11,7 @@ module Metric = struct
   let hits = Obs.key "store.hits"
   let misses = Obs.key "store.misses"
   let writes = Obs.key "store.writes"
+  let write_errors = Obs.key "store.write_errors"
 end
 
 type counters = {
@@ -28,6 +25,7 @@ type counters = {
   capsule_writes : int;
   claims : int;
   claim_steals : int;
+  write_errors : int;
 }
 
 (* A live record carries the journal sequence number of the [+] line that
@@ -59,6 +57,7 @@ type t = {
   mutable capsule_writes : int;
   mutable claims : int;
   mutable claim_steals : int;
+  mutable write_errors : int;
 }
 
 let dir t = t.dir
@@ -240,6 +239,7 @@ let open_ ?(max_bytes = 512 * 1024 * 1024) dir =
       capsule_writes = 0;
       claims = 0;
       claim_steals = 0;
+      write_errors = 0;
     }
   in
   Mutex.protect t.mutex (fun () ->
@@ -275,6 +275,16 @@ let write_file_atomic path content =
     (fun () -> output_string oc content);
   Sys.rename tmp path
 
+(* Store warnings go straight to stderr so that a store which persists
+   nothing cannot stay silent about it. Each line is formatted first and
+   written whole, so worker domains never interleave inside one. *)
+let warn fmt =
+  Printf.ksprintf
+    (fun line ->
+      output_string stderr line;
+      flush stderr)
+    ("store: " ^^ fmt ^^ "\n")
+
 let drop_live t key =
   match Hashtbl.find_opt t.live key with
   | Some e ->
@@ -290,8 +300,7 @@ let quarantine t key err =
   append_index t (Printf.sprintf "! %s\n" key);
   t.corrupt <- t.corrupt + 1;
   Obs.incr Metric.corrupt;
-  Log.warn (fun m ->
-      m "quarantined record %s: %s" key (Codec.error_to_string err))
+  warn "quarantined record %s: %s" key (Codec.error_to_string err)
 
 let find_locked t ~key =
   let miss () =
@@ -357,8 +366,19 @@ let enforce_bound t =
     | _ -> () (* stale entry: already evicted/quarantined/superseded *)
   done
 
+(* A write that fails must not poison the trial that just computed its
+   result: a lost record costs one recomputation on the next run, so the
+   failure is counted and reported, never raised. *)
+let persisting t ~what ~key f =
+  try f ()
+  with e ->
+    Mutex.protect t.mutex (fun () -> t.write_errors <- t.write_errors + 1);
+    Obs.incr Metric.write_errors;
+    warn "failed to persist %s %s: %s" what key (Printexc.to_string e)
+
 let add t ~key ~experiment v =
   if not (is_hex_key key) then invalid_arg "Store.add: malformed key";
+  persisting t ~what:"record" ~key @@ fun () ->
   let record = Codec.encode ~experiment v in
   Mutex.protect t.mutex (fun () ->
       with_file_lock t (fun () ->
@@ -444,8 +464,7 @@ let try_claim t ~key ~ttl_s =
             Obs.incr Metric.claims;
             if stolen then begin
               t.claim_steals <- t.claim_steals + 1;
-              Obs.incr Metric.claim_steals;
-              Log.info (fun m -> m "stole stale lease on %s" key)
+              Obs.incr Metric.claim_steals
             end;
             true
           in
@@ -475,6 +494,7 @@ let release_claim t ~key =
 
 let add_capsule t ~key ~experiment payload =
   if not (is_hex_key key) then invalid_arg "Store.add_capsule: malformed key";
+  persisting t ~what:"capsule" ~key @@ fun () ->
   let record = Codec.encode_raw ~experiment payload in
   Mutex.protect t.mutex (fun () ->
       let path = capsule_path t key in
@@ -489,8 +509,7 @@ let quarantine_capsule t key err =
    with Sys_error _ -> (try Sys.remove path with Sys_error _ -> ()));
   t.corrupt <- t.corrupt + 1;
   Obs.incr Metric.corrupt;
-  Log.warn (fun m ->
-      m "quarantined capsule %s: %s" key (Codec.error_to_string err))
+  warn "quarantined capsule %s: %s" key (Codec.error_to_string err)
 
 let find_capsule t ~key =
   Mutex.protect t.mutex (fun () ->
@@ -566,6 +585,7 @@ let counters t =
         capsule_writes = t.capsule_writes;
         claims = t.claims;
         claim_steals = t.claim_steals;
+        write_errors = t.write_errors;
       })
 
 let live_records t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.live)
@@ -605,12 +625,12 @@ let summary_line t =
     else Printf.sprintf "; claims: %d (%d stolen)" c.claims c.claim_steals
   in
   Printf.sprintf
-    "store: %d hit(s), %d miss(es), %d write(s), %d evicted, %d corrupt; %d \
-     record(s), %d bytes live (%s); capsules: %d hit(s), %d miss(es), %d \
-     write(s)%s"
-    c.hits c.misses c.writes c.evictions c.corrupt (live_records t)
-    (live_bytes t) t.dir c.capsule_hits c.capsule_misses c.capsule_writes
-    claims
+    "store: %d hit(s), %d miss(es), %d write(s), %d evicted, %d corrupt, %d \
+     write error(s); %d record(s), %d bytes live (%s); capsules: %d hit(s), \
+     %d miss(es), %d write(s)%s"
+    c.hits c.misses c.writes c.evictions c.corrupt c.write_errors
+    (live_records t) (live_bytes t) t.dir c.capsule_hits c.capsule_misses
+    c.capsule_writes claims
 
 let ambient = ref None
 let install t = ambient := Some t

@@ -43,9 +43,10 @@
 
     All operations are serialized on an internal mutex: worker domains may
     {!add} concurrently while the submitting domain looks up. Counters for
-    hits/misses/writes/evictions/corruptions are kept locally (for
-    {!summary_line}) and mirrored to {!Satin_obs.Obs} as [store.*] metrics
-    when a sink is installed.
+    hits/misses/writes/evictions/corruptions/write errors are kept locally
+    (for {!summary_line}) and mirrored to {!Satin_obs.Obs} as [store.*]
+    metrics when a sink is installed. Every quarantine and every failed
+    write also prints one [store: ...] line on stderr.
 
     One store can be made ambient with {!install} — the same pattern as the
     {!Satin_obs.Obs} sink: experiments are assembled deep inside runners,
@@ -61,7 +62,8 @@ val open_ : ?max_bytes:int -> string -> t
 
 val close : t -> unit
 (** Fsync the journal and release the handle's descriptors. Idempotent.
-    Operations on a closed handle raise [Unix.Unix_error (EBADF, _, _)]. *)
+    Operations on a closed handle raise [Unix.Unix_error (EBADF, _, _)],
+    except {!add} and {!add_capsule}, which count a write error. *)
 
 val sync : t -> unit
 (** Adopt journal lines appended by other processes since this handle last
@@ -86,7 +88,10 @@ val contains : t -> key:string -> bool
 val add : t -> key:string -> experiment:string -> 'a -> unit
 (** Persist one trial result (atomic write + index append), then enforce
     the size bound. Overwrites any existing record under [key] (necessarily
-    with identical content). Safe to call from worker domains. *)
+    with identical content). Safe to call from worker domains. A write that
+    fails is counted in [write_errors] and reported on stderr, never
+    raised: the caller already holds the result, and a lost record costs
+    one recomputation. Raises [Invalid_argument] on a malformed key. *)
 
 (** {1 Trial claims}
 
@@ -135,7 +140,8 @@ val lease_live : lease -> bool
 
 val add_capsule : t -> key:string -> experiment:string -> string -> unit
 (** Persist one capsule payload (atomic write). Safe to call from worker
-    domains. Raises [Invalid_argument] on a malformed key. *)
+    domains. Failures are handled as in {!add}. Raises [Invalid_argument]
+    on a malformed key. *)
 
 val find_capsule : t -> key:string -> string option
 (** The verified capsule payload stored under [key], or [None] on absence
@@ -160,6 +166,7 @@ type counters = {
   capsule_writes : int;
   claims : int;  (** leases granted to this process (incl. refreshes) *)
   claim_steals : int;  (** granted over a stale lease *)
+  write_errors : int;  (** failed {!add}/{!add_capsule} writes *)
 }
 
 val counters : t -> counters
@@ -175,11 +182,12 @@ val invariant_violations : t -> string list
     healthy; used by tests and the sanitizer. *)
 
 val summary_line : t -> string
-(** One-line human summary ([store: H hits, M misses, ... (DIR); capsules:
-    ...]) printed by the CLI and bench to stderr — stderr so stdout reports
-    stay byte-identical between warm and cold runs. Capsule counters are
-    appended after the directory so existing [store:]-prefix parsers keep
-    working; claim counters, when nonzero, are appended after those. *)
+(** One-line human summary ([store: H hit(s), M miss(es), ..., C corrupt,
+    E write error(s); ... (DIR); capsules: ...]) printed by the CLI to
+    stderr — stderr so stdout reports stay byte-identical between warm and
+    cold runs. Capsule counters are appended after the directory so
+    existing [store:]-prefix parsers keep working; claim counters, when
+    nonzero, are appended after those. *)
 
 val mkdir_p : string -> unit
 (** [mkdir] with parents, create-first: [EEXIST] is success at every level

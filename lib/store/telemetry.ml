@@ -6,10 +6,6 @@ module Labels = struct
   type t = (string * string) list
 end
 
-let src = Logs.Src.create "satin.telemetry" ~doc:"campaign telemetry"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type series_agg =
   | Total of int * Histogram.t
   | Dist of Histogram.t
@@ -82,7 +78,8 @@ let collect ?fingerprint store =
         match Capsule.of_string payload with
         | Ok c -> (c :: acc, sk)
         | Error e ->
-            Log.warn (fun m -> m "skipping unreadable capsule %s: %s" key e);
+            Printf.eprintf "telemetry: skipping unreadable capsule %s: %s\n%!"
+              key e;
             (acc, sk + 1))
   in
   let caps = List.rev caps in

@@ -112,11 +112,6 @@ let test_nested_use_rejected () =
   ignore (Runner.map pool 4 busy_trial);
   ignore (Runner.map pool 4 busy_trial)
 
-let test_map_list () =
-  let pool = Runner.create ~clamp:false ~jobs:4 () in
-  Alcotest.(check (list int)) "map_list order" [ 2; 4; 6; 8 ]
-    (Runner.map_list pool [ 1; 2; 3; 4 ] (fun x -> 2 * x))
-
 let test_wall_clock_recorded () =
   let pool = Runner.create ~clamp:false ~jobs:2 () in
   ignore (Runner.map pool 8 busy_trial);
@@ -155,7 +150,6 @@ let suite =
     Alcotest.test_case "lowest-index exception wins" `Quick test_exception_propagation;
     Alcotest.test_case "failure does not cancel" `Quick test_failure_does_not_cancel;
     Alcotest.test_case "nested use rejected" `Quick test_nested_use_rejected;
-    Alcotest.test_case "map_list" `Quick test_map_list;
     Alcotest.test_case "wall clock recorded" `Quick test_wall_clock_recorded;
     Alcotest.test_case "metrics under sink" `Quick test_metrics_under_sink;
   ]

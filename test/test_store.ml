@@ -4,6 +4,8 @@ module Store = Satin_store.Store
 module Memo = Satin_store.Memo
 module Fingerprint = Satin_store.Fingerprint
 module Runner = Satin_runner.Runner
+module Obs = Satin_obs.Obs
+module Metrics = Satin_obs.Metrics
 
 let tmp_dir =
   let counter = ref 0 in
@@ -276,7 +278,11 @@ let test_memo_counts_and_resume () =
   Alcotest.(check int) "resume: only new trials computed" 5 c3.Store.misses;
   Array.iteri
     (fun i v -> Alcotest.(check bool) "resume values correct" true (v = trial i))
-    bigger
+    bigger;
+  (* Unsharded, a run is shard 0 of 1: it owns every trial and claims none. *)
+  Alcotest.(check int) "no claims taken" 0 c3.Store.claims;
+  Alcotest.(check (array string)) "claims/ left empty" [||]
+    (Sys.readdir (Filename.concat dir "claims"))
 
 let test_memo_warm_matches_any_pool_width () =
   let dir = tmp_dir () in
@@ -300,6 +306,82 @@ let test_memo_without_store_is_plain_map () =
   Store.uninstall ();
   let r = Memo.map Runner.sequential ~experiment:"plain" ~seed:1 5 trial in
   Alcotest.(check bool) "plain map" true (r = Array.init 5 trial)
+
+(* A store that cannot persist anything still serves a complete run: every
+   failed write is counted and reported, and the results are unharmed. *)
+let test_memo_write_failures_reported () =
+  let dir = tmp_dir () in
+  let s = Store.open_ dir in
+  List.iter
+    (fun sub ->
+      let path = Filename.concat dir sub in
+      Sys.rmdir path;
+      close_out (open_out path))
+    [ "objects"; "capsules" ];
+  Store.install s;
+  Fun.protect ~finally:Store.uninstall (fun () ->
+      let r =
+        Memo.map Runner.sequential ~experiment:"unwritable" ~seed:2 4 trial
+      in
+      Alcotest.(check bool) "results unharmed" true (r = Array.init 4 trial));
+  let c = Store.counters s in
+  Alcotest.(check int) "record and capsule write errors" 8 c.Store.write_errors;
+  Alcotest.(check int) "no record written" 0 c.Store.writes;
+  Alcotest.(check int) "no capsule written" 0 c.Store.capsule_writes;
+  let contains hay needle =
+    let lh = String.length hay and ln = String.length needle in
+    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "summary line reports them" true
+    (contains (Store.summary_line s) "0 corrupt, 8 write error(s);");
+  Store.close s
+
+(* Under a sink, a fan-out is one pool batch whatever the store holds;
+   [runner.trials] counts the trials this call computed through the pool
+   and [runner.trials_resolved], recorded only with a store, the ones it
+   served from it. *)
+let test_memo_one_batch_per_call () =
+  let n = 6 and experiment = "batches" and seed = 4 in
+  let run () = Memo.map Runner.sequential ~experiment ~seed n trial in
+  let check label want =
+    let obs = Obs.create () in
+    Obs.install obs;
+    let got =
+      Fun.protect ~finally:Obs.uninstall (fun () ->
+          Alcotest.(check bool) (label ^ ": results") true
+            (run () = Array.init n trial);
+          let c = Metrics.counter_value (Obs.metrics obs) in
+          (c "runner.batches", c "runner.trials", c "runner.trials_resolved"))
+    in
+    Alcotest.(check (triple (option int) (option int) (option int)))
+      (label ^ ": batches, trials, trials_resolved") want got
+  in
+  Store.uninstall ();
+  check "no store" (Some 1, Some n, None);
+  let dir = tmp_dir () in
+  with_store dir (fun _ -> check "cold" (Some 1, Some n, Some 0));
+  with_store dir (fun _ -> check "warm" (Some 1, Some 0, Some n));
+  let owned =
+    List.length
+      (List.filter
+         (fun i -> (i + Hashtbl.hash (experiment, seed)) mod 2 = 0)
+         (List.init n Fun.id))
+  in
+  Memo.set_lease_ttl 0.2;
+  Fun.protect
+    ~finally:(fun () ->
+      Memo.set_shard None;
+      Memo.set_lease_ttl 60.0)
+    (fun () ->
+      (* A lone shard computes its own share in the batch and steals the
+         rest after the grace, outside the pool. *)
+      with_store (tmp_dir ()) (fun _ ->
+          Memo.set_shard (Some (0, 2));
+          check "lone shard" (Some 1, Some owned, Some 0));
+      with_store (tmp_dir ()) (fun _ ->
+          Memo.set_shard (Some (0, 1));
+          check "shard 0 of 1" (Some 1, Some n, Some 0)))
 
 (* ---- multi-writer: two handles on one directory ---- *)
 
@@ -551,6 +633,8 @@ let test_memo_sharded () =
             (Store.counters s).Store.claims)
       in
       Alcotest.(check bool) "lone shard claimed trials" true (claims > 0);
+      Alcotest.(check (array string)) "every claim released" [||]
+        (Sys.readdir (Filename.concat dir "claims"));
       (* Warm pass as the other shard: everything resolves in phase 1. *)
       with_store dir (fun s ->
           Memo.set_shard (Some (1, 2));
@@ -560,6 +644,26 @@ let test_memo_sharded () =
           let c = Store.counters s in
           Alcotest.(check int) "warm pass all hits" 8 c.Store.hits;
           Alcotest.(check int) "warm pass no misses" 0 c.Store.misses))
+
+(* A raising trial must not keep its lease: a live lease blocks every
+   same-host peer until the process exits or the TTL passes. *)
+let test_memo_sharded_failure_releases_claim () =
+  let dir = tmp_dir () in
+  Fun.protect
+    ~finally:(fun () -> Memo.set_shard None)
+    (fun () ->
+      with_store dir (fun s ->
+          Memo.set_shard (Some (0, 2));
+          (match
+             Memo.map Runner.sequential ~experiment:"raise" ~seed:5 4 (fun _ ->
+                 failwith "trial failed")
+           with
+          | _ -> Alcotest.fail "a raising fan-out returned"
+          | exception Failure _ -> ());
+          Alcotest.(check bool) "owned trials were claimed" true
+            ((Store.counters s).Store.claims > 0);
+          Alcotest.(check (array string)) "no lease left behind" [||]
+            (Sys.readdir (Filename.concat dir "claims"))))
 
 let suite =
   [
@@ -583,6 +687,10 @@ let suite =
       test_memo_warm_matches_any_pool_width;
     Alcotest.test_case "memo without store" `Quick
       test_memo_without_store_is_plain_map;
+    Alcotest.test_case "memo write failures reported" `Quick
+      test_memo_write_failures_reported;
+    Alcotest.test_case "memo one batch per call" `Quick
+      test_memo_one_batch_per_call;
     Alcotest.test_case "store two handles, one dir" `Quick
       test_store_two_handles;
     QCheck_alcotest.to_alcotest prop_store_consistent;
@@ -591,4 +699,6 @@ let suite =
     Alcotest.test_case "lease TTL must be finite" `Quick
       test_lease_ttl_must_be_finite;
     Alcotest.test_case "memo sharded in-process" `Quick test_memo_sharded;
+    Alcotest.test_case "memo raising trial releases claim" `Quick
+      test_memo_sharded_failure_releases_claim;
   ]
