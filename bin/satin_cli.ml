@@ -29,10 +29,9 @@ let quick_arg =
 
 let jobs_arg =
   let doc =
-    "Run trial fan-outs on $(docv) domains. Reports are byte-identical \
-     whatever the value; the default 1 keeps every trial on the calling \
-     domain. Ignored (forced back to 1) when --trace/--metrics install an \
-     observability sink."
+    "Run trial fan-outs on $(docv) domains. Reports, and the \
+     --trace/--metrics exports, are byte-identical whatever the value; the \
+     default 1 keeps every trial on the calling domain."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -96,6 +95,15 @@ let resolve_store dir no_store =
   if no_store then None
   else match dir with Some _ -> dir | None -> Sys.getenv_opt "SATIN_STORE"
 
+(* A store that cannot be opened — a directory of its layout is a plain
+   file, say — is refused like any bad input: one line on stderr, exit 2. *)
+let open_store dir =
+  try Store.open_ dir
+  with Unix.Unix_error (e, _, path) ->
+    Printf.eprintf "store: cannot open %s: %s: %s\n" dir path
+      (if e = Unix.EEXIST then "not a directory" else Unix.error_message e);
+    exit 2
+
 (* Install the result store around [f] when one was asked for; the
    hit/miss summary goes to stderr so stdout stays byte-identical between
    warm and cold runs. Closing releases the journal fd and fsyncs it, so
@@ -104,7 +112,7 @@ let with_store dir no_store f =
   match resolve_store dir no_store with
   | None -> f ()
   | Some dir ->
-      let store = Store.open_ dir in
+      let store = open_store dir in
       Store.install store;
       Fun.protect
         ~finally:(fun () ->
@@ -415,6 +423,8 @@ let campaign_cmd =
     (match workers with
     | Some w ->
         let dir = Option.get resolved in
+        (* Refuse a damaged store here, not once per worker. *)
+        Store.close (open_store dir);
         let args =
           [
             "campaign"; "--experiments"; String.concat "," experiments;
@@ -452,8 +462,7 @@ let campaign_cmd =
         Memo.set_shard shard;
         Fun.protect ~finally:(fun () -> Memo.set_shard None) run_campaign);
     if report then
-      let dir = Option.get resolved in
-      let s = Store.open_ dir in
+      let s = open_store (Option.get resolved) in
       Fun.protect
         ~finally:(fun () -> Store.close s)
         (fun () ->
@@ -504,7 +513,7 @@ let telemetry_store_dir store =
 
 let telemetry_collect store fingerprint =
   let dir = telemetry_store_dir store in
-  match Telemetry.collect ?fingerprint (Store.open_ dir) with
+  match Telemetry.collect ?fingerprint (open_store dir) with
   | Ok r -> r
   | Error e ->
       Printf.eprintf "telemetry: %s\n" e;

@@ -1,10 +1,11 @@
 type t = {
+  mutable earlier : (float array * int) list; (* [append]ed, latest first *)
   mutable data : float array;
   mutable size : int;
   mutable sorted : float array option; (* cache, invalidated on add *)
 }
 
-let create () = { data = [||]; size = 0; sorted = None }
+let create () = { earlier = []; data = [||]; size = 0; sorted = None }
 
 let add t x =
   if Float.is_nan x then invalid_arg "Stats.add: NaN sample";
@@ -19,25 +20,45 @@ let add t x =
   t.size <- t.size + 1;
   t.sorted <- None
 
+(* Every sample, as (array, count) runs in insertion order. *)
+let runs t = List.rev ((t.data, t.size) :: t.earlier)
+
+(* A sample array is only ever written past its count, so [t] adopts
+   [src]'s arrays instead of copying them: they keep the samples they
+   were adopted with, whatever [src] does next. *)
+let append t src =
+  t.earlier <-
+    List.filter
+      (fun (_, n) -> n > 0)
+      (List.rev_append (runs src) ((t.data, t.size) :: t.earlier));
+  t.data <- [||];
+  t.size <- 0;
+  t.sorted <- None
+
 let add_time t x = add t (Sim_time.to_sec_f x)
-let count t = t.size
-let is_empty t = t.size = 0
+let count t = List.fold_left (fun c (_, n) -> c + n) t.size t.earlier
+let is_empty t = count t = 0
 
 let check_nonempty t name =
-  if t.size = 0 then invalid_arg ("Stats." ^ name ^ ": empty")
+  if is_empty t then invalid_arg ("Stats." ^ name ^ ": empty")
 
 let fold f init t =
-  let acc = ref init in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.data.(i)
-  done;
-  !acc
+  let run acc (a, n) =
+    let acc = ref acc in
+    for i = 0 to n - 1 do
+      acc := f !acc a.(i)
+    done;
+    !acc
+  in
+  List.fold_left run init (runs t)
+
+let iter f t = fold (fun () x -> f x) () t
 
 let total t = fold ( +. ) 0.0 t
 
 let mean t =
   check_nonempty t "mean";
-  total t /. float_of_int t.size
+  total t /. float_of_int (count t)
 
 let min t =
   check_nonempty t "min";
@@ -49,17 +70,22 @@ let max t =
 
 let stddev t =
   check_nonempty t "stddev";
-  if t.size = 1 then 0.0
+  if count t = 1 then 0.0
   else
     let m = mean t in
     let ss = fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 t in
-    sqrt (ss /. float_of_int (t.size - 1))
+    sqrt (ss /. float_of_int (count t - 1))
+
+let to_array t =
+  let a = Array.make (count t) 0.0 and k = ref 0 in
+  List.iter (fun (r, n) -> Array.blit r 0 a !k n; k := !k + n) (runs t);
+  a
 
 let sorted t =
   match t.sorted with
   | Some a -> a
   | None ->
-      let a = Array.sub t.data 0 t.size in
+      let a = to_array t in
       Array.sort Float.compare a;
       t.sorted <- Some a;
       a
@@ -103,22 +129,20 @@ let boxplot t =
   in
   { low_whisker; q1; median = med; q3; high_whisker; outliers }
 
-let to_array t = Array.sub t.data 0 t.size
-
 let histogram t ~bins =
   check_nonempty t "histogram";
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
   let lo = min t and hi = max t in
   let width = (hi -. lo) /. float_of_int bins in
   let counts = Array.make bins 0 in
-  for i = 0 to t.size - 1 do
-    let x = t.data.(i) in
-    let b =
-      if width <= 0.0 then 0
-      else Stdlib.min (bins - 1) (int_of_float ((x -. lo) /. width))
-    in
-    counts.(b) <- counts.(b) + 1
-  done;
+  iter
+    (fun x ->
+      let b =
+        if width <= 0.0 then 0
+        else Stdlib.min (bins - 1) (int_of_float ((x -. lo) /. width))
+      in
+      counts.(b) <- counts.(b) + 1)
+    t;
   List.init bins (fun b -> (lo +. (float_of_int b *. width), counts.(b)))
 
 let pp_sci fmt x = Format.fprintf fmt "%.2e" x

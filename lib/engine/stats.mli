@@ -14,6 +14,10 @@ val add : t -> float -> unit
     [histogram]/[quantile], so it is rejected at the door. Infinities are
     accepted — they order correctly. *)
 
+val append : t -> t -> unit
+(** [append t src] adds [src]'s samples to [t], in order, without copying
+    them: [t] shares [src]'s sample arrays, and [src] stays usable. *)
+
 val add_time : t -> Sim_time.t -> unit
 (** Adds a {!Sim_time.t} sample converted to seconds. *)
 
@@ -50,6 +54,9 @@ val boxplot : t -> boxplot
 
 val to_array : t -> float array
 (** Samples in insertion order (a copy). *)
+
+val iter : (float -> unit) -> t -> unit
+(** Visit the samples in insertion order, copying nothing. *)
 
 val histogram : t -> bins:int -> (float * int) list
 (** [(lower_edge, count)] per equal-width bin over [\[min, max\]]; the last

@@ -72,7 +72,7 @@ let add t v =
 
 let of_stats s =
   let t = create () in
-  Array.iter (add t) (Stats.to_array s);
+  Stats.iter (add t) s;
   t
 
 let count t = t.count
@@ -155,16 +155,20 @@ let quantile t q =
    with Exit -> ());
   clamp !result
 
+let merge_into t b =
+  for i = 0 to n_buckets - 1 do
+    t.pos.(i) <- t.pos.(i) + b.pos.(i);
+    t.neg.(i) <- t.neg.(i) + b.neg.(i)
+  done;
+  t.zero <- t.zero + b.zero;
+  t.count <- t.count + b.count;
+  t.min <- Float.min t.min b.min;
+  t.max <- Float.max t.max b.max
+
 let merge a b =
   let t = create () in
-  for i = 0 to n_buckets - 1 do
-    t.pos.(i) <- a.pos.(i) + b.pos.(i);
-    t.neg.(i) <- a.neg.(i) + b.neg.(i)
-  done;
-  t.zero <- a.zero + b.zero;
-  t.count <- a.count + b.count;
-  t.min <- Float.min a.min b.min;
-  t.max <- Float.max a.max b.max;
+  merge_into t a;
+  merge_into t b;
   t
 
 let equal a b =

@@ -60,6 +60,9 @@ val merge : t -> t -> t
     commutative: bucket counts add, min/max fold. [merge (of_list a)
     (of_list b)] is structurally equal to [of_list (a @ b)]. *)
 
+val merge_into : t -> t -> unit
+(** [merge_into t b] makes [t] [merge t b], in place. *)
+
 val equal : t -> t -> bool
 (** Structural equality of the full state (counts, min, max). *)
 

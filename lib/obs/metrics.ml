@@ -135,6 +135,23 @@ let record h v =
   | Buckets b -> Histogram.add b v
   | Counter _ | Gauge _ | Unresolved -> assert false
 
+let merge ~into src =
+  if into.bucketed <> src.bucketed then
+    invalid_arg "Metrics.merge: an exact and a bucketed registry do not merge";
+  Hashtbl.iter
+    (fun series s ->
+      match (Hashtbl.find_opt into.table series, s) with
+      | None, _ -> Hashtbl.replace into.table series s
+      | Some (Counter a), Counter b -> a := !a + !b
+      | Some (Gauge a), Gauge b -> a := !b
+      | Some (Histogram a), Histogram b -> Stats.append a b
+      | Some (Buckets a), Buckets b -> Histogram.merge_into a b
+      | Some d, _ ->
+          invalid_arg
+            (Printf.sprintf "Metrics.merge: %S is already a %s" (fst series)
+               (kind_name d)))
+    src.table
+
 (* ---- by name ---- *)
 
 let incr t ?labels ?(by = 1) name =

@@ -6,11 +6,11 @@
 
     - {e exact} (the default): every sample is kept in a
       {!Satin_engine.Stats.t}, giving the exact quantiles the paper's
-      latency tables report. The global sink's registries are exact, so
-      [--metrics] snapshots print exact quantiles.
+      latency tables report. Sinks and the captures merged into them are
+      exact, so [--metrics] snapshots print exact quantiles.
     - {e bucketed}: each sample is added on arrival to the
-      {!Histogram.t} a metric capsule serializes, in fixed memory. Capture
-      registries ({!Obs.with_capture}) are bucketed.
+      {!Histogram.t} a metric capsule serializes, in fixed memory. Captures
+      taken with no sink to merge into ({!Obs.with_capture}) are bucketed.
 
     Snapshots are stamped with the simulated instant they were taken at, so
     a campaign can be sampled into a time series of registry states. *)
@@ -55,6 +55,13 @@ val histogram : t -> key -> histogram
 
 val record : histogram -> float -> unit
 (** Add one sample. NaN raises [Invalid_argument]. *)
+
+val merge : into:t -> t -> unit
+(** Counters sum, gauges take [src]'s value, histogram samples are
+    appended in order ({!Satin_engine.Stats.append}, sharing, not copying)
+    and bucket counts add. A series [into] lacks is moved, so [src] must
+    not be used afterwards. Raises [Invalid_argument] on an exact and a
+    bucketed registry, or on a series of another kind in [into]. *)
 
 (** {1 By name}
 

@@ -7,209 +7,177 @@ type t = {
   (* Real-time (host wall-clock) measurements live in their own registry so
      the deterministic one stays byte-stable across runs — DESIGN §7's
      [--metrics] contract. *)
-  tracing : Tracing.t;
+  tracing : Tracing.t option; (* [None] in a bucketed capture *)
   mutable horizon : Sim_time.t;
 }
 
-let current_state : t option ref = ref None
-
-let create () =
+let make ~exact =
   {
-    metrics = Metrics.create ();
+    metrics = Metrics.create ~bucketed:(not exact) ();
     wall_metrics = Metrics.create ();
-    tracing = Tracing.create ();
+    tracing = (if exact then Some (Tracing.create ()) else None);
     horizon = Sim_time.zero;
   }
 
+let create () = make ~exact:true
+
 let metrics t = t.metrics
 let wall_metrics t = t.wall_metrics
-let tracing t = t.tracing
 
-let install t = current_state := Some t
-let uninstall () = current_state := None
+let touch o time = if time > o.horizon then o.horizon <- time
 
-let current () = !current_state
-let enabled () = !current_state <> None
+(* ---- observers ----
 
-let touch s time = if time > s.horizon then s.horizon <- time
+   Each domain has one slot holding its innermost observer: its open
+   capture, else the sink it installed. [live] counts the observers in
+   place on every domain, so with none anywhere a hook pays one atomic
+   load and returns. *)
 
-(* ---- per-domain capture ----
-
-   Capsule capture is per-domain (a DLS slot) rather than global: worker
-   domains run trials concurrently, and each trial's registry must see only
-   its own samples. [capture_count] is the fast-path guard — when zero (no
-   capture anywhere) a hook pays one atomic load on top of the sink match,
-   preserving the "instrumentation is free when off" contract. *)
-
-let capture_key : Metrics.t option ref Domain.DLS.key =
+let slot_key : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let capture_count = Atomic.make 0
+let live = Atomic.make 0
+let slot () = Domain.DLS.get slot_key
 
-let capture_slot () = Domain.DLS.get capture_key
+let current () = if Atomic.get live > 0 then !(slot ()) else None
+let active () = Option.is_some (current ())
 
-let capturing () =
-  Atomic.get capture_count > 0 && !(capture_slot ()) <> None
+let install t =
+  let s = slot () in
+  if Option.is_none !s then Atomic.incr live;
+  s := Some t
 
-let active () = enabled () || capturing ()
+let uninstall () =
+  let s = slot () in
+  if Option.is_some !s then Atomic.decr live;
+  s := None
 
-let with_capture f =
-  let slot = capture_slot () in
-  let saved = !slot in
-  let m = Metrics.create ~bucketed:true () in
-  slot := Some m;
-  Atomic.incr capture_count;
+let with_capture ?like f =
+  let exact = match like with Some o -> o.tracing <> None | None -> false in
+  let c = make ~exact in
+  let s = slot () in
+  let saved = !s in
+  s := Some c;
+  Atomic.incr live;
   Fun.protect
     ~finally:(fun () ->
-      Atomic.decr capture_count;
-      slot := saved)
-    (fun () ->
-      let r = f () in
-      (m, r))
+      Atomic.decr live;
+      s := saved)
+    (fun () -> (c, f ()))
+
+let merge ~into c =
+  Metrics.merge ~into:into.metrics c.metrics;
+  Metrics.merge ~into:into.wall_metrics c.wall_metrics;
+  (match (into.tracing, c.tracing) with
+  | Some a, Some b -> Tracing.append a b
+  | _ -> ());
+  touch into c.horizon
 
 (* ---- hook entry points ----
 
-   Each hook resolves its series through the key's cell in the sink's and
-   the capture's registry: one array load and one mutation per
-   destination. *)
+   Each hook writes the calling domain's innermost observer only,
+   resolving its series through the key's cell: one array load and one
+   mutation. *)
 
 type key = Metrics.key
 
 let key = Metrics.key
 
 let incr ?(by = 1) k =
-  (match !current_state with
+  match current () with
   | None -> ()
-  | Some s ->
-      let r = Metrics.counter s.metrics k in
-      r := !r + by);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m ->
-        let r = Metrics.counter m k in
-        r := !r + by
+  | Some o ->
+      let r = Metrics.counter o.metrics k in
+      r := !r + by
 
 let set_gauge k v =
-  (match !current_state with
-  | None -> ()
-  | Some s -> Metrics.gauge s.metrics k := v);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.gauge m k := v
+  match current () with None -> () | Some o -> Metrics.gauge o.metrics k := v
 
 let observe k v =
-  (match !current_state with
+  match current () with
   | None -> ()
-  | Some s -> Metrics.record (Metrics.histogram s.metrics k) v);
-  if Atomic.get capture_count > 0 then
-    match !(capture_slot ()) with
-    | None -> ()
-    | Some m -> Metrics.record (Metrics.histogram m k) v
+  | Some o -> Metrics.record (Metrics.histogram o.metrics k) v
 
 let observe_time k d = observe k (Sim_time.to_sec_f d)
 
 let observe_wall k v =
-  (* Wall-clock samples stay out of capture: capsules persist and merge
-     across runs, so they must hold only deterministic series. *)
-  match !current_state with
+  match current () with
   | None -> ()
-  | Some s -> Metrics.record (Metrics.histogram s.wall_metrics k) v
+  | Some o -> Metrics.record (Metrics.histogram o.wall_metrics k) v
+
+(* The calling domain's trace, if any, once its observer's horizon has
+   reached [time]. *)
+let trace_at time =
+  match current () with
+  | None -> None
+  | Some o ->
+      touch o time;
+      o.tracing
 
 let span_begin ~time ~track ?cat ?args name =
-  match !current_state with
+  match trace_at time with
   | None -> ()
-  | Some s ->
-      touch s time;
-      Tracing.begin_span s.tracing ~time ~track ?cat ?args name
+  | Some tr -> Tracing.begin_span tr ~time ~track ?cat ?args name
 
 let span_end ~time ~track =
-  match !current_state with
+  match trace_at time with
   | None -> ()
-  | Some s ->
-      touch s time;
-      Tracing.end_span s.tracing ~time ~track
+  | Some tr -> Tracing.end_span tr ~time ~track
 
 let instant ~time ~track ?cat ?args name =
-  match !current_state with
+  match trace_at time with
   | None -> ()
-  | Some s ->
-      touch s time;
-      Tracing.instant s.tracing ~time ~track ?cat ?args name
+  | Some tr -> Tracing.instant tr ~time ~track ?cat ?args name
 
 let name_track track name =
-  match !current_state with
-  | None -> ()
-  | Some s -> Tracing.set_track_name s.tracing track name
+  match current () with
+  | Some { tracing = Some tr; _ } -> Tracing.set_track_name tr track name
+  | _ -> ()
 
 let events_fired = key "engine.events_fired"
 let queue_depth = key "engine.queue_depth"
 let batch_size = key "engine.batch_size"
 
 let attach_engine engine =
-  let capture =
-    if Atomic.get capture_count > 0 then !(capture_slot ()) else None
-  in
-  match (!current_state, capture) with
-  | None, None -> ()
-  | sink, capture ->
+  match current () with
+  | None -> ()
+  | Some o ->
       (* Cells are resolved once here, so the per-event observer stays a
-         pair of raw mutations even when both destinations are live. This
-         also creates all three series before the first event, so a
-         registry holds them even for an engine that never runs. *)
-      let cells m =
-        ( Metrics.counter m events_fired,
-          Metrics.gauge m queue_depth,
-          Metrics.histogram m batch_size )
-      in
-      let sink = Option.map (fun s -> (s, cells s.metrics)) sink in
-      let capture = Option.map cells capture in
+         few raw mutations. This also creates all three series before the
+         first event, so a registry holds them even for an engine that
+         never runs. *)
+      let fired = Metrics.counter o.metrics events_fired
+      and depth = Metrics.gauge o.metrics queue_depth
+      and sizes = Metrics.histogram o.metrics batch_size in
       (* Batched dispatch shape: events per same-instant batch. A
          deterministic series (batch boundaries are a function of the
          schedule alone), so it belongs in [metrics], not [wall_metrics].
          Runs once per batch, between dispatches. *)
       Engine.set_batch_observer engine
-        (Some
-           (fun ~size ->
-             let v = float_of_int size in
-             (match sink with
-             | None -> ()
-             | Some (_, (_, _, h)) -> Metrics.record h v);
-             match capture with None -> () | Some (_, _, h) -> Metrics.record h v));
+        (Some (fun ~size -> Metrics.record sizes (float_of_int size)));
       Engine.set_observer engine
         (Some
            (fun ~time ~pending ->
-             (match sink with
-             | None -> ()
-             | Some (s, (fired, depth, _)) ->
-                 fired := !fired + 1;
-                 depth := float_of_int pending;
-                 touch s time);
-             match capture with
-             | None -> ()
-             | Some (fired, depth, _) ->
-                 fired := !fired + 1;
-                 depth := float_of_int pending))
+             fired := !fired + 1;
+             depth := float_of_int pending;
+             touch o time))
 
 (* ---- exports ---- *)
 
 let identity_ref : Json.t option ref = ref None
 
 let set_identity id = identity_ref := id
-let identity () = !identity_ref
 
 let with_identity fields =
   match !identity_ref with
   | None -> fields
   | Some id -> List.hd fields :: ("identity", id) :: List.tl fields
 
-let horizon t = t.horizon
-
-let trace_json t = Tracing.to_chrome_json t.tracing
+let trace_json t =
+  Tracing.to_chrome_json (Option.value t.tracing ~default:(Tracing.create ()))
 
 let metrics_json t =
-  let final = Metrics.snapshot t.metrics ~at:(horizon t) in
+  let final = Metrics.snapshot t.metrics ~at:t.horizon in
   Json.Obj
     (with_identity
        [
@@ -222,7 +190,7 @@ let wall_metrics_json t =
     (with_identity
        [
          ("schema", Json.String "satin-wall-metrics/v1");
-         ("snapshot", Metrics.snapshot t.wall_metrics ~at:(horizon t));
+         ("snapshot", Metrics.snapshot t.wall_metrics ~at:t.horizon);
        ])
 
 let write_file path contents =

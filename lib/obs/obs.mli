@@ -1,21 +1,27 @@
-(** Observability facade: the one sink the instrumentation hooks talk to.
+(** Observability facade: the one path the instrumentation hooks talk to.
 
-    The simulation layers (engine, monitor, scheduler, defenses, attacks)
-    are instrumented with calls into this module. With no sink installed —
-    the default — every call is a single match on a global and returns
-    immediately, so experiments pay nothing for the instrumentation. The
-    CLI's [--trace]/[--metrics] flags and the bench harness install a sink
-    around a run and export it afterwards.
+    Every hook writes exactly one place: the {e innermost observer} of the
+    calling domain — its open capture ({!with_capture}), else the sink
+    that domain installed ({!install}), else nothing. With no observer
+    anywhere — the default — a hook is one atomic load, so experiments pay
+    nothing for the instrumentation. The CLI's [--trace]/[--metrics] flags
+    and the bench harness install a sink around a run and export it.
 
-    The sink is global (like a logging reporter) rather than threaded
-    through every constructor: simulated components are built deep inside
-    experiment runners, and the timeline of "the current run" is exactly
-    what the exports capture. Timestamps are always supplied by the caller
-    from its engine clock, so one sink serves any number of scenarios. *)
+    Observers are ambient per domain rather than threaded through every
+    constructor, since components are built deep inside experiment
+    runners. Worker domains never write the sink: each trial records into
+    its own capture, which [Satin_store.Memo.map] {!merge}s into the
+    submitting domain's observer in submission order, so the sink holds
+    what a sequential run would have written, at any [--jobs]. Hooks take
+    their timestamps from the caller's engine clock, so one observer
+    serves any number of scenarios. *)
 
 type t
+(** An observer: a deterministic metrics registry, a wall-clock registry,
+    a trace, and the latest simulated instant any hook reported. *)
 
 val create : unit -> t
+(** A sink: exact histograms and a trace. *)
 
 val metrics : t -> Metrics.t
 
@@ -25,52 +31,42 @@ val wall_metrics : t -> Metrics.t
     {!metrics} so the deterministic registry — and therefore the
     [--metrics] export — stays byte-stable run to run (DESIGN §7). *)
 
-val tracing : t -> Tracing.t
-
 val install : t -> unit
-(** Make [t] the current sink. Replaces any previous sink. *)
+(** Make [t] the calling domain's sink, replacing any previous one. Call it
+    outside any capture; other domains do not see it. *)
 
 val uninstall : unit -> unit
 
 val current : unit -> t option
-val enabled : unit -> bool
-
-(** {1 Per-domain capture}
-
-    Capsule capture runs {e beside} the global sink: [with_capture] gives
-    the calling domain a private registry that every metrics hook also
-    writes to for the duration of [f]. Capture is per-domain state
-    (Domain.DLS), so concurrent trials on worker domains each seal their
-    own registry; captures nest (the innermost wins) and never touch the
-    global sink, tracing, or wall-clock series. With no capture active
-    anywhere, the added hook cost is one atomic load.
-
-    A capture registry is bucketed ({!Metrics.create}): each histogram
-    sample is added on arrival to the {!Histogram.t} its capsule
-    serializes, so a trial's capture holds no sample buffers. *)
-
-val with_capture : (unit -> 'a) -> Metrics.t * 'a
-(** Run [f] with a fresh bucketed registry on the current domain; return
-    that registry (sealed — no further hooks write to it) with [f]'s
-    result. The previous capture, if any, is restored even on raise. *)
-
-val capturing : unit -> bool
-(** Whether the {e current domain} is inside {!with_capture}. Scenario
-    construction uses this to attach engine observers for capture-only
-    runs. *)
+(** The calling domain's innermost observer. *)
 
 val active : unit -> bool
-(** [enabled () || capturing ()] — the guard for instrumentation sites
-    that build metric samples: a site skipped when only the sink is absent
-    would leave capture-only runs (store-backed campaigns) with empty
-    capsules. Tracing-only sites may keep guarding on {!enabled}. *)
+(** [current () <> None]: the guard for instrumentation sites that build
+    samples or trace arguments before calling a hook. *)
 
-(** {1 Hook entry points (no-ops when no sink is installed)}
+(** {1 Captures} *)
+
+val with_capture : ?like:t -> (unit -> 'a) -> t * 'a
+(** Run [f] with a fresh observer as the calling domain's innermost one;
+    return it, sealed, with [f]'s result. The previous observer is
+    restored even on raise; captures nest. A capture takes the form of
+    [like], the observer it will be {!merge}d into: exact histograms and a
+    trace, like a sink. Without [like] it is bucketed
+    ({!Metrics.create}) and keeps no trace, so a trial's capture holds no
+    sample buffers. *)
+
+val merge : into:t -> t -> unit
+(** Add a sealed capture to [into]: {!Metrics.merge} on both registries,
+    trace events appended in order, the latest reported instant kept.
+    Histogram samples and trace events are shared, not copied. A series
+    [into] lacks is moved, so the capture must not be used afterwards.
+    Raises [Invalid_argument] unless it was taken like [into]. *)
+
+(** {1 Hook entry points (no-ops when no observer is in place)}
 
     A metrics hook names its series by {!key}, never by string: intern the
     key once (at module level, or per core or area when a component is
-    created) and the hook is one array load and one mutation per live
-    registry. *)
+    created) and the hook is one array load and one mutation. *)
 
 type key = Metrics.key
 
@@ -108,17 +104,17 @@ val instant :
 val name_track : int -> string -> unit
 
 val attach_engine : Satin_engine.Engine.t -> unit
-(** Register the engine-level observers: every fired event bumps the
+(** Register the engine-level observers with the calling domain's
+    innermost observer: every fired event bumps the
     ["engine.events_fired"] counter and updates the ["engine.queue_depth"]
     gauge, and every dispatched batch records its event count into the
-    ["engine.batch_size"] histogram — in the sink, the current domain's
-    capture registry, or both. All three are deterministic series (batch
-    boundaries are a function of the schedule alone), so they flow into
-    capsules and [telemetry report], never into wall-metrics. All three
-    series are created at attach time, so a registry holds them even for
-    an engine that never fires. A no-op (and no observer is installed)
-    when neither destination is active, so an un-instrumented run keeps
-    the engine's bare step loop. *)
+    ["engine.batch_size"] histogram. All three are deterministic series
+    (batch boundaries are a function of the schedule alone), so they flow
+    into capsules and [telemetry report], never into wall-metrics. All
+    three series are created at attach time, so a registry holds them even
+    for an engine that never fires. With no observer in place it installs
+    nothing, so an un-instrumented run keeps the engine's bare step
+    loop. *)
 
 (** {1 Exports} *)
 
@@ -129,18 +125,13 @@ val set_identity : Json.t option -> unit
     telemetry consumers use it to refuse apples-to-oranges comparisons.
     [None] (the default) omits the field. *)
 
-val identity : unit -> Json.t option
-
-val horizon : t -> Satin_engine.Sim_time.t
-(** Latest simulated instant any hook reported — the stamp used for the
-    final metrics snapshot. *)
-
 val trace_json : t -> Json.t
-(** Chrome trace-event document (see {!Tracing.to_chrome_json}). *)
+(** Chrome trace-event document (see {!Tracing.to_chrome_json}); a
+    bucketed capture's is empty. *)
 
 val metrics_json : t -> Json.t
 (** [{"schema": ..., "snapshots": [final]}] — one snapshot of the
-    registry, stamped at {!horizon}. Deterministic registry only: wall-clock
+    registry, stamped at the latest simulated instant any hook reported. Deterministic registry only: wall-clock
     measurements never appear here, keeping the export byte-stable. *)
 
 val wall_metrics_json : t -> Json.t

@@ -1,5 +1,4 @@
 module Sim_time = Satin_engine.Sim_time
-module Trace = Satin_engine.Trace
 
 type phase = Begin | End | Instant
 
@@ -12,16 +11,9 @@ type event = {
   args : (string * Json.t) list;
 }
 
-type payload = {
-  p_ph : phase;
-  p_track : int;
-  p_name : string;
-  p_cat : string;
-  p_args : (string * Json.t) list;
-}
-
 type t = {
-  buf : payload Trace.t;
+  mutable buf : event array; (* events in recording order, [len] of them *)
+  mutable len : int;
   track_names : (int, string) Hashtbl.t;
   open_spans : (int, int * string list) Hashtbl.t;
       (* per-track (owner domain, begin stack); ownership transfers only
@@ -29,9 +21,16 @@ type t = {
 }
 
 let create () =
-  { buf = Trace.create (); track_names = Hashtbl.create 8; open_spans = Hashtbl.create 8 }
+  { buf = [||]; len = 0; track_names = Hashtbl.create 8; open_spans = Hashtbl.create 8 }
 
-let push t ~time p = Trace.record t.buf time p
+let push t e =
+  if t.len = Array.length t.buf then begin
+    let buf = Array.make (max 16 (2 * t.len)) e in
+    Array.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+  end;
+  t.buf.(t.len) <- e;
+  t.len <- t.len + 1
 
 let self_id () = (Domain.self () :> int)
 
@@ -56,7 +55,7 @@ let begin_span t ~time ~track ?(cat = "") ?(args = []) name =
     | Some (_, []) | None -> []
   in
   Hashtbl.replace t.open_spans track (me, name :: stack);
-  push t ~time { p_ph = Begin; p_track = track; p_name = name; p_cat = cat; p_args = args }
+  push t { ph = Begin; time; track; name; cat; args }
 
 let end_span t ~time ~track =
   let me = self_id () in
@@ -70,29 +69,21 @@ let end_span t ~time ~track =
     | Some (_, []) | None -> ("", [])
   in
   Hashtbl.replace t.open_spans track (me, rest);
-  push t ~time { p_ph = End; p_track = track; p_name = name; p_cat = ""; p_args = [] }
+  push t { ph = End; time; track; name; cat = ""; args = [] }
 
 let instant t ~time ~track ?(cat = "") ?(args = []) name =
-  push t ~time { p_ph = Instant; p_track = track; p_name = name; p_cat = cat; p_args = args }
+  push t { ph = Instant; time; track; name; cat; args }
 
 let set_track_name t track name = Hashtbl.replace t.track_names track name
 
-let length t = Trace.length t.buf
+(* Events are immutable, so [t] shares [src]'s instead of copying them. *)
+let append t src =
+  for i = 0 to src.len - 1 do
+    push t src.buf.(i)
+  done;
+  Hashtbl.iter (Hashtbl.replace t.track_names) src.track_names
 
-let events t =
-  List.rev
-    (Trace.fold
-       (fun acc time p ->
-         {
-           ph = p.p_ph;
-           time;
-           track = p.p_track;
-           name = p.p_name;
-           cat = p.p_cat;
-           args = p.p_args;
-         }
-         :: acc)
-       [] t.buf)
+let events t = List.init t.len (fun i -> t.buf.(i))
 
 (* Chrome trace-event timestamps are microseconds; keep nanosecond
    resolution with a fractional part. *)
@@ -100,24 +91,24 @@ let ts_json time = Json.float (float_of_int time /. 1000.0)
 
 let ph_string = function Begin -> "B" | End -> "E" | Instant -> "i"
 
-let event_json ~time p =
+let event_json e =
   let base =
     [
-      ("name", Json.String p.p_name);
-      ("ph", Json.String (ph_string p.p_ph));
-      ("ts", ts_json time);
+      ("name", Json.String e.name);
+      ("ph", Json.String (ph_string e.ph));
+      ("ts", ts_json e.time);
       ("pid", Json.Int 0);
-      ("tid", Json.Int p.p_track);
+      ("tid", Json.Int e.track);
     ]
   in
-  let base = if p.p_cat = "" then base else base @ [ ("cat", Json.String p.p_cat) ] in
+  let base = if e.cat = "" then base else base @ [ ("cat", Json.String e.cat) ] in
   let base =
-    match p.p_ph with
+    match e.ph with
     | Instant -> base @ [ ("s", Json.String "t") ] (* thread-scoped instant *)
     | Begin | End -> base
   in
   let base =
-    if p.p_args = [] then base else base @ [ ("args", Json.Obj p.p_args) ]
+    if e.args = [] then base else base @ [ ("args", Json.Obj e.args) ]
   in
   Json.Obj base
 
@@ -144,9 +135,7 @@ let metadata_events ~process_name t =
        tracks
 
 let to_chrome_json ?(process_name = "satin") t =
-  let body =
-    List.rev (Trace.fold (fun acc time p -> event_json ~time p :: acc) [] t.buf)
-  in
+  let body = List.map event_json (events t) in
   Json.Obj
     [
       ("traceEvents", Json.List (metadata_events ~process_name t @ body));

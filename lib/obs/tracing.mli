@@ -14,14 +14,12 @@
 
     A track is a {e single-domain lane while spans are open on it}: the
     domain that begins a span owns the track until its begin stack drains,
-    and only then may another domain take it over. Under [--jobs N] the
-    runner's worker domains must therefore use disjoint track ids (e.g.
-    derived from the domain slot, as the memo layer's store track does) —
-    two domains interleaving begin/end pairs on one track would serialize
-    into a corrupt nesting that renders as garbage. {!begin_span} and
-    {!end_span} enforce this: a call on a track whose open spans were begun
-    by a different domain raises [Invalid_argument] instead of silently
-    interleaving. *)
+    and only then may another domain take it over. {!Obs} never shares a
+    [t] between domains (each trial traces into its own capture, which is
+    {!append}ed to the sink in submission order), but for a [t] shared
+    anyway, {!begin_span} and {!end_span} refuse a call on a track whose
+    open spans were begun by a different domain: interleaved begin/end
+    pairs would serialize into a corrupt nesting. *)
 
 type phase = Begin | End | Instant
 
@@ -64,7 +62,10 @@ val instant :
 val set_track_name : t -> int -> string -> unit
 (** Label a track in the exported view (e.g. ["core 4 (A57)"]). *)
 
-val length : t -> int
+val append : t -> t -> unit
+(** [append t src] adds [src]'s events to the end of [t], in order, and
+    takes over its track names. *)
+
 val events : t -> event list
 
 val to_chrome_json : ?process_name:string -> t -> Json.t

@@ -76,21 +76,20 @@ let record_metrics pool ~n ~effective ~wall executed =
   Obs.set_gauge Metric.queue_depth 0.0;
   (* Wall time is the one nondeterministic reading here; it goes to the
      segregated real-time registry so --metrics output stays byte-stable.
-     The pool widths join it because the effective width is a property of
-     the host (the clamp), not of the simulated run. *)
+     The pool widths and each domain's share of the batch join it: they
+     depend on the host (the clamp) and on scheduling, not on the
+     simulated run. *)
   Obs.observe_wall Metric.batch_wall_s wall;
   Obs.observe_wall Metric.jobs_requested (float_of_int pool.jobs);
   Obs.observe_wall Metric.jobs_effective (float_of_int effective);
-  Array.iteri (fun w c -> Obs.incr pool.domain_trials.(w) ~by:c) executed
+  Array.iteri (fun w c -> Obs.observe_wall pool.domain_trials.(w) (float c))
+    executed
 
 let map pool n f =
   if n < 0 then invalid_arg "Runner.map: negative batch size";
   if Domain.DLS.get in_trial then
     invalid_arg "Runner.map: nested use (map called from inside a trial)";
-  (* The obs sink is a process-global; trial bodies instrument through it,
-     so a batch under an installed sink runs sequentially (same results —
-     that is the whole point of the pool — just no overlap). *)
-  let jobs = if Obs.enabled () then 1 else min pool.effective_jobs n in
+  let jobs = min pool.effective_jobs n in
   Obs.set_gauge Metric.queue_depth (float_of_int n);
   Progress.batch_start n;
   let wall0 = Unix.gettimeofday () in

@@ -14,12 +14,16 @@
     exceptions are re-raised in submission order, and nested use (calling
     [map] from inside a trial) is rejected.
 
-    The global {!Satin_obs.Obs} sink is process-wide mutable state, so when
-    a sink is installed ([--trace]/[--metrics]) the pool degrades to
-    sequential execution — same results, full instrumentation, no data
-    races. Pool-level metrics ([runner.batches], [runner.trials],
-    [runner.domain_trials{domain=i}], [runner.batch_wall_s],
-    [runner.queue_depth]) are recorded by the submitting domain only.
+    The pool runs at full width whatever {!Satin_obs.Obs} observer is in
+    place: a hook in a trial body writes the innermost observer of the
+    domain running it. [Satin_store.Memo.map] captures each trial and
+    merges the captures in submission order; a body handed to [map]
+    directly reaches a sink only when it runs on the submitting domain,
+    and its hooks are dropped on a worker. The submitting domain records
+    [runner.batches], [runner.trials] and [runner.queue_depth], and in the
+    wall-clock registry [runner.batch_wall_s], the pool widths and
+    [runner.domain_trials{domain=i}] (per batch, the trials domain [i]
+    ran), which scheduling decides.
 
     The pool knows nothing of the result store. Every experiment fan-out
     reaches it through [Satin_store.Memo.map], which resolves stored trials
@@ -56,9 +60,8 @@ val effective_jobs : t -> int
 
 val map : t -> int -> (int -> 'a) -> 'a array
 (** [map pool n f] evaluates [f 0 .. f (n-1)] and returns the results in
-    index order. With [jobs > 1] (and no obs sink installed) trials run
-    work-stealing on [min jobs n] domains; result order is index order
-    regardless.
+    index order. With [jobs > 1] trials run work-stealing on [min jobs n]
+    domains; result order is index order regardless.
 
     If one or more trials raise, the remaining trials still run to
     completion and the exception of the {e lowest-indexed} failed trial is

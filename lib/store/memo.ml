@@ -6,22 +6,22 @@ module Progress = Satin_obs.Progress
 module Sim_time = Satin_engine.Sim_time
 
 module Metric = struct
+  let trials = Obs.key "runner.trials"
   let trials_resolved = Obs.key "runner.trials_resolved"
 end
 
 let store_track = 63
 
 (* Lane position for cache spans: simulated time is meaningless for host-
-   side lookups, so spans occupy successive microsecond slots of their own
-   track — a compact hit/miss strip under the simulation lanes. *)
-let span_slot = ref 0
-
-let lookup_span ~experiment ~trial ~key outcome =
-  if Obs.enabled () then begin
+   side lookups, so a lookup occupies the microsecond slot of its ordinal
+   among the handle's lookups (each one a hit or a miss) on a track of its
+   own — a compact hit/miss strip under the simulation lanes. *)
+let lookup_span s ~experiment ~trial ~key outcome =
+  if Obs.active () then begin
+    let c = Store.counters s in
+    let slot = c.hits + c.misses - 1 in
     Obs.name_track store_track "result store";
-    let t0 = Sim_time.us !span_slot in
-    incr span_slot;
-    Obs.span_begin ~time:t0 ~track:store_track ~cat:"store"
+    Obs.span_begin ~time:(Sim_time.us slot) ~track:store_track ~cat:"store"
       ~args:
         [
           ("experiment", Json.String experiment);
@@ -29,7 +29,7 @@ let lookup_span ~experiment ~trial ~key outcome =
           ("key", Json.String key);
         ]
       ("store." ^ outcome);
-    Obs.span_end ~time:(Sim_time.us !span_slot) ~track:store_track
+    Obs.span_end ~time:(Sim_time.us (slot + 1)) ~track:store_track
   end
 
 (* The capsule's config is the key's information restated as readable
@@ -61,7 +61,6 @@ let set_shard s =
   | _ -> ());
   shard_state := s
 
-let shard () = !shard_state
 let lease_ttl_ref = ref 60.0
 
 let set_lease_ttl t =
@@ -85,8 +84,29 @@ let note_hits k =
     done
   end
 
+(* [counting s ()] adds the growth of [s]'s counters since [counting s] to
+   this domain's observer, one store.* series per counter that moved. A
+   cold path, once per fan-out, so the keys are interned here. *)
+let counting s =
+  let series () =
+    let c = Store.counters s in
+    [ ("hits", c.hits); ("misses", c.misses); ("writes", c.writes);
+      ("evictions", c.evictions); ("corrupt", c.corrupt);
+      ("capsule_hits", c.capsule_hits); ("capsule_misses", c.capsule_misses);
+      ("capsule_writes", c.capsule_writes); ("claims", c.claims);
+      ("claim_steals", c.claim_steals); ("write_errors", c.write_errors) ]
+  in
+  let before = series () in
+  fun () ->
+    List.iter2
+      (fun (name, b) (_, a) ->
+        if a > b then Obs.incr (Obs.key ("store." ^ name)) ~by:(a - b))
+      before (series ())
+
 let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
   let store = Store.current () in
+  let publish = match store with Some s -> counting s | None -> ignore in
+  let observer = Obs.current () in
   let si, sn =
     match (store, !shard_state) with Some _, Some s -> s | _ -> (0, 1)
   in
@@ -115,7 +135,7 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
      the live reporter wants the samples. *)
   let fetch s i =
     let r = Store.find s ~key:keys.(i) in
-    lookup_span ~experiment ~trial:i ~key:keys.(i)
+    lookup_span s ~experiment ~trial:i ~key:keys.(i)
       (match r with Some _ -> "hit" | None -> "miss");
     (if r <> None then
        match Store.find_capsule s ~key:keys.(i) with
@@ -126,36 +146,40 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
        | _ -> ());
     r
   in
-  (* Run trial [i]'s body on whichever domain got it. With a store or a
-     live reporter the body runs under capture and its capsule is sealed;
-     with a store, record and capsule are persisted right there, so an
+  (* Run trial [i]'s body on whichever domain got it, in a capture taken
+     like the observer when there is anything to capture for. Its capsule
+     is sealed for a store or a reporter, and persisted right there, so an
      interrupted campaign resumes from its completed trials. The claim is
      released even when the body raises; a crash between claim and release
      leaves a lease that expires into stealability. *)
-  let capture = store <> None || Progress.enabled () in
-  let fingerprint = if capture then Fingerprint.hex () else "" in
+  let sealed = store <> None || Progress.enabled () in
+  let fingerprint = if sealed then Fingerprint.hex () else "" in
   let compute i =
     ignore (claim i);
     Fun.protect
       ~finally:(fun () -> release i)
       (fun () ->
-        if not capture then f i
+        if not (sealed || Option.is_some observer) then (f i, None)
         else
-          let m, v = Obs.with_capture (fun () -> f i) in
-          let c =
-            Capsule.of_metrics ~experiment ~seed ~trial:i ~fingerprint
-              ~config:(capsule_config (config_of i))
-              m
-          in
-          if Progress.enabled () then Progress.observe_capsule c;
-          Option.iter
-            (fun s ->
-              Store.add s ~key:keys.(i) ~experiment v;
-              Store.add_capsule s ~key:keys.(i) ~experiment
-                (Json.to_string (Capsule.to_json c)))
-            store;
-          v)
+          let m, v = Obs.with_capture ?like:observer (fun () -> f i) in
+          if sealed then begin
+            let c =
+              Capsule.of_metrics ~experiment ~seed ~trial:i ~fingerprint
+                ~config:(capsule_config (config_of i))
+                (Obs.metrics m)
+            in
+            if Progress.enabled () then Progress.observe_capsule c;
+            Option.iter
+              (fun s ->
+                Store.add s ~key:keys.(i) ~experiment v;
+                Store.add_capsule s ~key:keys.(i) ~experiment
+                  (Json.to_string (Capsule.to_json c)))
+              store
+          end;
+          (* A capture outlives its trial only to be merged. *)
+          (v, if Option.is_some observer then Some m else None))
   in
+  let merge m = Option.iter (fun into -> Obs.merge ~into m) observer in
   (* Phase 1 — resolve what the store already has, in index order, on the
      submitting domain: the miss set handed to the pool does not depend on
      its width. *)
@@ -177,16 +201,23 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
   (* Phase 2 — compute the owned misses in one pool batch. The upfront
      claims above mark intent; [compute] refreshes each lease the moment
      its trial actually starts, so a long queue behind a narrow pool
-     cannot silently expire every claim at once. *)
+     cannot silently expire every claim at once. Captures merge here,
+     after the batch, in index order: what a sequential run would write. *)
   let owned = Array.of_list !owned in
   let computed =
     Runner.map pool (Array.length owned) (fun j -> compute owned.(j))
   in
-  Array.iteri (fun j i -> resolved.(i) <- Some computed.(j)) owned;
+  Array.iteri
+    (fun j i ->
+      let v, m = computed.(j) in
+      Option.iter merge m;
+      resolved.(i) <- Some v)
+    owned;
   (* Phase 3 (sharded only) — wait for the rest to be published by their
      owners, stealing any trial whose lease is stale or whose owner never
      claimed it within one TTL of this phase starting (a shared grace: a
-     shard running alone pays it once, then sweeps everything). *)
+     shard running alone pays it once, then sweeps everything). A stolen
+     trial runs here, outside the pool batch, and counts in runner.trials. *)
   let wait s =
     let t0 = Unix.gettimeofday () in
     let pending = Queue.create () in
@@ -217,7 +248,10 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
           in
           if stale && claim i then begin
             Progress.batch_start 1;
-            resolved.(i) <- Some (compute i);
+            let v, m = compute i in
+            Option.iter merge m;
+            resolved.(i) <- Some v;
+            Obs.incr Metric.trials;
             progressed := true;
             Progress.trial_done ~hit:false
           end
@@ -228,4 +262,5 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
     done
   in
   Option.iter wait store;
+  publish ();
   Array.map (function Some v -> v | None -> assert false) resolved

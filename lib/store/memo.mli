@@ -19,26 +19,30 @@
     run is shard 0 of 1: it owns every trial and takes no claims. Results
     are byte-identical at any pool width, warm or cold: hits deserialize
     to exactly the bytes the trial body produced (binary-pinned by the
-    key's fingerprint), and misses run the unchanged body. Each call
-    records exactly one [runner.batches]; with a store it also records
-    [runner.trials_resolved], the trials served without running.
+    key's fingerprint), and misses run the unchanged body.
 
-    When a tracing sink is installed, every lookup emits a span on a
-    dedicated store track ([store.hit]/[store.miss], with the experiment,
-    trial index, and key as args) — the cache's contribution to a trial
-    is visible in the Perfetto export next to the simulation lanes.
+    Under an {!Satin_obs.Obs} observer on the calling domain (a
+    [--trace]/[--metrics] sink), every computed trial runs in its own
+    capture, merged into that observer in index order (a stolen trial's
+    as soon as it completes), so the observer sees what a sequential run
+    would have written, at any pool width. Each call records one
+    [runner.batches]; [runner.trials] counts every trial it computed,
+    stolen ones included; with a store it also records
+    [runner.trials_resolved], the trials served without running, the
+    growth of {!Store.counters} as the [store.*] series, and a span per
+    lookup on a dedicated store track ([store.hit]/[store.miss], with the
+    experiment, trial index, and key as args).
 
     {2 Metric capsules}
 
     With a store installed or a live {!Satin_obs.Progress} reporter on,
-    every computed trial body runs inside {!Satin_obs.Obs.with_capture}:
-    its metrics registry is sealed into a {!Satin_obs.Capsule.t} (stamped
-    with the experiment, seed, trial index, binary fingerprint, and the
-    full config — ambient context under its ["ctx:"] namespace), fed to
-    the reporter, and persisted beside the result via
-    {!Store.add_capsule}. Warm hits replay the persisted capsule instead
-    of recomputing anything. The [telemetry] subcommand aggregates these
-    capsules. *)
+    every computed trial body runs in a capture: its metrics registry is
+    sealed into a {!Satin_obs.Capsule.t} (stamped with the experiment,
+    seed, trial index, binary fingerprint, and the full config — ambient
+    context under its ["ctx:"] namespace), fed to the reporter, and
+    persisted beside the result via {!Store.add_capsule}. Warm hits replay
+    the persisted capsule instead of recomputing anything. The [telemetry]
+    subcommand aggregates these capsules. *)
 
 module Runner = Satin_runner.Runner
 
@@ -52,9 +56,9 @@ val map :
   (int -> 'a) ->
   'a array
 (** [config] holds parameters shared by the whole fan-out, [trial_config]
-    the per-trial ones (probing period, fault plan, ...). With no ambient
-    store and no live reporter this is exactly [Runner.map]. A claim
-    taken for a trial is released when its body returns or raises. *)
+    the per-trial ones (probing period, fault plan, ...). With no store,
+    reporter or observer this is exactly [Runner.map]. A claim taken for
+    a trial is released when its body returns or raises. *)
 
 (** {2 Sharding}
 
@@ -76,8 +80,6 @@ val set_shard : (int * int) option -> unit
     [i] of [n]; [None] (the default) and [n = 1] make every call the
     unsharded shard 0 of 1. Raises [Invalid_argument] unless
     [0 <= i < n]. Ignored while no store is installed. *)
-
-val shard : unit -> (int * int) option
 
 val set_lease_ttl : float -> unit
 (** Seconds a trial claim protects its owner before peers may steal it

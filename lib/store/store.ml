@@ -1,19 +1,3 @@
-module Obs = Satin_obs.Obs
-
-module Metric = struct
-  let capsule_hits = Obs.key "store.capsule_hits"
-  let capsule_misses = Obs.key "store.capsule_misses"
-  let capsule_writes = Obs.key "store.capsule_writes"
-  let claim_steals = Obs.key "store.claim_steals"
-  let claims = Obs.key "store.claims"
-  let corrupt = Obs.key "store.corrupt"
-  let evictions = Obs.key "store.evictions"
-  let hits = Obs.key "store.hits"
-  let misses = Obs.key "store.misses"
-  let writes = Obs.key "store.writes"
-  let write_errors = Obs.key "store.write_errors"
-end
-
 type counters = {
   hits : int;
   misses : int;
@@ -27,6 +11,11 @@ type counters = {
   claim_steals : int;
   write_errors : int;
 }
+
+let no_counts =
+  { hits = 0; misses = 0; writes = 0; evictions = 0; corrupt = 0;
+    capsule_hits = 0; capsule_misses = 0; capsule_writes = 0; claims = 0;
+    claim_steals = 0; write_errors = 0 }
 
 (* A live record carries the journal sequence number of the [+] line that
    made it live. The FIFO order queue stores (key, seq) pairs: an entry is
@@ -47,20 +36,11 @@ type t = {
   mutable lock_fd : Unix.file_descr; (* fcntl-lock anchor (.lock) *)
   mutable read_pos : int; (* journal bytes already applied in-memory *)
   mutable closed : bool;
-  mutable hits : int;
-  mutable misses : int;
-  mutable writes : int;
-  mutable evictions : int;
-  mutable corrupt : int;
-  mutable capsule_hits : int;
-  mutable capsule_misses : int;
-  mutable capsule_writes : int;
-  mutable claims : int;
-  mutable claim_steals : int;
-  mutable write_errors : int;
+  mutable counts : counters;
 }
 
-let dir t = t.dir
+(* Caller holds the mutex. *)
+let count t f = t.counts <- f t.counts
 
 let is_hex_key k =
   String.length k = 32
@@ -91,20 +71,23 @@ let claim_path t key = Filename.concat (claims_dir t.dir) (key ^ ".lease")
 
 (* Create-first: one syscall in the common case, and EEXIST — the only
    outcome of several workers racing to create the same fan-out dir — is
-   success at every level. ENOENT walks up one parent at a time; a
-   dirname fixpoint that still cannot be created (e.g. a relative path
-   whose every prefix is missing from a vanished cwd) propagates instead
-   of recursing forever. *)
+   success at every level where the path is a directory. A plain file in
+   its place is damage, and its EEXIST propagates. ENOENT walks up one
+   parent at a time; a dirname fixpoint that still cannot be created
+   (e.g. a relative path whose every prefix is missing from a vanished
+   cwd) propagates instead of recursing forever. *)
 let rec mkdir_p path =
-  try Unix.mkdir path 0o755 with
-  | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  let mkdir () =
+    try Unix.mkdir path 0o755
+    with Unix.Unix_error (Unix.EEXIST, _, _) when Sys.is_directory path -> ()
+  in
+  try mkdir () with
   | Unix.Unix_error ((Unix.ENOENT | Unix.ENOTDIR), _, _) as e ->
       let parent = Filename.dirname path in
       if parent = path then raise e
       else begin
         mkdir_p parent;
-        try Unix.mkdir path 0o755
-        with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+        mkdir ()
       end
 
 (* One journal line per event:
@@ -229,17 +212,7 @@ let open_ ?(max_bytes = 512 * 1024 * 1024) dir =
       lock_fd;
       read_pos = 0;
       closed = false;
-      hits = 0;
-      misses = 0;
-      writes = 0;
-      evictions = 0;
-      corrupt = 0;
-      capsule_hits = 0;
-      capsule_misses = 0;
-      capsule_writes = 0;
-      claims = 0;
-      claim_steals = 0;
-      write_errors = 0;
+      counts = no_counts;
     }
   in
   Mutex.protect t.mutex (fun () ->
@@ -298,14 +271,12 @@ let quarantine t key err =
    with Sys_error _ -> (try Sys.remove path with Sys_error _ -> ()));
   drop_live t key;
   append_index t (Printf.sprintf "! %s\n" key);
-  t.corrupt <- t.corrupt + 1;
-  Obs.incr Metric.corrupt;
+  count t (fun c -> { c with corrupt = c.corrupt + 1 });
   warn "quarantined record %s: %s" key (Codec.error_to_string err)
 
 let find_locked t ~key =
   let miss () =
-    t.misses <- t.misses + 1;
-    Obs.incr Metric.misses;
+    count t (fun c -> { c with misses = c.misses + 1 });
     None
   in
   (* A live-table miss may just mean another process added the record
@@ -325,8 +296,7 @@ let find_locked t ~key =
     | raw -> (
         match Codec.decode raw with
         | Ok v ->
-            t.hits <- t.hits + 1;
-            Obs.incr Metric.hits;
+            count t (fun c -> { c with hits = c.hits + 1 });
             Some v
         | Error err ->
             quarantine t key err;
@@ -361,8 +331,7 @@ let enforce_bound t =
            trial will be recomputed (and its capsule re-sealed) anyway. *)
         (try Sys.remove (capsule_path t key) with Sys_error _ -> ());
         append_index t (Printf.sprintf "- %s\n" key);
-        t.evictions <- t.evictions + 1;
-        Obs.incr Metric.evictions
+        count t (fun c -> { c with evictions = c.evictions + 1 })
     | _ -> () (* stale entry: already evicted/quarantined/superseded *)
   done
 
@@ -372,8 +341,8 @@ let enforce_bound t =
 let persisting t ~what ~key f =
   try f ()
   with e ->
-    Mutex.protect t.mutex (fun () -> t.write_errors <- t.write_errors + 1);
-    Obs.incr Metric.write_errors;
+    Mutex.protect t.mutex (fun () ->
+        count t (fun c -> { c with write_errors = c.write_errors + 1 }));
     warn "failed to persist %s %s: %s" what key (Printexc.to_string e)
 
 let add t ~key ~experiment v =
@@ -398,8 +367,7 @@ let add t ~key ~experiment v =
             t.total_bytes <- t.total_bytes + size;
             append_index t (index_line_add key size experiment)
           end;
-          t.writes <- t.writes + 1;
-          Obs.incr Metric.writes;
+          count t (fun c -> { c with writes = c.writes + 1 });
           enforce_bound t))
 
 (* ---- claims ----
@@ -460,12 +428,9 @@ let try_claim t ~key ~ttl_s =
               (Printf.sprintf "%d %s %.3f\n" (Unix.getpid ())
                  (Lazy.force hostname)
                  (Unix.gettimeofday () +. ttl_s));
-            t.claims <- t.claims + 1;
-            Obs.incr Metric.claims;
-            if stolen then begin
-              t.claim_steals <- t.claim_steals + 1;
-              Obs.incr Metric.claim_steals
-            end;
+            count t (fun c -> { c with claims = c.claims + 1 });
+            if stolen then
+              count t (fun c -> { c with claim_steals = c.claim_steals + 1 });
             true
           in
           match read_lease_file path with
@@ -500,22 +465,19 @@ let add_capsule t ~key ~experiment payload =
       let path = capsule_path t key in
       mkdir_p (Filename.dirname path);
       write_file_atomic path record;
-      t.capsule_writes <- t.capsule_writes + 1;
-      Obs.incr Metric.capsule_writes)
+      count t (fun c -> { c with capsule_writes = c.capsule_writes + 1 }))
 
 let quarantine_capsule t key err =
   let path = capsule_path t key in
   (try Sys.rename path (capsule_quarantine_path t key)
    with Sys_error _ -> (try Sys.remove path with Sys_error _ -> ()));
-  t.corrupt <- t.corrupt + 1;
-  Obs.incr Metric.corrupt;
+  count t (fun c -> { c with corrupt = c.corrupt + 1 });
   warn "quarantined capsule %s: %s" key (Codec.error_to_string err)
 
 let find_capsule t ~key =
   Mutex.protect t.mutex (fun () ->
       let miss () =
-        t.capsule_misses <- t.capsule_misses + 1;
-        Obs.incr Metric.capsule_misses;
+        count t (fun c -> { c with capsule_misses = c.capsule_misses + 1 });
         None
       in
       match read_file (capsule_path t key) with
@@ -523,8 +485,7 @@ let find_capsule t ~key =
       | raw -> (
           match Codec.decode_raw raw with
           | Ok (_, payload) ->
-              t.capsule_hits <- t.capsule_hits + 1;
-              Obs.incr Metric.capsule_hits;
+              count t (fun c -> { c with capsule_hits = c.capsule_hits + 1 });
               Some payload
           | Error err ->
               quarantine_capsule t key err;
@@ -572,21 +533,7 @@ let fold_capsules t ~init ~f =
               acc (subdirs p1))
         init (subdirs root))
 
-let counters t =
-  Mutex.protect t.mutex (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        writes = t.writes;
-        evictions = t.evictions;
-        corrupt = t.corrupt;
-        capsule_hits = t.capsule_hits;
-        capsule_misses = t.capsule_misses;
-        capsule_writes = t.capsule_writes;
-        claims = t.claims;
-        claim_steals = t.claim_steals;
-        write_errors = t.write_errors;
-      })
+let counters t = Mutex.protect t.mutex (fun () -> t.counts)
 
 let live_records t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.live)
 let live_bytes t = Mutex.protect t.mutex (fun () -> t.total_bytes)

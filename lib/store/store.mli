@@ -42,23 +42,24 @@
     old single-process behaviour when only one handle exists.
 
     All operations are serialized on an internal mutex: worker domains may
-    {!add} concurrently while the submitting domain looks up. Counters for
-    hits/misses/writes/evictions/corruptions/write errors are kept locally
-    (for {!summary_line}) and mirrored to {!Satin_obs.Obs} as [store.*]
-    metrics when a sink is installed. Every quarantine and every failed
-    write also prints one [store: ...] line on stderr.
+    {!add} concurrently while the submitting domain looks up. The handle's
+    {!counters} are the one count of its events: {!summary_line} prints
+    them, and [Memo.map] publishes each call's growth of them as the
+    [store.*] metrics. Every quarantine and every failed write also prints
+    one [store: ...] line on stderr.
 
-    One store can be made ambient with {!install} — the same pattern as the
-    {!Satin_obs.Obs} sink: experiments are assembled deep inside runners,
-    and "the store of the current run" is process-wide by nature. *)
+    One store can be made ambient with {!install}: experiments are
+    assembled deep inside runners, and "the store of the current run" is
+    process-wide by nature. *)
 
 type t
 
 val open_ : ?max_bytes:int -> string -> t
 (** Open (creating directories as needed) the store rooted at the given
     directory and replay its index. [max_bytes] bounds the total size of
-    live records (default 512 MiB). Raises [Sys_error]/[Unix.Unix_error]
-    if the directory cannot be created. *)
+    live records (default 512 MiB). Raises [Unix.Unix_error] if a
+    directory of the layout cannot be created or is a plain file: a
+    damaged store is refused here, not at every later write. *)
 
 val close : t -> unit
 (** Fsync the journal and release the handle's descriptors. Idempotent.
@@ -70,8 +71,6 @@ val sync : t -> unit
     looked. {!find} and {!contains} do this automatically when a key is
     absent from the in-memory table; [sync] forces it (e.g. before
     {!live_records}). *)
-
-val dir : t -> string
 
 val find : t -> key:string -> 'a option
 (** Serve the record stored under [key], verifying it first. [None] on
@@ -190,10 +189,11 @@ val summary_line : t -> string
     nonzero, are appended after those. *)
 
 val mkdir_p : string -> unit
-(** [mkdir] with parents, create-first: [EEXIST] is success at every level
-    (safe under concurrent workers racing to create the same fan-out
-    dirs), missing parents are created bottom-up, and a [Filename.dirname]
-    fixpoint that cannot be created raises instead of recursing forever.
+(** [mkdir] with parents, create-first: [EEXIST] on a directory is success
+    at every level (safe under concurrent workers racing to create the
+    same fan-out dirs), missing parents are created bottom-up, and a
+    [Filename.dirname] fixpoint that cannot be created raises instead of
+    recursing forever; so does a level that is not a directory ([EEXIST]).
     Exposed for tests. *)
 
 (** {1 The ambient store} *)

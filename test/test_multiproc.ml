@@ -139,8 +139,39 @@ let test_two_shard_processes () =
   in
   Alcotest.(check bool) "warm pass misses nothing" true has_no_miss
 
+(* A store whose objects/ is a plain file is refused by every subcommand
+   that opens one: one stderr line, exit 2, before any trial runs. *)
+let test_damaged_store_refused () =
+  let scratch = tmp_dir () in
+  let store = Filename.concat scratch "store" in
+  Store.mkdir_p store;
+  close_out (open_out (Filename.concat store "objects"));
+  List.iteri
+    (fun i args ->
+      let path ext = Filename.concat scratch (Printf.sprintf "%d.%s" i ext) in
+      let name = String.concat " " args in
+      (match
+         snd (Unix.waitpid [] (launch args ~out:(path "out") ~err:(path "err")))
+       with
+      | Unix.WEXITED 2 -> ()
+      | _ -> Alcotest.failf "%s: not refused with exit 2" name);
+      let want = "store: cannot open " ^ store ^ ": " in
+      match String.split_on_char '\n' (read_file (path "err")) with
+      | [ line; "" ] ->
+          Alcotest.(check string) (name ^ ": stderr") want
+            (String.sub line 0 (min (String.length line) (String.length want)))
+      | _ -> Alcotest.failf "%s: want one stderr line" name)
+    [
+      campaign_args ~store [ "--quick" ];
+      campaign_args ~store [ "--quick"; "--workers"; "2" ];
+      [ "e1"; "--quick"; "--store"; store ];
+      [ "telemetry"; "report"; "--store"; store ];
+    ]
+
 let suite =
   [
     Alcotest.test_case "two shard processes, one store" `Slow
       test_two_shard_processes;
+    Alcotest.test_case "damaged store refused" `Quick
+      test_damaged_store_refused;
   ]

@@ -407,10 +407,9 @@ let captured_count m name =
   !n
 
 let test_with_capture () =
-  Alcotest.(check bool) "idle: not capturing" false (Obs.capturing ());
+  Alcotest.(check bool) "idle: no observer" false (Obs.active ());
   let outer, () =
     Obs.with_capture (fun () ->
-        Alcotest.(check bool) "capturing inside" true (Obs.capturing ());
         Alcotest.(check bool) "active without a sink" true (Obs.active ());
         Obs.incr (Obs.key "c");
         Obs.observe (Obs.key "h") 1.0;
@@ -418,14 +417,14 @@ let test_with_capture () =
         let inner, () = Obs.with_capture (fun () -> Obs.incr (Obs.key "c")) in
         Alcotest.(check (option int))
           "inner saw only its own" (Some 1)
-          (Metrics.counter_value inner "c"))
+          (Metrics.counter_value (Obs.metrics inner) "c"))
   in
+  let outer = Obs.metrics outer in
   Alcotest.(check (option int))
     "outer missed the nested incr" (Some 1)
     (Metrics.counter_value outer "c");
   Alcotest.(check int) "histogram captured, bucketed" 1
     (captured_count outer "h");
-  Alcotest.(check bool) "sealed afterwards" false (Obs.capturing ());
   Alcotest.(check bool) "inactive afterwards" false (Obs.active ())
 
 let test_capture_is_per_domain () =
@@ -436,17 +435,66 @@ let test_capture_is_per_domain () =
         Obs.incr (Obs.key "mine");
         let d =
           Domain.spawn (fun () ->
-              let was_capturing = Obs.capturing () in
+              let was_active = Obs.active () in
               Obs.incr (Obs.key "theirs");
-              was_capturing)
+              was_active)
         in
         Alcotest.(check bool)
-          "worker domain not capturing" false (Domain.join d))
+          "worker domain has no observer" false (Domain.join d))
   in
+  let m = Obs.metrics m in
   Alcotest.(check (option int)) "own sample kept" (Some 1)
     (Metrics.counter_value m "mine");
   Alcotest.(check (option int)) "foreign sample excluded" None
     (Metrics.counter_value m "theirs")
+
+let test_merge_captures () =
+  let sink = Obs.create () in
+  let c = Obs.key "m.c" and g = Obs.key "m.g" and h = Obs.key "m.h" in
+  let capture f = fst (Obs.with_capture ~like:sink f) in
+  let a =
+    capture (fun () ->
+        Obs.incr c;
+        Obs.set_gauge g 1.0;
+        List.iter (Obs.observe h) [ 1.0; 2.0 ];
+        Obs.span_begin ~time:10 ~track:1 "x";
+        Obs.span_end ~time:20 ~track:1)
+  and b =
+    capture (fun () ->
+        Obs.incr c ~by:2;
+        Obs.set_gauge g 2.0;
+        Obs.observe h 3.0;
+        Obs.instant ~time:5 ~track:1 "y")
+  in
+  Obs.merge ~into:sink a;
+  Obs.merge ~into:sink b;
+  Obs.merge ~into:sink (capture (fun () -> Obs.observe h 4.0));
+  let m = Obs.metrics sink in
+  Alcotest.(check (option int)) "counters sum" (Some 3)
+    (Metrics.counter_value m "m.c");
+  Alcotest.(check (option (float 0.0))) "last gauge wins" (Some 2.0)
+    (Metrics.gauge_value m "m.g");
+  Alcotest.(check (option (array (float 0.0)))) "samples in capture order"
+    (Some [| 1.0; 2.0; 3.0; 4.0 |])
+    (Option.map Stats.to_array (Metrics.histogram_stats m "m.h"));
+  let names =
+    match Json.member "traceEvents" (Obs.trace_json sink) with
+    | Some (Json.List evs) ->
+        List.filter_map
+          (fun e ->
+            match (Json.member "ph" e, Json.member "name" e) with
+            | Some (Json.String "M"), _ -> None
+            | Some (Json.String ph), Some (Json.String n) -> Some (ph ^ n)
+            | _ -> None)
+          evs
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "trace events in capture order"
+    [ "Bx"; "Ex"; "iy" ] names;
+  let bucketed, () = Obs.with_capture (fun () -> Obs.observe h 5.0) in
+  match Obs.merge ~into:sink bucketed with
+  | () -> Alcotest.fail "a bucketed capture merged into a sink"
+  | exception Invalid_argument _ -> ()
 
 (* ---- keyed hooks and bucketed capture ----
 
@@ -536,19 +584,20 @@ let prop_capture_exact =
        QCheck.Gen.(list_size (int_range 0 80) op_gen))
     (fun ops ->
       let keyed op = Obs.key ~labels:(op_labels op) (op_name op) in
-      let captured, () =
-        Obs.with_capture (fun () ->
-            (* Creates engine.batch_size (a histogram never observed here),
-               engine.events_fired and engine.queue_depth. *)
-            Obs.attach_engine (Satin_engine.Engine.create ());
-            List.iter
-              (fun op ->
-                match op with
-                | Incr (_, _, by) -> Obs.incr ~by (keyed op)
-                | Set (_, _, v) -> Obs.set_gauge (keyed op) v
-                | Observe (_, _, v) -> Obs.observe (keyed op) v
-                | Observe_time (_, _, ns) -> Obs.observe_time (keyed op) ns)
-              ops)
+      let capture ?like () =
+        fst
+          (Obs.with_capture ?like (fun () ->
+               (* Creates engine.batch_size (a histogram never observed
+                  here), engine.events_fired and engine.queue_depth. *)
+               Obs.attach_engine (Satin_engine.Engine.create ());
+               List.iter
+                 (fun op ->
+                   match op with
+                   | Incr (_, _, by) -> Obs.incr ~by (keyed op)
+                   | Set (_, _, v) -> Obs.set_gauge (keyed op) v
+                   | Observe (_, _, v) -> Obs.observe (keyed op) v
+                   | Observe_time (_, _, ns) -> Obs.observe_time (keyed op) ns)
+                 ops))
       in
       let exact = Metrics.create () in
       Metrics.incr exact ~by:0 "engine.events_fired";
@@ -563,8 +612,13 @@ let prop_capture_exact =
           | Observe (_, _, v) -> Metrics.observe exact ~labels name v
           | Observe_time (_, _, ns) -> Metrics.observe_time exact ~labels name ns)
         ops;
-      let a = seal captured and b = seal exact in
+      let a = seal (Obs.metrics (capture ())) and b = seal exact in
       if a <> b then QCheck.Test.fail_reportf "capture:\n%s\nexact:\n%s" a b;
+      (* A capture taken like a sink keeps exact samples; sealed, it is
+         the same capsule. *)
+      let c = seal (Obs.metrics (capture ~like:(Obs.create ()) ())) in
+      if c <> b then
+        QCheck.Test.fail_reportf "exact capture:\n%s\nexact:\n%s" c b;
       true)
 
 let test_capture_memory () =
@@ -578,7 +632,8 @@ let test_capture_memory () =
         done)
   in
   let added = (Gc.quick_stat ()).Gc.major_words -. before in
-  Alcotest.(check int) "every sample counted" 1_000_000 (captured_count m "mem.h");
+  Alcotest.(check int) "every sample counted" 1_000_000
+    (captured_count (Obs.metrics m) "mem.h");
   if added >= 65536.0 then
     Alcotest.failf "1M captured samples added %.0f major words (bound 65536)" added
 
@@ -600,6 +655,7 @@ let test_key_interning () =
   Alcotest.(check bool) "no labels, another key" false (Obs.key "intern.x" = k);
   (* Keyed and by-name access reach one series, in either order. *)
   let m, () = Obs.with_capture (fun () -> Obs.incr ~by:2 k) in
+  let m = Obs.metrics m in
   Metrics.incr m ~labels:labels_ba ~by:3 "intern.x";
   Alcotest.(check (option int)) "keyed then by name" (Some 5)
     (Metrics.counter_value m ~labels:labels_ab "intern.x");
@@ -692,6 +748,7 @@ let suite =
     Alcotest.test_case "capture is per-domain" `Quick
       test_capture_is_per_domain;
     QCheck_alcotest.to_alcotest prop_capture_exact;
+    Alcotest.test_case "merge captures in order" `Quick test_merge_captures;
     Alcotest.test_case "capture memory is fixed" `Quick test_capture_memory;
     Alcotest.test_case "keys intern once" `Quick test_key_interning;
     Alcotest.test_case "tracing cross-domain guard" `Quick

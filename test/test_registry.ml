@@ -7,6 +7,7 @@ module Runner = Satin_runner.Runner
 module Json = Satin_obs.Json
 module Obs = Satin_obs.Obs
 module Metrics = Satin_obs.Metrics
+module Store = Satin_store.Store
 
 let commands = List.map fst Registry.commands
 
@@ -100,12 +101,70 @@ let test_campaign_wall_labels () =
   Alcotest.(check (list string))
     "experiment.wall_s labels" [ "e1"; "e3" ] (List.rev !labels)
 
+(* One observation path: under a sink, a campaign exports the same
+   --metrics and --trace documents at any pool width — with no store, a
+   cold one and a warm one — while the wide pool really spreads its
+   trials across domains. *)
+let test_sink_exports_any_width () =
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let exports pool =
+    let obs = Obs.create () in
+    Obs.install obs;
+    Fun.protect ~finally:Obs.uninstall (fun () ->
+        ignore
+          (Registry.campaign null ~pool ~seeds:[ 42 ] ~quick:true
+             [ "e1"; "uprober"; "sweep" ]));
+    obs
+  in
+  let stored dir pool =
+    let s = Store.open_ dir in
+    Store.install s;
+    Fun.protect
+      ~finally:(fun () ->
+        Store.uninstall ();
+        Store.close s)
+      (fun () -> exports pool)
+  in
+  let store_dir =
+    let base =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "satin_registry_test_%d" (Unix.getpid ()))
+    in
+    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
+    Filename.concat base
+  in
+  let wide = Runner.create ~clamp:false ~jobs:4 () in
+  let domains = Hashtbl.create 4 in
+  let compare label run =
+    let a = run Runner.sequential and b = run wide in
+    let doc f obs = Json.to_string (f obs) in
+    Alcotest.(check string)
+      (label ^ ": metrics") (doc Obs.metrics_json a) (doc Obs.metrics_json b);
+    Alcotest.(check string)
+      (label ^ ": trace") (doc Obs.trace_json a) (doc Obs.trace_json b);
+    Metrics.iter_sorted (Obs.wall_metrics b) (fun name labels v ->
+        match v with
+        | `Histogram s
+          when name = "runner.domain_trials" && Satin_engine.Stats.total s > 0.0
+          ->
+            Hashtbl.replace domains (List.assoc "domain" labels) ()
+        | _ -> ())
+  in
+  let per_pool pool = store_dir (string_of_int (Runner.jobs pool)) in
+  compare "no store" exports;
+  compare "cold store" (fun pool -> stored (per_pool pool) pool);
+  compare "warm store" (fun pool -> stored (per_pool pool) pool);
+  Alcotest.(check bool) "the wide pool ran trials on several domains" true
+    (Hashtbl.length domains >= 2)
+
 let suite =
   [
     Alcotest.test_case "command names unique" `Quick test_names_unique;
     Alcotest.test_case "default campaign" `Quick test_default_campaign;
     Alcotest.test_case "campaign records wall per spec" `Quick
       test_campaign_wall_labels;
+    Alcotest.test_case "sink exports equal at any width" `Slow
+      test_sink_exports_any_width;
     Alcotest.test_case "all --quick = concatenated CLI --quick" `Slow
       test_all_is_concatenation;
     Alcotest.test_case "every spec has a JSON encoder" `Slow

@@ -118,9 +118,9 @@ let test_wall_clock_recorded () =
   Alcotest.(check bool) "wall clock non-negative" true
     (Runner.last_batch_wall_s pool >= 0.0)
 
-(* With a sink installed the pool degrades to one domain (the sink is a
-   process-global and not domain-safe) and the batch is fully accounted:
-   same results, every trial attributed to domain 0. *)
+(* A sink does not narrow the pool, and the batch is fully accounted:
+   same results, the trial count in the deterministic registry, and each
+   domain's share — which scheduling decides — in the wall-clock one. *)
 let test_metrics_under_sink () =
   let obs = Obs.create () in
   Obs.install obs;
@@ -129,14 +129,21 @@ let test_metrics_under_sink () =
       let results = Runner.map pool 12 busy_trial in
       Alcotest.(check bool) "results unchanged under sink" true
         (results = Runner.map Runner.sequential 12 busy_trial);
-      let m = Obs.metrics obs in
+      let m = Obs.metrics obs and wall = Obs.wall_metrics obs in
       Alcotest.(check (option int)) "trials counted" (Some 24)
         (Metrics.counter_value m "runner.trials");
       Alcotest.(check (option int)) "batches counted" (Some 2)
         (Metrics.counter_value m "runner.batches");
-      Alcotest.(check (option int)) "all trials on domain 0" (Some 24)
-        (Metrics.counter_value m "runner.domain_trials"
-           ~labels:[ ("domain", "0") ]);
+      let shares = ref 0.0 in
+      Metrics.iter_sorted wall (fun name _ v ->
+          match v with
+          | `Histogram s when name = "runner.domain_trials" ->
+              shares := !shares +. Satin_engine.Stats.total s
+          | _ -> ());
+      Alcotest.(check (float 0.0)) "every trial on some domain" 24.0 !shares;
+      Alcotest.(check (option (float 0.0))) "the pool ran 4 wide" (Some 4.0)
+        (Option.map Satin_engine.Stats.max
+           (Metrics.histogram_stats wall "runner.jobs_effective"));
       Alcotest.(check (option (float 0.0))) "queue drained" (Some 0.0)
         (Metrics.gauge_value m "runner.queue_depth"))
 

@@ -77,6 +77,31 @@ let test_to_array_order () =
   Alcotest.(check (array (float 1e-9))) "insertion order" [| 3.0; 1.0; 2.0 |]
     (Stats.to_array s)
 
+let test_append () =
+  let s = feed [ 5.0; 1.0 ] in
+  checkf "median before" 3.0 (Stats.median s);
+  let a = feed [ 4.0 ] and b = feed [ 2.0; 9.0 ] in
+  List.iter (Stats.append s) [ a; Stats.create (); b ];
+  let check_samples what expected t =
+    Alcotest.(check (array (float 1e-9))) what expected (Stats.to_array t)
+  in
+  check_samples "sources appended in order" [| 5.0; 1.0; 4.0; 2.0; 9.0 |] s;
+  checkf "sorted cache invalidated" 4.0 (Stats.median s);
+  (* Appending shares sample arrays: later adds on either side stay
+     their own. *)
+  Stats.add b 8.0;
+  Stats.add s 7.0;
+  check_samples "adds after an append" [| 5.0; 1.0; 4.0; 2.0; 9.0; 7.0 |] s;
+  check_samples "source still usable" [| 2.0; 9.0; 8.0 |] b;
+  let u = feed [ 0.5 ] in
+  Stats.append u s;
+  check_samples "appended stats carry their own runs"
+    [| 0.5; 5.0; 1.0; 4.0; 2.0; 9.0; 7.0 |] u;
+  Alcotest.(check int) "count" 7 (Stats.count u);
+  checkf "min" 0.5 (Stats.min u);
+  checkf "max" 9.0 (Stats.max u);
+  checkf "total" 28.5 (Stats.total u)
+
 let test_summary_row () =
   let s = feed [ 1e-4; 2e-4; 3e-4 ] in
   Alcotest.(check string) "paper format" "2.00e-04 / 3.00e-04 / 1.00e-04"
@@ -173,6 +198,7 @@ let suite =
     Alcotest.test_case "boxplot outlier" `Quick test_boxplot_outlier;
     Alcotest.test_case "add_time" `Quick test_add_time;
     Alcotest.test_case "to_array order" `Quick test_to_array_order;
+    Alcotest.test_case "append" `Quick test_append;
     Alcotest.test_case "summary row format" `Quick test_summary_row;
     Alcotest.test_case "running matches exact" `Quick test_running_matches_exact;
     Alcotest.test_case "histogram" `Quick test_histogram;

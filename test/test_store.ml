@@ -338,9 +338,9 @@ let test_memo_write_failures_reported () =
   Store.close s
 
 (* Under a sink, a fan-out is one pool batch whatever the store holds;
-   [runner.trials] counts the trials this call computed through the pool
-   and [runner.trials_resolved], recorded only with a store, the ones it
-   served from it. *)
+   [runner.trials] counts the trials this call computed, in the pool or
+   stolen after it, and [runner.trials_resolved], recorded only with a
+   store, the ones it served from it. *)
 let test_memo_one_batch_per_call () =
   let n = 6 and experiment = "batches" and seed = 4 in
   let run () = Memo.map Runner.sequential ~experiment ~seed n trial in
@@ -362,12 +362,6 @@ let test_memo_one_batch_per_call () =
   let dir = tmp_dir () in
   with_store dir (fun _ -> check "cold" (Some 1, Some n, Some 0));
   with_store dir (fun _ -> check "warm" (Some 1, Some 0, Some n));
-  let owned =
-    List.length
-      (List.filter
-         (fun i -> (i + Hashtbl.hash (experiment, seed)) mod 2 = 0)
-         (List.init n Fun.id))
-  in
   Memo.set_lease_ttl 0.2;
   Fun.protect
     ~finally:(fun () ->
@@ -375,10 +369,10 @@ let test_memo_one_batch_per_call () =
       Memo.set_lease_ttl 60.0)
     (fun () ->
       (* A lone shard computes its own share in the batch and steals the
-         rest after the grace, outside the pool. *)
+         rest after the grace, outside the pool: every trial is counted. *)
       with_store (tmp_dir ()) (fun _ ->
           Memo.set_shard (Some (0, 2));
-          check "lone shard" (Some 1, Some owned, Some 0));
+          check "lone shard" (Some 1, Some n, Some 0));
       with_store (tmp_dir ()) (fun _ ->
           Memo.set_shard (Some (0, 1));
           check "shard 0 of 1" (Some 1, Some n, Some 0)))
@@ -526,6 +520,26 @@ let test_mkdir_p () =
       Alcotest.(check bool)
         "relative path created" true
         (Sys.is_directory "rel/sub/dir"))
+
+(* A plain file where a directory of the layout belongs is refused at
+   open, not discovered as one write error per trial. *)
+let test_open_refuses_damaged_layout () =
+  List.iter
+    (fun sub ->
+      let dir = tmp_dir () in
+      Store.mkdir_p dir;
+      close_out (open_out (Filename.concat dir sub));
+      match Store.open_ dir with
+      | exception Unix.Unix_error (Unix.EEXIST, _, path) ->
+          Alcotest.(check string) (sub ^ ": names the entry")
+            (Filename.concat dir sub) path
+      | s ->
+          Store.close s;
+          Alcotest.failf "a plain-file %s/ was accepted" sub)
+    [ "objects"; "capsules"; "quarantine"; "claims" ];
+  Alcotest.check_raises "a plain file where mkdir_p wants a directory"
+    (Unix.Unix_error (Unix.EEXIST, "mkdir", "/dev/null"))
+    (fun () -> Store.mkdir_p "/dev/null")
 
 (* ---- claims ---- *)
 
@@ -695,6 +709,8 @@ let suite =
       test_store_two_handles;
     QCheck_alcotest.to_alcotest prop_store_consistent;
     Alcotest.test_case "mkdir_p create-first" `Quick test_mkdir_p;
+    Alcotest.test_case "open refuses a damaged layout" `Quick
+      test_open_refuses_damaged_layout;
     Alcotest.test_case "claims: grant, block, steal" `Quick test_claims;
     Alcotest.test_case "lease TTL must be finite" `Quick
       test_lease_ttl_must_be_finite;
