@@ -106,8 +106,8 @@ let open_store dir =
 
 (* Install the result store around [f] when one was asked for; the
    hit/miss summary goes to stderr so stdout stays byte-identical between
-   warm and cold runs. Closing releases the journal fd and fsyncs it, so
-   a store handed off between fleet processes is durable on exit. *)
+   warm and cold runs. Every record is already published by rename when
+   its trial finishes; closing only releases the lock descriptor. *)
 let with_store dir no_store f =
   match resolve_store dir no_store with
   | None -> f ()

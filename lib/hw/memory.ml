@@ -51,20 +51,38 @@ let gen_page_size = 1 lsl gen_page_bits
    backing store marks a released one. *)
 let check_live t = if Bytes.length t.data = 0 then raise Released
 
-(* Each domain keeps at most one idle backing store, all zero bytes and
-   zero stamps: exactly what a fresh [create] of its size would allocate.
-   Taking it instead skips the page faults of mapping 32 MiB anew. *)
-let pool : (Bytes.t * int array) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* Idle backing stores, newest first, shared by every domain: a runner
+   spawns fresh worker domains for each batch, so a store one batch's
+   worker released is taken by the next batch's. Each is all zero bytes
+   and zero stamps: exactly what a fresh [create] of its size would
+   allocate. Taking one instead skips the page faults of mapping 32 MiB
+   anew. At most one store per domain the host runs at once stays idle;
+   the oldest beyond that is dropped. *)
+let pool_cap = Domain.recommended_domain_count ()
+let pool : (Bytes.t * int array) list ref = ref []
+let pool_mutex = Mutex.create ()
+
+let take_idle size =
+  Mutex.protect pool_mutex (fun () ->
+      let rec take older = function
+        | [] -> None
+        | ((data, _) as store) :: rest when Bytes.length data = size ->
+            pool := List.rev_append older rest;
+            Some store
+        | store :: rest -> take (store :: older) rest
+      in
+      take [] !pool)
+
+let put_idle store =
+  Mutex.protect pool_mutex (fun () ->
+      pool := List.filteri (fun i _ -> i < pool_cap) (store :: !pool))
 
 let create ~size =
   if size <= 0 then invalid_arg "Memory.create: size must be positive";
   let data, gens =
-    match Domain.DLS.get pool with
-    | Some ((data, _) as store) when Bytes.length data = size ->
-        Domain.DLS.set pool None;
-        store
-    | _ ->
+    match take_idle size with
+    | Some store -> store
+    | None ->
         ( Bytes.make size '\000',
           Array.make (((size - 1) lsr gen_page_bits) + 1) 0 )
   in
@@ -81,8 +99,8 @@ let create ~size =
 (* Every byte that differs from zero was written by an entry point that
    stamped its page, so zeroing the stamped pages restores a fresh store.
    One fill per maximal run of stamped pages: per page, the fills of a
-   released scenario took twice as long. The store then replaces the
-   domain's idle one, and [t] keeps an empty store, on which every entry
+   released scenario took twice as long. The store then becomes the
+   newest idle one, and [t] keeps an empty store, on which every entry
    point raises. *)
 let release t =
   check_live t;
@@ -102,7 +120,7 @@ let release t =
       Bytes.fill data lo (hi - lo) '\000'
     end
   done;
-  Domain.DLS.set pool (Some (data, gens));
+  put_idle (data, gens);
   t.data <- Bytes.empty;
   t.gens <- [||]
 

@@ -74,8 +74,6 @@ let header s =
                     | Some len -> Ok (exp, sum, len, p4))))
       end
 
-let experiment s = Result.map (fun (exp, _, _, _) -> exp) (header s)
-
 let decode_raw s =
   match header s with
   | Error e -> Error e

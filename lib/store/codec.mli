@@ -5,7 +5,7 @@
     {v
     satin-store/v1\n
     <experiment id, escaped>\n
-    <32-char hex MD5 of the payload>\n
+    <32-char hex MD5 of the experiment line, "\n" and the payload>\n
     <payload length, decimal>\n
     <payload: Marshal of the trial result>
     v}
@@ -13,7 +13,9 @@
     The checksum and length make every record independently verifiable:
     {!decode} refuses truncated, bit-flipped, or foreign-version bytes
     with a typed error, and the {!Store} quarantines such files instead of
-    serving them. The payload is [Marshal] output, which is only safe to
+    serving them. The experiment id is read back only by {!decode_raw},
+    for capsules; a record keeps it so that its file names its experiment
+    to a reader. The payload is [Marshal] output, which is only safe to
     read back in the binary that produced it — guaranteed upstream by the
     {!Fingerprint} component of every key, never by this module. *)
 
@@ -49,7 +51,3 @@ val decode_raw : string -> (string * string, error) result
 (** Verify a record and return [(experiment, payload)] without
     interpreting the payload. Never returns {!Garbled} (payload semantics
     are the caller's). *)
-
-val experiment : string -> (string, error) result
-(** The experiment id recorded in the header, without touching the
-    payload (used for index rebuilds and diagnostics). *)

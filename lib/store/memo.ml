@@ -91,8 +91,8 @@ let counting s =
   let series () =
     let c = Store.counters s in
     [ ("hits", c.hits); ("misses", c.misses); ("writes", c.writes);
-      ("evictions", c.evictions); ("corrupt", c.corrupt);
-      ("capsule_hits", c.capsule_hits); ("capsule_misses", c.capsule_misses);
+      ("corrupt", c.corrupt); ("capsule_hits", c.capsule_hits);
+      ("capsule_misses", c.capsule_misses);
       ("capsule_writes", c.capsule_writes); ("claims", c.claims);
       ("claim_steals", c.claim_steals); ("write_errors", c.write_errors) ]
   in

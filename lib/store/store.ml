@@ -2,7 +2,6 @@ type counters = {
   hits : int;
   misses : int;
   writes : int;
-  evictions : int;
   corrupt : int;
   capsule_hits : int;
   capsule_misses : int;
@@ -13,28 +12,14 @@ type counters = {
 }
 
 let no_counts =
-  { hits = 0; misses = 0; writes = 0; evictions = 0; corrupt = 0;
-    capsule_hits = 0; capsule_misses = 0; capsule_writes = 0; claims = 0;
-    claim_steals = 0; write_errors = 0 }
-
-(* A live record carries the journal sequence number of the [+] line that
-   made it live. The FIFO order queue stores (key, seq) pairs: an entry is
-   valid only while the key is live *under that same seq*, so an evicted-
-   then-re-added key can never be evicted through its stale first entry,
-   and stale entries can never make the GC under- or over-evict. *)
-type entry = { size : int; seq : int }
+  { hits = 0; misses = 0; writes = 0; corrupt = 0; capsule_hits = 0;
+    capsule_misses = 0; capsule_writes = 0; claims = 0; claim_steals = 0;
+    write_errors = 0 }
 
 type t = {
   dir : string;
-  max_bytes : int;
   mutex : Mutex.t;
-  live : (string, entry) Hashtbl.t;
-  order : (string * int) Queue.t; (* insertion order; stale entries skipped *)
-  mutable next_seq : int;
-  mutable total_bytes : int;
-  mutable index_fd : Unix.file_descr; (* O_APPEND journal writer *)
-  mutable lock_fd : Unix.file_descr; (* fcntl-lock anchor (.lock) *)
-  mutable read_pos : int; (* journal bytes already applied in-memory *)
+  lock_fd : Unix.file_descr; (* fcntl-lock anchor (.lock) *)
   mutable closed : bool;
   mutable counts : counters;
 }
@@ -42,32 +27,43 @@ type t = {
 (* Caller holds the mutex. *)
 let count t f = t.counts <- f t.counts
 
+(* Every operation runs under the handle mutex, and none runs on a closed
+   handle: it fails as a read through the closed descriptor would. *)
+let locked t f =
+  Mutex.protect t.mutex (fun () ->
+      if t.closed then raise (Unix.Unix_error (Unix.EBADF, "Store", t.dir));
+      f ())
+
 let is_hex_key k =
   String.length k = 32
   && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) k
 
-let object_path t key =
-  Filename.concat t.dir
-    (Filename.concat "objects"
-       (Filename.concat (String.sub key 0 2)
-          (Filename.concat (String.sub key 2 2) (key ^ ".rec"))))
+let check_key ~op key =
+  if not (is_hex_key key) then invalid_arg ("Store." ^ op ^ ": malformed key")
 
-let quarantine_path t key =
-  Filename.concat t.dir (Filename.concat "quarantine" (key ^ ".rec"))
+(* The two fanned-out areas. A file is live exactly when it sits at the
+   path its key names in its area. *)
+type area = { root : string; ext : string; what : string }
 
-let capsule_path t key =
-  Filename.concat t.dir
-    (Filename.concat "capsules"
-       (Filename.concat (String.sub key 0 2)
-          (Filename.concat (String.sub key 2 2) (key ^ ".cap"))))
+let records = { root = "objects"; ext = ".rec"; what = "record" }
+let capsules = { root = "capsules"; ext = ".cap"; what = "capsule" }
 
-let capsule_quarantine_path t key =
-  Filename.concat t.dir (Filename.concat "quarantine" (key ^ ".cap"))
+(* [area/ab/cd/<key><ext>]: the one place a key becomes a fan-out path. *)
+let fan_out t area key =
+  List.fold_left Filename.concat t.dir
+    [ area.root; String.sub key 0 2; String.sub key 2 2; key ^ area.ext ]
 
-let index_path dir = Filename.concat dir "index.log"
-let lock_path dir = Filename.concat dir ".lock"
+(* The path of a keyed entry point's file; a malformed key is refused
+   before anything touches the disk. *)
+let path t ~op area key =
+  check_key ~op key;
+  fan_out t area key
+
 let claims_dir dir = Filename.concat dir "claims"
-let claim_path t key = Filename.concat (claims_dir t.dir) (key ^ ".lease")
+
+let claim_path t ~op key =
+  check_key ~op key;
+  Filename.concat (claims_dir t.dir) (key ^ ".lease")
 
 (* Create-first: one syscall in the common case, and EEXIST — the only
    outcome of several workers racing to create the same fan-out dir — is
@@ -90,35 +86,12 @@ let rec mkdir_p path =
         mkdir ()
       end
 
-(* One journal line per event:
-     + <key> <size> <experiment>      record added
-     - <key>                          record evicted
-     ! <key>                          record quarantined
-   The experiment id is informational (diagnostics, future GC policies);
-   it is the last field so embedded spaces need no escaping. *)
-let index_line_add key size experiment =
-  Printf.sprintf "+ %s %d %s\n" key size
-    (String.map (fun c -> if c = '\n' then ' ' else c) experiment)
-
-(* Append one complete line in a single write(2). The journal fd is
-   O_APPEND, so concurrent writers' lines land whole and in some total
-   order — never interleaved mid-line. (A short write on a local regular
-   file does not happen for lines this small; the loop is belt and
-   braces for exotic filesystems.) *)
-let append_index t line =
-  let b = Bytes.unsafe_of_string line in
-  let len = Bytes.length b in
-  let rec go pos =
-    if pos < len then go (pos + Unix.write t.index_fd b pos (len - pos))
-  in
-  go 0
-
 (* Cross-process critical section: an fcntl record lock on [.lock].
-   Serializes journal bookkeeping, GC, and claim handoffs between
-   processes; within a process the handle mutex already serializes, and
-   the kernel grants a process's re-request on a region it holds, so two
-   handles in one process cannot deadlock each other. fcntl locks die
-   with their process, so a crashed worker never wedges the store. *)
+   Serializes claim handoffs between processes; within a process the
+   handle mutex already serializes, and the kernel grants a process's
+   re-request on a region it holds, so two handles in one process cannot
+   deadlock each other. fcntl locks die with their process, so a crashed
+   worker never wedges the store. *)
 let with_file_lock t f =
   Unix.lockf t.lock_fd Unix.F_LOCK 0;
   Fun.protect
@@ -126,110 +99,26 @@ let with_file_lock t f =
       try Unix.lockf t.lock_fd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ())
     f
 
-let apply_line t l =
-  match String.split_on_char ' ' l with
-  | "+" :: key :: size :: _ when is_hex_key key -> (
-      match int_of_string_opt size with
-      | Some size
-        when (not (Hashtbl.mem t.live key))
-             && Sys.file_exists (object_path t key) ->
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          Hashtbl.replace t.live key { size; seq };
-          Queue.push (key, seq) t.order;
-          t.total_bytes <- t.total_bytes + size
-      | _ -> ())
-  | ("-" | "!") :: key :: _ -> (
-      match Hashtbl.find_opt t.live key with
-      | Some e ->
-          Hashtbl.remove t.live key;
-          t.total_bytes <- t.total_bytes - e.size
-      | None -> ())
-  | _ -> () (* tolerate foreign or damaged lines *)
-
-(* Adopt journal lines appended since the last refresh — our own (already
-   applied in-memory, so idempotent via the live check) and, the point,
-   those of concurrent writer processes. Only complete lines are applied:
-   a line becomes visible atomically with its writer's single O_APPEND
-   write, and a torn tail (which only a non-compliant filesystem could
-   show) is left for the next refresh. Caller holds the mutex. *)
-let refresh_locked t =
-  match open_in_bin (index_path t.dir) with
-  | exception Sys_error _ -> ()
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          if len > t.read_pos then begin
-            seek_in ic t.read_pos;
-            let chunk = really_input_string ic (len - t.read_pos) in
-            match String.rindex_opt chunk '\n' with
-            | None -> ()
-            | Some last ->
-                String.sub chunk 0 last |> String.split_on_char '\n'
-                |> List.iter (fun l -> if l <> "" then apply_line t l);
-                t.read_pos <- t.read_pos + last + 1
-          end)
-
-(* Drop stale (evicted/quarantined/superseded) entries so a long-lived
-   journal cannot grow the queue without bound. Caller holds the mutex. *)
-let compact_order t =
-  let q = Queue.create () in
-  Queue.iter
-    (fun (key, seq) ->
-      match Hashtbl.find_opt t.live key with
-      | Some e when e.seq = seq -> Queue.push (key, seq) q
-      | _ -> ())
-    t.order;
-  Queue.clear t.order;
-  Queue.transfer q t.order
-
-let open_ ?(max_bytes = 512 * 1024 * 1024) dir =
-  if max_bytes <= 0 then invalid_arg "Store.open_: max_bytes must be positive";
-  mkdir_p (Filename.concat dir "objects");
-  mkdir_p (Filename.concat dir "capsules");
-  mkdir_p (Filename.concat dir "quarantine");
-  mkdir_p (claims_dir dir);
-  let index_fd =
-    Unix.openfile (index_path dir)
-      [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ]
-      0o644
-  in
-  let lock_fd =
-    Unix.openfile (lock_path dir) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-  in
-  let t =
-    {
-      dir;
-      max_bytes;
-      mutex = Mutex.create ();
-      live = Hashtbl.create 256;
-      order = Queue.create ();
-      next_seq = 0;
-      total_bytes = 0;
-      index_fd;
-      lock_fd;
-      read_pos = 0;
-      closed = false;
-      counts = no_counts;
-    }
-  in
-  Mutex.protect t.mutex (fun () ->
-      refresh_locked t;
-      compact_order t);
-  t
+let open_ dir =
+  List.iter
+    (fun sub -> mkdir_p (Filename.concat dir sub))
+    [ records.root; capsules.root; "quarantine"; "claims" ];
+  {
+    dir;
+    mutex = Mutex.create ();
+    lock_fd =
+      Unix.openfile (Filename.concat dir ".lock")
+        [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644;
+    closed = false;
+    counts = no_counts;
+  }
 
 let close t =
   Mutex.protect t.mutex (fun () ->
       if not t.closed then begin
         t.closed <- true;
-        (try Unix.fsync t.index_fd with Unix.Unix_error _ -> ());
-        (try Unix.close t.index_fd with Unix.Unix_error _ -> ());
         try Unix.close t.lock_fd with Unix.Unix_error _ -> ()
       end)
-
-let sync t = Mutex.protect t.mutex (fun () -> refresh_locked t)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -238,8 +127,8 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Atomic publication: write next to the final path, rename over it. The
-   temp name carries pid + key, so concurrent stores never collide and a
-   crash leaves only a harmless .tmp the next GC ignores. *)
+   temp name carries the pid, so concurrent stores never collide, and a
+   crash leaves only a [.tmp] that no reader takes for a record. *)
 let write_file_atomic path content =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
@@ -258,117 +147,68 @@ let warn fmt =
       flush stderr)
     ("store: " ^^ fmt ^^ "\n")
 
-let drop_live t key =
-  match Hashtbl.find_opt t.live key with
-  | Some e ->
-      Hashtbl.remove t.live key;
-      t.total_bytes <- t.total_bytes - e.size
-  | None -> ()
-
-let quarantine t key err =
-  let path = object_path t key in
-  (try Sys.rename path (quarantine_path t key)
+(* Caller holds the mutex. *)
+let quarantine t area path key err =
+  let dir = Filename.concat t.dir "quarantine" in
+  (try Sys.rename path (Filename.concat dir (Filename.basename path))
    with Sys_error _ -> (try Sys.remove path with Sys_error _ -> ()));
-  drop_live t key;
-  append_index t (Printf.sprintf "! %s\n" key);
   count t (fun c -> { c with corrupt = c.corrupt + 1 });
-  warn "quarantined record %s: %s" key (Codec.error_to_string err)
+  warn "quarantined %s %s: %s" area.what key (Codec.error_to_string err)
 
-let find_locked t ~key =
-  let miss () =
-    count t (fun c -> { c with misses = c.misses + 1 });
-    None
-  in
-  (* A live-table miss may just mean another process added the record
-     since our last look at the journal: adopt its lines and re-check.
-     This is what lets concurrent shards serve each other's trials
-     without reopening the store. *)
-  if not (Hashtbl.mem t.live key) then refresh_locked t;
-  if not (Hashtbl.mem t.live key) then miss ()
-  else
-    match read_file (object_path t key) with
-    | exception Sys_error _ ->
-        (* Journal said live but the file is gone (external deletion or a
-           concurrent GC); settle the books and recompute. *)
-        drop_live t key;
-        append_index t (Printf.sprintf "- %s\n" key);
-        miss ()
-    | raw -> (
-        match Codec.decode raw with
-        | Ok v ->
-            count t (fun c -> { c with hits = c.hits + 1 });
-            Some v
-        | Error err ->
-            quarantine t key err;
-            miss ())
+(* The verified contents of [path]: [None] when it is absent, or when it
+   fails verification and moves to quarantine. Caller holds the mutex. *)
+let read_verified t area path key decode =
+  match read_file path with
+  | exception Sys_error _ -> None
+  | raw -> (
+      match decode raw with
+      | Ok v -> Some v
+      | Error err ->
+          quarantine t area path key err;
+          None)
 
-let find t ~key = Mutex.protect t.mutex (fun () -> find_locked t ~key)
+(* One counted lookup of [key] in [area]. *)
+let lookup t area ~op ~key decode ~hit ~miss =
+  let path = path t ~op area key in
+  locked t (fun () ->
+      let r = read_verified t area path key decode in
+      count t (if Option.is_some r then hit else miss);
+      r)
+
+let find t ~key =
+  lookup t records ~op:"find" ~key Codec.decode
+    ~hit:(fun c -> { c with hits = c.hits + 1 })
+    ~miss:(fun c -> { c with misses = c.misses + 1 })
 
 (* Whether [key] currently resolves, without touching the hit/miss
    counters — the polling primitive of the sharded waiting loop, which
    may probe a pending trial many times before its owner publishes. *)
 let contains t ~key =
-  Mutex.protect t.mutex (fun () ->
-      if not (Hashtbl.mem t.live key) then refresh_locked t;
-      Hashtbl.mem t.live key)
+  let path = path t ~op:"contains" records key in
+  locked t (fun () -> Sys.file_exists path)
 
-(* Caller holds the mutex (and, under multi-writer use, the file lock).
-   Evict oldest-first until under the bound, skipping stale queue
-   entries; the newest record always survives even when it alone exceeds
-   the bound. *)
-let enforce_bound t =
-  while
-    t.total_bytes > t.max_bytes
-    && Hashtbl.length t.live > 1
-    && not (Queue.is_empty t.order)
-  do
-    let key, seq = Queue.pop t.order in
-    match Hashtbl.find_opt t.live key with
-    | Some e when e.seq = seq ->
-        drop_live t key;
-        (try Sys.remove (object_path t key) with Sys_error _ -> ());
-        (* The sidecar capsule rides on its record's lifetime: an evicted
-           trial will be recomputed (and its capsule re-sealed) anyway. *)
-        (try Sys.remove (capsule_path t key) with Sys_error _ -> ());
-        append_index t (Printf.sprintf "- %s\n" key);
-        count t (fun c -> { c with evictions = c.evictions + 1 })
-    | _ -> () (* stale entry: already evicted/quarantined/superseded *)
-  done
-
-(* A write that fails must not poison the trial that just computed its
-   result: a lost record costs one recomputation on the next run, so the
-   failure is counted and reported, never raised. *)
-let persisting t ~what ~key f =
-  try f ()
+(* Encode outside the mutex, then publish by rename and count. Concurrent
+   writers of one key write identical bytes, so whichever rename lands
+   last changes nothing. A write that fails must not poison the trial that
+   just computed its result: a lost file costs one recomputation on the
+   next run, so the failure is counted and reported, never raised. *)
+let publish t area ~op ~key encode bump =
+  let path = path t ~op area key in
+  try
+    let content = encode () in
+    locked t (fun () ->
+        mkdir_p (Filename.dirname path);
+        write_file_atomic path content;
+        count t bump)
   with e ->
     Mutex.protect t.mutex (fun () ->
         count t (fun c -> { c with write_errors = c.write_errors + 1 }));
-    warn "failed to persist %s %s: %s" what key (Printexc.to_string e)
+    warn "failed to persist %s %s: %s" area.what key (Printexc.to_string e)
 
 let add t ~key ~experiment v =
-  if not (is_hex_key key) then invalid_arg "Store.add: malformed key";
-  persisting t ~what:"record" ~key @@ fun () ->
-  let record = Codec.encode ~experiment v in
-  Mutex.protect t.mutex (fun () ->
-      with_file_lock t (fun () ->
-          (* Adopt concurrent writers' adds/evictions first, so the GC
-             below reasons about the store's real size, not this handle's
-             stale view of it. *)
-          refresh_locked t;
-          let path = object_path t key in
-          mkdir_p (Filename.dirname path);
-          write_file_atomic path record;
-          if not (Hashtbl.mem t.live key) then begin
-            let size = String.length record in
-            let seq = t.next_seq in
-            t.next_seq <- seq + 1;
-            Hashtbl.replace t.live key { size; seq };
-            Queue.push (key, seq) t.order;
-            t.total_bytes <- t.total_bytes + size;
-            append_index t (index_line_add key size experiment)
-          end;
-          count t (fun c -> { c with writes = c.writes + 1 });
-          enforce_bound t))
+  publish t records ~op:"add" ~key
+    (fun () -> Codec.encode ~experiment v)
+    (fun c -> { c with writes = c.writes + 1 })
 
 (* ---- claims ----
 
@@ -412,16 +252,15 @@ let lease_live l =
        | exception Unix.Unix_error _ -> false)
 
 let claim_lease t ~key =
-  if not (is_hex_key key) then invalid_arg "Store.claim_lease: malformed key";
-  Mutex.protect t.mutex (fun () -> read_lease_file (claim_path t key))
+  let path = claim_path t ~op:"claim_lease" key in
+  locked t (fun () -> read_lease_file path)
 
 let try_claim t ~key ~ttl_s =
-  if not (is_hex_key key) then invalid_arg "Store.try_claim: malformed key";
+  let path = claim_path t ~op:"try_claim" key in
   if not (Float.is_finite ttl_s && ttl_s > 0.0) then
     invalid_arg "Store.try_claim: ttl_s must be finite and positive";
-  Mutex.protect t.mutex (fun () ->
+  locked t (fun () ->
       with_file_lock t (fun () ->
-          let path = claim_path t key in
           let grant ~stolen =
             mkdir_p (claims_dir t.dir);
             write_file_atomic path
@@ -443,141 +282,114 @@ let try_claim t ~key ~ttl_s =
           | Some _ -> false))
 
 let release_claim t ~key =
-  if not (is_hex_key key) then
-    invalid_arg "Store.release_claim: malformed key";
-  Mutex.protect t.mutex (fun () ->
-      with_file_lock t (fun () ->
-          try Sys.remove (claim_path t key) with Sys_error _ -> ()))
+  let path = claim_path t ~op:"release_claim" key in
+  locked t (fun () ->
+      with_file_lock t (fun () -> try Sys.remove path with Sys_error _ -> ()))
 
 (* ---- capsules ----
 
    Capsules are a sidecar area keyed like records but framed around raw
-   JSON payloads ([Codec.encode_raw]) so any build can read them back.
-   They are not journaled and not counted against [max_bytes]: the journal
-   and the bound govern trial results (the expensive thing to recompute);
-   a capsule is small and always regenerable by re-running its trial. *)
+   JSON payloads ([Codec.encode_raw]) so any build can read them back. *)
 
 let add_capsule t ~key ~experiment payload =
-  if not (is_hex_key key) then invalid_arg "Store.add_capsule: malformed key";
-  persisting t ~what:"capsule" ~key @@ fun () ->
-  let record = Codec.encode_raw ~experiment payload in
-  Mutex.protect t.mutex (fun () ->
-      let path = capsule_path t key in
-      mkdir_p (Filename.dirname path);
-      write_file_atomic path record;
-      count t (fun c -> { c with capsule_writes = c.capsule_writes + 1 }))
-
-let quarantine_capsule t key err =
-  let path = capsule_path t key in
-  (try Sys.rename path (capsule_quarantine_path t key)
-   with Sys_error _ -> (try Sys.remove path with Sys_error _ -> ()));
-  count t (fun c -> { c with corrupt = c.corrupt + 1 });
-  warn "quarantined capsule %s: %s" key (Codec.error_to_string err)
+  publish t capsules ~op:"add_capsule" ~key
+    (fun () -> Codec.encode_raw ~experiment payload)
+    (fun c -> { c with capsule_writes = c.capsule_writes + 1 })
 
 let find_capsule t ~key =
-  Mutex.protect t.mutex (fun () ->
-      let miss () =
-        count t (fun c -> { c with capsule_misses = c.capsule_misses + 1 });
-        None
-      in
-      match read_file (capsule_path t key) with
-      | exception Sys_error _ -> miss ()
-      | raw -> (
-          match Codec.decode_raw raw with
-          | Ok (_, payload) ->
-              count t (fun c -> { c with capsule_hits = c.capsule_hits + 1 });
-              Some payload
-          | Error err ->
-              quarantine_capsule t key err;
-              miss ()))
+  lookup t capsules ~op:"find_capsule" ~key Codec.decode_raw
+    ~hit:(fun c -> { c with capsule_hits = c.capsule_hits + 1 })
+    ~miss:(fun c -> { c with capsule_misses = c.capsule_misses + 1 })
+  |> Option.map snd
+
+(* ---- walking an area ---- *)
+
+let sorted_entries dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | entries ->
+      Array.sort String.compare entries;
+      Array.to_list entries
+
+(* Fold [f acc path name] over every entry at the bottom of [area]'s
+   two-level fan-out, and over any non-directory above it, sorted at every
+   level, so the fold order — and any report built from it — is
+   deterministic regardless of filesystem order. Caller holds the mutex. *)
+let fold_area t area ~init ~f =
+  let rec go depth acc dir =
+    List.fold_left
+      (fun acc name ->
+        let path = Filename.concat dir name in
+        if depth < 2 && Sys.is_directory path then go (depth + 1) acc path
+        else f acc path name)
+      acc (sorted_entries dir)
+  in
+  go 0 init (Filename.concat t.dir area.root)
+
+(* The key of a live file: one that sits at the path its key names. A
+   write in flight ([*.tmp]) or a misplaced file has none. *)
+let key_of t area path name =
+  if not (Filename.check_suffix name area.ext) then None
+  else
+    let key = Filename.chop_suffix name area.ext in
+    if is_hex_key key && String.equal path (fan_out t area key) then Some key
+    else None
 
 let fold_capsules t ~init ~f =
-  Mutex.protect t.mutex (fun () ->
-      let root = Filename.concat t.dir "capsules" in
-      let subdirs dir =
-        match Sys.readdir dir with
-        | exception Sys_error _ -> []
-        | entries ->
-            let l = Array.to_list entries in
-            List.sort String.compare l
-      in
-      (* Sorted at every level, so the fold order — and any report built
-         from it — is deterministic regardless of filesystem order. *)
-      List.fold_left
-        (fun acc d1 ->
-          let p1 = Filename.concat root d1 in
-          if not (Sys.is_directory p1) then acc
-          else
-            List.fold_left
-              (fun acc d2 ->
-                let p2 = Filename.concat p1 d2 in
-                if not (Sys.is_directory p2) then acc
-                else
-                  List.fold_left
-                    (fun acc file ->
-                      if not (Filename.check_suffix file ".cap") then acc
-                      else
-                        let key = Filename.chop_suffix file ".cap" in
-                        if not (is_hex_key key) then acc
-                        else
-                          match read_file (Filename.concat p2 file) with
-                          | exception Sys_error _ -> acc
-                          | raw -> (
-                              match Codec.decode_raw raw with
-                              | Ok (experiment, payload) ->
-                                  f acc ~key ~experiment payload
-                              | Error err ->
-                                  quarantine_capsule t key err;
-                                  acc))
-                    acc (subdirs p2))
-              acc (subdirs p1))
-        init (subdirs root))
+  locked t (fun () ->
+      fold_area t capsules ~init ~f:(fun acc path name ->
+          match key_of t capsules path name with
+          | None -> acc
+          | Some key -> (
+              match read_verified t capsules path key Codec.decode_raw with
+              | Some (experiment, payload) -> f acc ~key ~experiment payload
+              | None -> acc)))
 
 let counters t = Mutex.protect t.mutex (fun () -> t.counts)
 
-let live_records t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.live)
-let live_bytes t = Mutex.protect t.mutex (fun () -> t.total_bytes)
+(* Live records and their bytes, in one walk. A file quarantined by a
+   concurrent process between the listing and the stat is not live. *)
+let live t =
+  locked t (fun () ->
+      fold_area t records ~init:(0, 0)
+        ~f:(fun ((n, bytes) as acc) path name ->
+          match key_of t records path name with
+          | None -> acc
+          | Some _ -> (
+              match Unix.stat path with
+              | st -> (n + 1, bytes + st.Unix.st_size)
+              | exception Unix.Unix_error _ -> acc)))
+
+let live_records t = fst (live t)
+let live_bytes t = snd (live t)
 
 let invariant_violations t =
-  Mutex.protect t.mutex (fun () ->
-      let v = ref [] in
-      let note fmt = Printf.ksprintf (fun s -> v := s :: !v) fmt in
-      let sum = Hashtbl.fold (fun _ e acc -> acc + e.size) t.live 0 in
-      if sum <> t.total_bytes then
-        note "total_bytes %d <> sum of live sizes %d" t.total_bytes sum;
-      if t.total_bytes < 0 then note "total_bytes negative: %d" t.total_bytes;
-      let seen = Hashtbl.create 16 in
-      Queue.iter
-        (fun (key, seq) ->
-          if seq >= t.next_seq then
-            note "order entry (%s, %d) beyond next_seq %d" key seq t.next_seq;
-          match Hashtbl.find_opt t.live key with
-          | Some e when e.seq = seq ->
-              if Hashtbl.mem seen key then
-                note "live key %s has duplicate valid order entries" key
-              else Hashtbl.replace seen key ()
-          | _ -> ())
-        t.order;
-      Hashtbl.iter
-        (fun key _ ->
-          if not (Hashtbl.mem seen key) then
-            note "live key %s missing from the order queue" key)
-        t.live;
-      List.rev !v)
+  let misplaced area acc path name =
+    if
+      (Filename.check_suffix name records.ext
+      || Filename.check_suffix name capsules.ext)
+      && key_of t area path name = None
+    then (path ^ " is not at the path its key names") :: acc
+    else acc
+  in
+  locked t (fun () ->
+      List.concat_map
+        (fun area -> List.rev (fold_area t area ~init:[] ~f:(misplaced area)))
+        [ records; capsules ])
 
 let summary_line t =
   let c = counters t in
+  let n, bytes = live t in
   let claims =
     if c.claims = 0 then ""
     else Printf.sprintf "; claims: %d (%d stolen)" c.claims c.claim_steals
   in
   Printf.sprintf
-    "store: %d hit(s), %d miss(es), %d write(s), %d evicted, %d corrupt, %d \
-     write error(s); %d record(s), %d bytes live (%s); capsules: %d hit(s), \
-     %d miss(es), %d write(s)%s"
-    c.hits c.misses c.writes c.evictions c.corrupt c.write_errors
-    (live_records t) (live_bytes t) t.dir c.capsule_hits c.capsule_misses
-    c.capsule_writes claims
+    "store: %d hit(s), %d miss(es), %d write(s), %d corrupt, %d write \
+     error(s); %d record(s), %d bytes live (%s); capsules: %d hit(s), %d \
+     miss(es), %d write(s)%s"
+    c.hits c.misses c.writes c.corrupt c.write_errors n bytes t.dir
+    c.capsule_hits c.capsule_misses c.capsule_writes claims
 
 let ambient = ref None
 let install t = ambient := Some t

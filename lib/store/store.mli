@@ -8,38 +8,30 @@
     quarantine/<32-hex-key>.rec      records that failed verification
     quarantine/<32-hex-key>.cap      capsules that failed verification
     claims/<32-hex-key>.lease        trial claims ("pid host expiry")
-    index.log                        append-only journal of adds/evictions
-    .lock                            fcntl-lock anchor for cross-process CS
+    .lock                            fcntl-lock anchor for claim handoffs
     v}
 
-    Records are {!Codec} [satin-store/v1] bytes, written atomically
-    (temp file + rename), one file per {!Key}. The index journal is the
-    insertion-order ground truth: each add appends a [+] line, each
-    eviction a [-] line, each quarantine a [!] line, so a store killed
-    mid-campaign replays to exactly the records that finished — the basis
-    of resume-after-interrupt. Entries whose files have vanished are
-    dropped on replay.
+    Records are {!Codec} [satin-store/v1] bytes, one file per {!Key}, and
+    the files are the store's only truth: a record is live exactly when
+    its file sits at the path its key names. Files appear only by atomic
+    rename (temp file + rename), so a store killed mid-campaign holds
+    exactly the records that finished — the basis of resume-after-
+    interrupt — plus at most a [*.tmp] per interrupted write, which no
+    reader takes for a record. Nothing is ever evicted.
 
     {!find} verifies every record before serving it; a record failing
     magic/version/length/checksum is moved to [quarantine/] (never served,
     never silently deleted) and the lookup reports a miss, so one flipped
-    bit costs one recomputation. {!add} enforces the size bound by evicting
-    the oldest records first (the newest record is always retained, so the
-    bound is best-effort when a single record exceeds it).
+    bit costs one recomputation.
 
     {2 Multi-writer guarantees}
 
     Any number of processes may hold handles on one store directory
-    concurrently. The journal is written through an [O_APPEND] descriptor,
-    one complete line per [write(2)], so concurrent appends interleave
-    whole lines, never torn ones; mutating critical sections (add + GC,
-    claim handoffs) additionally run under an fcntl record lock on
-    [.lock], which the kernel releases if the holder dies. Each handle
-    tracks how far into the journal it has read and adopts newly appended
-    lines on {!add}, on {!sync}, and on any {!find}/{!contains} that
-    misses its in-memory table — so a record published by one process is
-    served as a hit by every other. All of this degrades to exactly the
-    old single-process behaviour when only one handle exists.
+    concurrently. A record published by one process is a hit for every
+    other the moment its rename lands, without reopening; concurrent
+    writers of one key write identical bytes, so the last rename changes
+    nothing. Claim handoffs additionally run under an fcntl record lock on
+    [.lock], which the kernel releases if the holder dies.
 
     All operations are serialized on an internal mutex: worker domains may
     {!add} concurrently while the submitting domain looks up. The handle's
@@ -48,29 +40,26 @@
     [store.*] metrics. Every quarantine and every failed write also prints
     one [store: ...] line on stderr.
 
+    Every entry point taking a key raises [Invalid_argument "Store.<name>:
+    malformed key"] unless the key is 32 lowercase hex digits, as
+    {!Key.make} returns.
+
     One store can be made ambient with {!install}: experiments are
     assembled deep inside runners, and "the store of the current run" is
     process-wide by nature. *)
 
 type t
 
-val open_ : ?max_bytes:int -> string -> t
+val open_ : string -> t
 (** Open (creating directories as needed) the store rooted at the given
-    directory and replay its index. [max_bytes] bounds the total size of
-    live records (default 512 MiB). Raises [Unix.Unix_error] if a
-    directory of the layout cannot be created or is a plain file: a
-    damaged store is refused here, not at every later write. *)
+    directory. Raises [Unix.Unix_error] if a directory of the layout
+    cannot be created or is a plain file: a damaged store is refused
+    here, not at every later write. *)
 
 val close : t -> unit
-(** Fsync the journal and release the handle's descriptors. Idempotent.
-    Operations on a closed handle raise [Unix.Unix_error (EBADF, _, _)],
-    except {!add} and {!add_capsule}, which count a write error. *)
-
-val sync : t -> unit
-(** Adopt journal lines appended by other processes since this handle last
-    looked. {!find} and {!contains} do this automatically when a key is
-    absent from the in-memory table; [sync] forces it (e.g. before
-    {!live_records}). *)
+(** Release the handle's descriptor. Idempotent. Operations on a closed
+    handle raise [Unix.Unix_error (EBADF, _, _)], except {!add} and
+    {!add_capsule}, which count a write error, and {!counters}. *)
 
 val find : t -> key:string -> 'a option
 (** Serve the record stored under [key], verifying it first. [None] on
@@ -79,18 +68,16 @@ val find : t -> key:string -> 'a option
     the binary). *)
 
 val contains : t -> key:string -> bool
-(** Whether [key] currently resolves to a live record, refreshing from the
-    journal if needed — without reading the record or touching the
-    hit/miss counters. This is the polling primitive for waiting on a
-    trial another process is computing. *)
+(** Whether [key]'s record file exists — without reading the record or
+    touching the hit/miss counters. This is the polling primitive for
+    waiting on a trial another process is computing. *)
 
 val add : t -> key:string -> experiment:string -> 'a -> unit
-(** Persist one trial result (atomic write + index append), then enforce
-    the size bound. Overwrites any existing record under [key] (necessarily
-    with identical content). Safe to call from worker domains. A write that
-    fails is counted in [write_errors] and reported on stderr, never
-    raised: the caller already holds the result, and a lost record costs
-    one recomputation. Raises [Invalid_argument] on a malformed key. *)
+(** Persist one trial result (atomic write). Overwrites any existing
+    record under [key] (necessarily with identical content). Safe to call
+    from worker domains. A write that fails is counted in [write_errors]
+    and reported on stderr, never raised: the caller already holds the
+    result, and a lost record costs one recomputation. *)
 
 (** {1 Trial claims}
 
@@ -111,8 +98,7 @@ val try_claim : t -> key:string -> ttl_s:float -> bool
     now holds the lease: the key was unclaimed, the existing lease was
     stale (counted as a steal), or we already held it (the expiry is
     refreshed). [false] while another live process holds it. Raises
-    [Invalid_argument] on a malformed key or a TTL that is not finite and
-    positive. *)
+    [Invalid_argument] on a TTL that is not finite and positive. *)
 
 val release_claim : t -> key:string -> unit
 (** Drop any lease on [key]. Callable by non-owners (used to clear a
@@ -131,16 +117,13 @@ val lease_live : lease -> bool
     Capsules are a sidecar area under [capsules/], keyed exactly like
     records but holding raw JSON payloads in the {!Codec.encode_raw}
     envelope — readable by any build, which is the point: telemetry
-    aggregates capsules across campaign runs and binaries. A capsule rides
-    on its record's lifetime (evicting a record deletes its capsule) but is
-    neither journaled nor counted against [max_bytes]: capsules are small
-    and always regenerable by re-running the trial. Corrupt capsules are
-    quarantined to [quarantine/<key>.cap] and read as misses. *)
+    aggregates capsules across campaign runs and binaries. Corrupt
+    capsules are quarantined to [quarantine/<key>.cap] and read as
+    misses. *)
 
 val add_capsule : t -> key:string -> experiment:string -> string -> unit
 (** Persist one capsule payload (atomic write). Safe to call from worker
-    domains. Failures are handled as in {!add}. Raises [Invalid_argument]
-    on a malformed key. *)
+    domains. Failures are handled as in {!add}. *)
 
 val find_capsule : t -> key:string -> string option
 (** The verified capsule payload stored under [key], or [None] on absence
@@ -158,7 +141,6 @@ type counters = {
   hits : int;
   misses : int;
   writes : int;
-  evictions : int;
   corrupt : int;  (** corrupt records {e and} corrupt capsules *)
   capsule_hits : int;
   capsule_misses : int;
@@ -172,19 +154,23 @@ val counters : t -> counters
 (** Snapshot of this handle's lifetime counters. *)
 
 val live_records : t -> int
+(** The record files at the path their key names, counted by a walk of
+    [objects/]. *)
+
 val live_bytes : t -> int
+(** Their total size in bytes. *)
 
 val invariant_violations : t -> string list
-(** Internal-consistency audit of this handle's in-memory view: total
-    bytes must equal the sum of live record sizes, and every live key must
-    have exactly one valid entry in the eviction order queue. Empty when
-    healthy; used by tests and the sanitizer. *)
+(** Every [.rec] or [.cap] file under [objects/] or [capsules/] that is
+    not at the path its key names: such a file is never served. [*.tmp]
+    files, a write in flight or a killed writer's debris, are not
+    violations. Empty when healthy; used by tests and the benchmark. *)
 
 val summary_line : t -> string
-(** One-line human summary ([store: H hit(s), M miss(es), ..., C corrupt,
-    E write error(s); ... (DIR); capsules: ...]) printed by the CLI to
-    stderr — stderr so stdout reports stay byte-identical between warm and
-    cold runs. Capsule counters are appended after the directory so
+(** One-line human summary ([store: H hit(s), M miss(es), W write(s), C
+    corrupt, F write error(s); N record(s), B bytes live (DIR); capsules:
+    ...]) printed by the CLI to stderr — stderr so stdout reports stay
+    byte-identical between warm and cold runs. Capsule counters are appended after the directory so
     existing [store:]-prefix parsers keep working; claim counters, when
     nonzero, are appended after those. *)
 

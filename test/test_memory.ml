@@ -488,6 +488,41 @@ let observe m ranges =
     Memory.regions m,
     List.map (fun (addr, len) -> Memory.image_slice m ~addr ~len) ranges )
 
+(* A memory's backing store, let out of [with_range_ro] only to compare
+   its identity. *)
+let backing m =
+  Memory.with_range_ro m ~world:World.Secure ~addr:0 ~len:1 ~f:(fun data _ ->
+      data)
+
+(* A runner spawns fresh worker domains for every batch: a store released
+   on one of them must still serve the next memory, on any domain. *)
+let test_pool_crosses_domains () =
+  let released =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let m = Memory.create ~size:reuse_size in
+           let store = backing m in
+           Memory.release m;
+           store))
+  in
+  Alcotest.(check bool) "the caller takes the worker's store" true
+    (backing (Memory.create ~size:reuse_size) == released)
+
+(* Releasing more memories than the cap keeps exactly the newest [cap]
+   stores idle, whatever their domains. *)
+let test_pool_cap () =
+  let cap = Domain.recommended_domain_count () in
+  let size = reuse_size + 1 in
+  let ms = List.init (cap + 2) (fun _ -> Memory.create ~size) in
+  let stores = List.map backing ms in
+  List.iter Memory.release ms;
+  let again = List.init (cap + 2) (fun _ -> backing (Memory.create ~size)) in
+  let reused s = List.exists (( == ) s) stores in
+  Alcotest.(check int) "stores handed back" cap
+    (List.length (List.filter reused again));
+  Alcotest.(check bool) "the newest first" true
+    (List.hd again == List.nth stores (cap + 1))
+
 (* The reuse oracle: memory B, built on the store that A released, must be
    indistinguishable from a fresh memory, before and after one more random
    sequence runs on both. *)
@@ -499,19 +534,13 @@ let prop_reuse_equals_fresh =
         (list_of_size Gen.(int_range 1 8)
            (pair (int_bound reuse_size) (int_bound (3 * Memory.gen_page_size)))))
     (fun (before, after, ranges) ->
-      (* The backing store, let out of [with_range_ro] only to compare its
-         identity. *)
-      let store m =
-        Memory.with_range_ro m ~world:World.Secure ~addr:0 ~len:1
-          ~f:(fun data _ -> data)
-      in
       let a = handle (Memory.create ~size:reuse_size) in
       ignore (run a before);
-      let a_store = store a.mem in
+      let a_store = backing a.mem in
       let a_log = a.log in
       Memory.release a.mem;
       let b = handle (Memory.create ~size:reuse_size) in
-      if store b.mem != a_store then
+      if backing b.mem != a_store then
         QCheck.Test.fail_report "B did not take A's released store";
       let fresh = handle (Memory.create ~size:reuse_size) in
       if observe b.mem ranges <> observe fresh.mem ranges then
@@ -555,4 +584,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rw_any_byte;
     Alcotest.test_case "released memory raises" `Quick test_released_raises;
     QCheck_alcotest.to_alcotest prop_reuse_equals_fresh;
+    Alcotest.test_case "a released store crosses domains" `Quick
+      test_pool_crosses_domains;
+    Alcotest.test_case "the idle pool keeps at most the cap" `Quick
+      test_pool_cap;
   ]

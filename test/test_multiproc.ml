@@ -1,7 +1,8 @@
 (* Multi-process store access: real [satin_cli campaign] shards against
    one store directory. This is the contract the fleet orchestrator rests
-   on — two concurrent writer processes, one journal, byte-identical
-   reports — exercised through the shipped binary, not test doubles. *)
+   on — two concurrent writer processes publishing records by rename into
+   one directory, byte-identical reports — exercised through the shipped
+   binary, not test doubles. *)
 
 module Store = Satin_store.Store
 module Telemetry = Satin_store.Telemetry

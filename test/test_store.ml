@@ -81,8 +81,8 @@ let test_codec_errors () =
    with
   | Error (Codec.Truncated | Codec.Bad_checksum) -> ()
   | _ -> Alcotest.fail "truncated record accepted");
-  match Codec.experiment record with
-  | Ok e -> Alcotest.(check string) "header experiment" "e1" e
+  match Codec.decode_raw record with
+  | Ok (e, _) -> Alcotest.(check string) "header experiment" "e1" e
   | Error e -> Alcotest.fail (Codec.error_to_string e)
 
 (* ---- keys ---- *)
@@ -156,14 +156,23 @@ let test_store_roundtrip_and_persistence () =
   Alcotest.(check bool) "cold miss" true (Store.find s ~key = (None : int option));
   Store.add s ~key ~experiment:"rt" 1234;
   Alcotest.(check (option int)) "hit after add" (Some 1234) (Store.find s ~key);
-  (* A fresh handle on the same directory replays the index. *)
+  (* A fresh handle on the same directory reads the same file. *)
   let s2 = Store.open_ dir in
   Alcotest.(check (option int)) "hit after reopen" (Some 1234) (Store.find s2 ~key);
   Alcotest.(check int) "one live record" 1 (Store.live_records s2);
   let c = Store.counters s in
   Alcotest.(check int) "hits counted" 1 c.Store.hits;
   Alcotest.(check int) "misses counted" 1 c.Store.misses;
-  Alcotest.(check int) "writes counted" 1 c.Store.writes
+  Alcotest.(check int) "writes counted" 1 c.Store.writes;
+  (* A closed handle refuses lookups and counts a write as failed. *)
+  Store.close s;
+  Alcotest.check_raises "find on a closed handle"
+    (Unix.Unix_error (Unix.EBADF, "Store", dir))
+    (fun () -> ignore (Store.find s ~key : int option));
+  Store.add s ~key ~experiment:"rt" 1234;
+  Alcotest.(check int) "add on a closed handle" 1
+    (Store.counters s).Store.write_errors;
+  Store.close s2
 
 let find_record_file dir =
   let rec walk acc p =
@@ -211,30 +220,105 @@ let test_store_quarantines_corruption () =
     "miss after reopen" true
     (Store.find s2 ~key = (None : float array option))
 
-let test_store_gc_bound () =
+(* Every keyed entry point refuses a key that is not 32 lowercase hex
+   digits, before anything is counted or touches the disk. *)
+let test_store_malformed_key () =
+  let s = Store.open_ (tmp_dir ()) in
+  let key = "a" in
+  List.iter
+    (fun (op, f) ->
+      Alcotest.check_raises op
+        (Invalid_argument ("Store." ^ op ^ ": malformed key"))
+        f)
+    [
+      ("find", fun () -> ignore (Store.find s ~key : int option));
+      ("contains", fun () -> ignore (Store.contains s ~key));
+      ("find_capsule", fun () -> ignore (Store.find_capsule s ~key));
+      ("add", fun () -> Store.add s ~key ~experiment:"k" 1);
+      ("add_capsule", fun () -> Store.add_capsule s ~key ~experiment:"k" "{}");
+      ("try_claim", fun () -> ignore (Store.try_claim s ~key ~ttl_s:1.0));
+      ("release_claim", fun () -> Store.release_claim s ~key);
+      ("claim_lease", fun () -> ignore (Store.claim_lease s ~key));
+    ];
+  let c = Store.counters s in
+  Alcotest.(check (list int)) "nothing counted" [ 0; 0; 0; 0; 0; 0 ]
+    [ c.Store.misses; c.Store.writes; c.Store.capsule_misses;
+      c.Store.capsule_writes; c.Store.claims; c.Store.write_errors ];
+  Store.close s
+
+(* The files are the whole store: records copied into a fresh directory,
+   with nothing else beside them, are served as they are. *)
+let test_store_copied_records_hit () =
+  let src = tmp_dir () and dst = tmp_dir () in
+  let key i = Key.make ~experiment:"copy" ~seed:5 ~trial_index:i () in
+  let s = Store.open_ src in
+  for i = 0 to 4 do
+    Store.add s ~key:(key i) ~experiment:"copy" (i, i * i)
+  done;
+  Store.close s;
+  Store.mkdir_p dst;
+  Alcotest.(check int) "objects/ copied" 0
+    (Sys.command
+       (Printf.sprintf "cp -R %s %s"
+          (Filename.quote (Filename.concat src "objects"))
+          (Filename.quote dst)));
+  let d = Store.open_ dst in
+  for i = 0 to 4 do
+    Alcotest.(check bool) "copied record served" true
+      (Store.find d ~key:(key i) = Some (i, i * i))
+  done;
+  let c = Store.counters d in
+  Alcotest.(check (pair int int)) "hits, misses" (5, 0) (c.Store.hits, c.Store.misses);
+  Alcotest.(check int) "live records" 5 (Store.live_records d);
+  Store.close d
+
+let object_path_of dir key =
+  Filename.concat dir
+    (Filename.concat "objects"
+       (Filename.concat (String.sub key 0 2)
+          (Filename.concat (String.sub key 2 2) (key ^ ".rec"))))
+
+let write_file path content =
+  Store.mkdir_p (Filename.dirname path);
+  let oc = open_out_bin path in
+  output_string oc content;
+  close_out oc
+
+(* A killed writer leaves a complete record under its temp name; a
+   record moved by hand leaves its key's path. Neither is served or
+   counted live, and only the moved one is a violation. *)
+let test_store_tmp_and_misplaced () =
   let dir = tmp_dir () in
-  (* Each record is a few hundred bytes; a 1 KiB bound forces eviction. *)
-  let s = Store.open_ ~max_bytes:1024 dir in
-  let keys =
-    Array.init 8 (fun i -> Key.make ~experiment:"gc" ~seed:1 ~trial_index:i ())
+  let s = Store.open_ dir in
+  let key i = Key.make ~experiment:"debris" ~seed:6 ~trial_index:i () in
+  Store.add s ~key:(key 0) ~experiment:"debris" 0;
+  let live = object_path_of dir (key 0) in
+  let size = (Unix.stat live).Unix.st_size in
+  let tmp = object_path_of dir (key 1) ^ ".4242.tmp" in
+  write_file tmp (Codec.encode ~experiment:"debris" 1);
+  write_file (live ^ ".4243.tmp") (Codec.encode ~experiment:"debris" 0);
+  Alcotest.(check bool) "a .tmp is not served" true
+    (Store.find s ~key:(key 1) = (None : int option));
+  Alcotest.(check bool) "a .tmp is not contained" false
+    (Store.contains s ~key:(key 1));
+  Alcotest.(check (pair int int)) "only the record is live" (1, size)
+    (Store.live_records s, Store.live_bytes s);
+  Alcotest.(check (list string)) "a .tmp is no violation" []
+    (Store.invariant_violations s);
+  let k2 = key 2 in
+  let moved =
+    List.fold_left Filename.concat dir
+      [ "objects"; (if String.sub k2 0 2 = "00" then "01" else "00");
+        String.sub k2 2 2; k2 ^ ".rec" ]
   in
-  Array.iteri (fun i key -> Store.add s ~key ~experiment:"gc" (String.make 200 (Char.chr (65 + i)))) keys;
-  Alcotest.(check bool) "bound enforced" true (Store.live_bytes s <= 1024);
-  Alcotest.(check bool)
-    "evictions happened" true
-    ((Store.counters s).Store.evictions > 0);
-  (* Newest record always survives; oldest is the first to go. *)
-  Alcotest.(check bool)
-    "newest retained" true
-    (Store.find s ~key:keys.(7) = Some (String.make 200 'H'));
-  Alcotest.(check bool)
-    "oldest evicted" true
-    (Store.find s ~key:keys.(0) = (None : string option));
-  (* A reopen agrees with the journal after evictions. *)
-  let s2 = Store.open_ ~max_bytes:1024 dir in
-  Alcotest.(check int)
-    "reopen sees surviving records" (Store.live_records s)
-    (Store.live_records s2)
+  write_file moved (Codec.encode ~experiment:"debris" 2);
+  Alcotest.(check bool) "a misplaced record is not served" true
+    (Store.find s ~key:k2 = (None : int option));
+  Alcotest.(check int) "nor counted live" 1 (Store.live_records s);
+  Alcotest.(check (list string)) "but reported"
+    [ moved ^ " is not at the path its key names" ]
+    (Store.invariant_violations s);
+  Store.close s
 
 (* ---- memo ---- *)
 
@@ -385,8 +469,7 @@ let test_store_two_handles () =
   let b = Store.open_ dir in
   let key i = Key.make ~experiment:"mw" ~seed:3 ~trial_index:i () in
   Store.add a ~key:(key 0) ~experiment:"mw" "from-a";
-  (* B has never seen this key: its find must refresh from the journal
-     and serve A's record as a hit, not recompute-worthy miss. *)
+  (* B serves A's record the moment its rename lands, without reopening. *)
   Alcotest.(check (option string))
     "B sees A's add without reopening" (Some "from-a")
     (Store.find b ~key:(key 0));
@@ -398,42 +481,17 @@ let test_store_two_handles () =
     (Store.invariant_violations a);
   Alcotest.(check (list string)) "B invariants clean" []
     (Store.invariant_violations b);
-  Store.sync a;
-  Store.sync b;
   Alcotest.(check int) "A sees both live" 2 (Store.live_records a);
   Alcotest.(check int) "B sees both live" 2 (Store.live_records b);
   Store.close a;
   Store.close b;
-  (* Every journal line must be complete and well-formed — no torn or
-     interleaved writes from the two handles. *)
-  let ic = open_in_bin (Filename.concat dir "index.log") in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Alcotest.(check bool)
-    "journal newline-terminated" true
-    (String.length raw > 0 && raw.[String.length raw - 1] = '\n');
-  List.iter
-    (fun line ->
-      if line <> "" then
-        match String.split_on_char ' ' line with
-        | [ "+"; k; size; "mw" ] ->
-            Alcotest.(check bool) "key is hex" true (String.length k = 32);
-            Alcotest.(check bool)
-              "size numeric" true
-              (int_of_string_opt size <> None)
-        | [ ("-" | "!"); _ ] -> ()
-        | _ -> Alcotest.failf "malformed journal line %S" line)
-    (String.split_on_char '\n' raw);
   let c = Store.open_ dir in
   Alcotest.(check int) "reopen sees both" 2 (Store.live_records c);
   Alcotest.(check (list string)) "reopen invariants clean" []
     (Store.invariant_violations c);
   Store.close c
 
-(* ---- consistency under arbitrary add/evict/quarantine interleavings ---- *)
+(* ---- the store against a model, under any add/find/corrupt mix ---- *)
 
 type store_op = Op_add of int | Op_find of int | Op_corrupt of int
 
@@ -447,50 +505,58 @@ let op_arb =
         | _ -> Op_corrupt k)
       (pair int (int_bound 5)))
 
-let object_path_of dir key =
-  Filename.concat dir
-    (Filename.concat "objects"
-       (Filename.concat (String.sub key 0 2)
-          (Filename.concat (String.sub key 2 2) (key ^ ".rec"))))
+module Ints = Set.Make (Int)
 
+(* The model is two sets: the keys added and not since corrupted, which
+   [find] must serve, and the keys corrupted, whose records must sit in
+   quarantine/. *)
 let prop_store_consistent =
-  (* A small bound forces constant eviction, and re-adding an evicted key
-     exercises the stale-order-entry paths; after every op the live
-     table, order queue, and byte total must agree. *)
   QCheck.Test.make ~count:60 ~name:"store invariants hold under any op mix"
     QCheck.(list_of_size (Gen.int_range 1 40) op_arb)
     (fun ops ->
       let dir = tmp_dir () in
-      let s = Store.open_ ~max_bytes:700 dir in
+      let s = Store.open_ dir in
       let key i = Key.make ~experiment:"prop" ~seed:1 ~trial_index:i () in
+      let value i = String.make 200 (Char.chr (97 + i)) in
+      let live = ref Ints.empty and corrupted = ref Ints.empty in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
       List.iter
         (fun op ->
           (match op with
           | Op_add i ->
-              Store.add s ~key:(key i) ~experiment:"prop"
-                (String.make 200 (Char.chr (97 + i)))
+              Store.add s ~key:(key i) ~experiment:"prop" (value i);
+              live := Ints.add i !live
           | Op_find i -> ignore (Store.find s ~key:(key i) : string option)
           | Op_corrupt i ->
               let path = object_path_of dir (key i) in
               if Sys.file_exists path then begin
-                let oc = open_out_bin path in
-                output_string oc "garbage";
-                close_out oc;
-                ignore (Store.find s ~key:(key i) : string option)
+                write_file path "garbage";
+                ignore (Store.find s ~key:(key i) : string option);
+                live := Ints.remove i !live;
+                corrupted := Ints.add i !corrupted
               end);
-          match Store.invariant_violations s with
+          (match Store.invariant_violations s with
           | [] -> ()
-          | v ->
-              QCheck.Test.fail_reportf "after op: %s" (String.concat "; " v))
+          | v -> fail "violations: %s" (String.concat "; " v));
+          for i = 0 to 5 do
+            let want = if Ints.mem i !live then Some (value i) else None in
+            if Store.find s ~key:(key i) <> want then
+              fail "find %d disagrees with the model" i
+          done;
+          Ints.iter
+            (fun i ->
+              let q = Filename.concat dir ("quarantine/" ^ key i ^ ".rec") in
+              if not (Sys.file_exists q) then fail "%d not in quarantine" i)
+            !corrupted;
+          let s2 = Store.open_ dir in
+          let n = Store.live_records s2 in
+          Store.close s2;
+          if n <> Ints.cardinal !live || Store.live_records s <> n then
+            fail "live records %d, reopened %d, model %d"
+              (Store.live_records s) n (Ints.cardinal !live))
         ops;
-      let s2 = Store.open_ ~max_bytes:700 dir in
-      let ok =
-        Store.invariant_violations s2 = []
-        && Store.live_records s2 = Store.live_records s
-      in
       Store.close s;
-      Store.close s2;
-      ok)
+      true)
 
 (* ---- mkdir_p ---- *)
 
@@ -694,7 +760,12 @@ let suite =
       test_store_roundtrip_and_persistence;
     Alcotest.test_case "store quarantines corruption" `Quick
       test_store_quarantines_corruption;
-    Alcotest.test_case "store GC bound" `Quick test_store_gc_bound;
+    Alcotest.test_case "store malformed key refused" `Quick
+      test_store_malformed_key;
+    Alcotest.test_case "store copied records are hits" `Quick
+      test_store_copied_records_hit;
+    Alcotest.test_case "store .tmp and misplaced files" `Quick
+      test_store_tmp_and_misplaced;
     Alcotest.test_case "memo hit/miss + resume" `Quick
       test_memo_counts_and_resume;
     Alcotest.test_case "memo warm at any width" `Quick
