@@ -567,6 +567,23 @@ let cache_bench_thrash cache n =
     ignore (Cache.touch cache ~core:(i land 1) ~addr:(base + (i mod 17 * span)))
   done
 
+(* Evict+Reload's round, as the prober runs it: cores 0 and 1 of one
+   cluster take turns reloading a target line and sweeping its 16-member
+   eviction set through [Cache.sweep], 17 accesses a turn. *)
+let cache_bench_sweep cache n =
+  let target = 1 lsl 28 in
+  let evset =
+    Cache.eviction_set cache
+      ~l2_set:(Cache.l2_set_of_addr cache ~addr:target)
+      ~base:(1 lsl 26)
+  in
+  let tally = Array.make 3 0 in
+  for i = 0 to (n / (1 + Array.length evset)) - 1 do
+    let core = i land 1 in
+    ignore (Cache.touch cache ~core ~addr:target);
+    Cache.sweep cache ~core evset tally
+  done
+
 (* The checker's path: chunked [touch_range] fills over a 2 MiB region. *)
 let cache_bench_scan cache n =
   let chunk = 16 * 1024 in
@@ -615,6 +632,7 @@ let run_cache_bench () =
       ~cfg:{ Cache.default_config with Cache.policy = Satin_cache.Policy.Lru }
       "same-set thrash" cache_bench_thrash
   in
+  let sweep = row "eviction-set sweep" cache_bench_sweep in
   let scan = row "touch_range scan fill" cache_bench_scan in
   let fp = Cache.footprint ~addr:footprint_addr ~len:footprint_len in
   let replay_aps, replay_wpa =
@@ -634,6 +652,7 @@ let run_cache_bench () =
       l1;
       stream;
       thrash;
+      sweep;
       scan;
       ( "footprint re-dispatch",
         Json.Obj

@@ -65,6 +65,8 @@ type t = {
      them, the eviction set that flushes each one. *)
   er_targets : int array array;
   er_evsets : int array array array;
+  tally : int array; (* this round's serves per level: L1, L2, memory *)
+  flushed : int array; (* Evict+Reload flush serves, never read *)
   primed_since : Sim_time.t array;
   warmed : bool array; (* modeled modes: first round only primes *)
   suspected : bool array;
@@ -139,10 +141,10 @@ let probe_abstract t ~cluster =
 
 let probe_core t ~cluster = t.clusters.(cluster).(0)
 
-(* Mean observed per-access latency for a round that was served [counts] =
-   (l1, l2, mem) times per level: one sampled deviate per level actually
+(* Mean observed per-access latency for a round that was served [l1],
+   [l2] and [mem] times per level: one sampled deviate per level actually
    exercised, as a round-aggregate timing would show it. *)
-let round_latency t (l1, l2, mem) =
+let round_latency t ~l1 ~l2 ~mem =
   let total = l1 + l2 + mem in
   if total = 0 then 0.0
   else begin
@@ -163,17 +165,11 @@ let round_latency t (l1, l2, mem) =
 let probe_prime_probe t ~cluster =
   let core = probe_core t ~cluster in
   let cache = t.platform.Platform.cache in
-  let l1 = ref 0 and l2 = ref 0 and mem = ref 0 in
-  Array.iter
-    (fun set_addrs ->
-      Array.iter
-        (fun addr ->
-          match Cache.touch cache ~core ~addr with
-          | 0 -> incr l1
-          | 1 -> incr l2
-          | _ -> incr mem)
-        set_addrs)
-    t.pp_sets.(cluster);
+  let tally = t.tally and sets = t.pp_sets.(cluster) in
+  Array.fill tally 0 3 0;
+  for i = 0 to Array.length sets - 1 do
+    Cache.sweep cache ~core sets.(i) tally
+  done;
   Cache.publish cache;
   (* The very first round only establishes the prime: the sets were never
      resident, so their cold misses say nothing about anyone else. *)
@@ -182,15 +178,16 @@ let probe_prime_probe t ~cluster =
     t.primed_since.(cluster) <- now t
   end
   else begin
-    let total = !l1 + !l2 + !mem in
+    let l1 = tally.(0) and l2 = tally.(1) and mem = tally.(2) in
+    let total = l1 + l2 + mem in
     let miss_fraction =
-      if total = 0 then 0.0 else float_of_int !mem /. float_of_int total
+      if total = 0 then 0.0 else float_of_int mem /. float_of_int total
     in
     let alarm = miss_fraction > t.config.pp_threshold in
     let noise = alarm && not (evicted_since t ~cluster) in
     t.primed_since.(cluster) <- now t;
     if alarm then
-      fire_suspect t ~cluster ~latency:(round_latency t (!l1, !l2, !mem)) ~noise
+      fire_suspect t ~cluster ~latency:(round_latency t ~l1 ~l2 ~mem) ~noise
     else fire_clear t ~cluster
   end
 
@@ -203,32 +200,26 @@ let probe_prime_probe t ~cluster =
 let probe_evict_reload t ~cluster =
   let core = probe_core t ~cluster in
   let cache = t.platform.Platform.cache in
-  let hot = ref 0 and l1 = ref 0 and l2 = ref 0 and mem = ref 0 in
-  Array.iteri
-    (fun i target ->
-      (match Cache.touch cache ~core ~addr:target with
-      | 0 ->
-          incr l1;
-          incr hot
-      | 1 ->
-          incr l2;
-          incr hot
-      | _ -> incr mem);
-      Array.iter
-        (fun addr -> ignore (Cache.touch cache ~core ~addr))
-        t.er_evsets.(cluster).(i))
-    t.er_targets.(cluster);
+  let tally = t.tally in
+  let targets = t.er_targets.(cluster) and evsets = t.er_evsets.(cluster) in
+  Array.fill tally 0 3 0;
+  for i = 0 to Array.length targets - 1 do
+    let level = Cache.touch cache ~core ~addr:targets.(i) in
+    tally.(level) <- tally.(level) + 1;
+    Cache.sweep cache ~core evsets.(i) t.flushed
+  done;
   Cache.publish cache;
   if not t.warmed.(cluster) then begin
     t.warmed.(cluster) <- true;
     t.primed_since.(cluster) <- now t
   end
   else begin
-    let alarm = !hot > 0 in
+    let l1 = tally.(0) and l2 = tally.(1) and mem = tally.(2) in
+    let alarm = l1 + l2 > 0 in
     let noise = alarm && not (evicted_since t ~cluster) in
     t.primed_since.(cluster) <- now t;
     if alarm then
-      fire_suspect t ~cluster ~latency:(round_latency t (!l1, !l2, !mem)) ~noise
+      fire_suspect t ~cluster ~latency:(round_latency t ~l1 ~l2 ~mem) ~noise
     else fire_clear t ~cluster
   end
 
@@ -326,6 +317,8 @@ let deploy kernel config =
       pp_sets;
       er_targets;
       er_evsets;
+      tally = Array.make 3 0;
+      flushed = Array.make 3 0;
       primed_since = Array.make n Sim_time.zero;
       warmed = Array.make n false;
       suspected = Array.make n false;

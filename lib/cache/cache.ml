@@ -50,14 +50,17 @@ type stats = { hits : int; misses : int; evictions : int }
    for them: free holds one word per set, with bit w set iff way w is
    invalid, and l2_slot (L1 only) holds, per line, the L2 slot
    (set * ways + way) whose inclusion bit the line owns, or -1 for an
-   invalid line or one filled under the AutoLock non-inclusive fallback. *)
+   invalid line or one filled under the AutoLock non-inclusive fallback.
+   touch_tbl is the one-word policies' touch table (see [touch_table]). *)
 type level = {
   geo : geometry;
+  ways : int;
   mask : int; (* sets - 1: a tag's set is [tag land mask] *)
   tags : int array;
   free : int array;
   pol : int array;
   pol_words : int;
+  touch_tbl : int array; (* length 0 under Lru *)
   incl : int array; (* length 0 for L1 *)
   l2_slot : int array; (* length 0 for L2 *)
   mutable epoch : int;
@@ -84,6 +87,7 @@ type footprint = {
 
 type t = {
   cfg : config;
+  kind : Policy.kind; (* cfg.policy, read on every touch *)
   shift : int; (* log2 line: a line's tag is [addr lsr shift] *)
   clusters : int array array;
   cluster_of : int array;
@@ -121,17 +125,125 @@ let check_geometry name g ~line =
   if g.line <> line then
     invalid_arg "Cache.create: L1 and L2 line sizes must match"
 
-let make_level policy g ~l2 =
+(* ---- replacement: each policy's touch and victim ---- *)
+
+(* [way_of_bit.((1 lsl w) mod 67)] = w for every way w < 62: 2 is a
+   primitive root modulo the prime 67, so those residues are distinct (and
+   a constant modulus compiles to a multiply, not a division). *)
+let way_of_bit =
+  let tbl = Array.make 67 0 in
+  for w = 0 to 61 do
+    tbl.((1 lsl w) mod 67) <- w
+  done;
+  tbl
+
+(* The lowest way whose bit is set in [bits <> 0]: the way a scan of the
+   ways in order would reach first. *)
+let lowest_way bits = Array.unsafe_get way_of_bit ((bits land -bits) mod 67)
+
+(* Set bits of [x < 2^62]: per-pair, per-nibble, then per-byte sums, the
+   byte sums added up in the top byte by one multiply. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x =
+    (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+  in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
+
+(* The one-word policies' touch as data: a touch of [way] maps the set's
+   word [w] to [(w land tbl.(2 * way)) lor tbl.(2 * way + 1)] whatever [w]
+   holds, so a run of touches to one set composes into one such pair
+   (footprint replay records them). Rand overwrites the MRU way. Tree-PLRU
+   keeps the [ways - 1] internal nodes of a perfect binary tree in heap
+   order (root = node 1, bit [node - 1] of the word); bit 0 means "the
+   colder half is the left one", and a touch points every bit on the
+   way's root path at the other half. Lru (one stamp per way) has none. *)
+let touch_table kind ~ways =
+  match kind with
+  | Policy.Lru -> [||]
+  | Policy.Rand ->
+      Array.init (2 * ways) (fun i -> if i land 1 = 0 then 0 else i lsr 1)
+  | Policy.Tree_plru ->
+      let tbl = Array.make (2 * ways) 0 in
+      for way = 0 to ways - 1 do
+        let keep = ref (-1) and set = ref 0 and node = ref 1 in
+        let depth = ref ways in
+        while !depth > 1 do
+          depth := !depth / 2;
+          let b = 1 lsl (!node - 1) in
+          keep := !keep land lnot b;
+          (* touched left: the colder half is the right one *)
+          let right = way land !depth <> 0 in
+          if not right then set := !set lor b;
+          node := (2 * !node) lor Bool.to_int right
+        done;
+        tbl.(2 * way) <- !keep;
+        tbl.((2 * way) + 1) <- !set
+      done;
+      tbl
+
+(* LRU: the unlocked way with the oldest stamp, the lowest on a tie. *)
+let lru_victim pol ~off ~ways ~locked =
+  let best = ref (-1) and best_stamp = ref max_int in
+  for w = 0 to ways - 1 do
+    if locked land (1 lsl w) = 0 && pol.(off + w) < !best_stamp then begin
+      best := w;
+      best_stamp := pol.(off + w)
+    end
+  done;
+  !best
+
+(* Tree-PLRU: follow the bits down from the root in heap order; the leaf
+   reached is node [ways + way]. A pinned leaf yields the next unlocked
+   way in circular order — deterministic, and still off the MRU path
+   when any colder way is free. *)
+let plru_victim pol ~set ~ways ~locked =
+  let bits = pol.(set) in
+  let node = ref 1 in
+  while !node < ways do
+    node := (2 * !node) lor ((bits lsr (!node - 1)) land 1)
+  done;
+  let v = !node - ways in
+  if locked land (1 lsl v) = 0 then v
+  else begin
+    let unlocked = lnot locked land ((1 lsl ways) - 1) in
+    if unlocked = 0 then -1
+    else
+      let above = unlocked land (-1 lsl (v + 1)) in
+      lowest_way (if above <> 0 then above else unlocked)
+  end
+
+(* Rand (NMRU): a uniform draw among the unlocked ways other than the MRU
+   one — the [pick]-th such way, lowest first. With none eligible, the MRU
+   way if it is unlocked. *)
+let rand_victim prng pol ~set ~ways ~locked =
+  let mru = pol.(set) in
+  let unlocked = lnot locked land ((1 lsl ways) - 1) in
+  let elig = if mru < 0 then unlocked else unlocked land lnot (1 lsl mru) in
+  if elig = 0 then
+    if mru >= 0 && unlocked land (1 lsl mru) <> 0 then mru else -1
+  else begin
+    let e = ref elig in
+    for _ = 1 to Prng.int prng (popcount elig) do
+      e := !e land (!e - 1)
+    done;
+    lowest_way !e
+  end
+
+let make_level policy (g : geometry) ~l2 =
   let pol_words = Policy.state_words policy ~ways:g.ways in
   let lines = g.sets * g.ways in
   let lvl =
     {
       geo = g;
+      ways = g.ways;
       mask = g.sets - 1;
       tags = Array.make lines (-1);
       free = Array.make g.sets ((1 lsl g.ways) - 1);
       pol = Array.make (g.sets * pol_words) 0;
       pol_words;
+      touch_tbl = touch_table policy ~ways:g.ways;
       incl = (if l2 then Array.make lines 0 else [||]);
       l2_slot = (if l2 then [||] else Array.make lines (-1));
       epoch = 0;
@@ -168,6 +280,7 @@ let create ?prng ~clusters cfg =
   let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
   {
     cfg;
+    kind = cfg.policy;
     shift = log2 cfg.l1.line;
     clusters;
     cluster_of;
@@ -214,35 +327,41 @@ let eviction_set t ~l2_set ~base =
 
 (* ---- per-level helpers ---- *)
 
-(* The way of [set] holding [tag], or -1. *)
-let find lvl ~set tag =
-  let ways = lvl.geo.ways in
-  let base = set * ways in
-  let found = ref (-1) and w = ref 0 in
-  while !found < 0 && !w < ways do
-    if Array.unsafe_get lvl.tags (base + !w) = tag then found := !w;
-    incr w
+(* The way of [set] holding [tag], or -1: one pass over the set's tag row
+   that stops at the first match. *)
+let[@inline] find lvl ~set tag =
+  let tags = lvl.tags and base = set * lvl.ways in
+  let stop = base + lvl.ways in
+  let i = ref base in
+  while !i < stop && Array.unsafe_get tags !i <> tag do
+    incr i
   done;
-  !found
+  if !i < stop then !i - base else -1
 
-let touch_way t lvl ~set ~way =
-  t.tick <- t.tick + 1;
-  Policy.touch t.cfg.policy ~state:lvl.pol ~off:(set * lvl.pol_words)
-    ~ways:lvl.geo.ways ~way ~tick:t.tick
+(* A reference to [way] of [set]: the tick advances and the policy's word
+   for the set takes the touch (one word write under every policy). *)
+let[@inline] touch_way t lvl ~set ~way =
+  let tick = t.tick + 1 in
+  t.tick <- tick;
+  let pol = lvl.pol in
+  match t.kind with
+  | Policy.Lru -> Array.unsafe_set pol ((set * lvl.ways) + way) tick
+  | Policy.Tree_plru | Policy.Rand ->
+      let p = lvl.touch_tbl in
+      Array.unsafe_set pol set
+        (Array.unsafe_get pol set
+         land Array.unsafe_get p (2 * way)
+         lor Array.unsafe_get p ((2 * way) + 1))
 
-(* [way_of_bit.((1 lsl w) mod 67)] = w for every way w < 62: 2 is a
-   primitive root modulo the prime 67, so those residues are distinct (and
-   a constant modulus compiles to a multiply, not a division). *)
-let way_of_bit =
-  let tbl = Array.make 67 0 in
-  for w = 0 to 61 do
-    tbl.((1 lsl w) mod 67) <- w
-  done;
-  tbl
-
-(* The lowest invalid way of a set whose free word is [free <> 0] — the
-   way a scan of the set's tags for the first invalid one would pick. *)
-let first_free free = Array.unsafe_get way_of_bit ((free land -free) mod 67)
+(* The way to evict from the full [set], skipping ways whose bit is set in
+   [locked] (AutoLock pins); -1 when every way is locked. Only Rand draws
+   from the cache's PRNG. *)
+let victim t lvl ~set ~locked =
+  let ways = lvl.ways in
+  match t.kind with
+  | Policy.Lru -> lru_victim lvl.pol ~off:(set * ways) ~ways ~locked
+  | Policy.Tree_plru -> plru_victim lvl.pol ~set ~ways ~locked
+  | Policy.Rand -> rand_victim t.prng lvl.pol ~set ~ways ~locked
 
 (* Drop [tag] from [core]'s L1: an L2 back-invalidation, whose L2 line is
    about to be replaced (so the line's pointer dies with it). *)
@@ -251,7 +370,7 @@ let l1_invalidate t ~core tag =
   let set = tag land l1.mask in
   let way = find l1 ~set tag in
   if way >= 0 then begin
-    let i = (set * l1.geo.ways) + way in
+    let i = (set * l1.ways) + way in
     l1.tags.(i) <- -1;
     l1.l2_slot.(i) <- -1;
     l1.free.(set) <- l1.free.(set) lor (1 lsl way);
@@ -259,22 +378,18 @@ let l1_invalidate t ~core tag =
     t.back_invals <- t.back_invals + 1
   end
 
-(* Fill [tag] into [set] of [core]'s L1, evicting if the set is full, and
-   return the way it took. [slot] is the cluster L2 slot holding [tag] —
-   the line sets its inclusion bit there — or -1 after an AutoLock skip.
-   An evicted line clears its own bit through its [l2_slot] (it has none
-   if it was installed under the AutoLock non-inclusive fallback). *)
-let l1_fill t ~core ~set tag ~slot =
-  let l1 = t.l1s.(core) and incl = t.l2s.(t.cluster_of.(core)).incl in
-  let ways = l1.geo.ways in
-  let base = set * ways and free = l1.free.(set) in
+(* Fill [tag] into [set] of [core]'s L1 [l1], evicting if the set is full,
+   and return the way it took. [slot] is the slot of the cluster L2 whose
+   inclusion masks are [incl] holding [tag] — the line sets its inclusion
+   bit there — or -1 after an AutoLock skip. An evicted line clears its
+   own bit through its [l2_slot] (it has none if it was installed under
+   the AutoLock non-inclusive fallback). *)
+let l1_fill t l1 incl ~core ~set tag ~slot =
+  let base = set * l1.ways and free = l1.free.(set) in
   let way =
-    if free <> 0 then first_free free
+    if free <> 0 then lowest_way free
     else begin
-      let v =
-        Policy.victim t.cfg.policy ~state:l1.pol ~off:(set * l1.pol_words)
-          ~ways ~locked:0 ~prng:t.prng
-      in
+      let v = victim t l1 ~set ~locked:0 in
       t.l1_evictions <- t.l1_evictions + 1;
       let p = l1.l2_slot.(base + v) in
       if p >= 0 then incl.(p) <- incl.(p) land lnot (1 lsl core);
@@ -289,17 +404,16 @@ let l1_fill t ~core ~set tag ~slot =
   if slot >= 0 then incl.(slot) <- incl.(slot) lor (1 lsl core);
   way
 
-(* Fill [tag] into [set] of the cluster L2 on behalf of [core] and return
-   the slot it took. Under AutoLock a way is pinned iff its inclusion mask
-   names any core other than the requester — a core may always re-evict
-   its own lines. Returns -1 when every way is pinned (no allocation
-   happened). *)
-let l2_fill t ~core ~set tag =
-  let l2 = t.l2s.(t.cluster_of.(core)) in
-  let ways = l2.geo.ways in
+(* Fill [tag] into [set] of the cluster L2 [l2] on behalf of [core] and
+   return the slot it took. Under AutoLock a way is pinned iff its
+   inclusion mask names any core other than the requester — a core may
+   always re-evict its own lines. Returns -1 when every way is pinned (no
+   allocation happened). *)
+let l2_fill t l2 ~core ~set tag =
+  let ways = l2.ways in
   let base = set * ways and free = l2.free.(set) in
   let way =
-    if free <> 0 then first_free free
+    if free <> 0 then lowest_way free
     else begin
       let locked =
         if not t.cfg.autolock then 0
@@ -311,10 +425,7 @@ let l2_fill t ~core ~set tag =
           !m
         end
       in
-      let v =
-        Policy.victim t.cfg.policy ~state:l2.pol ~off:(set * l2.pol_words)
-          ~ways ~locked ~prng:t.prng
-      in
+      let v = victim t l2 ~set ~locked in
       if v >= 0 then begin
         let old = l2.tags.(base + v) in
         t.l2_evictions <- t.l2_evictions + 1;
@@ -366,24 +477,31 @@ let access t ~core tag =
     let l2 = t.l2s.(t.cluster_of.(core)) in
     let set2 = tag land l2.mask in
     let way2 = find l2 ~set:set2 tag in
-    let slot =
-      if way2 >= 0 then begin
-        t.l2_hits <- t.l2_hits + 1;
-        touch_way t l2 ~set:set2 ~way:way2;
-        (set2 * l2.geo.ways) + way2
-      end
-      else begin
-        t.l2_misses <- t.l2_misses + 1;
-        l2_fill t ~core ~set:set2 tag
-      end
-    in
-    let level = if way2 >= 0 then 1 else 2 in
-    (l1_fill t ~core ~set tag ~slot lsl 2) lor level
+    if way2 >= 0 then begin
+      t.l2_hits <- t.l2_hits + 1;
+      touch_way t l2 ~set:set2 ~way:way2;
+      let slot = (set2 * l2.ways) + way2 in
+      (l1_fill t l1 l2.incl ~core ~set tag ~slot lsl 2) lor 1
+    end
+    else begin
+      t.l2_misses <- t.l2_misses + 1;
+      let slot = l2_fill t l2 ~core ~set:set2 tag in
+      (l1_fill t l1 l2.incl ~core ~set tag ~slot lsl 2) lor 2
+    end
   end
 
 let touch t ~core ~addr =
   check_addr "touch" addr;
   access t ~core (addr lsr t.shift) land 3
+
+let sweep t ~core addrs tally =
+  if Array.length tally < 3 then invalid_arg "Cache.sweep: tally needs 3 slots";
+  for i = 0 to Array.length addrs - 1 do
+    let addr = addrs.(i) in
+    check_addr "sweep" addr;
+    let level = access t ~core (addr lsr t.shift) land 3 in
+    Array.unsafe_set tally level (Array.unsafe_get tally level + 1)
+  done
 
 let peek t ~core ~addr =
   check_addr "peek" addr;
@@ -447,7 +565,7 @@ let footprint ~addr ~len =
    into one keep/set pair (line k lands on entry k mod [sets]). *)
 let record t fp ~core ~first =
   let l1 = t.l1s.(core) in
-  let { sets; ways; _ } = l1.geo and mask = l1.mask in
+  let { sets; ways; _ } = l1.geo and mask = l1.mask and tbl = l1.touch_tbl in
   let n = fp.f_lines in
   let resident = ref true in
   for k = 0 to n - 1 do
@@ -457,8 +575,7 @@ let record t fp ~core ~first =
   done;
   if not !resident then fp.f_l1 <- None
   else begin
-    let kind = t.cfg.policy in
-    (match kind with
+    (match t.kind with
     | Policy.Lru ->
         fp.f_entries <- n;
         for k = 0 to n - 1 do
@@ -476,10 +593,9 @@ let record t fp ~core ~first =
         done;
         for k = 0 to n - 1 do
           let j = k mod m and way = fp.f_ways.(k) in
-          let keep = Policy.touch_keep kind ~ways ~way in
+          let keep = tbl.(2 * way) in
           fp.f_keep.(j) <- fp.f_keep.(j) land keep;
-          fp.f_set.(j) <-
-            fp.f_set.(j) land keep lor Policy.touch_set kind ~ways ~way
+          fp.f_set.(j) <- fp.f_set.(j) land keep lor tbl.((2 * way) + 1)
         done);
     fp.f_l1 <- Some l1;
     fp.f_epoch <- l1.epoch
@@ -493,7 +609,7 @@ let touch_footprint t fp ~core =
          at its recorded way, so only the policy words, [tick] and the hit
          count move — exactly as [touch_range] would move them. *)
       let pol = l1.pol in
-      let base = match t.cfg.policy with Policy.Lru -> t.tick | _ -> 0 in
+      let base = match t.kind with Policy.Lru -> t.tick | _ -> 0 in
       for i = 0 to fp.f_entries - 1 do
         let w = fp.f_idx.(i) in
         pol.(w) <- (pol.(w) land fp.f_keep.(i) lor fp.f_set.(i)) + base
@@ -591,7 +707,7 @@ let invariant_violations t =
               if
                 t.cluster_of.(core) <> cl
                 || way < 0
-                || l1.l2_slot.((set * l1.geo.ways) + way) <> slot
+                || l1.l2_slot.((set * l1.ways) + way) <> slot
               then
                 fail "cluster %d L2 slot %d (tag %d): core %d bit unbacked" cl
                   slot tag core

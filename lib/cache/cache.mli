@@ -63,6 +63,14 @@ val touch : t -> core:int -> addr:int -> int
     Raises [Invalid_argument] if [addr < 0], as do {!touch_range},
     {!peek} and {!footprint}. *)
 
+val sweep : t -> core:int -> int array -> int array -> unit
+(** [sweep t ~core addrs tally] touches every address of [addrs] from
+    [core], in order, exactly as repeated {!touch} would, and adds one to
+    [tally.(level)] for the level that served each. [tally] is the
+    caller's, at least 3 slots (Invalid_argument otherwise); nothing is
+    allocated and nothing is published. One call per eviction-set pass of
+    a Prime+Probe or Evict+Reload prober. *)
+
 val touch_range : t -> core:int -> addr:int -> len:int -> unit
 (** Touch every line intersecting [\[addr, addr + len)], then {!publish}. *)
 

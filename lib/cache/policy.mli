@@ -1,8 +1,10 @@
-(** Replacement policies over per-set state packed into int arrays.
+(** Replacement policies: their names and per-set state layout.
 
     A policy owns a fixed number of state words per set (see {!state_words});
-    the cache hands it a slice [state.(off .. off + state_words - 1)] and the
-    policy never allocates. Three policies, in decreasing fidelity cost:
+    the cache keeps them in one int array per level and implements each
+    policy's touch and victim over them ([Cache], DESIGN §14), so a touch
+    is one word write and neither allocates. Three policies, in decreasing
+    fidelity cost:
 
     - {!Lru}: true least-recently-used, one monotone touch stamp per way.
       The reference the others are validated against.
@@ -33,30 +35,6 @@ val validate : kind -> ways:int -> unit
     ({!Tree_plru} needs a power of two; all need [1 <= ways <= 62]). *)
 
 val init : kind -> state:int array -> off:int -> ways:int -> unit
-(** Reset one set's slice to the cold state. *)
-
-val touch :
-  kind -> state:int array -> off:int -> ways:int -> way:int -> tick:int -> unit
-(** Record a reference to [way]. [tick] is a monotone per-cache counter
-    (only {!Lru} reads it). *)
-
-val touch_keep : kind -> ways:int -> way:int -> int
-val touch_set : kind -> ways:int -> way:int -> int
-(** For the one-word policies ({!Tree_plru}, {!Rand}), {!touch} of [way]
-    maps the set's state word [w] to [(w land touch_keep) lor touch_set]
-    whatever [w] holds — {!Tree_plru} forces the bits on the way's root
-    path, {!Rand} overwrites the MRU way. A run of touches to one set thus
-    composes into a single such pair, which is how [Cache] replays a task
-    footprint. Raises [Invalid_argument] for {!Lru}. *)
-
-val victim :
-  kind ->
-  state:int array ->
-  off:int ->
-  ways:int ->
-  locked:int ->
-  prng:Satin_engine.Prng.t ->
-  int
-(** The way to evict from a full set, skipping ways whose bit is set in the
-    [locked] mask (AutoLock pins). Returns [-1] when every way is locked.
-    Only {!Rand} draws from [prng]. *)
+(** Reset one set's slice [state.(off .. off + state_words - 1)] to the
+    cold state: every {!Lru} stamp 0, every {!Tree_plru} bit 0, no {!Rand}
+    MRU way (-1). *)

@@ -53,11 +53,11 @@ let int t bound =
   if bound land mask_bound = 0 then bits t land mask_bound
   else
     let limit = max_int / 2 / bound * bound in
-    let rec draw () =
-      let x = bits t in
-      if x < limit * 2 then x mod bound else draw ()
-    in
-    draw ()
+    let x = ref (bits t) in
+    while !x >= limit * 2 do
+      x := bits t
+    done;
+    !x mod bound
 
 let bool t = Int64.compare (next_int64 t) 0L < 0
 let bernoulli t p = float01 t < p

@@ -129,22 +129,28 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
           fun i -> Store.release_claim s ~key:keys.(i) )
     | _ -> ((fun _ -> true), ignore)
   in
-  (* Serve [i] from the store if its record is there. A hit replays the
-     persisted capsule instead of recomputing anything — always consulted
-     (so the capsule hit/miss counters audit coverage), parsed only when
-     the live reporter wants the samples. *)
+  (* Serve [i] from the store if its record is there, and say whether its
+     capsule is there too. A hit replays the persisted capsule instead of
+     recomputing anything — always consulted (so the capsule hit/miss
+     counters audit coverage), parsed only when the live reporter wants the
+     samples. *)
   let fetch s i =
     let r = Store.find s ~key:keys.(i) in
     lookup_span s ~experiment ~trial:i ~key:keys.(i)
       (match r with Some _ -> "hit" | None -> "miss");
-    (if r <> None then
-       match Store.find_capsule s ~key:keys.(i) with
-       | Some payload when Progress.enabled () -> (
-           match Capsule.of_string payload with
-           | Ok c -> Progress.observe_capsule c
-           | Error _ -> ())
-       | _ -> ());
-    r
+    let capsule =
+      r <> None
+      &&
+      match Store.find_capsule s ~key:keys.(i) with
+      | Some payload ->
+          (if Progress.enabled () then
+             match Capsule.of_string payload with
+             | Ok c -> Progress.observe_capsule c
+             | Error _ -> ());
+          true
+      | None -> false
+    in
+    (r, capsule)
   in
   (* Run trial [i]'s body on whichever domain got it, in a capture taken
      like the observer when there is anything to capture for. Its capsule
@@ -154,6 +160,10 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
      leaves a lease that expires into stealability. *)
   let sealed = store <> None || Progress.enabled () in
   let fingerprint = if sealed then Fingerprint.hex () else "" in
+  (* Owned record hits whose capsule is gone (copied without [capsules/],
+     or its write failed): recomputed once to seal the capsule again, their
+     records left as they are. *)
+  let bare = Array.make n false in
   let compute i =
     ignore (claim i);
     Fun.protect
@@ -171,7 +181,7 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
             if Progress.enabled () then Progress.observe_capsule c;
             Option.iter
               (fun s ->
-                Store.add s ~key:keys.(i) ~experiment v;
+                if not bare.(i) then Store.add s ~key:keys.(i) ~experiment v;
                 Store.add_capsule s ~key:keys.(i) ~experiment
                   (Json.to_string (Capsule.to_json c)))
               store
@@ -183,15 +193,18 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
   (* Phase 1 — resolve what the store already has, in index order, on the
      submitting domain: the miss set handed to the pool does not depend on
      its width. *)
-  let resolved =
-    match store with
-    | None -> Array.make n None
-    | Some s ->
-        let r = Array.init n (fetch s) in
-        note_hits
-          (Array.fold_left (fun a r -> if r = None then a else a + 1) 0 r);
-        r
-  in
+  let resolved = Array.make n None in
+  Option.iter
+    (fun s ->
+      for i = 0 to n - 1 do
+        match fetch s i with
+        | Some _, false when owner ~experiment ~seed ~sn i = si ->
+            bare.(i) <- true
+        | r, _ -> resolved.(i) <- r
+      done;
+      note_hits
+        (Array.fold_left (fun a r -> if r = None then a else a + 1) 0 resolved))
+    store;
   let owned = ref [] and waiting = ref [] in
   for i = n - 1 downto 0 do
     if resolved.(i) = None then
@@ -228,7 +241,7 @@ let map pool ~experiment ~seed ?(config = []) ?trial_config n f =
       for _ = 1 to round do
         let i = Queue.pop pending in
         if Store.contains s ~key:keys.(i) then begin
-          match fetch s i with
+          match fst (fetch s i) with
           | Some v ->
               resolved.(i) <- Some v;
               progressed := true;

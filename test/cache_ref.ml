@@ -5,7 +5,10 @@
    line's bit is found by searching the L2 too. The differential property
    in test_cache.ml drives it and [Cache] with the same streams and
    compares levels, counters and state digests. A footprint touch here is
-   the plain [touch_range] walk.
+   the plain [touch_range] walk, and an eviction-set sweep is one [touch]
+   per member. Each replacement policy's touch and victim are its own
+   frozen scan-based copies (LRU's stamp scan, Tree-PLRU's midpoint walk,
+   Rand's count-draw-scan), not [Cache]'s.
 
    It also counts the miss paths a stream reached ([coverage]), so a test
    can show the streams exercise every one of them. *)
@@ -119,9 +122,102 @@ let invalid_way lvl ~set =
   done;
   !found
 
+(* ---- replacement, frozen: the scan-based touch and victim of each
+   policy, independent of [Cache]'s, so the differential property sees any
+   change to the cache's victim selection ---- *)
+
+(* Tree-PLRU's per-way root paths, by [lo]/[hi] midpoints: [keep] clears
+   the path's bits, [set] points each one away from the way. *)
+let plru_path ~ways ~way =
+  let keep = ref (-1) and set = ref 0 in
+  let node = ref 1 and lo = ref 0 and hi = ref ways in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    let b = 1 lsl (!node - 1) in
+    keep := !keep land lnot b;
+    if way < mid then begin
+      set := !set lor b;
+      hi := mid;
+      node := 2 * !node
+    end
+    else begin
+      lo := mid;
+      node := (2 * !node) + 1
+    end
+  done;
+  (!keep, !set)
+
+let policy_touch kind ~state ~off ~ways ~way ~tick =
+  match kind with
+  | Policy.Lru -> state.(off + way) <- tick
+  | Policy.Tree_plru ->
+      let keep, set = plru_path ~ways ~way in
+      state.(off) <- state.(off) land keep lor set
+  | Policy.Rand -> state.(off) <- way
+
+let plru_walk state off ways =
+  let bits = state.(off) in
+  let node = ref 1 and lo = ref 0 and hi = ref ways in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if bits land (1 lsl (!node - 1)) = 0 then begin
+      hi := mid;
+      node := 2 * !node
+    end
+    else begin
+      lo := mid;
+      node := (2 * !node) + 1
+    end
+  done;
+  !lo
+
+let policy_victim kind ~state ~off ~ways ~locked ~prng =
+  match kind with
+  | Policy.Lru ->
+      let best = ref (-1) and best_stamp = ref max_int in
+      for w = 0 to ways - 1 do
+        if locked land (1 lsl w) = 0 && state.(off + w) < !best_stamp then begin
+          best := w;
+          best_stamp := state.(off + w)
+        end
+      done;
+      !best
+  | Policy.Tree_plru ->
+      let v = plru_walk state off ways in
+      if locked land (1 lsl v) = 0 then v
+      else begin
+        let found = ref (-1) and w = ref 1 in
+        while !found < 0 && !w < ways do
+          let c = (v + !w) mod ways in
+          if locked land (1 lsl c) = 0 then found := c;
+          incr w
+        done;
+        !found
+      end
+  | Policy.Rand ->
+      let mru = state.(off) in
+      let eligible w = locked land (1 lsl w) = 0 && w <> mru in
+      let n = ref 0 in
+      for w = 0 to ways - 1 do
+        if eligible w then incr n
+      done;
+      if !n = 0 then
+        if mru >= 0 && locked land (1 lsl mru) = 0 then mru else -1
+      else begin
+        let pick = Prng.int prng !n in
+        let seen = ref 0 and chosen = ref (-1) in
+        for w = 0 to ways - 1 do
+          if eligible w then begin
+            if !seen = pick then chosen := w;
+            incr seen
+          end
+        done;
+        !chosen
+      end
+
 let touch_way t lvl ~set ~way =
   t.tick <- t.tick + 1;
-  Policy.touch t.cfg.policy ~state:lvl.pol ~off:(set * lvl.pol_words)
+  policy_touch t.cfg.policy ~state:lvl.pol ~off:(set * lvl.pol_words)
     ~ways:lvl.geo.ways ~way ~tick:t.tick
 
 let l1_invalidate t ~core tag =
@@ -148,7 +244,7 @@ let l1_fill t ~core tag =
     match invalid_way l1 ~set with
     | -1 ->
         let v =
-          Policy.victim t.cfg.policy ~state:l1.pol ~off:(set * l1.pol_words)
+          policy_victim t.cfg.policy ~state:l1.pol ~off:(set * l1.pol_words)
             ~ways:l1.geo.ways ~locked:0 ~prng:t.prng
         in
         let old = l1.tags.(base + v) in
@@ -183,7 +279,7 @@ let l2_fill t ~core tag =
               locked := !locked lor (1 lsl w)
           done;
         let v =
-          Policy.victim t.cfg.policy ~state:l2.pol ~off:(set * l2.pol_words)
+          policy_victim t.cfg.policy ~state:l2.pol ~off:(set * l2.pol_words)
             ~ways:l2.geo.ways ~locked:!locked ~prng:t.prng
         in
         if v >= 0 then begin

@@ -4,14 +4,29 @@ module Cache = Satin_cache.Cache
 
 let prng () = Prng.create (Prng.derive 7 11)
 
-(* Apply a touch trace to one set and return the state the policy sees. *)
+(* One 1-set L1 of [ways] ways in front of a 32-way, 1-set L2 that never
+   fills: an L1 miss past the first [ways] lines evicts the line the policy
+   picks, and no other line moves. Fill the set with lines 0 .. ways - 1
+   (line k takes way k), re-touch the ways of [trace], miss once more, and
+   return which of the first [ways] lines are still in the L1. *)
 let run_trace kind ~ways trace =
-  let state = Array.make (Policy.state_words kind ~ways) 0 in
-  Policy.init kind ~state ~off:0 ~ways;
-  List.iteri
-    (fun tick way -> Policy.touch kind ~state ~off:0 ~ways ~way ~tick:(tick + 1))
-    trace;
-  state
+  let c =
+    Cache.create ~prng:(prng ())
+      ~clusters:[| [| 0 |] |]
+      {
+        Cache.l1 = { Cache.sets = 1; ways; line = 64 };
+        l2 = { Cache.sets = 1; ways = 32; line = 64 };
+        policy = kind;
+        autolock = false;
+      }
+  in
+  let touch k = ignore (Cache.touch c ~core:0 ~addr:(k * 64)) in
+  for k = 0 to ways - 1 do
+    touch k
+  done;
+  List.iter touch trace;
+  touch ways;
+  List.init ways (fun k -> Cache.peek c ~core:0 ~addr:(k * 64) = 0)
 
 (* Every policy guarantees the just-touched way is never the next victim
    (with no locks and at least two ways). *)
@@ -24,12 +39,9 @@ let prop_no_policy_evicts_just_touched =
       let kind = List.nth Policy.all ki in
       let ways = 1 lsl log_ways (* 2 .. 16 *) in
       let trace = List.map (fun r -> r mod ways) raw_trace in
-      let state = run_trace kind ~ways trace in
+      let resident = run_trace kind ~ways trace in
       let last = List.nth trace (List.length trace - 1) in
-      let v =
-        Policy.victim kind ~state ~off:0 ~ways ~locked:0 ~prng:(prng ())
-      in
-      v >= 0 && v < ways && v <> last)
+      List.length (List.filter not resident) = 1 && List.nth resident last)
 
 (* At two ways Tree-PLRU is exactly LRU: one bit tracks the cold way. *)
 let prop_plru_is_lru_at_two_ways =
@@ -37,12 +49,8 @@ let prop_plru_is_lru_at_two_ways =
     ~count:200
     QCheck.(list_of_size Gen.(int_range 1 60) (int_bound 1))
     (fun trace ->
-      let lru = run_trace Policy.Lru ~ways:2 trace in
-      let plru = run_trace Policy.Tree_plru ~ways:2 trace in
-      Policy.victim Policy.Lru ~state:lru ~off:0 ~ways:2 ~locked:0
-        ~prng:(prng ())
-      = Policy.victim Policy.Tree_plru ~state:plru ~off:0 ~ways:2 ~locked:0
-          ~prng:(prng ()))
+      run_trace Policy.Lru ~ways:2 trace
+      = run_trace Policy.Tree_plru ~ways:2 trace)
 
 let test_policy_validate () =
   Alcotest.check_raises "plru needs pow2"
@@ -183,6 +191,7 @@ let test_negative_address () =
   rejects "touch_range" (fun () ->
       Cache.touch_range c ~core:0 ~addr:(-64) ~len:128);
   rejects "footprint" (fun () -> ignore (Cache.footprint ~addr:(-64) ~len:128));
+  rejects "sweep" (fun () -> Cache.sweep c ~core:0 [| -64 |] (Array.make 3 0));
   let l1 = Cache.l1_stats c in
   Alcotest.(check int) "nothing was counted" 0 (l1.Cache.hits + l1.Cache.misses)
 
@@ -221,11 +230,15 @@ type op =
   | Dispatch of int * int (* task, core *)
   | Touch of int * int (* core, addr *)
   | Scan of int * int * int (* core, addr, len *)
+  | Sweep of int * int array (* core, eviction-set members *)
 
 let pp_op = function
   | Dispatch (task, core) -> Printf.sprintf "dispatch %d@%d" task core
   | Touch (core, addr) -> Printf.sprintf "touch %d@%#x" core addr
   | Scan (core, addr, len) -> Printf.sprintf "scan %d@%#x+%d" core addr len
+  | Sweep (core, addrs) ->
+      Printf.sprintf "sweep %d@[%s]" core
+        (String.concat "," (List.map (Printf.sprintf "%#x") (Array.to_list addrs)))
 
 (* Dispatches mostly land on the task's home core (hot re-dispatches that
    replay), sometimes migrate; peer touches and scans hit the same 24 KiB
@@ -248,15 +261,21 @@ let gen_op =
       ])
 
 (* An eviction-set sweep: one core touches 2-6 consecutive lines of L2 set
-   0 or 1 (16 lines apart). Sweeps fill whole sets, so a peer's sweep pins
-   them under AutoLock and a fill of the same set then skips the L2. *)
+   0 or 1 (16 lines apart) — through [Cache.sweep], or as that many
+   [Touch]es. Sweeps fill whole sets, so a peer's sweep pins them under
+   AutoLock and a fill of the same set then skips the L2. *)
 let gen_sweep =
   QCheck.Gen.(
     map4
       (fun core set k0 n ->
-        List.init n (fun i ->
-            Touch (core, window + ((set + (16 * (k0 + i))) * 64))))
-      (int_bound 3) (int_bound 1) (int_bound 7) (int_range 2 6))
+        (core, Array.init n (fun i -> window + ((set + (16 * (k0 + i))) * 64))))
+      (int_bound 3) (int_bound 1) (int_bound 7) (int_range 2 6)
+    >>= fun (core, addrs) ->
+    oneofl
+      [
+        [ Sweep (core, addrs) ];
+        Array.to_list (Array.map (fun addr -> Touch (core, addr)) addrs);
+      ])
 
 let gen_ops =
   QCheck.Gen.(
@@ -296,7 +315,18 @@ let run_differential policy ~autolock ~l2_ways ops =
           if a <> b then fail "served by level %d vs %d" a b
       | Scan (core, addr, len) ->
           Cache.touch_range fast ~core ~addr ~len;
-          Cache_ref.touch_range slow ~core ~addr ~len);
+          Cache_ref.touch_range slow ~core ~addr ~len
+      | Sweep (core, addrs) ->
+          let a = Array.make 3 0 and b = Array.make 3 0 in
+          Cache.sweep fast ~core addrs a;
+          Array.iter
+            (fun addr ->
+              let l = Cache_ref.touch slow ~core ~addr in
+              b.(l) <- b.(l) + 1)
+            addrs;
+          if a <> b then
+            fail "served (L1, L2, memory) = (%d, %d, %d) vs (%d, %d, %d)" a.(0)
+              a.(1) a.(2) b.(0) b.(1) b.(2));
       if Cache.l1_stats fast <> Cache_ref.l1_stats slow then
         fail "l1_stats differ";
       if Cache.l2_stats fast <> Cache_ref.l2_stats slow then

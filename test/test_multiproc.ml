@@ -12,19 +12,7 @@ let cli =
     (Filename.dirname Sys.executable_name)
     (Filename.concat ".." (Filename.concat "bin" "satin_cli.exe"))
 
-let tmp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "satin_multiproc_%d_%d" (Unix.getpid ()) !counter)
-    in
-    (match Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)) with
-    | 0 -> ()
-    | _ -> ());
-    dir
+let tmp_dir () = Temp_dir.make "satin_multiproc"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -170,9 +158,10 @@ let test_damaged_store_refused () =
     ]
 
 let suite =
-  [
-    Alcotest.test_case "two shard processes, one store" `Slow
-      test_two_shard_processes;
-    Alcotest.test_case "damaged store refused" `Quick
-      test_damaged_store_refused;
-  ]
+  Temp_dir.cases
+    [
+      Alcotest.test_case "two shard processes, one store" `Slow
+        test_two_shard_processes;
+      Alcotest.test_case "damaged store refused" `Quick
+        test_damaged_store_refused;
+    ]

@@ -125,14 +125,7 @@ let test_sink_exports_any_width () =
         Store.close s)
       (fun () -> exports pool)
   in
-  let store_dir =
-    let base =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "satin_registry_test_%d" (Unix.getpid ()))
-    in
-    ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote base)));
-    Filename.concat base
-  in
+  let store_dir = Filename.concat (Temp_dir.make "satin_registry_test") in
   let wide = Runner.create ~clamp:false ~jobs:4 () in
   let domains = Hashtbl.create 4 in
   let compare label run =
@@ -158,15 +151,16 @@ let test_sink_exports_any_width () =
     (Hashtbl.length domains >= 2)
 
 let suite =
-  [
-    Alcotest.test_case "command names unique" `Quick test_names_unique;
-    Alcotest.test_case "default campaign" `Quick test_default_campaign;
-    Alcotest.test_case "campaign records wall per spec" `Quick
-      test_campaign_wall_labels;
-    Alcotest.test_case "sink exports equal at any width" `Slow
-      test_sink_exports_any_width;
-    Alcotest.test_case "all --quick = concatenated CLI --quick" `Slow
-      test_all_is_concatenation;
-    Alcotest.test_case "every spec has a JSON encoder" `Slow
-      test_every_spec_encodes;
-  ]
+  Temp_dir.cases
+    [
+      Alcotest.test_case "command names unique" `Quick test_names_unique;
+      Alcotest.test_case "default campaign" `Quick test_default_campaign;
+      Alcotest.test_case "campaign records wall per spec" `Quick
+        test_campaign_wall_labels;
+      Alcotest.test_case "sink exports equal at any width" `Slow
+        test_sink_exports_any_width;
+      Alcotest.test_case "all --quick = concatenated CLI --quick" `Slow
+        test_all_is_concatenation;
+      Alcotest.test_case "every spec has a JSON encoder" `Slow
+        test_every_spec_encodes;
+    ]

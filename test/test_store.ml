@@ -7,19 +7,7 @@ module Runner = Satin_runner.Runner
 module Obs = Satin_obs.Obs
 module Metrics = Satin_obs.Metrics
 
-let tmp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "satin_store_test_%d_%d" (Unix.getpid ()) !counter)
-    in
-    (match Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)) with
-    | 0 -> ()
-    | _ -> ());
-    dir
+let tmp_dir () = Temp_dir.make "satin_store_test"
 
 (* ---- codec ---- *)
 
@@ -367,6 +355,37 @@ let test_memo_counts_and_resume () =
   Alcotest.(check int) "no claims taken" 0 c3.Store.claims;
   Alcotest.(check (array string)) "claims/ left empty" [||]
     (Sys.readdir (Filename.concat dir "claims"))
+
+(* Records copied without their capsules are still hits, and each
+   trial is recomputed once to seal its capsule again: the first run
+   writes every missing capsule and no record, the next finds both. *)
+let test_memo_reseals_missing_capsules () =
+  let src = tmp_dir () and dst = tmp_dir () in
+  let run dir =
+    with_store dir (fun s ->
+        let r = Memo.map Runner.sequential ~experiment:"bare" ~seed:9 6 trial in
+        (r, Store.counters s))
+  in
+  let cold, _ = run src in
+  Store.mkdir_p dst;
+  Alcotest.(check int) "objects/ copied" 0
+    (Sys.command
+       (Printf.sprintf "cp -R %s %s"
+          (Filename.quote (Filename.concat src "objects"))
+          (Filename.quote dst)));
+  let first, c1 = run dst in
+  Alcotest.(check bool) "results unchanged" true (first = cold);
+  Alcotest.(check (pair int int)) "first: record hits, misses" (6, 0)
+    (c1.Store.hits, c1.Store.misses);
+  Alcotest.(check int) "first: no record rewritten" 0 c1.Store.writes;
+  Alcotest.(check (pair int int)) "first: capsule misses, writes" (6, 6)
+    (c1.Store.capsule_misses, c1.Store.capsule_writes);
+  let second, c2 = run dst in
+  Alcotest.(check bool) "results unchanged again" true (second = cold);
+  Alcotest.(check (triple int int int)) "second: capsule hits, misses, writes"
+    (6, 0, 0)
+    (c2.Store.capsule_hits, c2.Store.capsule_misses, c2.Store.capsule_writes);
+  Alcotest.(check int) "second: nothing written" 0 c2.Store.writes
 
 let test_memo_warm_matches_any_pool_width () =
   let dir = tmp_dir () in
@@ -746,46 +765,49 @@ let test_memo_sharded_failure_releases_claim () =
             (Sys.readdir (Filename.concat dir "claims"))))
 
 let suite =
-  [
-    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
-    QCheck_alcotest.to_alcotest prop_codec_detects_flip;
-    Alcotest.test_case "codec typed errors" `Quick test_codec_errors;
-    Alcotest.test_case "key field-order independent" `Quick
-      test_key_field_order_independent;
-    Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
-    Alcotest.test_case "key duplicate fields rejected" `Quick
-      test_key_rejects_duplicate_fields;
-    Alcotest.test_case "key escaping" `Quick test_key_escaping;
-    Alcotest.test_case "store round-trip + reopen" `Quick
-      test_store_roundtrip_and_persistence;
-    Alcotest.test_case "store quarantines corruption" `Quick
-      test_store_quarantines_corruption;
-    Alcotest.test_case "store malformed key refused" `Quick
-      test_store_malformed_key;
-    Alcotest.test_case "store copied records are hits" `Quick
-      test_store_copied_records_hit;
-    Alcotest.test_case "store .tmp and misplaced files" `Quick
-      test_store_tmp_and_misplaced;
-    Alcotest.test_case "memo hit/miss + resume" `Quick
-      test_memo_counts_and_resume;
-    Alcotest.test_case "memo warm at any width" `Quick
-      test_memo_warm_matches_any_pool_width;
-    Alcotest.test_case "memo without store" `Quick
-      test_memo_without_store_is_plain_map;
-    Alcotest.test_case "memo write failures reported" `Quick
-      test_memo_write_failures_reported;
-    Alcotest.test_case "memo one batch per call" `Quick
-      test_memo_one_batch_per_call;
-    Alcotest.test_case "store two handles, one dir" `Quick
-      test_store_two_handles;
-    QCheck_alcotest.to_alcotest prop_store_consistent;
-    Alcotest.test_case "mkdir_p create-first" `Quick test_mkdir_p;
-    Alcotest.test_case "open refuses a damaged layout" `Quick
-      test_open_refuses_damaged_layout;
-    Alcotest.test_case "claims: grant, block, steal" `Quick test_claims;
-    Alcotest.test_case "lease TTL must be finite" `Quick
-      test_lease_ttl_must_be_finite;
-    Alcotest.test_case "memo sharded in-process" `Quick test_memo_sharded;
-    Alcotest.test_case "memo raising trial releases claim" `Quick
-      test_memo_sharded_failure_releases_claim;
-  ]
+  Temp_dir.cases
+    [
+      QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+      QCheck_alcotest.to_alcotest prop_codec_detects_flip;
+      Alcotest.test_case "codec typed errors" `Quick test_codec_errors;
+      Alcotest.test_case "key field-order independent" `Quick
+        test_key_field_order_independent;
+      Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+      Alcotest.test_case "key duplicate fields rejected" `Quick
+        test_key_rejects_duplicate_fields;
+      Alcotest.test_case "key escaping" `Quick test_key_escaping;
+      Alcotest.test_case "store round-trip + reopen" `Quick
+        test_store_roundtrip_and_persistence;
+      Alcotest.test_case "store quarantines corruption" `Quick
+        test_store_quarantines_corruption;
+      Alcotest.test_case "store malformed key refused" `Quick
+        test_store_malformed_key;
+      Alcotest.test_case "store copied records are hits" `Quick
+        test_store_copied_records_hit;
+      Alcotest.test_case "store .tmp and misplaced files" `Quick
+        test_store_tmp_and_misplaced;
+      Alcotest.test_case "memo hit/miss + resume" `Quick
+        test_memo_counts_and_resume;
+      Alcotest.test_case "memo reseals missing capsules" `Quick
+        test_memo_reseals_missing_capsules;
+      Alcotest.test_case "memo warm at any width" `Quick
+        test_memo_warm_matches_any_pool_width;
+      Alcotest.test_case "memo without store" `Quick
+        test_memo_without_store_is_plain_map;
+      Alcotest.test_case "memo write failures reported" `Quick
+        test_memo_write_failures_reported;
+      Alcotest.test_case "memo one batch per call" `Quick
+        test_memo_one_batch_per_call;
+      Alcotest.test_case "store two handles, one dir" `Quick
+        test_store_two_handles;
+      QCheck_alcotest.to_alcotest prop_store_consistent;
+      Alcotest.test_case "mkdir_p create-first" `Quick test_mkdir_p;
+      Alcotest.test_case "open refuses a damaged layout" `Quick
+        test_open_refuses_damaged_layout;
+      Alcotest.test_case "claims: grant, block, steal" `Quick test_claims;
+      Alcotest.test_case "lease TTL must be finite" `Quick
+        test_lease_ttl_must_be_finite;
+      Alcotest.test_case "memo sharded in-process" `Quick test_memo_sharded;
+      Alcotest.test_case "memo raising trial releases claim" `Quick
+        test_memo_sharded_failure_releases_claim;
+    ]

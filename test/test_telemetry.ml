@@ -9,19 +9,7 @@ module Runner = Satin_runner.Runner
 module Obs = Satin_obs.Obs
 module Json = Satin_obs.Json
 
-let tmp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "satin_telemetry_test_%d_%d" (Unix.getpid ()) !counter)
-    in
-    (match Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)) with
-    | 0 -> ()
-    | _ -> ());
-    dir
+let tmp_dir () = Temp_dir.make "satin_telemetry_test"
 
 let with_store dir f =
   let s = Store.open_ dir in
@@ -411,32 +399,33 @@ let test_collect_empty_store_errors () =
   | Ok _ -> Alcotest.fail "empty store produced a report"
 
 let suite =
-  [
-    Alcotest.test_case "memo persists + replays capsules" `Quick
-      test_memo_persists_and_replays_capsules;
-    Alcotest.test_case "report byte-stable (jobs, warmth)" `Quick
-      test_report_byte_stable_across_jobs_and_warmth;
-    Alcotest.test_case "collect aggregates exactly" `Quick
-      test_collect_aggregates_exactly;
-    Alcotest.test_case "openmetrics shape" `Quick test_openmetrics_shape;
-    Alcotest.test_case "gate directions + threshold" `Quick
-      test_gate_directions_and_threshold;
-    Alcotest.test_case "gate rejects bad thresholds" `Quick
-      test_gate_rejects_bad_thresholds;
-    Alcotest.test_case "CLI rejects bad --threshold/--jobs" `Quick
-      test_cli_rejects_bad_flags;
-    Alcotest.test_case "CLI rejects bad --lease-ttl" `Quick
-      test_cli_rejects_bad_lease_ttl;
-    Alcotest.test_case "gate refuses config mismatch" `Quick
-      test_gate_refuses_config_mismatch;
-    Alcotest.test_case "gate ignores fingerprints" `Quick
-      test_gate_ignores_fingerprints;
-    Alcotest.test_case "gate fails on injected regression" `Quick
-      test_gate_fails_on_injected_regression;
-    Alcotest.test_case "corrupt capsule quarantined" `Quick
-      test_corrupt_capsule_quarantined;
-    Alcotest.test_case "collect skips corrupt capsules" `Quick
-      test_collect_skips_corrupt_capsules;
-    Alcotest.test_case "collect on empty store errors" `Quick
-      test_collect_empty_store_errors;
-  ]
+  Temp_dir.cases
+    [
+      Alcotest.test_case "memo persists + replays capsules" `Quick
+        test_memo_persists_and_replays_capsules;
+      Alcotest.test_case "report byte-stable (jobs, warmth)" `Quick
+        test_report_byte_stable_across_jobs_and_warmth;
+      Alcotest.test_case "collect aggregates exactly" `Quick
+        test_collect_aggregates_exactly;
+      Alcotest.test_case "openmetrics shape" `Quick test_openmetrics_shape;
+      Alcotest.test_case "gate directions + threshold" `Quick
+        test_gate_directions_and_threshold;
+      Alcotest.test_case "gate rejects bad thresholds" `Quick
+        test_gate_rejects_bad_thresholds;
+      Alcotest.test_case "CLI rejects bad --threshold/--jobs" `Quick
+        test_cli_rejects_bad_flags;
+      Alcotest.test_case "CLI rejects bad --lease-ttl" `Quick
+        test_cli_rejects_bad_lease_ttl;
+      Alcotest.test_case "gate refuses config mismatch" `Quick
+        test_gate_refuses_config_mismatch;
+      Alcotest.test_case "gate ignores fingerprints" `Quick
+        test_gate_ignores_fingerprints;
+      Alcotest.test_case "gate fails on injected regression" `Quick
+        test_gate_fails_on_injected_regression;
+      Alcotest.test_case "corrupt capsule quarantined" `Quick
+        test_corrupt_capsule_quarantined;
+      Alcotest.test_case "collect skips corrupt capsules" `Quick
+        test_collect_skips_corrupt_capsules;
+      Alcotest.test_case "collect on empty store errors" `Quick
+        test_collect_empty_store_errors;
+    ]
