@@ -612,7 +612,7 @@ let run_cache_bench () =
   let measure ?(cfg = Cache.default_config) name f =
     let cache = cache_fixture cfg in
     let aps, wpa = measure_events ~events:n (fun () -> f cache n) in
-    Printf.printf "  %-24s %12.0f acc/s  %6.3f words/access\n%!" name aps wpa;
+    Printf.printf "  %-30s %12.0f acc/s  %6.3f words/access\n%!" name aps wpa;
     if wpa > 0.01 then
       Printf.printf "  warning: %s allocates %.3f words/access (expected 0)\n%!"
         name wpa;
@@ -631,6 +631,15 @@ let run_cache_bench () =
     row
       ~cfg:{ Cache.default_config with Cache.policy = Satin_cache.Policy.Lru }
       "same-set thrash" cache_bench_thrash
+  in
+  (* Rand draws its victim from the PRNG on every miss: the thrash under
+     it, with and without AutoLock's pinned ways, gates that draw. *)
+  let rand = { Cache.default_config with Cache.policy = Satin_cache.Policy.Rand } in
+  let rand_thrash = row ~cfg:rand "same-set thrash, Rand" cache_bench_thrash in
+  let rand_lock_thrash =
+    row
+      ~cfg:{ rand with Cache.autolock = true }
+      "same-set thrash, Rand+AutoLock" cache_bench_thrash
   in
   let sweep = row "eviction-set sweep" cache_bench_sweep in
   let scan = row "touch_range scan fill" cache_bench_scan in
@@ -652,6 +661,8 @@ let run_cache_bench () =
       l1;
       stream;
       thrash;
+      rand_thrash;
+      rand_lock_thrash;
       sweep;
       scan;
       ( "footprint re-dispatch",

@@ -382,6 +382,19 @@ let campaign_cmd =
       prerr_endline "campaign: --seeds must name at least one seed";
       exit 2
     end;
+    (* A repeat would run twice and write two identical summary keys. *)
+    let refuse_repeat what show l =
+      let rec first_repeat = function
+        | [] -> ()
+        | x :: rest when List.mem x rest ->
+            Printf.eprintf "campaign: %s names %s twice\n" what (show x);
+            exit 2
+        | _ :: rest -> first_repeat rest
+      in
+      first_repeat l
+    in
+    refuse_repeat "--experiments" Fun.id experiments;
+    refuse_repeat "--seeds" string_of_int seeds;
     let resolved = resolve_store o.store o.no_store in
     let shard =
       match shard with

@@ -15,12 +15,6 @@ let fidelity_to_string = function
   | Prime_probe -> "prime+probe"
   | Evict_reload -> "evict+reload"
 
-let fidelity_of_string = function
-  | "abstract" -> Some Abstract
-  | "prime+probe" | "prime-probe" -> Some Prime_probe
-  | "evict+reload" | "evict-reload" -> Some Evict_reload
-  | _ -> None
-
 type config = {
   fidelity : fidelity;
   period : Sim_time.t;

@@ -43,7 +43,6 @@
 type fidelity = Abstract | Prime_probe | Evict_reload
 
 val fidelity_to_string : fidelity -> string
-val fidelity_of_string : string -> fidelity option
 
 type config = {
   fidelity : fidelity;  (** default [Abstract] — existing scenarios as-is *)

@@ -11,13 +11,6 @@ module Syscall_table = Satin_kernel.Syscall_table
 
 type state = Dormant | Armed | Hiding | Hidden | Rearming
 
-let state_to_string = function
-  | Dormant -> "dormant"
-  | Armed -> "armed"
-  | Hiding -> "hiding"
-  | Hidden -> "hidden"
-  | Rearming -> "rearming"
-
 let evil_pointer = 0xdeadbeef41414141L
 
 type t = {

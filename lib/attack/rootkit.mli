@@ -10,8 +10,6 @@
 
 type state = Dormant | Armed | Hiding | Hidden | Rearming
 
-val state_to_string : state -> string
-
 type t
 
 val create :

@@ -28,8 +28,6 @@ let default_config =
     autolock = false;
   }
 
-let geometry_bytes g = g.sets * g.ways * g.line
-
 let config_to_key c =
   [
     ( "l1",

@@ -36,8 +36,6 @@ val default_config : config
 (** Juno-like geometry: 32 KiB 16-way L1 per core, 1 MiB 16-way shared L2
     per cluster, 64-byte lines, Tree-PLRU, AutoLock off. *)
 
-val geometry_bytes : geometry -> int
-
 val config_to_key : config -> (string * string) list
 (** Stable [(name, value)] pairs for store keys / telemetry labels. *)
 

@@ -7,14 +7,6 @@ let kind_to_string = function
   | Tree_plru -> "tree-plru"
   | Rand -> "random"
 
-let kind_of_string = function
-  | "lru" -> Some Lru
-  | "tree-plru" | "plru" -> Some Tree_plru
-  | "random" | "rand" -> Some Rand
-  | _ -> None
-
-let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
-
 let state_words kind ~ways =
   match kind with Lru -> ways | Tree_plru -> 1 | Rand -> 1
 

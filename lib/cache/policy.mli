@@ -24,8 +24,6 @@ type kind = Lru | Tree_plru | Rand
 
 val all : kind list
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-val pp_kind : Format.formatter -> kind -> unit
 
 val state_words : kind -> ways:int -> int
 (** State words per set: [ways] for {!Lru}, 1 for the others. *)

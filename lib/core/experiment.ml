@@ -21,8 +21,11 @@ module Cache_prober = Satin_attack.Cache_prober
 module Rootkit = Satin_attack.Rootkit
 module Evader = Satin_attack.Evader
 module Unixbench = Satin_workload.Unixbench
+module Fault_plan = Satin_inject.Fault_plan
+module Injector = Satin_inject.Injector
 module Runner = Satin_runner.Runner
 module Memo = Satin_store.Memo
+module Json = Satin_obs.Json
 
 let sec = Sim_time.to_sec_f
 
@@ -44,6 +47,101 @@ let keyf = Satin_store.Key.f
    scenario built in the same domain instead of to the GC. *)
 
 (* ------------------------------------------------------------------ *)
+(* The spec every section below ends with                              *)
+(* ------------------------------------------------------------------ *)
+
+type kind = Seeded | Closed_form | Deployment
+
+(* The existential keeps each result typed between its run, printers and
+   encoder. A view is (command, doc, printer): another rendering of the
+   same result, which [Registry.all] prints right after the spec without
+   re-running it. *)
+type spec =
+  | Spec : {
+      name : string;
+      doc : string;
+      kind : kind;
+      run : pool:Runner.t -> seed:int -> quick:bool -> 'r;
+      print : Format.formatter -> 'r -> unit;
+      json : 'r -> Json.t;
+      views : (string * string * (Format.formatter -> 'r -> unit)) list;
+    }
+      -> spec
+
+(* Each [if quick] pair in a spec's run is the scale of [satin_cli
+   campaign --quick] and of the paper run. *)
+let spec ?(kind = Seeded) ?(views = []) name doc print json run =
+  Spec { name; doc; kind; run; print; json; views }
+
+(* Closed-form artifacts ignore the pool, the seed and the scale. *)
+let closed name doc print json f =
+  spec ~kind:Closed_form name doc print json (fun ~pool:_ ~seed:_ ~quick:_ ->
+      f ())
+
+(* ------------------------------------------------------------------ *)
+(* Trial and table code several sections share                         *)
+(* ------------------------------------------------------------------ *)
+
+(* E1, E3, E6 and E8 are trials 0 and 1 of one fan-out. *)
+let memo_pair pool ~experiment ~seed ~config trial =
+  match Memo.map pool ~experiment ~seed ~config 2 trial with
+  | [| a; b |] -> (a, b)
+  | _ -> assert false
+
+(* The three single-scenario campaigns (E10, E13, E14) have no trial
+   fan-out to intercept, so each whole campaign is memoized as a one-trial
+   batch on the sequential pool: same store key discipline, one record. *)
+let memo_campaign ~experiment ~seed ~config body =
+  match
+    Memo.map Runner.sequential ~experiment ~seed ~config 1 (fun _ -> body ())
+  with
+  | [| r |] -> r
+  | _ -> assert false
+
+(* TZ-Evader on the scenario's kernel, started, its KProber probing every
+   [period]; E8 moves the hijack with [target_addr]. *)
+let start_evader ?target_addr scenario period =
+  let evader =
+    Evader.deploy scenario.Scenario.kernel
+      {
+        Evader.default_config with
+        prober = { Kprober.default_config with period };
+        target_addr;
+      }
+  in
+  Evader.start evader;
+  evader
+
+(* The GETTID hijack lives in area 14 (E9): the rounds that checked it,
+   and how many of them alarmed. *)
+let area14_tally rounds =
+  let checks = List.filter (fun r -> r.Round.area_index = 14) rounds in
+  (checks, List.length (List.filter Round.detected checks))
+
+let section fmt title = Format.pp_print_string fmt (Report.section title)
+let table fmt ~header rows = Format.pp_print_string fmt (Report.table ~header rows)
+
+(* A sample set's mean (or [f]) rendered by [show]; "n/a" when empty. *)
+let stat_cell ?(f = Stats.mean) show s =
+  if Stats.is_empty s then "n/a" else show (f s)
+
+let secs x = Printf.sprintf "%.1f s" x
+let fraction x = Printf.sprintf "%.1f%%" (100.0 *. x)
+
+(* One row per labelled sample set: its Average, Max and Min. *)
+let avg_max_min fmt first rows =
+  table fmt
+    ~header:[ first; "Average"; "Max"; "Min" ]
+    (List.map
+       (fun (label, s) ->
+         [ label; Report.sci (Stats.mean s); Report.sci (Stats.max s);
+           Report.sci (Stats.min s) ])
+       rows)
+
+(* A JSON list with one object per element. *)
+let json_rows f l = Json.List (List.map (fun x -> Json.Obj (f x)) l)
+
+(* ------------------------------------------------------------------ *)
 (* E1 — world-switch latency                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -63,30 +161,30 @@ let e1_trial ~seed ~runs ~trial_index =
   stats
 
 let run_e1 ?(pool = Runner.sequential) ?(seed = 42) ?(runs = 50) () =
-  match
-    Memo.map pool ~experiment:"e1" ~seed
+  let e1_a53, e1_a57 =
+    memo_pair pool ~experiment:"e1" ~seed
       ~config:[ ("runs", string_of_int runs) ]
-      2
       (fun i -> e1_trial ~seed ~runs ~trial_index:i)
-  with
-  | [| a53; a57 |] -> { e1_a53 = a53; e1_a57 = a57; e1_runs = runs }
-  | _ -> assert false
+  in
+  { e1_a53; e1_a57; e1_runs = runs }
 
 let print_e1 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       (Printf.sprintf "E1: world-switch latency Ts_switch (%d runs, s)"
-          r.e1_runs));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Core"; "Average"; "Max"; "Min" ]
-       [
-         [ "A53"; Report.sci (Stats.mean r.e1_a53); Report.sci (Stats.max r.e1_a53);
-           Report.sci (Stats.min r.e1_a53) ];
-         [ "A57"; Report.sci (Stats.mean r.e1_a57); Report.sci (Stats.max r.e1_a57);
-           Report.sci (Stats.min r.e1_a57) ];
-       ]);
+  section fmt
+    (Printf.sprintf "E1: world-switch latency Ts_switch (%d runs, s)" r.e1_runs);
+  avg_max_min fmt "Core" [ ("A53", r.e1_a53); ("A57", r.e1_a57) ];
   Format.fprintf fmt "paper: 2.38e-06 .. 3.60e-06 s on both core types@."
+
+let e1_json r =
+  Json.Obj
+    [
+      ("runs", Json.Int r.e1_runs);
+      ("a53_switch_s", Summary.stats r.e1_a53);
+      ("a57_switch_s", Summary.stats r.e1_a57);
+    ]
+
+let e1_spec =
+  spec "e1" "World-switch latency (Sec IV-B1)" print_e1 e1_json
+    (fun ~pool ~seed ~quick:_ -> run_e1 ~pool ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* Table I — per-byte introspection cost                               *)
@@ -143,8 +241,7 @@ let run_table1 ?(pool = Runner.sequential) ?(seed = 42) ?(runs = 50) () =
   }
 
 let print_table1 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "Table I: secure world introspection time (s/byte)");
+  section fmt "Table I: secure world introspection time (s/byte)";
   let rows =
     List.concat_map
       (fun row ->
@@ -159,11 +256,29 @@ let print_table1 fmt r =
         ])
       r.t1_rows
   in
-  Format.fprintf fmt "%s"
-    (Report.table ~header:[ "Core-Time"; "Hash 1-Byte"; "Snapshot 1-byte" ] rows);
+  table fmt ~header:[ "Core-Time"; "Hash 1-Byte"; "Snapshot 1-byte" ] rows;
   Format.fprintf fmt
     "integrity check on quiescent image: %s@.paper: A53 hash avg 1.07e-08, A57 hash avg 6.71e-09; direct hash beats snapshot@."
     (if r.t1_verified_clean then "hash matches enrolled value" else "MISMATCH")
+
+let table1_json r =
+  Json.Obj
+    [
+      ( "rows",
+        json_rows
+          (fun row ->
+            [
+              ("core", Json.String (Cycle_model.core_type_to_string row.t1_core));
+              ("hash_per_byte_s", Summary.stats row.t1_hash);
+              ("snapshot_per_byte_s", Summary.stats row.t1_snapshot);
+            ])
+          r.t1_rows );
+      ("verified_clean", Json.Bool r.t1_verified_clean);
+    ]
+
+let table1_spec =
+  spec "table1" "Table I: per-byte introspection cost" print_table1 table1_json
+    (fun ~pool ~seed ~quick:_ -> run_table1 ~pool ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* E3 — attacker recovery time                                         *)
@@ -194,28 +309,28 @@ let e3_trial ~seed ~runs ~trial_index =
   else measure_recovery ~seed:(seed + 1) ~runs ~cleanup_core:4
 
 let run_e3 ?(pool = Runner.sequential) ?(seed = 42) ?(runs = 50) () =
-  match
-    Memo.map pool ~experiment:"e3" ~seed
+  let e3_a53, e3_a57 =
+    memo_pair pool ~experiment:"e3" ~seed
       ~config:[ ("runs", string_of_int runs) ]
-      2
       (fun i -> e3_trial ~seed ~runs ~trial_index:i)
-  with
-  | [| a53; a57 |] -> { e3_a53 = a53; e3_a57 = a57 }
-  | _ -> assert false
+  in
+  { e3_a53; e3_a57 }
 
 let print_e3 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "E3: attacker trace-recovery time Tns_recover (s)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Cleanup core"; "Average"; "Max"; "Min" ]
-       [
-         [ "A53"; Report.sci (Stats.mean r.e3_a53); Report.sci (Stats.max r.e3_a53);
-           Report.sci (Stats.min r.e3_a53) ];
-         [ "A57"; Report.sci (Stats.mean r.e3_a57); Report.sci (Stats.max r.e3_a57);
-           Report.sci (Stats.min r.e3_a57) ];
-       ]);
+  section fmt "E3: attacker trace-recovery time Tns_recover (s)";
+  avg_max_min fmt "Cleanup core" [ ("A53", r.e3_a53); ("A57", r.e3_a57) ];
   Format.fprintf fmt "paper: A53 avg 5.80e-03 s, A57 avg 4.96e-03 s@."
+
+let e3_json r =
+  Json.Obj
+    [
+      ("a53_recover_s", Summary.stats r.e3_a53);
+      ("a57_recover_s", Summary.stats r.e3_a57);
+    ]
+
+let e3_spec =
+  spec "e3" "Attacker recovery time (Sec IV-B2)" print_e3 e3_json
+    (fun ~pool ~seed ~quick:_ -> run_e3 ~pool ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* E2b — user-level prober responsiveness (§III-B1)                    *)
@@ -330,27 +445,35 @@ let run_uprober ?(pool = Runner.sequential) ?(seed = 42) ?(trials = 20) () =
   }
 
 let print_uprober fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "E2b: user-level prober responsiveness (Sec III-B1)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Quantity"; "Measured"; "Paper" ]
-       [
-         [ "kernel checks probed";
-           Printf.sprintf "%d / %d" r.up_detected r.up_trials; "detects" ];
-         [ "entry -> user-prober report (avg s)";
-           (if Stats.is_empty r.up_delays then "n/a"
-            else Report.sci (Stats.mean r.up_delays));
-           "< 5.97e-03" ];
-         [ "report delay (max s)";
-           (if Stats.is_empty r.up_delays then "n/a"
-            else Report.sci (Stats.max r.up_delays));
-           "< 5.97e-03" ];
-         [ "one full-kernel check on an A57 (s)"; Report.sci r.up_check_duration_s;
-           "8.04e-02" ];
-       ]);
+  section fmt "E2b: user-level prober responsiveness (Sec III-B1)";
+  table fmt
+    ~header:[ "Quantity"; "Measured"; "Paper" ]
+    [
+      [ "kernel checks probed";
+        Printf.sprintf "%d / %d" r.up_detected r.up_trials; "detects" ];
+      [ "entry -> user-prober report (avg s)"; stat_cell Report.sci r.up_delays;
+        "< 5.97e-03" ];
+      [ "report delay (max s)"; stat_cell ~f:Stats.max Report.sci r.up_delays;
+        "< 5.97e-03" ];
+      [ "one full-kernel check on an A57 (s)"; Report.sci r.up_check_duration_s;
+        "8.04e-02" ];
+    ];
   Format.fprintf fmt
     "the stealthy user-level prober comfortably outpaces a full-kernel check@."
+
+let uprober_json r =
+  Json.Obj
+    [
+      ("delays_s", Summary.stats r.up_delays);
+      ("trials", Json.Int r.up_trials);
+      ("detected", Json.Int r.up_detected);
+      ("check_duration_s", Json.float r.up_check_duration_s);
+    ]
+
+let uprober_spec =
+  spec "uprober" "User-level prober responsiveness (Sec III-B1)" print_uprober
+    uprober_json (fun ~pool ~seed ~quick ->
+      run_uprober ~pool ~seed ~trials:(if quick then 6 else 20) ())
 
 (* ------------------------------------------------------------------ *)
 (* Table II / Figure 4 — probing threshold                             *)
@@ -415,28 +538,18 @@ let run_table2 ?(pool = Runner.sequential) ?(seed = 42) ?(rounds = 50)
   { t2_rows = Array.to_list rows; t2_rounds = rounds }
 
 let print_table2 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       (Printf.sprintf "Table II: probing threshold on multi-core (%d rounds, s)"
-          r.t2_rounds));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Probing Period"; "Average"; "Max"; "Min" ]
-       (List.map
-          (fun row ->
-            [
-              Printf.sprintf "%g s" row.t2_period_s;
-              Report.sci (Stats.mean row.t2_thresholds);
-              Report.sci (Stats.max row.t2_thresholds);
-              Report.sci (Stats.min row.t2_thresholds);
-            ])
-          r.t2_rows));
+  section fmt
+    (Printf.sprintf "Table II: probing threshold on multi-core (%d rounds, s)"
+       r.t2_rounds);
+  avg_max_min fmt "Probing Period"
+    (List.map
+       (fun row -> (Printf.sprintf "%g s" row.t2_period_s, row.t2_thresholds))
+       r.t2_rows);
   Format.fprintf fmt
     "paper: avg 2.61e-04 (8 s) rising to 6.61e-04 (300 s); max ~1.8e-03@."
 
 let print_fig4 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "Figure 4: KProber probing threshold stability (boxplots)");
+  section fmt "Figure 4: KProber probing threshold stability (boxplots)";
   let hi =
     List.fold_left
       (fun acc row -> Float.max acc (Stats.max row.t2_thresholds))
@@ -451,6 +564,27 @@ let print_fig4 fmt r =
            ~width:64 ~lo:0.0 ~hi))
     r.t2_rows;
   Format.fprintf fmt "scale: 0 .. %s s@." (Report.sci hi)
+
+let table2_json r =
+  Json.Obj
+    [
+      ("rounds", Json.Int r.t2_rounds);
+      ( "rows",
+        json_rows
+          (fun row ->
+            [
+              ("period_s", Json.float row.t2_period_s);
+              ("thresholds_s", Summary.stats row.t2_thresholds);
+            ])
+          r.t2_rows );
+    ]
+
+let table2_spec =
+  spec "table2" "Table II: probing threshold vs period" print_table2
+    table2_json
+    ~views:[ ("fig4", "Figure 4: probing threshold stability", print_fig4) ]
+    (fun ~pool ~seed ~quick ->
+      run_table2 ~pool ~seed ~rounds:(if quick then 15 else 50) ())
 
 (* ------------------------------------------------------------------ *)
 (* E6 — single-core probing                                            *)
@@ -467,30 +601,38 @@ let e6_trial ~seed ~rounds ~trial_index =
   else measure_thresholds ~seed:(seed + 1) ~rounds ~period ~watched:[ 0; 1 ]
 
 let run_e6 ?(pool = Runner.sequential) ?(seed = 42) ?(rounds = 50) () =
-  match
-    Memo.map pool ~experiment:"e6" ~seed
+  let all, single =
+    memo_pair pool ~experiment:"e6" ~seed
       ~config:[ ("rounds", string_of_int rounds) ]
-      2
       (fun i -> e6_trial ~seed ~rounds ~trial_index:i)
-  with
-  | [| all; single |] ->
-      let e6_all_avg = Stats.mean all and e6_single_avg = Stats.mean single in
-      { e6_all_avg; e6_single_avg; e6_ratio = e6_single_avg /. e6_all_avg }
-  | _ -> assert false
+  in
+  let e6_all_avg = Stats.mean all and e6_single_avg = Stats.mean single in
+  { e6_all_avg; e6_single_avg; e6_ratio = e6_single_avg /. e6_all_avg }
 
 let print_e6 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "E6: probing one core vs all cores (8 s period)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Setup"; "Average threshold" ]
-       [
-         [ "all 6 cores"; Report.sci r.e6_all_avg ];
-         [ "single core"; Report.sci r.e6_single_avg ];
-         [ "ratio single/all"; Printf.sprintf "%.2f" r.e6_ratio ];
-       ]);
+  section fmt "E6: probing one core vs all cores (8 s period)";
+  table fmt
+    ~header:[ "Setup"; "Average threshold" ]
+    [
+      [ "all 6 cores"; Report.sci r.e6_all_avg ];
+      [ "single core"; Report.sci r.e6_single_avg ];
+      [ "ratio single/all"; Printf.sprintf "%.2f" r.e6_ratio ];
+    ];
   Format.fprintf fmt
     "paper: single-core threshold ~1/4 of all-core -> fixed introspection affinity is easier to probe@."
+
+let e6_json r =
+  Json.Obj
+    [
+      ("all_core_avg_s", Json.float r.e6_all_avg);
+      ("single_core_avg_s", Json.float r.e6_single_avg);
+      ("ratio", Json.float r.e6_ratio);
+    ]
+
+let e6_spec =
+  spec "e6" "Single-core vs all-core probing" print_e6 e6_json
+    (fun ~pool ~seed ~quick ->
+      run_e6 ~pool ~seed ~rounds:(if quick then 15 else 50) ())
 
 (* ------------------------------------------------------------------ *)
 (* E7 — race-condition analysis                                        *)
@@ -514,22 +656,44 @@ let run_e7 () =
   }
 
 let print_e7 fmt r =
-  Format.fprintf fmt "%s" (Report.section "E7: race-condition analysis (Sec IV-C)");
+  section fmt "E7: race-condition analysis (Sec IV-C)";
   let p = r.e7_params in
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Parameter"; "Value" ]
-       [
-         [ "Ts_switch"; Report.sci p.Race.ts_switch ];
-         [ "Ts_1byte (A57 fastest)"; Report.sci p.Race.ts_1byte ];
-         [ "Tns_sched"; Report.sci p.Race.tns_sched ];
-         [ "Tns_threshold (worst)"; Report.sci p.Race.tns_threshold ];
-         [ "Tns_recover (worst)"; Report.sci p.Race.tns_recover ];
-         [ "S bound (Eq. 2)"; string_of_int r.e7_s_bound ];
-         [ "kernel size"; string_of_int r.e7_kernel_size ];
-         [ "unprotected fraction"; Printf.sprintf "%.1f%%" (100.0 *. r.e7_unprotected) ];
-       ]);
+  table fmt
+    ~header:[ "Parameter"; "Value" ]
+    [
+      [ "Ts_switch"; Report.sci p.Race.ts_switch ];
+      [ "Ts_1byte (A57 fastest)"; Report.sci p.Race.ts_1byte ];
+      [ "Tns_sched"; Report.sci p.Race.tns_sched ];
+      [ "Tns_threshold (worst)"; Report.sci p.Race.tns_threshold ];
+      [ "Tns_recover (worst)"; Report.sci p.Race.tns_recover ];
+      [ "S bound (Eq. 2)"; string_of_int r.e7_s_bound ];
+      [ "kernel size"; string_of_int r.e7_kernel_size ];
+      [ "unprotected fraction"; fraction r.e7_unprotected ];
+    ];
   Format.fprintf fmt "paper: S <= 1218351 bytes, ~90%% of the kernel unprotected@."
+
+(* The race parameters, as E7 and the Figure 3 timeline both report them. *)
+let race_params_json (p : Race.params) =
+  Json.Obj
+    [
+      ("ts_switch_s", Json.float p.Race.ts_switch);
+      ("ts_1byte_s", Json.float p.Race.ts_1byte);
+      ("tns_sched_s", Json.float p.Race.tns_sched);
+      ("tns_threshold_s", Json.float p.Race.tns_threshold);
+      ("tns_recover_s", Json.float p.Race.tns_recover);
+    ]
+
+let e7_json r =
+  Json.Obj
+    [
+      ("params", race_params_json r.e7_params);
+      ("s_bound_bytes", Json.Int r.e7_s_bound);
+      ("kernel_size_bytes", Json.Int r.e7_kernel_size);
+      ("unprotected_fraction", Json.float r.e7_unprotected);
+    ]
+
+let race_spec =
+  closed "race" "Sec IV-C race-condition analysis" print_e7 e7_json run_e7
 
 (* ------------------------------------------------------------------ *)
 (* E8 — TZ-Evader vs PKM-style full-kernel introspection               *)
@@ -545,14 +709,7 @@ type e8_campaign = {
 
 type e8_result = { e8_deep : e8_campaign; e8_shallow : e8_campaign }
 
-let evader_config_fast target_addr =
-  {
-    Evader.default_config with
-    prober = { Kprober.default_config with period = Sim_time.us 1000 };
-    target_addr;
-  }
-
-let run_e8_campaign ~seed ~duration_s ~target_addr =
+let run_e8_campaign ~seed ~duration_s ?target_addr () =
   Scenario.with_ ~seed @@ fun scenario ->
   let baseline =
     Scenario.install_baseline scenario
@@ -561,8 +718,7 @@ let run_e8_campaign ~seed ~duration_s ~target_addr =
         core_choice = Baseline.Random_core;
       }
   in
-  let evader = Evader.deploy scenario.Scenario.kernel (evader_config_fast target_addr) in
-  Evader.start evader;
+  let evader = start_evader ?target_addr scenario (Sim_time.us 1000) in
   let span = Sim_time.s duration_s in
   Scenario.run_for scenario span;
   Baseline.stop baseline;
@@ -581,47 +737,63 @@ let run_e8_campaign ~seed ~duration_s ~target_addr =
 (* Trial 0: GETTID hijack deep in the unprotected zone; trial 1: IRQ-vector
    hijack near the image start. Seeds match the historical sequential run. *)
 let e8_trial ~seed ~duration_s ~trial_index =
-  if trial_index = 0 then run_e8_campaign ~seed ~duration_s ~target_addr:None
+  if trial_index = 0 then run_e8_campaign ~seed ~duration_s ()
   else
     let layout = Layout.paper_layout () in
     let vec = Layout.vector_table layout in
     run_e8_campaign ~seed:(seed + 1) ~duration_s
-      ~target_addr:(Some (vec.Layout.sym_addr + 0x280))
+      ~target_addr:(vec.Layout.sym_addr + 0x280) ()
 
 let run_e8 ?(pool = Runner.sequential) ?(seed = 42) ?(duration_s = 400) () =
-  match
-    Memo.map pool ~experiment:"e8" ~seed
+  let e8_deep, e8_shallow =
+    memo_pair pool ~experiment:"e8" ~seed
       ~config:[ ("duration_s", string_of_int duration_s) ]
-      2
       (fun i -> e8_trial ~seed ~duration_s ~trial_index:i)
-  with
-  | [| deep; shallow |] -> { e8_deep = deep; e8_shallow = shallow }
-  | _ -> assert false
+  in
+  { e8_deep; e8_shallow }
 
 let print_e8_campaign fmt label c =
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ label; "value" ]
-       [
-         [ "full-kernel scans"; string_of_int c.e8_rounds ];
-         [ "defender detections"; string_of_int c.e8_detections ];
-         [ "attacker hides completed"; string_of_int c.e8_evasions ];
-         [ "attack uptime"; Printf.sprintf "%.1f%%" (100.0 *. c.e8_uptime_fraction) ];
-         [ "entry->hidden (avg s)";
-           (if Stats.is_empty c.e8_reaction then "n/a"
-            else Report.sci (Stats.mean c.e8_reaction)) ];
-       ])
+  table fmt
+    ~header:[ label; "value" ]
+    [
+      [ "full-kernel scans"; string_of_int c.e8_rounds ];
+      [ "defender detections"; string_of_int c.e8_detections ];
+      [ "attacker hides completed"; string_of_int c.e8_evasions ];
+      [ "attack uptime"; fraction c.e8_uptime_fraction ];
+      [ "entry->hidden (avg s)"; stat_cell Report.sci c.e8_reaction ];
+    ]
 
 let print_e8 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       "E8: TZ-Evader vs existing asynchronous introspection (random core+time, full scan)");
+  section fmt
+    "E8: TZ-Evader vs existing asynchronous introspection (random core+time, full scan)";
   print_e8_campaign fmt "GETTID hijack (45% deep: inside the ~90% unprotected zone)" r.e8_deep;
   Format.pp_print_newline fmt ();
   print_e8_campaign fmt "IRQ-vector hijack (image start: inside the ~10% protected zone)"
     r.e8_shallow;
   Format.fprintf fmt
     "paper: the evasion defeats existing introspection whenever the trace lies beyond the S bound@."
+
+let e8_campaign_json c =
+  Json.Obj
+    [
+      ("rounds", Json.Int c.e8_rounds);
+      ("detections", Json.Int c.e8_detections);
+      ("evasions", Json.Int c.e8_evasions);
+      ("uptime_fraction", Json.float c.e8_uptime_fraction);
+      ("reaction_s", Summary.stats c.e8_reaction);
+    ]
+
+let e8_json r =
+  Json.Obj
+    [
+      ("deep", e8_campaign_json r.e8_deep);
+      ("shallow", e8_campaign_json r.e8_shallow);
+    ]
+
+let evasion_spec =
+  spec "evasion" "E8: TZ-Evader vs PKM-style introspection" print_e8 e8_json
+    (fun ~pool ~seed ~quick ->
+      run_e8 ~pool ~seed ~duration_s:(if quick then 120 else 400) ())
 
 (* ------------------------------------------------------------------ *)
 (* E9 — area partition                                                 *)
@@ -656,20 +828,34 @@ let run_e9 () =
   }
 
 let print_e9 fmt r =
-  Format.fprintf fmt "%s" (Report.section "E9: kernel area partition (Sec VI-A2)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Quantity"; "Value"; "Paper" ]
-       [
-         [ "areas"; string_of_int r.e9_count; "19" ];
-         [ "total bytes"; string_of_int r.e9_total; "11916240" ];
-         [ "largest area"; string_of_int r.e9_max; "876616" ];
-         [ "smallest area"; string_of_int r.e9_min; "431360" ];
-         [ "size bound"; string_of_int r.e9_bound; "1218351" ];
-         [ "all areas < bound"; string_of_bool r.e9_all_below_bound; "true" ];
-         [ "greedy partition areas"; string_of_int r.e9_greedy_count; "-" ];
-         [ "sys_call_table area"; string_of_int r.e9_syscall_area; "14" ];
-       ])
+  section fmt "E9: kernel area partition (Sec VI-A2)";
+  table fmt
+    ~header:[ "Quantity"; "Value"; "Paper" ]
+    [
+      [ "areas"; string_of_int r.e9_count; "19" ];
+      [ "total bytes"; string_of_int r.e9_total; "11916240" ];
+      [ "largest area"; string_of_int r.e9_max; "876616" ];
+      [ "smallest area"; string_of_int r.e9_min; "431360" ];
+      [ "size bound"; string_of_int r.e9_bound; "1218351" ];
+      [ "all areas < bound"; string_of_bool r.e9_all_below_bound; "true" ];
+      [ "greedy partition areas"; string_of_int r.e9_greedy_count; "-" ];
+      [ "sys_call_table area"; string_of_int r.e9_syscall_area; "14" ];
+    ]
+
+let e9_json r =
+  Json.Obj
+    [
+      ("area_count", Json.Int r.e9_count);
+      ("total_bytes", Json.Int r.e9_total);
+      ("max_area_bytes", Json.Int r.e9_max);
+      ("min_area_bytes", Json.Int r.e9_min);
+      ("bound_bytes", Json.Int r.e9_bound);
+      ("all_below_bound", Json.Bool r.e9_all_below_bound);
+      ("greedy_count", Json.Int r.e9_greedy_count);
+      ("syscall_area", Json.Int r.e9_syscall_area);
+    ]
+
+let areas_spec = closed "areas" "E9: kernel area partition" print_e9 e9_json run_e9
 
 (* ------------------------------------------------------------------ *)
 (* E10 — SATIN defeating TZ-Evader                                     *)
@@ -689,28 +875,10 @@ type e10_result = {
   e10_evasions_succeeded : int;
 }
 
-(* The three single-scenario campaigns below (E10, E13, E14) have no trial
-   fan-out to intercept, so each whole campaign is memoized as a one-trial
-   batch on the sequential pool: same store key discipline, one record. *)
-let memo_campaign ~experiment ~seed ~config body =
-  match
-    Memo.map Runner.sequential ~experiment ~seed ~config 1 (fun _ -> body ())
-  with
-  | [| r |] -> r
-  | _ -> assert false
-
 let run_e10_campaign ~seed ~target_rounds ~probe_period_us () =
   Scenario.with_ ~seed @@ fun scenario ->
   let satin = Scenario.install_satin scenario () in
-  let evader =
-    Evader.deploy scenario.Scenario.kernel
-      {
-        Evader.default_config with
-        prober =
-          { Kprober.default_config with period = Sim_time.us probe_period_us };
-      }
-  in
-  Evader.start evader;
+  let evader = start_evader scenario (Sim_time.us probe_period_us) in
   let step = Sim_time.s 10 in
   let cap = 40 * target_rounds / 19 * 19 in
   (* Safety cap on simulated seconds: ~4x the expected campaign length. *)
@@ -728,9 +896,7 @@ let run_e10_campaign ~seed ~target_rounds ~probe_period_us () =
   let rounds =
     List.filteri (fun i _ -> i < target_rounds) (Satin_def.rounds satin)
   in
-  let syscall_area = 14 in
-  let area14 = List.filter (fun r -> r.Round.area_index = syscall_area) rounds in
-  let area14_detected = List.filter Round.detected area14 in
+  let area14, area14_detections = area14_tally rounds in
   let gaps =
     let times = List.map (fun r -> sec r.Round.started) area14 in
     let rec pair = function
@@ -794,14 +960,14 @@ let run_e10_campaign ~seed ~target_rounds ~probe_period_us () =
     e10_rounds = List.length rounds;
     e10_full_passes = Satin_def.full_passes satin;
     e10_area14_checks = List.length area14;
-    e10_area14_detections = List.length area14_detected;
+    e10_area14_detections = area14_detections;
     e10_area14_gap_mean_s = gap_mean;
     e10_full_pass_time_s = pass_time;
     e10_prober_reported = List.length reported;
     e10_false_negatives = List.length rounds - List.length reported;
     e10_false_positives = false_positives;
     e10_evasions_attempted = List.length area14;
-    e10_evasions_succeeded = List.length area14 - List.length area14_detected;
+    e10_evasions_succeeded = List.length area14 - area14_detections;
   }
 
 let run_e10 ?(seed = 42) ?(target_rounds = 190) ?(probe_period_us = 500) () =
@@ -814,26 +980,45 @@ let run_e10 ?(seed = 42) ?(target_rounds = 190) ?(probe_period_us = 500) () =
     (run_e10_campaign ~seed ~target_rounds ~probe_period_us)
 
 let print_e10 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "E10: SATIN vs TZ-Evader detection campaign (Sec VI-B1)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Quantity"; "Measured"; "Paper" ]
-       [
-         [ "introspection rounds"; string_of_int r.e10_rounds; "190" ];
-         [ "full kernel passes"; string_of_int r.e10_full_passes; "10" ];
-         [ "area-14 checks"; string_of_int r.e10_area14_checks; "10" ];
-         [ "area-14 detections"; string_of_int r.e10_area14_detections; "10" ];
-         [ "mean gap between area-14 checks (s)";
-           Printf.sprintf "%.0f" r.e10_area14_gap_mean_s; "141" ];
-         [ "full-pass time (s)"; Printf.sprintf "%.0f" r.e10_full_pass_time_s; "~152" ];
-         [ "rounds reported by KProber"; string_of_int r.e10_prober_reported;
-           "190 (all)" ];
-         [ "probe false negatives"; string_of_int r.e10_false_negatives; "0" ];
-         [ "probe false positives"; string_of_int r.e10_false_positives; "0" ];
-         [ "evasion attempts on area 14"; string_of_int r.e10_evasions_attempted; "10" ];
-         [ "evasions succeeded"; string_of_int r.e10_evasions_succeeded; "0" ];
-       ])
+  section fmt "E10: SATIN vs TZ-Evader detection campaign (Sec VI-B1)";
+  table fmt
+    ~header:[ "Quantity"; "Measured"; "Paper" ]
+    [
+      [ "introspection rounds"; string_of_int r.e10_rounds; "190" ];
+      [ "full kernel passes"; string_of_int r.e10_full_passes; "10" ];
+      [ "area-14 checks"; string_of_int r.e10_area14_checks; "10" ];
+      [ "area-14 detections"; string_of_int r.e10_area14_detections; "10" ];
+      [ "mean gap between area-14 checks (s)";
+        Printf.sprintf "%.0f" r.e10_area14_gap_mean_s; "141" ];
+      [ "full-pass time (s)"; Printf.sprintf "%.0f" r.e10_full_pass_time_s; "~152" ];
+      [ "rounds reported by KProber"; string_of_int r.e10_prober_reported;
+        "190 (all)" ];
+      [ "probe false negatives"; string_of_int r.e10_false_negatives; "0" ];
+      [ "probe false positives"; string_of_int r.e10_false_positives; "0" ];
+      [ "evasion attempts on area 14"; string_of_int r.e10_evasions_attempted; "10" ];
+      [ "evasions succeeded"; string_of_int r.e10_evasions_succeeded; "0" ];
+    ]
+
+let e10_json r =
+  Json.Obj
+    [
+      ("rounds", Json.Int r.e10_rounds);
+      ("full_passes", Json.Int r.e10_full_passes);
+      ("area14_checks", Json.Int r.e10_area14_checks);
+      ("area14_detections", Json.Int r.e10_area14_detections);
+      ("area14_gap_mean_s", Json.float r.e10_area14_gap_mean_s);
+      ("full_pass_time_s", Json.float r.e10_full_pass_time_s);
+      ("prober_reported", Json.Int r.e10_prober_reported);
+      ("false_negatives", Json.Int r.e10_false_negatives);
+      ("false_positives", Json.Int r.e10_false_positives);
+      ("evasions_attempted", Json.Int r.e10_evasions_attempted);
+      ("evasions_succeeded", Json.Int r.e10_evasions_succeeded);
+    ]
+
+let detect_spec =
+  spec "satin-detect" "E10: SATIN detecting TZ-Evader (Sec VI-B1)" print_e10
+    e10_json (fun ~pool:_ ~seed ~quick ->
+      run_e10 ~seed ~target_rounds:(if quick then 57 else 190) ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7 — SATIN overhead on UnixBench                              *)
@@ -858,15 +1043,18 @@ type fig7_result = {
 let overhead_satin_config =
   { Satin_def.default_config with t_goal = Sim_time.s 19 }
 
-let fig7_score ~seed ~window_s ~program ~copies ~with_satin =
-  Scenario.with_ ~seed @@ fun scenario ->
-  if with_satin then
-    ignore (Scenario.install_satin scenario ~config:overhead_satin_config ());
-  let inst = Unixbench.launch scenario.Scenario.kernel program ~copies () in
-  Scenario.run_for scenario (Sim_time.s window_s);
-  let s = Unixbench.score inst ~at:(Scenario.now scenario) in
-  Unixbench.stop inst;
-  s
+(* One UnixBench score: [copies] of [program] over a [window_s] window on
+   a fresh scenario, with SATIN at [satin] when given. Figure 7, the
+   sweep and the fleet's baseline each score this way. *)
+let unixbench_score ~seed ?satin ~program ~copies ~window_s () =
+  Scenario.with_ ~seed @@ fun s ->
+  Option.iter (fun config -> ignore (Scenario.install_satin s ~config ())) satin;
+  let inst = Unixbench.launch s.Scenario.kernel program ~copies () in
+  Scenario.run_for s (Sim_time.s window_s);
+  Unixbench.score inst ~at:(Scenario.now s)
+
+(* The worst-case workload, which the sweep and the fleet run. *)
+let file_copy_256 = Unixbench.find_program "file_copy_256"
 
 (* Each (program, copies, satin on/off) cell is one trial with its own
    scenario at the same seed — exactly what the sequential loop always built,
@@ -875,10 +1063,11 @@ let fig7_score ~seed ~window_s ~program ~copies ~with_satin =
    [(trial_index / 2) mod 2] the copy count, [trial_index mod 2] on/off. *)
 let fig7_trial ~seed ~window_s ~trial_index =
   let programs = Array.of_list Unixbench.programs in
-  let program = programs.(trial_index / 4) in
-  let copies = if trial_index / 2 mod 2 = 0 then 1 else 6 in
-  let with_satin = trial_index mod 2 = 1 in
-  fig7_score ~seed ~window_s ~program ~copies ~with_satin
+  unixbench_score ~seed
+    ?satin:(if trial_index mod 2 = 1 then Some overhead_satin_config else None)
+    ~program:programs.(trial_index / 4)
+    ~copies:(if trial_index / 2 mod 2 = 0 then 1 else 6)
+    ~window_s ()
 
 let run_fig7 ?(pool = Runner.sequential) ?(seed = 42) ?(window_s = 30) () =
   let programs = Array.of_list Unixbench.programs in
@@ -918,8 +1107,7 @@ let run_fig7 ?(pool = Runner.sequential) ?(seed = 42) ?(window_s = 30) () =
   }
 
 let print_fig7 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "Figure 7: SATIN overhead (UnixBench, % degradation)");
+  section fmt "Figure 7: SATIN overhead (UnixBench, % degradation)";
   let max_v =
     List.fold_left
       (fun acc row -> Float.max acc (Float.max row.f7_deg_1task row.f7_deg_6task))
@@ -944,13 +1132,33 @@ let print_fig7 fmt r =
   Format.fprintf fmt
     "paper: 0.711%% (1-task), 0.848%% (6-task); worst: file copy 256B 3.556%%, context switching 3.912%%@."
 
+let fig7_json r =
+  Json.Obj
+    [
+      ( "rows",
+        json_rows
+          (fun row ->
+            [
+              ("program", Json.String row.f7_program);
+              ("degradation_1task_pct", Json.float row.f7_deg_1task);
+              ("degradation_6task_pct", Json.float row.f7_deg_6task);
+            ])
+          r.f7_rows );
+      ("avg_1task_pct", Json.float r.f7_avg_1task);
+      ("avg_6task_pct", Json.float r.f7_avg_6task);
+    ]
+
+let fig7_spec =
+  spec "fig7" "Figure 7: SATIN overhead on UnixBench" print_fig7 fig7_json
+    (fun ~pool ~seed ~quick ->
+      run_fig7 ~pool ~seed ~window_s:(if quick then 8 else 30) ())
+
 (* ------------------------------------------------------------------ *)
 (* E12 — the Figure 3 timeline                                         *)
 (* ------------------------------------------------------------------ *)
 
 let print_timeline fmt p =
-  Format.fprintf fmt "%s"
-    (Report.section "Figure 3: race between the two worlds (model timeline)");
+  section fmt "Figure 3: race between the two worlds (model timeline)";
   let s_bound = Race.s_bound p in
   let rows =
     [
@@ -981,6 +1189,19 @@ let print_timeline fmt p =
     "if the secure world were preemptive, a %.0f Hz interrupt storm (20 us handlers)@.\
      would stretch the largest area's scan past the hide - hence SCR_EL3.IRQ = 0 (Sec V-B)@."
     hz
+
+let timeline_json p =
+  Json.Obj
+    [
+      ("params", race_params_json p);
+      ("s_bound_bytes", Json.Int (Race.s_bound p));
+      ("hide_time_s", Json.float (Race.hide_time p));
+      ("max_area_bytes", Json.Int (Race.max_area_size p));
+    ]
+
+let timeline_spec =
+  closed "timeline" "Figure 3: two-world race timeline" print_timeline
+    timeline_json (fun () -> Race.paper_worst_case)
 
 (* ------------------------------------------------------------------ *)
 (* Ablation — which randomization defeats which attacker               *)
@@ -1021,23 +1242,13 @@ let run_predictive ~scenario ~satin ~rootkit ~area_aware =
   in
   schedule_for (Sim_time.add (Engine.now engine) tp)
 
-let run_ablation_variant ~seed ~passes ~config ~attacker =
+let run_ablation_variant ~seed ~passes (ab_label, config, attacker) =
   Scenario.with_ ~seed @@ fun scenario ->
   let satin = Scenario.install_satin scenario ~config () in
   let span = Sim_time.scale config.Satin_def.t_goal (float_of_int passes +. 0.5) in
   let rootkit =
     match attacker with
-    | `Reactive ->
-        let evader =
-          Evader.deploy scenario.Scenario.kernel
-            {
-              Evader.default_config with
-              prober =
-                { Kprober.default_config with period = Sim_time.us 1000 };
-            }
-        in
-        Evader.start evader;
-        Evader.rootkit evader
+    | `Reactive -> Evader.rootkit (start_evader scenario (Sim_time.us 1000))
     | `Predictive area_aware ->
         let rootkit = Rootkit.create scenario.Scenario.kernel ~cleanup_core:0 () in
         Rootkit.arm rootkit;
@@ -1046,45 +1257,31 @@ let run_ablation_variant ~seed ~passes ~config ~attacker =
   in
   Scenario.run_for scenario span;
   Satin_def.stop satin;
-  let rounds = Satin_def.rounds satin in
-  let area14 = List.filter (fun r -> r.Round.area_index = 14) rounds in
+  let area14, detections = area14_tally (Satin_def.rounds satin) in
   {
-    ab_label = "";
+    ab_label;
     ab_area14_checks = List.length area14;
-    ab_area14_detections = List.length (List.filter Round.detected area14);
+    ab_area14_detections = detections;
     ab_attack_uptime = sec (Rootkit.attack_uptime rootkit) /. sec span;
   }
 
-(* The four de-randomization variants, each an independent trial at the
+(* The four de-randomization variants: variant [k] is trial [k], at the
    historical [seed + k] derivation. *)
-let ablation_trial ~seed ~passes ~trial_index =
+let ablation_variants =
   let full = Satin_def.default_config in
   let fixed_period = { full with Satin_def.randomize_period = false } in
-  let fixed_all =
-    {
-      full with
-      Satin_def.randomize_period = false;
-      randomize_area = false;
-      randomize_core = false;
-    }
-  in
-  let label l r = { r with ab_label = l } in
-  match trial_index with
-  | 0 ->
-      label "full SATIN vs reactive evader"
-        (run_ablation_variant ~seed ~passes ~config:full ~attacker:`Reactive)
-  | 1 ->
-      label "full SATIN vs predictive evader"
-        (run_ablation_variant ~seed:(seed + 1) ~passes ~config:full
-           ~attacker:(`Predictive false))
-  | 2 ->
-      label "fixed period vs predictive evader"
-        (run_ablation_variant ~seed:(seed + 2) ~passes ~config:fixed_period
-           ~attacker:(`Predictive false))
-  | _ ->
-      label "fixed period+core+order vs area-aware evader"
-        (run_ablation_variant ~seed:(seed + 3) ~passes ~config:fixed_all
-           ~attacker:(`Predictive true))
+  [|
+    ("full SATIN vs reactive evader", full, `Reactive);
+    ("full SATIN vs predictive evader", full, `Predictive false);
+    ("fixed period vs predictive evader", fixed_period, `Predictive false);
+    ( "fixed period+core+order vs area-aware evader",
+      { fixed_period with randomize_area = false; randomize_core = false },
+      `Predictive true );
+  |]
+
+let ablation_trial ~seed ~passes ~trial_index =
+  run_ablation_variant ~seed:(seed + trial_index) ~passes
+    ablation_variants.(trial_index)
 
 let run_ablation ?(pool = Runner.sequential) ?(seed = 42) ?(passes = 3) () =
   let rows =
@@ -1096,20 +1293,38 @@ let run_ablation ?(pool = Runner.sequential) ?(seed = 42) ?(passes = 3) () =
   { ab_rows = Array.to_list rows }
 
 let print_ablation fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section "Ablation: SATIN randomizations vs attacker knowledge");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Variant"; "area-14 checks"; "detected"; "attack uptime" ]
-       (List.map
+  section fmt "Ablation: SATIN randomizations vs attacker knowledge";
+  table fmt
+    ~header:[ "Variant"; "area-14 checks"; "detected"; "attack uptime" ]
+    (List.map
+       (fun row ->
+         [
+           row.ab_label;
+           string_of_int row.ab_area14_checks;
+           string_of_int row.ab_area14_detections;
+           fraction row.ab_attack_uptime;
+         ])
+       r.ab_rows)
+
+let ablation_json r =
+  Json.Obj
+    [
+      ( "rows",
+        json_rows
           (fun row ->
             [
-              row.ab_label;
-              string_of_int row.ab_area14_checks;
-              string_of_int row.ab_area14_detections;
-              Printf.sprintf "%.1f%%" (100.0 *. row.ab_attack_uptime);
+              ("label", Json.String row.ab_label);
+              ("area14_checks", Json.Int row.ab_area14_checks);
+              ("area14_detections", Json.Int row.ab_area14_detections);
+              ("attack_uptime", Json.float row.ab_attack_uptime);
             ])
-          r.ab_rows))
+          r.ab_rows );
+    ]
+
+let ablation_spec =
+  spec "ablation" "SATIN randomization ablation" print_ablation ablation_json
+    (fun ~pool ~seed ~quick ->
+      run_ablation ~pool ~seed ~passes:(if quick then 1 else 3) ())
 
 (* ------------------------------------------------------------------ *)
 (* E13 — cross-view detection of DKOM process hiding                   *)
@@ -1196,25 +1411,35 @@ let run_e13 ?(seed = 42) ?(checks = 30) () =
     (run_e13_campaign ~seed ~checks)
 
 let print_e13 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       "E13: cross-view introspection vs DKOM process hiding (beyond the paper)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Quantity"; "Value" ]
-       [
-         [ "cross-view checks"; string_of_int r.e13_checks ];
-         [ "hidden process detected"; string_of_int r.e13_detections ];
-         [ "attacker relinks (evasion attempts)"; string_of_int r.e13_relinks ];
-         [ "walk cost (avg s)";
-           (if Stats.is_empty r.e13_walk_cost then "n/a"
-            else Report.sci (Stats.mean r.e13_walk_cost)) ];
-         [ "time hidden from tasks-list tools";
-           Printf.sprintf "%.1f%%" (100.0 *. r.e13_hidden_fraction) ];
-       ]);
+  section fmt
+    "E13: cross-view introspection vs DKOM process hiding (beyond the paper)";
+  table fmt
+    ~header:[ "Quantity"; "Value" ]
+    [
+      [ "cross-view checks"; string_of_int r.e13_checks ];
+      [ "hidden process detected"; string_of_int r.e13_detections ];
+      [ "attacker relinks (evasion attempts)"; string_of_int r.e13_relinks ];
+      [ "walk cost (avg s)"; stat_cell Report.sci r.e13_walk_cost ];
+      [ "time hidden from tasks-list tools"; fraction r.e13_hidden_fraction ];
+    ];
   Format.fprintf fmt
     "a cross-view pass holds the core for ~2e-05 s: below the probing threshold,@.\
      so the attacker never even notices the checks (0 relinks) and is seen every time@."
+
+let e13_json r =
+  Json.Obj
+    [
+      ("checks", Json.Int r.e13_checks);
+      ("detections", Json.Int r.e13_detections);
+      ("relinks", Json.Int r.e13_relinks);
+      ("walk_cost_s", Summary.stats r.e13_walk_cost);
+      ("hidden_fraction", Json.float r.e13_hidden_fraction);
+    ]
+
+let dkom_spec =
+  spec "dkom" "E13: cross-view detection of DKOM process hiding" print_e13
+    e13_json (fun ~pool:_ ~seed ~quick ->
+      run_e13 ~seed ~checks:(if quick then 10 else 30) ())
 
 (* ------------------------------------------------------------------ *)
 (* E14 — SATIN vs a cache-occupancy side-channel evader                *)
@@ -1308,11 +1533,11 @@ let run_e14_campaign ~seed ~passes () =
   Satin_def.stop satin;
   Satin_attack.Cache_prober.retire prober;
   let rounds = Satin_def.rounds satin in
-  let area14 = List.filter (fun r -> r.Round.area_index = 14) rounds in
+  let area14, detections = area14_tally rounds in
   {
     e14_rounds = List.length rounds;
     e14_area14_checks = List.length area14;
-    e14_area14_detections = List.length (List.filter Round.detected area14);
+    e14_area14_detections = detections;
     e14_reaction = reaction;
     e14_false_alarms = Satin_attack.Cache_prober.false_alarms prober;
     e14_wasted_hides = !wasted;
@@ -1325,25 +1550,39 @@ let run_e14 ?(seed = 42) ?(passes = 3) () =
     (run_e14_campaign ~seed ~passes)
 
 let print_e14 fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       "E14: SATIN vs cache-occupancy side channel (Sec VI-C2, beyond the paper)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "Quantity"; "Value" ]
-       [
-         [ "introspection rounds"; string_of_int r.e14_rounds ];
-         [ "area-14 checks"; string_of_int r.e14_area14_checks ];
-         [ "area-14 detections"; string_of_int r.e14_area14_detections ];
-         [ "entry->hidden via cache channel (avg s)";
-           (if Stats.is_empty r.e14_reaction then "n/a"
-            else Report.sci (Stats.mean r.e14_reaction)) ];
-         [ "benign-eviction false alarms"; string_of_int r.e14_false_alarms ];
-         [ "hides wasted on noise"; string_of_int r.e14_wasted_hides ];
-         [ "attack uptime"; Printf.sprintf "%.1f%%" (100.0 *. r.e14_uptime_fraction) ];
-       ]);
+  section fmt
+    "E14: SATIN vs cache-occupancy side channel (Sec VI-C2, beyond the paper)";
+  table fmt
+    ~header:[ "Quantity"; "Value" ]
+    [
+      [ "introspection rounds"; string_of_int r.e14_rounds ];
+      [ "area-14 checks"; string_of_int r.e14_area14_checks ];
+      [ "area-14 detections"; string_of_int r.e14_area14_detections ];
+      [ "entry->hidden via cache channel (avg s)";
+        stat_cell Report.sci r.e14_reaction ];
+      [ "benign-eviction false alarms"; string_of_int r.e14_false_alarms ];
+      [ "hides wasted on noise"; string_of_int r.e14_wasted_hides ];
+      [ "attack uptime"; fraction r.e14_uptime_fraction ];
+    ];
   Format.fprintf fmt
     "the cache channel reacts ~3x faster than KProber, and SATIN still catches every check@."
+
+let e14_json r =
+  Json.Obj
+    [
+      ("rounds", Json.Int r.e14_rounds);
+      ("area14_checks", Json.Int r.e14_area14_checks);
+      ("area14_detections", Json.Int r.e14_area14_detections);
+      ("reaction_s", Summary.stats r.e14_reaction);
+      ("false_alarms", Json.Int r.e14_false_alarms);
+      ("wasted_hides", Json.Int r.e14_wasted_hides);
+      ("uptime_fraction", Json.float r.e14_uptime_fraction);
+    ]
+
+let cache_channel_spec =
+  spec "cache-channel" "E14: SATIN vs the cache-occupancy side channel"
+    print_e14 e14_json (fun ~pool:_ ~seed ~quick ->
+      run_e14 ~seed ~passes:(if quick then 1 else 3) ())
 
 (* ------------------------------------------------------------------ *)
 (* Tgoal sweep — coverage/overhead tradeoff                            *)
@@ -1365,14 +1604,7 @@ let time_to_first_alarm ~seed ~tp_s =
     Scenario.install_satin scenario
       ~config:{ Satin_def.default_config with Satin_def.t_goal } ()
   in
-  let evader =
-    Evader.deploy scenario.Scenario.kernel
-      {
-        Evader.default_config with
-        prober = { Kprober.default_config with period = Sim_time.ms 2 };
-      }
-  in
-  Evader.start evader;
+  let evader = start_evader scenario (Sim_time.ms 2) in
   let armed_at = Scenario.now scenario in
   let deadline =
     Sim_time.add armed_at (Sim_time.scale t_goal 3.0)
@@ -1396,26 +1628,21 @@ let sweep_latency_trial ~seed ~trials ~tps ~trial_index =
   let tp_s = tps.(trial_index / trials) in
   time_to_first_alarm ~seed:(seed + (trial_index mod trials * 31)) ~tp_s
 
+(* SATIN's Tgoal at round period [tp_s]: 19 rounds, in whole seconds, at
+   least one (the sweep's overhead trials and the fleet). *)
+let whole_t_goal tp_s =
+  Sim_time.s (max 1 (int_of_float (Float.round (tp_s *. 19.0))))
+
 (* One overhead trial: the worst-case workload (file copy 256B) at cadence
    [tps.(trial_index / 2)], with SATIN off (even index) or on (odd). *)
 let sweep_score_trial ~seed ~tps ~trial_index =
-  let tp_s = tps.(trial_index / 2) in
-  let with_satin = trial_index mod 2 = 1 in
-  let program = Unixbench.find_program "file_copy_256" in
-  let t_goal_s = int_of_float (Float.round (tp_s *. 19.0)) in
-  Scenario.with_ ~seed @@ fun s ->
-  if with_satin then
-    ignore
-      (Scenario.install_satin s
-         ~config:
-           {
-             Satin_def.default_config with
-             Satin_def.t_goal = Sim_time.s (max 1 t_goal_s);
-           }
-         ());
-  let inst = Unixbench.launch s.Scenario.kernel program ~copies:1 () in
-  Scenario.run_for s (Sim_time.s 20);
-  Unixbench.score inst ~at:(Scenario.now s)
+  let t_goal = whole_t_goal tps.(trial_index / 2) in
+  unixbench_score ~seed
+    ?satin:
+      (if trial_index mod 2 = 1 then
+         Some { Satin_def.default_config with Satin_def.t_goal }
+       else None)
+    ~program:file_copy_256 ~copies:1 ~window_s:20 ()
 
 let run_tgoal_sweep ?(pool = Runner.sequential) ?(seed = 42) ?(trials = 4)
     ?(tps_s = [ 0.5; 1.0; 2.0; 4.0 ]) () =
@@ -1462,37 +1689,46 @@ let run_tgoal_sweep ?(pool = Runner.sequential) ?(seed = 42) ?(trials = 4)
   { sw_rows = rows }
 
 let print_tgoal_sweep fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       "Tgoal sweep: detection latency vs overhead (beyond the paper)");
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:
-         [ "tp"; "Tgoal"; "time to first alarm (avg)"; "worst-workload overhead" ]
-       (List.map
-          (fun row ->
-            [
-              Printf.sprintf "%.1f s" row.sw_tp_s;
-              Printf.sprintf "%.0f s" row.sw_tgoal_s;
-              (if Stats.is_empty row.sw_detect_latency then "n/a"
-               else Printf.sprintf "%.1f s" (Stats.mean row.sw_detect_latency));
-              Report.pct row.sw_overhead_pct;
-            ])
-          r.sw_rows));
+  section fmt "Tgoal sweep: detection latency vs overhead (beyond the paper)";
+  table fmt
+    ~header:
+      [ "tp"; "Tgoal"; "time to first alarm (avg)"; "worst-workload overhead" ]
+    (List.map
+       (fun row ->
+         [
+           Printf.sprintf "%.1f s" row.sw_tp_s;
+           Printf.sprintf "%.0f s" row.sw_tgoal_s;
+           stat_cell secs row.sw_detect_latency;
+           Report.pct row.sw_overhead_pct;
+         ])
+       r.sw_rows);
   Format.fprintf fmt
     "shorter periods catch the rootkit sooner and cost proportionally more throughput@."
+
+let sweep_json r =
+  Json.Obj
+    [
+      ( "rows",
+        json_rows
+          (fun row ->
+            [
+              ("tp_s", Json.float row.sw_tp_s);
+              ("tgoal_s", Json.float row.sw_tgoal_s);
+              ("detect_latency_s", Summary.stats row.sw_detect_latency);
+              ("overhead_pct", Json.float row.sw_overhead_pct);
+            ])
+          r.sw_rows );
+    ]
+
+let sweep_spec =
+  spec "sweep" "Tgoal coverage/overhead sweep" print_tgoal_sweep sweep_json
+    (fun ~pool ~seed ~quick ->
+      run_tgoal_sweep ~pool ~seed ~trials:(if quick then 2 else 4) ())
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection — detection rate and graceful degradation           *)
 (* ------------------------------------------------------------------ *)
 
-module Fault_plan = Satin_inject.Fault_plan
-module Injector = Satin_inject.Injector
-
-(* One fault campaign: install the injector (so even the first secure-timer
-   arms pass through the fault hooks), start SATIN at tp = 1 s, arm a
-   persistent GETTID rootkit after enrollment, run for [window_s], and
-   report what the defense managed under the perturbation. *)
 type fault_trial = {
   ft_detected : bool;
   ft_latency_s : float option; (** arm -> first alarmed round's wake-up, s *)
@@ -1500,6 +1736,33 @@ type fault_trial = {
   ft_faults : int; (** perturbations applied: drops+delays+spikes+flips *)
 }
 
+(* The armed GETTID rootkit, which fault campaigns and fleet devices
+   share: SATIN starts at [config], a persistent rootkit is armed after
+   enrollment, [launch] starts the device's workload and the [window_s]
+   window runs. Returns whether SATIN alarmed, the time from arming to the
+   first alarmed round's wake-up, the rounds completed and what [launch]
+   returned. *)
+let armed_gettid scenario ~config ~window_s ~launch =
+  let satin = Scenario.install_satin scenario ~config () in
+  let rootkit = Rootkit.create scenario.Scenario.kernel ~cleanup_core:0 () in
+  Rootkit.arm rootkit;
+  let armed_at = Scenario.now scenario in
+  let first_alarm = ref None in
+  Satin_def.on_round satin (fun r ->
+      if Round.detected r && !first_alarm = None then
+        first_alarm := Some r.Round.started);
+  let workload = launch () in
+  Scenario.run_for scenario (Sim_time.s window_s);
+  Satin_def.stop satin;
+  ( Satin_def.detections satin > 0,
+    Option.map (fun t -> sec (Sim_time.diff t armed_at)) !first_alarm,
+    Satin_def.rounds_count satin,
+    workload )
+
+(* One fault campaign: install the injector (so even the first secure-timer
+   arms pass through the fault hooks), then the armed rootkit against
+   SATIN at tp = 1 s, and report what the defense managed under the
+   perturbation. *)
 let fault_campaign_trial ~seed ~window_s plan =
   Scenario.with_ ~seed @@ fun scenario ->
   let kernel = scenario.Scenario.kernel in
@@ -1508,195 +1771,154 @@ let fault_campaign_trial ~seed ~window_s plan =
       ~platform:scenario.Scenario.platform ~kernel
       ~areas:(Areas.of_layout kernel.Satin_kernel.Kernel.layout)
   in
-  let satin =
-    Scenario.install_satin scenario
-      ~config:{ Satin_def.default_config with Satin_def.t_goal = Sim_time.s 19 }
-      ()
+  let ft_detected, ft_latency_s, ft_rounds, () =
+    armed_gettid scenario ~config:overhead_satin_config ~window_s ~launch:ignore
   in
-  let rootkit = Rootkit.create kernel ~cleanup_core:0 () in
-  Rootkit.arm rootkit;
-  let armed_at = Scenario.now scenario in
-  let first_alarm = ref None in
-  Satin_def.on_round satin (fun r ->
-      if Round.detected r && !first_alarm = None then
-        first_alarm := Some r.Round.started);
-  Scenario.run_for scenario (Sim_time.s window_s);
-  Satin_def.stop satin;
-  {
-    ft_detected = Satin_def.detections satin > 0;
-    ft_latency_s =
-      Option.map (fun t -> sec (Sim_time.diff t armed_at)) !first_alarm;
-    ft_rounds = Satin_def.rounds_count satin;
-    ft_faults = Injector.fault_events injector;
-  }
+  { ft_detected; ft_latency_s; ft_rounds; ft_faults = Injector.fault_events injector }
 
-type inject_row = {
-  inj_plan : string; (** {!Satin_inject.Fault_plan.to_string} of the plan *)
-  inj_trials : int;
-  inj_detected : int;
-  inj_latency : Stats.t;
-  inj_rounds : float;
-  inj_faults : float;
+(* One row per plan. [fp_key] names the plan: the plan itself for
+   [inject], its timer-drop probability for [degrade]. *)
+type 'k fault_row = {
+  fp_key : 'k;
+  fp_trials : int;
+  fp_detected : int;
+  fp_latency : Stats.t;
+  fp_rounds : float;
+  fp_faults : float;
 }
 
-type inject_result = { inj_rows : inject_row list; inj_window_s : int }
+type 'k fault_result = { fp_rows : 'k fault_row list; fp_window_s : int }
+type inject_result = Fault_plan.t fault_result
+type degrade_result = float fault_result
 
-let inject_trial ~seed ~trials ~window_s ~plans ~trial_index =
-  let plan = plans.(trial_index / trials) in
-  fault_campaign_trial ~seed:(derive seed trial_index) ~window_s plan
+let fault_row ~trials key slice =
+  let latency = Stats.create () in
+  Array.iter (fun ft -> Option.iter (Stats.add latency) ft.ft_latency_s) slice;
+  let mean_of f =
+    Array.fold_left (fun acc ft -> acc +. float_of_int (f ft)) 0.0 slice
+    /. float_of_int trials
+  in
+  {
+    fp_key = key;
+    fp_trials = trials;
+    fp_detected =
+      Array.fold_left (fun acc ft -> if ft.ft_detected then acc + 1 else acc) 0 slice;
+    fp_latency = latency;
+    fp_rounds = mean_of (fun ft -> ft.ft_rounds);
+    fp_faults = mean_of (fun ft -> ft.ft_faults);
+  }
 
-let collect_fault_rows ~trials results label plans =
-  List.mapi
-    (fun pi plan ->
-      let slice = Array.sub results (pi * trials) trials in
-      let latency = Stats.create () in
-      Array.iter
-        (fun ft -> Option.iter (Stats.add latency) ft.ft_latency_s)
-        slice;
-      let mean_of f =
-        Array.fold_left (fun acc ft -> acc +. float_of_int (f ft)) 0.0 slice
-        /. float_of_int trials
-      in
-      {
-        inj_plan = label plan;
-        inj_trials = trials;
-        inj_detected =
-          Array.fold_left
-            (fun acc ft -> if ft.ft_detected then acc + 1 else acc)
-            0 slice;
-        inj_latency = latency;
-        inj_rounds = mean_of (fun ft -> ft.ft_rounds);
-        inj_faults = mean_of (fun ft -> ft.ft_faults);
-      })
-    plans
+(* [trials] campaigns per key under the key's [plan]. The plan (with its
+   severity parameters) is part of every trial's key: a campaign under
+   [Drop_timer_irqs] can never be served the clean [Control] record of the
+   same seed, or vice versa. *)
+let run_faults ~experiment ~plan ~pool ~seed ~trials ~window_s keys =
+  let keys = Array.of_list keys in
+  let results =
+    Memo.map pool ~experiment ~seed
+      ~config:
+        [ ("trials", string_of_int trials); ("window_s", string_of_int window_s) ]
+      ~trial_config:(fun i ->
+        [ ("plan", Fault_plan.to_string (plan keys.(i / trials))) ])
+      (Array.length keys * trials)
+      (fun i ->
+        fault_campaign_trial ~seed:(derive seed i) ~window_s
+          (plan keys.(i / trials)))
+  in
+  {
+    fp_rows =
+      List.mapi
+        (fun ki key -> fault_row ~trials key (Array.sub results (ki * trials) trials))
+        (Array.to_list keys);
+    fp_window_s = window_s;
+  }
 
 let run_inject ?(pool = Runner.sequential) ?(seed = 42) ?(trials = 4)
     ?(window_s = 30) ?(plans = Fault_plan.catalogue) () =
-  let plan_arr = Array.of_list plans in
-  (* The fault plan (with its severity parameters) is part of every trial's
-     key: a campaign under [Drop_timer_irqs] can never be served the clean
-     [Control] record of the same seed, or vice versa. *)
-  let results =
-    Memo.map pool ~experiment:"inject" ~seed
-      ~config:
-        [ ("trials", string_of_int trials); ("window_s", string_of_int window_s) ]
-      ~trial_config:(fun i ->
-        [ ("plan", Fault_plan.to_string plan_arr.(i / trials)) ])
-      (Array.length plan_arr * trials)
-      (fun i -> inject_trial ~seed ~trials ~window_s ~plans:plan_arr ~trial_index:i)
-  in
-  {
-    inj_rows = collect_fault_rows ~trials results Fault_plan.to_string plans;
-    inj_window_s = window_s;
-  }
+  run_faults ~experiment:"inject" ~plan:Fun.id ~pool ~seed ~trials ~window_s plans
 
-let print_inject fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       (Printf.sprintf
-          "Fault injection: SATIN detection rate per fault plan (%d s window)"
-          r.inj_window_s));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:
-         [ "fault plan"; "detected"; "first alarm (avg)"; "rounds"; "faults" ]
-       (List.map
-          (fun row ->
-            [
-              row.inj_plan;
-              Printf.sprintf "%d/%d" row.inj_detected row.inj_trials;
-              (if Stats.is_empty row.inj_latency then "n/a"
-               else Printf.sprintf "%.1f s" (Stats.mean row.inj_latency));
-              Printf.sprintf "%.1f" row.inj_rounds;
-              Printf.sprintf "%.1f" row.inj_faults;
-            ])
-          r.inj_rows));
-  Format.fprintf fmt
-    "timer and switch faults starve rounds; scheduling pressure should not \
-     touch the secure-world cadence@."
-
-type degrade_row = {
-  dg_drop_prob : float;
-  dg_trials : int;
-  dg_detected : int;
-  dg_latency : Stats.t;
-  dg_rounds : float;
-  dg_drops : float; (** mean secure-timer arms swallowed per trial *)
-}
-
-type degrade_result = { dg_rows : degrade_row list; dg_window_s : int }
-
-let degrade_trial ~seed ~trials ~window_s ~probs ~trial_index =
-  let prob = probs.(trial_index / trials) in
-  let plan =
-    if prob <= 0.0 then Fault_plan.Control
-    else Fault_plan.Drop_timer_irqs { prob }
-  in
-  fault_campaign_trial ~seed:(derive seed trial_index) ~window_s plan
+(* A timer-drop probability as a plan: none at all is the clean control. *)
+let drop_plan prob =
+  if prob <= 0.0 then Fault_plan.Control else Fault_plan.Drop_timer_irqs { prob }
 
 let run_degrade ?(pool = Runner.sequential) ?(seed = 42) ?(trials = 4)
     ?(window_s = 30) ?(drop_probs = [ 0.0; 0.2; 0.4; 0.6 ]) () =
-  let probs = Array.of_list drop_probs in
-  let results =
-    Memo.map pool ~experiment:"degrade" ~seed
-      ~config:
-        [ ("trials", string_of_int trials); ("window_s", string_of_int window_s) ]
-      ~trial_config:(fun i ->
-        let prob = probs.(i / trials) in
-        let plan =
-          if prob <= 0.0 then Fault_plan.Control
-          else Fault_plan.Drop_timer_irqs { prob }
-        in
-        [ ("plan", Fault_plan.to_string plan) ])
-      (Array.length probs * trials)
-      (fun i -> degrade_trial ~seed ~trials ~window_s ~probs ~trial_index:i)
-  in
-  let rows =
-    collect_fault_rows ~trials results
-      (fun p -> Printf.sprintf "%.2f" p)
-      drop_probs
-  in
-  {
-    dg_rows =
-      List.map2
-        (fun prob row ->
-          {
-            dg_drop_prob = prob;
-            dg_trials = row.inj_trials;
-            dg_detected = row.inj_detected;
-            dg_latency = row.inj_latency;
-            dg_rounds = row.inj_rounds;
-            dg_drops = row.inj_faults;
-          })
-        drop_probs rows;
-    dg_window_s = window_s;
-  }
+  run_faults ~experiment:"degrade" ~plan:drop_plan ~pool ~seed ~trials ~window_s
+    drop_probs
 
-let print_degrade fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       (Printf.sprintf
-          "Graceful degradation: detection vs secure-timer drop rate (%d s \
-           window)"
-          r.dg_window_s));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:
-         [ "drop prob"; "detected"; "first alarm (avg)"; "rounds"; "drops" ]
-       (List.map
+(* [column]/[cell] head and render the key column, [count] names the
+   perturbation column ("faults", "drops") and its JSON mean. *)
+let print_faults ~title ~column ~cell ~count ~footer fmt r =
+  section fmt (Printf.sprintf title r.fp_window_s);
+  table fmt
+    ~header:[ column; "detected"; "first alarm (avg)"; "rounds"; count ]
+    (List.map
+       (fun row ->
+         [
+           cell row.fp_key;
+           Printf.sprintf "%d/%d" row.fp_detected row.fp_trials;
+           stat_cell secs row.fp_latency;
+           Printf.sprintf "%.1f" row.fp_rounds;
+           Printf.sprintf "%.1f" row.fp_faults;
+         ])
+       r.fp_rows);
+  Format.fprintf fmt "%s@." footer
+
+let faults_json ~key ~count r =
+  Json.Obj
+    [
+      ("window_s", Json.Int r.fp_window_s);
+      ( "rows",
+        json_rows
           (fun row ->
             [
-              Printf.sprintf "%.2f" row.dg_drop_prob;
-              Printf.sprintf "%d/%d" row.dg_detected row.dg_trials;
-              (if Stats.is_empty row.dg_latency then "n/a"
-               else Printf.sprintf "%.1f s" (Stats.mean row.dg_latency));
-              Printf.sprintf "%.1f" row.dg_rounds;
-              Printf.sprintf "%.1f" row.dg_drops;
+              key row.fp_key;
+              ("trials", Json.Int row.fp_trials);
+              ("detected", Json.Int row.fp_detected);
+              ("first_alarm_s", Summary.stats row.fp_latency);
+              ("rounds_mean", Json.float row.fp_rounds);
+              (count ^ "_mean", Json.float row.fp_faults);
             ])
-          r.dg_rows));
-  Format.fprintf fmt
-    "dropped wake-ups kill cores' round chains one by one: coverage decays \
-     smoothly rather than collapsing@."
+          r.fp_rows );
+    ]
+
+let print_inject =
+  print_faults
+    ~title:"Fault injection: SATIN detection rate per fault plan (%d s window)"
+    ~column:"fault plan" ~cell:Fault_plan.to_string ~count:"faults"
+    ~footer:
+      "timer and switch faults starve rounds; scheduling pressure should not \
+       touch the secure-world cadence"
+
+let print_degrade =
+  print_faults
+    ~title:
+      "Graceful degradation: detection vs secure-timer drop rate (%d s window)"
+    ~column:"drop prob" ~cell:(Printf.sprintf "%.2f") ~count:"drops"
+    ~footer:
+      "dropped wake-ups kill cores' round chains one by one: coverage decays \
+       smoothly rather than collapsing"
+
+let inject_spec =
+  spec "inject" "Fault injection: SATIN detection rate per fault plan"
+    print_inject
+    (faults_json ~count:"faults" ~key:(fun p ->
+         ("plan", Json.String (Fault_plan.to_string p))))
+    (fun ~pool ~seed ~quick ->
+      run_inject ~pool ~seed
+        ~trials:(if quick then 2 else 4)
+        ~window_s:(if quick then 25 else 30)
+        ())
+
+let degrade_spec =
+  spec "degrade" "Graceful degradation vs secure-timer drop severity"
+    print_degrade
+    (faults_json ~count:"drops" ~key:(fun p -> ("drop_prob", Json.float p)))
+    (fun ~pool ~seed ~quick ->
+      run_degrade ~pool ~seed
+        ~trials:(if quick then 2 else 4)
+        ~window_s:(if quick then 25 else 30)
+        ())
 
 (* ------------------------------------------------------------------ *)
 (* Fleet — per-device detection/overhead sweep (sharded campaigns)     *)
@@ -1735,47 +1957,28 @@ let fleet_class_of ~trial_index =
 let fleet_device_trial ~seed ~window_s ~trial_index =
   let cls = fleet_class_of ~trial_index in
   Scenario.with_ ~seed:(derive seed trial_index) @@ fun s ->
-  let t_goal_s = max 1 (int_of_float (Float.round (cls.fc_tp_s *. 19.0))) in
-  let satin =
-    Scenario.install_satin s
-      ~config:
-        {
-          Satin_def.t_goal = Sim_time.s t_goal_s;
-          randomize_area = cls.fc_randomized;
-          randomize_period = cls.fc_randomized;
-          randomize_core = cls.fc_randomized;
-        }
-      ()
+  let config =
+    {
+      Satin_def.t_goal = whole_t_goal cls.fc_tp_s;
+      randomize_area = cls.fc_randomized;
+      randomize_period = cls.fc_randomized;
+      randomize_core = cls.fc_randomized;
+    }
   in
-  let rootkit = Rootkit.create s.Scenario.kernel ~cleanup_core:0 () in
-  Rootkit.arm rootkit;
-  let armed_at = Scenario.now s in
-  let first_alarm = ref None in
-  Satin_def.on_round satin (fun r ->
-      if Round.detected r && !first_alarm = None then
-        first_alarm := Some r.Round.started);
-  let program = Unixbench.find_program "file_copy_256" in
-  let inst = Unixbench.launch s.Scenario.kernel program ~copies:1 () in
-  Scenario.run_for s (Sim_time.s window_s);
-  Satin_def.stop satin;
-  {
-    fd_detected = Satin_def.detections satin > 0;
-    fd_latency_s =
-      Option.map (fun t -> sec (Sim_time.diff t armed_at)) !first_alarm;
-    fd_rounds = Satin_def.rounds_count satin;
-    fd_score = Unixbench.score inst ~at:(Scenario.now s);
-  }
+  let fd_detected, fd_latency_s, fd_rounds, inst =
+    armed_gettid s ~config ~window_s ~launch:(fun () ->
+        Unixbench.launch s.Scenario.kernel file_copy_256 ~copies:1 ())
+  in
+  let fd_score = Unixbench.score inst ~at:(Scenario.now s) in
+  { fd_detected; fd_latency_s; fd_rounds; fd_score }
 
 (* The overhead denominator: the same workload on a device with no SATIN
    at all. Class-independent, so a handful of seed-varied baselines serve
    the whole fleet; the seed offset keeps baseline devices disjoint from
    fleet devices of the same index. *)
 let fleet_baseline_trial ~seed ~window_s ~trial_index =
-  Scenario.with_ ~seed:(derive seed (0x5EED + trial_index)) @@ fun s ->
-  let program = Unixbench.find_program "file_copy_256" in
-  let inst = Unixbench.launch s.Scenario.kernel program ~copies:1 () in
-  Scenario.run_for s (Sim_time.s window_s);
-  Unixbench.score inst ~at:(Scenario.now s)
+  unixbench_score ~seed:(derive seed (0x5EED + trial_index))
+    ~program:file_copy_256 ~copies:1 ~window_s ()
 
 type fleet_row = {
   fr_tp_s : float;
@@ -1881,31 +2084,28 @@ let run_fleet ?(pool = Runner.sequential) ?(seed = 42) ?(devices = 240)
   }
 
 let print_fleet fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       (Printf.sprintf
-          "Fleet: per-device detection & overhead, %d device(s), %d s window"
-          r.fl_devices r.fl_window_s));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:
+  section fmt
+    (Printf.sprintf
+       "Fleet: per-device detection & overhead, %d device(s), %d s window"
+       r.fl_devices r.fl_window_s);
+  table fmt
+    ~header:
+      [
+        "tp"; "randomized"; "devices"; "detected"; "first alarm (avg)";
+        "rounds"; "overhead";
+      ]
+    (List.map
+       (fun row ->
          [
-           "tp"; "randomized"; "devices"; "detected"; "first alarm (avg)";
-           "rounds"; "overhead";
-         ]
-       (List.map
-          (fun row ->
-            [
-              Printf.sprintf "%.1f s" row.fr_tp_s;
-              (if row.fr_randomized then "yes" else "no");
-              string_of_int row.fr_devices;
-              Printf.sprintf "%d/%d" row.fr_detected row.fr_devices;
-              (if Stats.is_empty row.fr_latency then "n/a"
-               else Printf.sprintf "%.1f s" (Stats.mean row.fr_latency));
-              Printf.sprintf "%.1f" row.fr_rounds;
-              Report.pct row.fr_overhead_pct;
-            ])
-          r.fl_rows));
+           Printf.sprintf "%.1f s" row.fr_tp_s;
+           (if row.fr_randomized then "yes" else "no");
+           string_of_int row.fr_devices;
+           Printf.sprintf "%d/%d" row.fr_detected row.fr_devices;
+           stat_cell secs row.fr_latency;
+           Printf.sprintf "%.1f" row.fr_rounds;
+           Report.pct row.fr_overhead_pct;
+         ])
+       r.fl_rows);
   Format.fprintf fmt
     "fleet-wide: %d/%d device(s) alarmed%s; baseline score %.1f@."
     r.fl_detected r.fl_devices
@@ -1913,6 +2113,37 @@ let print_fleet fmt r =
      else
        Printf.sprintf ", first alarm avg %.1f s" (Stats.mean r.fl_latency))
     r.fl_baseline
+
+let fleet_json r =
+  Json.Obj
+    [
+      ("devices", Json.Int r.fl_devices);
+      ("window_s", Json.Int r.fl_window_s);
+      ("baseline_score", Json.float r.fl_baseline);
+      ("detected", Json.Int r.fl_detected);
+      ("first_alarm_s", Summary.stats r.fl_latency);
+      ( "rows",
+        json_rows
+          (fun row ->
+            [
+              ("tp_s", Json.float row.fr_tp_s);
+              ("randomized", Json.Bool row.fr_randomized);
+              ("devices", Json.Int row.fr_devices);
+              ("detected", Json.Int row.fr_detected);
+              ("first_alarm_s", Summary.stats row.fr_latency);
+              ("rounds_mean", Json.float row.fr_rounds);
+              ("overhead_pct", Json.float row.fr_overhead_pct);
+            ])
+          r.fl_rows );
+    ]
+
+let fleet_spec =
+  spec ~kind:Deployment "fleet" "Fleet: per-device detection & overhead sweep"
+    print_fleet fleet_json (fun ~pool ~seed ~quick ->
+      run_fleet ~pool ~seed
+        ~devices:(if quick then 16 else 240)
+        ~window_s:(if quick then 10 else 20)
+        ())
 
 (* ------------------------------------------------------------------ *)
 (* Cache fidelity — prober mode x replacement policy x AutoLock        *)
@@ -2150,48 +2381,97 @@ let run_cache_fidelity ?(pool = Runner.sequential) ?(seed = 42) ?(trials = 2)
   }
 
 let print_cache_fidelity fmt r =
-  Format.fprintf fmt "%s"
-    (Report.section
-       (Printf.sprintf
-          "Cache fidelity: prober mode x replacement policy x AutoLock (%d \
-           trial(s)/cell, %d s windows)"
-          r.cf_trials r.cf_window_s));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:
-         [ "mode"; "policy"; "AutoLock"; "scans"; "detected"; "false alarms" ]
-       (List.map
-          (fun row ->
-            [
-              Cache_prober.fidelity_to_string row.cr_fidelity;
-              Cache_policy.kind_to_string row.cr_policy;
-              (if row.cr_autolock then "on" else "off");
-              string_of_int row.cr_scans;
-              (if row.cr_scans = 0 then "n/a"
-               else
-                 Printf.sprintf "%d/%d (%.0f%%)" row.cr_detected row.cr_scans
-                   (100.0
-                   *. float_of_int row.cr_detected
-                   /. float_of_int row.cr_scans));
-              string_of_int row.cr_false_alarms;
-            ])
-          r.cf_rows));
-  Format.fprintf fmt "%s"
-    (Report.table
-       ~header:[ "working set"; "size"; "L1 hits"; "L2 hits"; "memory" ]
-       (List.map
-          (fun v ->
-            [
-              v.cv_name;
-              Printf.sprintf "%d KiB" (v.cv_bytes / 1024);
-              Report.pct (100.0 *. v.cv_l1_rate);
-              Report.pct (100.0 *. v.cv_l2_rate);
-              Report.pct (100.0 *. v.cv_mem_rate);
-            ])
-          r.cf_validation));
+  section fmt
+    (Printf.sprintf
+       "Cache fidelity: prober mode x replacement policy x AutoLock (%d \
+        trial(s)/cell, %d s windows)"
+       r.cf_trials r.cf_window_s);
+  table fmt
+    ~header:
+      [ "mode"; "policy"; "AutoLock"; "scans"; "detected"; "false alarms" ]
+    (List.map
+       (fun row ->
+         [
+           Cache_prober.fidelity_to_string row.cr_fidelity;
+           Cache_policy.kind_to_string row.cr_policy;
+           (if row.cr_autolock then "on" else "off");
+           string_of_int row.cr_scans;
+           (if row.cr_scans = 0 then "n/a"
+            else
+              Printf.sprintf "%d/%d (%.0f%%)" row.cr_detected row.cr_scans
+                (100.0
+                *. float_of_int row.cr_detected
+                /. float_of_int row.cr_scans));
+           string_of_int row.cr_false_alarms;
+         ])
+       r.cf_rows);
+  table fmt
+    ~header:[ "working set"; "size"; "L1 hits"; "L2 hits"; "memory" ]
+    (List.map
+       (fun v ->
+         [
+           v.cv_name;
+           Printf.sprintf "%d KiB" (v.cv_bytes / 1024);
+           Report.pct (100.0 *. v.cv_l1_rate);
+           Report.pct (100.0 *. v.cv_l2_rate);
+           Report.pct (100.0 *. v.cv_mem_rate);
+         ])
+       r.cf_validation);
   Format.fprintf fmt
     "AutoLock pins the attacker's L1-resident eviction sets against the \
      scanning core: prime+probe detection collapses (or, under LRU, drowns \
      in locked-set false alarms); evict+reload survives via own-line \
      re-eviction, random replacement defeats single-pass eviction outright; \
      the abstract rows are cache-blind controls@."
+
+let cache_fidelity_json r =
+  Json.Obj
+    [
+      ("trials", Json.Int r.cf_trials);
+      ("window_s", Json.Int r.cf_window_s);
+      ( "rows",
+        json_rows
+          (fun row ->
+            [
+              ("fidelity", Json.String (Cache_prober.fidelity_to_string row.cr_fidelity));
+              ("policy", Json.String (Cache_policy.kind_to_string row.cr_policy));
+              ("autolock", Json.Bool row.cr_autolock);
+              ("scans", Json.Int row.cr_scans);
+              ("detected", Json.Int row.cr_detected);
+              ("alarms", Json.Int row.cr_alarms);
+              ("false_alarms", Json.Int row.cr_false_alarms);
+            ])
+          r.cf_rows );
+      ( "validation",
+        json_rows
+          (fun row ->
+            [
+              ("workload", Json.String row.cv_name);
+              ("bytes", Json.Int row.cv_bytes);
+              ("l1_rate", Json.float row.cv_l1_rate);
+              ("l2_rate", Json.float row.cv_l2_rate);
+              ("mem_rate", Json.float row.cv_mem_rate);
+            ])
+          r.cf_validation );
+    ]
+
+let cache_fidelity_spec =
+  spec "cache-fidelity"
+    "Side-channel fidelity grid: prober mode x replacement policy x AutoLock"
+    print_cache_fidelity cache_fidelity_json (fun ~pool ~seed ~quick ->
+      run_cache_fidelity ~pool ~seed
+        ~trials:(if quick then 1 else 2)
+        ~window_s:(if quick then 6 else 10)
+        ())
+
+(* ------------------------------------------------------------------ *)
+(* Every spec, in paper (campaign) order                               *)
+(* ------------------------------------------------------------------ *)
+
+let specs =
+  [
+    e1_spec; table1_spec; e3_spec; uprober_spec; table2_spec; e6_spec;
+    race_spec; timeline_spec; evasion_spec; areas_spec; detect_spec; fig7_spec;
+    ablation_spec; dkom_spec; cache_channel_spec; cache_fidelity_spec;
+    sweep_spec; inject_spec; degrade_spec; fleet_spec;
+  ]

@@ -1,14 +1,39 @@
-(** Typed runners for every table and figure of the paper's evaluation.
+(** Every table and figure of the paper's evaluation, one section each.
 
     Each [run_*] function builds its own scenario(s) from a seed, advances
     the simulation, and returns a result record; each [print_*] renders the
-    paper-shaped table or figure to a formatter. [Registry.all] runs them
-    in paper order. See DESIGN.md §4 for the experiment index and
-    EXPERIMENTS.md for paper-vs-measured numbers. *)
+    paper-shaped table or figure to a formatter. A section also holds its
+    result's JSON encoder and ends with its {!spec}; {!specs} lists them in
+    paper order, and {!Registry} runs them. See DESIGN.md §4 for the
+    experiment index and EXPERIMENTS.md for paper-vs-measured numbers. *)
 
 module Stats = Satin_engine.Stats
 module Cycle_model = Satin_hw.Cycle_model
 module Runner = Satin_runner.Runner
+
+(** {1 The spec every section declares} *)
+
+type kind =
+  | Seeded  (** in [all] and the default campaign *)
+  | Closed_form  (** seed-independent: in [all] only *)
+  | Deployment  (** in neither; run by name *)
+
+(** One experiment: name, doc, kind, a run function of (pool, seed,
+    quick) returning a typed result, its printer, its JSON encoder, and
+    optional views — further printers on the same result, each its own
+    command (Figure 4 is a view of Table II). [quick] selects the
+    [satin_cli campaign --quick] scale, otherwise the paper's. *)
+type spec =
+  | Spec : {
+      name : string;
+      doc : string;
+      kind : kind;
+      run : pool:Runner.t -> seed:int -> quick:bool -> 'r;
+      print : Format.formatter -> 'r -> unit;
+      json : 'r -> Satin_obs.Json.t;
+      views : (string * string * (Format.formatter -> 'r -> unit)) list;
+    }
+      -> spec
 
 (** Every fan-out below is expressed as a pure trial body — a function of the
     experiment seed and a [trial_index] that builds its own scenario/PRNG from
@@ -289,16 +314,22 @@ val fault_campaign_trial :
     arms pass the fault hooks), SATIN at [tp] = 1 s, a persistent GETTID
     rootkit armed after enrollment, [window_s] simulated seconds. *)
 
-type inject_row = {
-  inj_plan : string;
-  inj_trials : int;
-  inj_detected : int; (** trials in which SATIN raised at least one alarm *)
-  inj_latency : Stats.t; (** time to first alarm, s, over detected trials *)
-  inj_rounds : float; (** mean rounds completed *)
-  inj_faults : float; (** mean perturbations applied *)
+(** One row per plan, [trials] campaigns each. *)
+type 'k fault_row = {
+  fp_key : 'k;
+      (** the plan: itself for [inject], its timer-drop probability for
+          [degrade] *)
+  fp_trials : int;
+  fp_detected : int; (** trials in which SATIN raised at least one alarm *)
+  fp_latency : Stats.t; (** time to first alarm, s, over detected trials *)
+  fp_rounds : float; (** mean rounds completed *)
+  fp_faults : float;
+      (** mean perturbations applied ([degrade]: secure-timer arms
+          swallowed) *)
 }
 
-type inject_result = { inj_rows : inject_row list; inj_window_s : int }
+type 'k fault_result = { fp_rows : 'k fault_row list; fp_window_s : int }
+type inject_result = Satin_inject.Fault_plan.t fault_result
 
 val run_inject :
   ?pool:Runner.t ->
@@ -315,16 +346,7 @@ val print_inject : Format.formatter -> inject_result -> unit
 
 (** {1 Graceful degradation — detection vs timer-drop severity} *)
 
-type degrade_row = {
-  dg_drop_prob : float;
-  dg_trials : int;
-  dg_detected : int;
-  dg_latency : Stats.t;
-  dg_rounds : float;
-  dg_drops : float; (** mean secure-timer arms swallowed per trial *)
-}
-
-type degrade_result = { dg_rows : degrade_row list; dg_window_s : int }
+type degrade_result = float fault_result
 
 val run_degrade :
   ?pool:Runner.t ->
@@ -335,7 +357,7 @@ val run_degrade :
   unit ->
   degrade_result
 (** Defaults: 4 trials per severity, 30 s window, drop probabilities
-    [0.0; 0.2; 0.4; 0.6]. *)
+    [0.0; 0.2; 0.4; 0.6]; probability 0 runs the clean control plan. *)
 
 val print_degrade : Format.formatter -> degrade_result -> unit
 
@@ -431,3 +453,9 @@ val run_cache_fidelity :
     full cache configuration are part of every trial's store key. *)
 
 val print_cache_fidelity : Format.formatter -> cache_fidelity_result -> unit
+
+(** {1 The specs} *)
+
+val specs : spec list
+(** Every section's spec, in paper (campaign) order: the order of
+    [satin_cli all] and of [satin_cli --help]'s commands. *)

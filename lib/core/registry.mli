@@ -1,22 +1,21 @@
-(** The experiment registry: one declaration per evaluation artifact.
+(** The experiment registry: the run path over {!Experiment.specs}.
 
     The [satin_cli] experiment subcommands, [campaign] (its names and
     default set), [all], the [--json] summaries and the bench runner are
-    all generated from {!specs}; DESIGN.md §4 says how to add one. *)
+    all generated from the specs, each declared at the end of its
+    experiment's section of {!Experiment}; DESIGN.md §4 says how to add
+    one. *)
 
 module Json = Satin_obs.Json
 module Runner = Satin_runner.Runner
 
-type kind =
+type kind = Experiment.kind =
   | Seeded  (** in [all] and the default campaign *)
   | Closed_form  (** seed-independent: in [all] only *)
   | Deployment  (** in neither; run by name *)
 
 type t
-(** One experiment: name, doc, kind, a run function of (pool, seed,
-    quick) returning a typed result, its printer, its JSON encoder, and
-    optional views — further printers on the same result, each its own
-    command (Figure 4 is a view of Table II). *)
+(** One experiment's {!Experiment.spec}. *)
 
 val specs : t list
 (** In paper (campaign) order. *)

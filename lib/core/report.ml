@@ -1,5 +1,4 @@
 module Stats = Satin_engine.Stats
-module Sim_time = Satin_engine.Sim_time
 
 let section title =
   let pad = max 0 (70 - String.length title - 10) in
@@ -45,7 +44,6 @@ let csv ~header rows =
   ^ "\n"
 
 let sci x = Printf.sprintf "%.2e" x
-let sci_time t = sci (Sim_time.to_sec_f t)
 let pct x = Printf.sprintf "%.3f%%" x
 
 let boxplot_row ~label (b : Stats.boxplot) ~width ~lo ~hi =

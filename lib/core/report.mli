@@ -17,8 +17,6 @@ val csv : header:string list -> string list list -> string
 val sci : float -> string
 (** ["2.61e-04"]-style scientific notation (the paper's table format). *)
 
-val sci_time : Satin_engine.Sim_time.t -> string
-
 val pct : float -> string
 (** Percentage with three decimals, e.g. ["0.711%"] (Figure 7's format). *)
 

@@ -24,7 +24,6 @@ type t = {
   mutable switch_spikes : int;
   mutable flips : int;
   mutable flip_sites : (int * Sim_time.t) list; (* addr, instant; newest first *)
-  mutable tasks : Task.t list;
 }
 
 let plan t = t.plan
@@ -40,9 +39,7 @@ let timer_delays t =
     0 t.platform.Platform.secure_timers
 
 let switch_spikes t = t.switch_spikes
-let flips_injected t = t.flips
 let flip_sites t = List.rev t.flip_sites
-let storm_tasks t = t.tasks
 
 let fault_events t =
   timer_drops t + timer_delays t + t.switch_spikes + t.flips
@@ -58,7 +55,7 @@ let install ~plan ~seed ~platform ~kernel ~areas =
   let prng = Prng.create seed in
   let engine = platform.Platform.engine in
   let t =
-    { plan; platform; switch_spikes = 0; flips = 0; flip_sites = []; tasks = [] }
+    { plan; platform; switch_spikes = 0; flips = 0; flip_sites = [] }
   in
   (match plan with
   | Fault_plan.Control -> ()
@@ -117,23 +114,20 @@ let install ~plan ~seed ~platform ~kernel ~areas =
                Obs.incr Metric.bit_flips
              done))
   | Fault_plan.Starve_rt_probers { priority; burst; duty } ->
-      t.tasks <-
-        List.init (Platform.ncores platform) (fun core ->
-            let task =
-              Task.create
-                ~name:(Printf.sprintf "rt-hog-%d" core)
-                ~policy:(Task.Rt_fifo priority) ~affinity:core
-                ~body:(hog_body ~burst ~duty) ()
-            in
-            Kernel.spawn kernel task;
-            task)
+      for core = 0 to Platform.ncores platform - 1 do
+        Kernel.spawn kernel
+          (Task.create
+             ~name:(Printf.sprintf "rt-hog-%d" core)
+             ~policy:(Task.Rt_fifo priority) ~affinity:core
+             ~body:(hog_body ~burst ~duty) ())
+      done
   | Fault_plan.Cfs_storm { tasks_per_core; burst; duty } ->
-      t.tasks <-
-        List.concat_map
-          (fun core ->
-            List.init tasks_per_core (fun i ->
-                Kernel.spawn_load kernel
-                  ~name:(Printf.sprintf "storm-%d-%d" core i)
-                  ~affinity:core ~burst ~duty ()))
-          (List.init (Platform.ncores platform) Fun.id));
+      for core = 0 to Platform.ncores platform - 1 do
+        for i = 0 to tasks_per_core - 1 do
+          ignore
+            (Kernel.spawn_load kernel
+               ~name:(Printf.sprintf "storm-%d-%d" core i)
+               ~affinity:core ~burst ~duty ())
+        done
+      done);
   t

@@ -35,13 +35,8 @@ val timer_delays : t -> int
 val switch_spikes : t -> int
 (** World-switch cost samples that were spiked. *)
 
-val flips_injected : t -> int
-
 val flip_sites : t -> (int * Satin_engine.Sim_time.t) list
 (** [(address, instant)] of every injected bit flip, oldest first. *)
-
-val storm_tasks : t -> Satin_kernel.Task.t list
-(** The hog/storm tasks spawned by scheduling-pressure plans. *)
 
 val fault_events : t -> int
 (** Total perturbations applied: drops + delays + spikes + flips. *)

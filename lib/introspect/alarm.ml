@@ -68,7 +68,6 @@ let record_round t (round : Round.t) =
          ~offsets:round.Round.verdict.Checker.v_offsets)
 
 let attach_satin t satin = Satin.on_round satin (record_round t)
-let attach_baseline t baseline = Baseline.on_round baseline (record_round t)
 
 let entries t = List.rev t.log
 let alarms t = List.rev (List.filter (fun e -> e.severity = Alert) t.log)

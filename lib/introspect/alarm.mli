@@ -33,10 +33,8 @@ val genesis : t -> int64
 val attach_satin : t -> Satin.t -> unit
 (** Subscribe to a SATIN instance's rounds. *)
 
-val attach_baseline : t -> Baseline.t -> unit
-
 val record_round : t -> Round.t -> unit
-(** Manual feed (what the attach functions use). *)
+(** Manual feed (what {!attach_satin} uses). *)
 
 val entries : t -> entry list
 (** Oldest first. *)

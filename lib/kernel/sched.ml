@@ -446,11 +446,6 @@ let has_work t ~core =
   | None, [], [] -> false
   | Some _, _, _ | _, _ :: _, _ | _, _, _ :: _ -> true
 
-let runnable_count t ~core =
-  let cs = t.cores.(core) in
-  List.length cs.rt_queue + List.length cs.cfs_queue
-  + match cs.cur with Some _ -> 1 | None -> 0
-
 let on_enqueue t f = t.enqueue_hooks <- t.enqueue_hooks @ [ f ]
 let context_switches t = t.switches
 

@@ -42,8 +42,6 @@ val current : t -> core:int -> Task.t option
 val has_work : t -> core:int -> bool
 (** True if the core has a running or queued task (drives NO_HZ_IDLE). *)
 
-val runnable_count : t -> core:int -> int
-
 val on_enqueue : t -> (core:int -> unit) -> unit
 (** Hook fired whenever a task becomes runnable on a core — the tick
     machinery uses it to restart a stopped idle tick. *)

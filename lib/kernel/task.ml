@@ -58,7 +58,6 @@ let name t = t.name
 let policy t = t.policy
 let affinity t = t.affinity
 let state t = t.state
-let is_pinned t = t.affinity <> None
 let cpu_time t = t.cpu_time
 let vruntime t = t.vruntime
 let dispatches t = t.dispatches

@@ -47,7 +47,6 @@ val name : t -> string
 val policy : t -> policy
 val affinity : t -> int option
 val state : t -> state
-val is_pinned : t -> bool
 
 val cpu_time : t -> Satin_engine.Sim_time.t
 (** Total CPU consumed so far. *)

@@ -63,7 +63,6 @@ let add_hook t hook =
   id
 
 let remove_hook t id = t.hooks <- List.filter (fun (i, _) -> i <> id) t.hooks
-let remove_hooks t = t.hooks <- []
 let hz t = t.hz
 let period t = t.period
 let ticks_delivered t ~core = t.ticks.(core)

@@ -33,9 +33,6 @@ val remove_hook : t -> hook_id -> unit
 (** Removes one hook (a rootkit cleaning its own injection must not clobber
     anyone else's). Idempotent. *)
 
-val remove_hooks : t -> unit
-(** Clears all hooks. *)
-
 val hz : t -> int
 val period : t -> Satin_engine.Sim_time.t
 

@@ -128,15 +128,11 @@ let test_two_shard_processes () =
   in
   Alcotest.(check bool) "warm pass misses nothing" true has_no_miss
 
-(* A store whose objects/ is a plain file is refused by every subcommand
-   that opens one: one stderr line, exit 2, before any trial runs. *)
-let test_damaged_store_refused () =
-  let scratch = tmp_dir () in
-  let store = Filename.concat scratch "store" in
-  Store.mkdir_p store;
-  close_out (open_out (Filename.concat store "objects"));
+(* Each command exits 2 with one stderr line starting [want], before any
+   trial runs. *)
+let check_refused scratch cases =
   List.iteri
-    (fun i args ->
+    (fun i (args, want) ->
       let path ext = Filename.concat scratch (Printf.sprintf "%d.%s" i ext) in
       let name = String.concat " " args in
       (match
@@ -144,17 +140,42 @@ let test_damaged_store_refused () =
        with
       | Unix.WEXITED 2 -> ()
       | _ -> Alcotest.failf "%s: not refused with exit 2" name);
-      let want = "store: cannot open " ^ store ^ ": " in
       match String.split_on_char '\n' (read_file (path "err")) with
       | [ line; "" ] ->
           Alcotest.(check string) (name ^ ": stderr") want
             (String.sub line 0 (min (String.length line) (String.length want)))
       | _ -> Alcotest.failf "%s: want one stderr line" name)
+    cases
+
+(* A store whose objects/ is a plain file is refused by every subcommand
+   that opens one. *)
+let test_damaged_store_refused () =
+  let scratch = tmp_dir () in
+  let store = Filename.concat scratch "store" in
+  Store.mkdir_p store;
+  close_out (open_out (Filename.concat store "objects"));
+  check_refused scratch
+    (List.map
+       (fun args -> (args, "store: cannot open " ^ store ^ ": "))
+       [
+         campaign_args ~store [ "--quick" ];
+         campaign_args ~store [ "--quick"; "--workers"; "2" ];
+         [ "e1"; "--quick"; "--store"; store ];
+         [ "telemetry"; "report"; "--store"; store ];
+       ])
+
+(* A campaign that names an experiment or a seed twice would run it twice
+   and write two identical summary keys. *)
+let test_repeat_refused () =
+  let scratch = tmp_dir () in
+  Store.mkdir_p scratch;
+  let campaign args = [ "campaign"; "--quick"; "--no-store" ] @ args in
+  check_refused scratch
     [
-      campaign_args ~store [ "--quick" ];
-      campaign_args ~store [ "--quick"; "--workers"; "2" ];
-      [ "e1"; "--quick"; "--store"; store ];
-      [ "telemetry"; "report"; "--store"; store ];
+      ( campaign [ "-e"; "e1,e1"; "--seeds"; "42" ],
+        "campaign: --experiments names e1 twice" );
+      ( campaign [ "-e"; "e1,e3"; "--seeds"; "42,7,42" ],
+        "campaign: --seeds names 42 twice" );
     ]
 
 let suite =
@@ -164,4 +185,6 @@ let suite =
         test_two_shard_processes;
       Alcotest.test_case "damaged store refused" `Quick
         test_damaged_store_refused;
+      Alcotest.test_case "repeated experiment or seed refused" `Quick
+        test_repeat_refused;
     ]
