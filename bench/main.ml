@@ -214,9 +214,9 @@ let run_runner ~jobs =
   (* Baseline: the generic one-closure-per-byte fold [hash_sub] replaced. *)
   let generic_pass () =
     let h = ref Hash.init in
-    Satin_hw.Memory.with_range_ro memory ~world:World.Secure ~addr:base ~len
-      ~f:(fun data off ->
-        for i = off to off + len - 1 do
+    Satin_hw.Memory.fold_pages memory ~world:World.Secure ~addr:base ~len
+      ~init:() ~f:(fun () data off n ->
+        for i = off to off + n - 1 do
           h := Hash.step !h (Char.code (Bytes.get data i))
         done);
     ignore !h

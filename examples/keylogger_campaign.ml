@@ -29,7 +29,8 @@ type outcome = {
 (* Simulated user typing: each keystroke is captured iff the hijack is live
    at that instant (the key-logger's interrupt hook is its attack trace).
    Each run builds its platform with [Scenario.with_], which releases it
-   when the run returns, so the next run reuses its 32 MiB of DRAM. *)
+   when the run returns: its written pages become garbage, and the
+   platform raises if anything still uses it. *)
 let run_campaign ~label ~defense seed =
   Scenario.with_ ~seed @@ fun s ->
   let detections = ref 0 in

@@ -43,8 +43,8 @@ let derive = Prng.derive
 let keyf = Satin_store.Key.f
 
 (* Every scenario below is built with [Scenario.with_]: the body returns
-   plain values, and the scenario's 32 MiB memory goes to the next
-   scenario built in the same domain instead of to the GC. *)
+   plain values, and a scenario that leaks out of its trial raises instead
+   of running on. *)
 
 (* ------------------------------------------------------------------ *)
 (* The spec every section below ends with                              *)

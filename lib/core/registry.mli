@@ -48,6 +48,9 @@ val all :
 val campaign :
   Format.formatter -> pool:Runner.t -> seeds:int list -> quick:bool ->
   string list -> (string * Json.t) list
-(** For each seed, {!run} each command under a
-    [==== campaign: NAME seed=S ====] header. Summaries are keyed by name
-    for one seed, by ["NAME seed=S"] for several. *)
+(** For each seed, print each command's rendering under a
+    [==== campaign: NAME seed=S ====] header, in the order given. A spec
+    runs at most once per seed, at the first of its commands; a later
+    command of the same spec (Figure 4 after Table II) prints from that
+    result, and its summary is the same. Summaries are keyed by name for
+    one seed, by ["NAME seed=S"] for several. *)

@@ -28,21 +28,6 @@ let table ~header rows =
   String.concat "\n" (render_row header :: rule :: List.map render_row rows)
   ^ "\n"
 
-let csv_field f =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') f then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' f) ^ "\""
-  else f
-
-let csv ~header rows =
-  List.iter
-    (fun row ->
-      if List.length row <> List.length header then
-        invalid_arg "Report.csv: row arity mismatch")
-    rows;
-  String.concat "\n"
-    (List.map (fun row -> String.concat "," (List.map csv_field row)) (header :: rows))
-  ^ "\n"
-
 let sci x = Printf.sprintf "%.2e" x
 let pct x = Printf.sprintf "%.3f%%" x
 

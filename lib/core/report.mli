@@ -9,11 +9,6 @@ val table : header:string list -> string list list -> string
 (** Column-aligned table with a rule under the header. All rows must have
     the header's arity. *)
 
-val csv : header:string list -> string list list -> string
-(** RFC-4180-style CSV of the same data {!table} renders — for piping an
-    experiment's rows into a plotting tool. Fields containing commas,
-    quotes, or newlines are quoted; quotes are doubled. *)
-
 val sci : float -> string
 (** ["2.61e-04"]-style scientific notation (the paper's table format). *)
 

@@ -28,8 +28,10 @@ val create :
   t
 (** Defaults: seed 42, Juno r1 calibration, the default cache geometry
     ({!Satin_cache.Cache.default_config}) and the paper kernel layout. The
-    scenario lives as long as anything references it; its 32 MiB memory is
-    freed by the GC. *)
+    32 MiB of simulated DRAM alias the shared zero page and the process's
+    one kernel image until written ({!Satin_hw.Memory}), so a build
+    allocates its page table and the pages it writes, not 32 MiB. The
+    scenario lives as long as anything references it; the GC frees it. *)
 
 val with_ :
   ?seed:int ->
@@ -39,12 +41,11 @@ val with_ :
   (t -> 'a) ->
   'a
 (** [with_ … f] builds a scenario as {!create} does, applies [f] to it and
-    releases it, also when [f] raises. Release hands the scenario's memory
-    to the next scenario built in the same domain
-    ({!Satin_hw.Memory.release}), which then skips allocating a fresh
-    32 MiB; what that scenario computes is unchanged. [f] must take
-    everything it needs out of the scenario before returning: afterwards
-    every memory access, and {!run_for}/{!run_until}, raise
+    releases it ({!Satin_hw.Memory.release}), also when [f] raises. Nothing
+    is reused: release drops the memory's page table, so its written pages
+    become garbage even if the scenario leaks. [f] must take everything it
+    needs out of the scenario before returning: afterwards every memory
+    access, and {!run_for}/{!run_until}, raise
     {!Satin_hw.Memory.Released}. *)
 
 val run_for : t -> Satin_engine.Sim_time.t -> unit

@@ -19,12 +19,20 @@ type guard = {
 
 exception Write_trapped of { addr : int; guard_name : string }
 
-(* A loaded image: [src] was copied to [img_addr] by the write stamped
+(* A loaded image: [src] was loaded at [img_addr] by the write stamped
    [img_gen]. *)
 type image = { img_addr : int; img_src : string; img_gen : int }
 
+(* The page table. Page [p] holds the bytes
+   [pages.(p)[offs.(p), offs.(p) + page_size)]. A page this memory owns
+   ([owned.[p] <> '\000']) is a private [page_size]-byte buffer at offset
+   0; any other page aliases bytes nobody writes: the process-wide zero
+   page, or a loaded image string. Every array is empty once released. *)
 type t = {
-  mutable data : Bytes.t; (* empty once released *)
+  size : int;
+  mutable pages : Bytes.t array;
+  mutable offs : int array;
+  mutable owned : Bytes.t;
   mutable gens : int array; (* per-page stamp: write_gen of the last write touching it *)
   mutable write_gen : int;
   mutable region_list : region list; (* sorted by base *)
@@ -39,56 +47,33 @@ exception Bad_address of int
 
 exception Released
 
-(* Generation granularity. 4 KiB matches the architectural page size the
+(* Page granularity. 4 KiB matches the architectural page size the
    paper's areas are laid out on, and is the block size the incremental
    checker caches digests at — one int stamp per page keeps the metadata at
    0.02% of memory while a single-byte write still invalidates exactly one
-   cached block. *)
+   cached block. It is also the unit of copy-on-write and of the pieces
+   [fold_pages] hands out. *)
 let gen_page_bits = 12
 let gen_page_size = 1 lsl gen_page_bits
+let page_mask = gen_page_size - 1
 
-(* A live memory always has bytes ([create] rejects size 0), so an empty
-   backing store marks a released one. *)
-let check_live t = if Bytes.length t.data = 0 then raise Released
+(* The bytes of every page no write has reached. Shared by every memory
+   on every domain, so nothing may ever write it. *)
+let zero_page = Bytes.make gen_page_size '\000'
 
-(* Idle backing stores, newest first, shared by every domain: a runner
-   spawns fresh worker domains for each batch, so a store one batch's
-   worker released is taken by the next batch's. Each is all zero bytes
-   and zero stamps: exactly what a fresh [create] of its size would
-   allocate. Taking one instead skips the page faults of mapping 32 MiB
-   anew. At most one store per domain the host runs at once stays idle;
-   the oldest beyond that is dropped. *)
-let pool_cap = Domain.recommended_domain_count ()
-let pool : (Bytes.t * int array) list ref = ref []
-let pool_mutex = Mutex.create ()
-
-let take_idle size =
-  Mutex.protect pool_mutex (fun () ->
-      let rec take older = function
-        | [] -> None
-        | ((data, _) as store) :: rest when Bytes.length data = size ->
-            pool := List.rev_append older rest;
-            Some store
-        | store :: rest -> take (store :: older) rest
-      in
-      take [] !pool)
-
-let put_idle store =
-  Mutex.protect pool_mutex (fun () ->
-      pool := List.filteri (fun i _ -> i < pool_cap) (store :: !pool))
+(* A live memory always has pages ([create] rejects size 0), so an empty
+   page table marks a released one. *)
+let check_live t = if Array.length t.pages = 0 then raise Released
 
 let create ~size =
   if size <= 0 then invalid_arg "Memory.create: size must be positive";
-  let data, gens =
-    match take_idle size with
-    | Some store -> store
-    | None ->
-        ( Bytes.make size '\000',
-          Array.make (((size - 1) lsr gen_page_bits) + 1) 0 )
-  in
+  let npages = ((size - 1) lsr gen_page_bits) + 1 in
   {
-    data;
-    gens;
+    size;
+    pages = Array.make npages zero_page;
+    offs = Array.make npages 0;
+    owned = Bytes.make npages '\000';
+    gens = Array.make npages 0;
     write_gen = 0;
     region_list = [];
     watchers = [];
@@ -96,44 +81,25 @@ let create ~size =
     images = [];
   }
 
-(* Every byte that differs from zero was written by an entry point that
-   stamped its page, so zeroing the stamped pages restores a fresh store.
-   One fill per maximal run of stamped pages: per page, the fills of a
-   released scenario took twice as long. The store then becomes the
-   newest idle one, and [t] keeps an empty store, on which every entry
-   point raises. *)
+(* Only the page table goes: private pages become garbage, and every
+   entry point raises from now on. *)
 let release t =
   check_live t;
-  let data = t.data and gens = t.gens in
-  let pages = Array.length gens in
-  let p = ref 0 in
-  while !p < pages do
-    if gens.(!p) = 0 then incr p
-    else begin
-      let first = !p in
-      while !p < pages && gens.(!p) <> 0 do
-        gens.(!p) <- 0;
-        incr p
-      done;
-      let lo = first lsl gen_page_bits in
-      let hi = min (!p lsl gen_page_bits) (Bytes.length data) in
-      Bytes.fill data lo (hi - lo) '\000'
-    end
-  done;
-  put_idle (data, gens);
-  t.data <- Bytes.empty;
+  t.pages <- [||];
+  t.offs <- [||];
+  t.owned <- Bytes.empty;
   t.gens <- [||]
 
 let size t =
   check_live t;
-  Bytes.length t.data
+  t.size
 
 let overlaps a b =
   a.base < b.base + b.size && b.base < a.base + a.size
 
 let add_region t ~name ~base ~size ~security =
   check_live t;
-  if base < 0 || size <= 0 || base + size > Bytes.length t.data then
+  if base < 0 || size <= 0 || base + size > t.size then
     invalid_arg (Printf.sprintf "Memory.add_region %s: out of address space" name);
   let r = { name; base; size; security } in
   List.iter
@@ -170,7 +136,7 @@ let rec check_normal_access rs ~world ~addr =
 
 let check_access t ~world ~addr =
   check_live t;
-  if addr < 0 || addr >= Bytes.length t.data then raise (Bad_address addr);
+  if addr < 0 || addr >= t.size then raise (Bad_address addr);
   match world with
   | World.Secure -> ()
   | World.Normal -> check_normal_access t.region_list ~world ~addr
@@ -192,14 +158,32 @@ let rec check_normal_range rs ~world ~addr ~len =
 let check_range t ~world ~addr ~len =
   check_live t;
   if len < 0 then invalid_arg "Memory: negative length";
-  if addr < 0 || addr + len > Bytes.length t.data then raise (Bad_address addr);
+  if addr < 0 || addr + len > t.size then raise (Bad_address addr);
   match world with
   | World.Secure -> ()
   | World.Normal -> check_normal_range t.region_list ~world ~addr ~len
 
+(* The one byte at a validated address, wherever its page points. *)
+let byte_at t addr =
+  let p = addr lsr gen_page_bits in
+  Bytes.get t.pages.(p) (t.offs.(p) + (addr land page_mask))
+
+(* Copy-on-write: the first write to a page copies the bytes it aliases
+   into a private page; later writes find that page. *)
+let copy_page t p =
+  let page = Bytes.create gen_page_size in
+  Bytes.blit t.pages.(p) t.offs.(p) page 0 gen_page_size;
+  t.pages.(p) <- page;
+  t.offs.(p) <- 0;
+  Bytes.set t.owned p '\001';
+  page
+
+let[@inline] own_page t p =
+  if Bytes.get t.owned p <> '\000' then t.pages.(p) else copy_page t p
+
 let read_byte t ~world ~addr =
   check_access t ~world ~addr;
-  Char.code (Bytes.get t.data addr)
+  Char.code (byte_at t addr)
 
 let rec notify_watchers ws ~addr ~len =
   match ws with
@@ -244,55 +228,90 @@ let check_guards t ~world ~addr ~len =
 let write_byte t ~world ~addr v =
   check_access t ~world ~addr;
   check_guards t ~world ~addr ~len:1;
-  Bytes.set t.data addr (Char.chr (v land 0xff));
+  Bytes.set
+    (own_page t (addr lsr gen_page_bits))
+    (addr land page_mask)
+    (Char.chr (v land 0xff));
   notify_write t ~addr ~len:1
+
+(* The one page walk: [f acc p o n] over [\[addr, addr + len)] split at
+   page boundaries, in address order, where each piece is the [n] bytes
+   of page [p] from offset [o] in it. *)
+let fold_pieces ~addr ~len ~init ~f =
+  let stop = addr + len in
+  let rec go acc a =
+    if a >= stop then acc
+    else
+      let o = a land page_mask in
+      let n = min (gen_page_size - o) (stop - a) in
+      go (f acc (a lsr gen_page_bits) o n) (a + n)
+  in
+  go init addr
+
+let fold_pages t ~world ~addr ~len ~init ~f =
+  check_range t ~world ~addr ~len;
+  fold_pieces ~addr ~len ~init ~f:(fun acc p o n ->
+      f acc t.pages.(p) (t.offs.(p) + o) n)
 
 let read_bytes t ~world ~addr ~len =
   check_range t ~world ~addr ~len;
-  Bytes.sub t.data addr len
+  let b = Bytes.create len in
+  ignore
+    (fold_pieces ~addr ~len ~init:0 ~f:(fun pos p o n ->
+         Bytes.blit t.pages.(p) (t.offs.(p) + o) b pos n;
+         pos + n));
+  b
 
 let write_string t ~world ~addr s =
-  check_range t ~world ~addr ~len:(String.length s);
-  check_guards t ~world ~addr ~len:(String.length s);
-  Bytes.blit_string s 0 t.data addr (String.length s);
-  notify_write t ~addr ~len:(String.length s)
+  let len = String.length s in
+  check_range t ~world ~addr ~len;
+  check_guards t ~world ~addr ~len;
+  ignore
+    (fold_pieces ~addr ~len ~init:0 ~f:(fun pos p o n ->
+         Bytes.blit_string s pos (own_page t p) o n;
+         pos + n));
+  notify_write t ~addr ~len
 
 let read_int64_le t ~world ~addr =
   check_range t ~world ~addr ~len:8;
-  Bytes.get_int64_le t.data addr
+  let p = addr lsr gen_page_bits and o = addr land page_mask in
+  if o <= gen_page_size - 8 then Bytes.get_int64_le t.pages.(p) (t.offs.(p) + o)
+  else begin
+    (* Across two pages: assemble from the high byte down. *)
+    let v = ref 0L in
+    for i = 7 downto 0 do
+      v :=
+        Int64.logor (Int64.shift_left !v 8)
+          (Int64.of_int (Char.code (byte_at t (addr + i))))
+    done;
+    !v
+  end
 
 let write_int64_le t ~world ~addr v =
   check_range t ~world ~addr ~len:8;
   check_guards t ~world ~addr ~len:8;
-  Bytes.set_int64_le t.data addr v;
+  let o = addr land page_mask in
+  if o <= gen_page_size - 8 then
+    Bytes.set_int64_le (own_page t (addr lsr gen_page_bits)) o v
+  else
+    (* Across two pages: one byte at a time, low byte first. *)
+    for i = 0 to 7 do
+      let a = addr + i in
+      Bytes.set
+        (own_page t (a lsr gen_page_bits))
+        (a land page_mask)
+        (Char.unsafe_chr
+           (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
+    done;
   notify_write t ~addr ~len:8
 
-let with_range_ro t ~world ~addr ~len ~f =
-  check_range t ~world ~addr ~len;
-  f t.data addr
-
-(* Unvalidated word loads for loops inside a [with_range_ro] window: the
-   range check already ran once for the whole window, so per-load bounds
+(* Unvalidated word loads for loops inside a [fold_pages] piece: the
+   range check already ran once for the whole range, so per-load bounds
    checks in a block-compare sweep are pure overhead. *)
 external unsafe_get_int64_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
 external unsafe_string_get_int64_ne : string -> int -> int64
   = "%caml_string_get64u"
-
-let fold_range t ~world ~addr ~len ~init ~f =
-  check_range t ~world ~addr ~len;
-  let acc = ref init in
-  for i = addr to addr + len - 1 do
-    acc := f !acc (Char.code (Bytes.unsafe_get t.data i))
-  done;
-  !acc
-
-let blit_within t ~world ~src ~dst ~len =
-  check_range t ~world ~addr:src ~len;
-  check_range t ~world ~addr:dst ~len;
-  check_guards t ~world ~addr:dst ~len;
-  Bytes.blit t.data src t.data dst len;
-  notify_write t ~addr:dst ~len
 
 let add_write_guard t ~name ~base ~len ~decide =
   check_live t;
@@ -316,7 +335,7 @@ let write_generation t =
 let generation t ~addr ~len =
   check_live t;
   if len <= 0 then invalid_arg "Memory.generation: empty range";
-  if addr < 0 || addr + len > Bytes.length t.data then raise (Bad_address addr);
+  if addr < 0 || addr + len > t.size then raise (Bad_address addr);
   let p0 = addr lsr gen_page_bits
   and p1 = (addr + len - 1) lsr gen_page_bits in
   let g = ref (Array.unsafe_get t.gens p0) in
@@ -326,20 +345,24 @@ let generation t ~addr ~len =
   done;
   !g
 
-let bump_generation t ~addr ~len =
-  check_live t;
-  if len <= 0 then invalid_arg "Memory.bump_generation: empty range";
-  if addr < 0 || addr + len > Bytes.length t.data then raise (Bad_address addr);
-  let g = t.write_gen + 1 in
-  t.write_gen <- g;
-  let p0 = addr lsr gen_page_bits
-  and p1 = (addr + len - 1) lsr gen_page_bits in
-  for p = p0 to p1 do
-    Array.unsafe_set t.gens p g
-  done
-
+(* A secure-world write of [src] that copies only the edge pages the image
+   covers in part: every page it covers whole aliases [src] itself. This
+   is the one place a string becomes page bytes; no write ever reaches
+   them, because a page's first write copies it ([own_page]). *)
 let load_image t ~addr src =
-  write_string t ~world:World.Secure ~addr src;
+  let len = String.length src in
+  check_range t ~world:World.Secure ~addr ~len;
+  let shared = Bytes.unsafe_of_string src in
+  ignore
+    (fold_pieces ~addr ~len ~init:0 ~f:(fun pos p o n ->
+         if n = gen_page_size then begin
+           t.pages.(p) <- shared;
+           t.offs.(p) <- pos;
+           Bytes.set t.owned p '\000'
+         end
+         else Bytes.blit_string src pos (own_page t p) o n;
+         pos + n));
+  notify_write t ~addr ~len;
   t.images <-
     { img_addr = addr; img_src = src; img_gen = t.write_gen } :: t.images
 
@@ -348,7 +371,7 @@ let load_image t ~addr src =
    written since, so its bytes are the image's. *)
 let image_slice t ~addr ~len =
   check_live t;
-  if len <= 0 || addr < 0 || addr + len > Bytes.length t.data then None
+  if len <= 0 || addr < 0 || addr + len > t.size then None
   else
     List.find_map
       (fun img ->

@@ -1,12 +1,19 @@
 (** Physical memory with TrustZone security attributes.
 
-    Memory is a flat byte array partitioned into named regions, each tagged
-    secure or non-secure (as the TZASC does on real silicon). Accesses carry
-    the issuing world: the secure world may touch everything; a normal-world
-    access to a secure region raises {!Access_violation}. This is the
-    isolation boundary the whole paper rests on — the wake-up time queue,
-    area set, and authorized hash table live in a secure region the rootkit
-    cannot read. *)
+    Memory is an address space of 4 KiB pages ({!gen_page_size})
+    partitioned into named regions, each tagged secure or non-secure (as
+    the TZASC does on real silicon). Accesses carry the issuing world: the
+    secure world may touch everything; a normal-world access to a secure
+    region raises {!Access_violation}. This is the isolation boundary the
+    whole paper rests on — the wake-up time queue, area set, and
+    authorized hash table live in a secure region the rootkit cannot read.
+
+    Pages are copy-on-write. A page no write has reached aliases one
+    process-wide zero page, and a page a loaded image covers whole aliases
+    the image string ({!load_image}); the first write to a page copies it
+    into a page of its own. So a memory costs its page table plus the
+    pages written into it, and no entry point can tell an aliased page
+    from a private one. *)
 
 type t
 
@@ -30,20 +37,14 @@ exception Released
 val create : size:int -> t
 (** Fresh memory of [size] bytes, zero-filled, with no regions declared.
     Addresses with no declared region are treated as non-secure DRAM.
-    When the process holds an idle backing store of [size] bytes (see
-    {!release}), the memory takes the newest one instead of allocating;
-    no entry point can tell the two apart. *)
+    Every page aliases the shared zero page, so this allocates the page
+    table only. *)
 
 val release : t -> unit
-(** Ends [t]'s lifetime. The pages whose write generation is nonzero are
-    zeroed (every write stamps its pages, so these are the only bytes that
-    can differ from zero), the stamps are reset, and the backing store
-    becomes the newest idle store of the process, for the next {!create}
-    of its size on any domain. At most [Domain.recommended_domain_count
-    ()] stores stay idle; the oldest beyond that is dropped. [t] itself
-    is poisoned: every function taking it, [release] included, raises
-    {!Released}, so a leaked reference can never read or write a later
-    owner's bytes. *)
+(** Ends [t]'s lifetime: its page table is dropped, so its private pages
+    become garbage, and every function taking [t], [release] included,
+    raises {!Released} from then on. A leaked reference can never read or
+    write again. *)
 
 val check_live : t -> unit
 (** Raises {!Released} if [t] has been released; does nothing otherwise. *)
@@ -68,7 +69,8 @@ val read_byte : t -> world:World.t -> addr:int -> int
 val write_byte : t -> world:World.t -> addr:int -> int -> unit
 
 val read_bytes : t -> world:World.t -> addr:int -> len:int -> bytes
-(** A snapshot copy (the "capture then analyze" introspection style). *)
+(** A snapshot copy (the "capture then analyze" introspection style); the
+    only read that copies. *)
 
 val write_string : t -> world:World.t -> addr:int -> string -> unit
 
@@ -77,31 +79,34 @@ val write_int64_le : t -> world:World.t -> addr:int -> int64 -> unit
 (** Little-endian 64-bit accessors (the syscall table, PCB fields, and
     secure-memory cells are all word-granular). *)
 
-val fold_range :
-  t -> world:World.t -> addr:int -> len:int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Left fold over a byte range without copying (the "direct hash" style). *)
-
-val with_range_ro :
-  t -> world:World.t -> addr:int -> len:int -> f:(Bytes.t -> int -> 'a) -> 'a
-(** [with_range_ro t ~world ~addr ~len ~f] validates [\[addr, addr+len)]
-    once — same checks as a read — and applies [f backing addr] directly to
-    the backing store: the read-only bulk fast path (no per-byte closure, no
-    snapshot copy) that {!Satin_introspect.Hash.hash_region} runs its
-    unrolled loop over. [f] must treat the bytes as read-only, stay
-    within [\[addr, addr+len)], and must not let the buffer escape. *)
+val fold_pages :
+  t ->
+  world:World.t ->
+  addr:int ->
+  len:int ->
+  init:'a ->
+  f:('a -> Bytes.t -> int -> int -> 'a) ->
+  'a
+(** [fold_pages t ~world ~addr ~len ~init ~f] validates [\[addr, addr+len)]
+    once — same checks as a read — and folds [f acc data off n] over the
+    range's page pieces in address order: each piece's [n] bytes are
+    [data[off, off+n)], read in place with no copy (the "direct hash"
+    style {!Satin_introspect.Hash.hash_region} runs its unrolled loop
+    over). The pieces tile the range and split it at every page boundary,
+    so each lies in one page and all but the first and last are whole
+    pages. [data] may be a private page, the zero page or a loaded image:
+    [f] must only read it, stay within its piece and not let it escape. *)
 
 external unsafe_get_int64_ne : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 (** Native-endian 64-bit load with {e no} bounds check, for word-level
-    sweeps over a window an enclosing {!with_range_ro} already validated.
-    Only call it with [offset + 8 <=] the validated window's end; anything
-    else is undefined behaviour, not an exception. *)
+    sweeps over a piece {!fold_pages} already validated. Only call it
+    with [offset + 8 <=] the piece's end; anything else is undefined
+    behaviour, not an exception. *)
 
 external unsafe_string_get_int64_ne : string -> int -> int64
   = "%caml_string_get64u"
 (** {!unsafe_get_int64_ne} over a [string] (golden images are immutable
     strings); the same hoisted-bounds-check contract applies. *)
-
-val blit_within : t -> world:World.t -> src:int -> dst:int -> len:int -> unit
 
 type guard
 (** Registration token for a write guard. *)
@@ -152,7 +157,8 @@ val remove_write_watcher : t -> watcher -> unit
     incremental checker re-hash only blocks whose stamp advanced. *)
 
 val gen_page_size : int
-(** Granularity of generation stamps, in bytes (4096). *)
+(** The page size, in bytes (4096): the granularity of generation stamps,
+    of copy-on-write and of {!fold_pages}' pieces. *)
 
 val write_generation : t -> int
 (** Current value of the global write counter (0 for fresh memory). *)
@@ -162,15 +168,9 @@ val generation : t -> addr:int -> len:int -> int
     computed when this returned [g] is stale iff a later call returns
     [> g]. Raises [Bad_address] / [Invalid_argument] on bad ranges. *)
 
-val bump_generation : t -> addr:int -> len:int -> unit
-(** Bulk invalidation: stamps the covered pages with a fresh generation
-    without writing any byte or notifying watchers. For callers that mutate
-    the backing store out-of-band and must force downstream caches to
-    re-derive. *)
-
 (** {1 Loaded images}
 
-    The boot loader copies an immutable image into memory with
+    The boot loader maps an immutable image into memory with
     {!load_image}; the memory keeps a reference to the source string. A
     consumer that needs a read-only copy of image bytes (the checker's
     golden content) can then alias the source instead of copying, for as
@@ -179,8 +179,10 @@ val bump_generation : t -> addr:int -> len:int -> unit
 val load_image : t -> addr:int -> string -> unit
 (** [load_image t ~addr src] writes [src] at [addr] as a secure-world
     {!write_string} (same checks, one generation bump, watchers notified)
-    and records [src] as the image loaded there. [src] must never be
-    mutated afterwards. *)
+    and records [src] as the image loaded there. Every page [src] covers
+    whole aliases [src] instead of holding a copy; an edge page it covers
+    in part becomes a private page. The memory never writes [src], and
+    [src] must never be mutated afterwards. *)
 
 val image_slice : t -> addr:int -> len:int -> (string * int) option
 (** [Some (src, off)] when [\[addr, addr+len)] lies inside an image loaded

@@ -144,8 +144,8 @@ let enroll t ~base ~len =
     | Some (src, off) -> shared_gold ~base ~src ~off ~len
     | None ->
         let content =
-          Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len
-            ~f:(fun data off -> Bytes.sub_string data off len)
+          Bytes.unsafe_to_string
+            (Memory.read_bytes t.memory ~world:World.Secure ~addr:base ~len)
         in
         make_gold ~base ~content ~off:0 ~len
   in
@@ -171,18 +171,21 @@ type verdict = {
   v_hash_observed : int64;
 }
 
-(* Present the live range to [f] as [(data, off)]: the memory backing
-   store itself, analyzed in place without a per-round allocation (the
-   paper's direct-hash style). *)
-let with_live t ~base ~len ~f =
-  Memory.with_range_ro t.memory ~world:World.Secure ~addr:base ~len ~f
+(* Fold [f] over the live range's page pieces: the memory's own pages and
+   the image bytes its unwritten pages alias, analyzed in place without a
+   per-round allocation (the paper's direct-hash style). The pieces split
+   at absolute page boundaries, as a gold's blocks do, so piece [b] of an
+   enrolled range is its block [b]. *)
+let fold_live t ~base ~len ~init ~f =
+  Memory.fold_pages t.memory ~world:World.Secure ~addr:base ~len ~init ~f
 
 (* Word-level equality of [data[doff..)] against golden content: eight
    bytes per comparison over the aligned middle, byte tail after. One
    explicit bounds check up front licenses the unchecked word loads in the
-   loop ([with_live] hands us a validated window, but the offsets are
+   loop ([fold_live] hands us a validated piece, but the offsets are
    computed here, so the hoisted check keeps the unsafe loads honest while
-   still paying it once per block instead of twice per word). *)
+   still paying it once per block instead of twice per word). It always
+   compares bytes, also where [data] is the golden string itself. *)
 let range_equal data doff golden goff blen =
   if
     blen < 0 || doff < 0 || goff < 0
@@ -206,44 +209,47 @@ let range_equal data doff golden goff blen =
   done;
   !equal
 
-(* Collect maximal dirty ranges (offset, len) of the current content
-   relative to golden. Block-compare first so the clean common case costs
-   one word-level sweep per 4 KiB instead of a byte loop over megabytes. *)
-let diff_block = 4096
+(* The maximal dirty ranges (offset, len) of the current content relative
+   to golden, built piece by piece: [flush_at r lo] ends any open run at
+   range offset [lo], and [diff_bytes] walks a piece that differs byte by
+   byte. A run still spans pieces, so the result is a pure function of the
+   live content. *)
+type runs = { mutable ranges : (int * int) list; mutable run_start : int }
 
+let flush_at r i =
+  if r.run_start >= 0 then begin
+    r.ranges <- (r.run_start, i - r.run_start) :: r.ranges;
+    r.run_start <- -1
+  end
+
+let diff_bytes r g ~lo data off n =
+  for i = 0 to n - 1 do
+    if
+      Bytes.unsafe_get data (off + i)
+      <> String.unsafe_get g.g_content (g.g_off + lo + i)
+    then begin
+      if r.run_start < 0 then r.run_start <- lo + i
+    end
+    else flush_at r (lo + i)
+  done
+
+let finish_runs r len =
+  flush_at r len;
+  List.rev r.ranges
+
+(* Block-compare first so the clean common case costs one word-level sweep
+   per 4 KiB instead of a byte loop over megabytes. *)
 let dirty_ranges_full t sc golden ~base =
   let g = golden.gold in
-  let len = g.g_len in
   count_rehashed t sc (Array.length g.g_bounds - 1);
-  with_live t ~base ~len ~f:(fun data off ->
-      let ranges = ref [] in
-      let run_start = ref (-1) in
-      let flush i =
-        if !run_start >= 0 then begin
-          ranges := (!run_start, i - !run_start) :: !ranges;
-          run_start := -1
-        end
-      in
-      let block = ref 0 in
-      while !block * diff_block < len do
-        let lo = !block * diff_block in
-        let blen = min diff_block (len - lo) in
-        if not (range_equal data (off + lo) g.g_content (g.g_off + lo) blen)
-        then
-          for i = lo to lo + blen - 1 do
-            if
-              Bytes.unsafe_get data (off + i)
-              <> String.unsafe_get g.g_content (g.g_off + i)
-            then begin
-              if !run_start < 0 then run_start := i
-            end
-            else flush i
-          done
-        else flush lo;
-        incr block
-      done;
-      flush len;
-      List.rev !ranges)
+  let r = { ranges = []; run_start = -1 } in
+  let len =
+    fold_live t ~base ~len:g.g_len ~init:0 ~f:(fun lo data off n ->
+        if range_equal data off g.g_content (g.g_off + lo) n then flush_at r lo
+        else diff_bytes r g ~lo data off n;
+        lo + n)
+  in
+  finish_runs r len
 
 (* Incremental variant: a block whose page stamp has not advanced past its
    [c_clean_gen] is known byte-equal to golden (nothing wrote it since it
@@ -256,47 +262,25 @@ let dirty_ranges_full t sc golden ~base =
    blocks). *)
 let dirty_ranges_incr t sc golden ~base =
   let g = golden.gold in
-  let len = g.g_len in
-  let n = Array.length g.g_bounds - 1 in
-  with_live t ~base ~len ~f:(fun data off ->
-      let ranges = ref [] in
-      let run_start = ref (-1) in
-      let flush i =
-        if !run_start >= 0 then begin
-          ranges := (!run_start, i - !run_start) :: !ranges;
-          run_start := -1
-        end
-      in
-      for b = 0 to n - 1 do
-        let lo = Array.unsafe_get g.g_bounds b in
-        let hi = Array.unsafe_get g.g_bounds (b + 1) in
-        let blen = hi - lo in
-        let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:blen in
-        if Array.unsafe_get golden.c_clean_gen b >= stamp then begin
-          count_cached t sc 1;
-          flush lo
-        end
-        else begin
-          count_rehashed t sc 1;
-          if range_equal data (off + lo) g.g_content (g.g_off + lo) blen
-          then begin
-            Array.unsafe_set golden.c_clean_gen b stamp;
-            flush lo
-          end
-          else
-            for i = lo to hi - 1 do
-              if
-                Bytes.unsafe_get data (off + i)
-                <> String.unsafe_get g.g_content (g.g_off + i)
-              then begin
-                if !run_start < 0 then run_start := i
-              end
-              else flush i
-            done
-        end
-      done;
-      flush len;
-      List.rev !ranges)
+  let r = { ranges = []; run_start = -1 } in
+  ignore
+    (fold_live t ~base ~len:g.g_len ~init:0 ~f:(fun b data off blen ->
+         let lo = g.g_bounds.(b) in
+         let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:blen in
+         if golden.c_clean_gen.(b) >= stamp then begin
+           count_cached t sc 1;
+           flush_at r lo
+         end
+         else begin
+           count_rehashed t sc 1;
+           if range_equal data off g.g_content (g.g_off + lo) blen then begin
+             golden.c_clean_gen.(b) <- stamp;
+             flush_at r lo
+           end
+           else diff_bytes r g ~lo data off blen
+         end;
+         b + 1));
+  finish_runs r g.g_len
 
 let dirty_ranges t sc golden ~base =
   if Incremental.enabled () then dirty_ranges_incr t sc golden ~base
@@ -304,61 +288,60 @@ let dirty_ranges t sc golden ~base =
 
 (* Observed hash at the verdict instant. Full path: one whole-range compare
    (equal → the enrolled hash, spared the streaming pass) or a full
-   [hash_sub]. Incremental path: walk blocks; stamp-clean ones contribute
-   their cached golden digest, stale ones are compared (re-stamping on
-   equality) and, when tampered, their live digest is (re)computed only if
-   the stamp moved since it was last cached. The per-block digests
-   recombine to the exact [hash_sub] value (affine factorization, see
-   {!Hash.combine_block}). *)
+   [Hash.hash_region]. Incremental path: walk blocks; stamp-clean ones
+   contribute their cached golden digest, stale ones are compared
+   (re-stamping on equality) and, when tampered, their live digest is
+   (re)computed only if the stamp moved since it was last cached. The
+   per-block digests recombine to the exact [hash_sub] value (affine
+   factorization, see {!Hash.combine_block}). *)
 let observed_hash_full t golden ~base =
   let g = golden.gold in
-  let len = g.g_len in
-  with_live t ~base ~len ~f:(fun data off ->
-      if range_equal data off g.g_content g.g_off len then g.g_hash
-      else Hash.hash_sub data ~off ~len)
+  let equal = ref true in
+  ignore
+    (fold_live t ~base ~len:g.g_len ~init:0 ~f:(fun lo data off n ->
+         if !equal then
+           equal := range_equal data off g.g_content (g.g_off + lo) n;
+         lo + n));
+  if !equal then g.g_hash
+  else Hash.hash_region t.memory ~world:World.Secure ~addr:base ~len:g.g_len
 
 let observed_hash_incr t sc golden ~base =
   let g = golden.gold in
-  let len = g.g_len in
-  let n = Array.length g.g_bounds - 1 in
-  with_live t ~base ~len ~f:(fun data off ->
-      let h = ref Hash.init in
-      let any_dirty = ref false in
-      for b = 0 to n - 1 do
-        let lo = Array.unsafe_get g.g_bounds b in
-        let hi = Array.unsafe_get g.g_bounds (b + 1) in
-        let blen = hi - lo in
-        let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:blen in
-        let clean =
-          if Array.unsafe_get golden.c_clean_gen b >= stamp then begin
-            count_cached t sc 1;
-            true
-          end
-          else begin
-            count_rehashed t sc 1;
-            if range_equal data (off + lo) g.g_content (g.g_off + lo) blen
-            then begin
-              Array.unsafe_set golden.c_clean_gen b stamp;
-              true
-            end
-            else false
-          end
-        in
-        let digest =
-          if clean then Array.unsafe_get g.g_digest b
-          else begin
-            any_dirty := true;
-            if Array.unsafe_get golden.c_digest_gen b <> stamp then begin
-              Array.unsafe_set golden.c_live_digest b
-                (Hash.block_digest data ~off:(off + lo) ~len:blen);
-              Array.unsafe_set golden.c_digest_gen b stamp
-            end;
-            Array.unsafe_get golden.c_live_digest b
-          end
-        in
-        h := Hash.combine_block !h ~pow:(Array.unsafe_get g.g_pow b) ~digest
-      done;
-      if !any_dirty then !h else g.g_hash)
+  let h = ref Hash.init in
+  let any_dirty = ref false in
+  ignore
+    (fold_live t ~base ~len:g.g_len ~init:0 ~f:(fun b data off blen ->
+         let lo = g.g_bounds.(b) in
+         let stamp = Memory.generation t.memory ~addr:(base + lo) ~len:blen in
+         let clean =
+           if golden.c_clean_gen.(b) >= stamp then begin
+             count_cached t sc 1;
+             true
+           end
+           else begin
+             count_rehashed t sc 1;
+             if range_equal data off g.g_content (g.g_off + lo) blen then begin
+               golden.c_clean_gen.(b) <- stamp;
+               true
+             end
+             else false
+           end
+         in
+         let digest =
+           if clean then g.g_digest.(b)
+           else begin
+             any_dirty := true;
+             if golden.c_digest_gen.(b) <> stamp then begin
+               golden.c_live_digest.(b) <-
+                 Hash.block_digest data ~off ~len:blen;
+               golden.c_digest_gen.(b) <- stamp
+             end;
+             golden.c_live_digest.(b)
+           end
+         in
+         h := Hash.combine_block !h ~pow:g.g_pow.(b) ~digest;
+         b + 1));
+  if !any_dirty then !h else g.g_hash
 
 let observed_hash t sc golden ~base =
   if Incremental.enabled () then observed_hash_incr t sc golden ~base
@@ -444,14 +427,16 @@ let start_scan t ~engine ~core ~base ~len ~on_verdict =
            if not (Incremental.enabled () && chunk_clean offset rlen) then
              (* One range check for the whole chunk instead of a per-byte
                 [read_byte] (whose access check walks the region list). *)
-             Memory.with_range_ro t.memory ~world:World.Secure
-               ~addr:(base + offset) ~len:rlen ~f:(fun data off ->
-                 for i = 0 to rlen - 1 do
-                   if
-                     Bytes.unsafe_get data (off + i)
-                     <> String.unsafe_get g.g_content (g.g_off + offset + i)
-                   then Hashtbl.replace caught (offset + i) ()
-                 done)))
+             ignore
+               (fold_live t ~base:(base + offset) ~len:rlen ~init:offset
+                  ~f:(fun o data off n ->
+                    for i = 0 to n - 1 do
+                      if
+                        Bytes.unsafe_get data (off + i)
+                        <> String.unsafe_get g.g_content (g.g_off + o + i)
+                      then Hashtbl.replace caught (o + i) ()
+                    done;
+                    o + n))))
   in
   let check_at_pass (offset, rlen) =
     let chunk = 256 in

@@ -67,6 +67,8 @@ let[@inline] combine_block h ~pow ~digest = Int64.add (Int64.mul h pow) digest
 let hash_bytes b = hash_sub b ~off:0 ~len:(Bytes.length b)
 let hash_string s = hash_bytes (Bytes.unsafe_of_string s)
 
+(* One seeded pass per page piece: the state carries across pieces, so
+   the chain is the single pass over the whole range. *)
 let hash_region memory ~world ~addr ~len =
-  Satin_hw.Memory.with_range_ro memory ~world ~addr ~len ~f:(fun data off ->
-      hash_sub data ~off ~len)
+  Satin_hw.Memory.fold_pages memory ~world ~addr ~len ~init
+    ~f:(fun h data off n -> hash_sub_seeded ~seed:h data ~off ~len:n)

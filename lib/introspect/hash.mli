@@ -53,4 +53,6 @@ val hash_region :
   len:int ->
   int64
 (** Streaming hash straight out of physical memory (the "direct hash"
-    introspection style — no snapshot buffer). *)
+    introspection style — no snapshot buffer), chained across the range's
+    page pieces ({!Satin_hw.Memory.fold_pages}); equal to {!hash_sub} over
+    the same bytes. *)

@@ -88,14 +88,6 @@ let test_write_string_and_read_bytes () =
   Alcotest.(check string) "snapshot" "hello"
     (Bytes.to_string (Memory.read_bytes m ~world:World.Normal ~addr:100 ~len:5))
 
-let test_fold_range () =
-  let m = make () in
-  Memory.write_string m ~world:World.Normal ~addr:0 "\x01\x02\x03";
-  let sum =
-    Memory.fold_range m ~world:World.Normal ~addr:0 ~len:3 ~init:0 ~f:( + )
-  in
-  Alcotest.(check int) "fold sum" 6 sum
-
 let test_range_straddling_secure_rejected () =
   let m = make () in
   (* Range starting in ns memory but crossing into the secure region. *)
@@ -103,13 +95,6 @@ let test_range_straddling_secure_rejected () =
     ignore (Memory.read_bytes m ~world:World.Normal ~addr:1000 ~len:48);
     Alcotest.fail "expected violation"
   with Memory.Access_violation _ -> ()
-
-let test_blit_within () =
-  let m = make () in
-  Memory.write_string m ~world:World.Normal ~addr:0 "abcd";
-  Memory.blit_within m ~world:World.Normal ~src:0 ~dst:100 ~len:4;
-  Alcotest.(check string) "copied" "abcd"
-    (Bytes.to_string (Memory.read_bytes m ~world:World.Normal ~addr:100 ~len:4))
 
 let test_write_watcher () =
   let m = make () in
@@ -188,23 +173,38 @@ let test_guard_traps_int64_write () =
   Alcotest.(check int64) "unguarded write landed" 9L
     (Memory.read_int64_le m ~world:World.Normal ~addr:40)
 
-let test_with_range_ro () =
+(* The pieces of a fold, as (bytes, length) in order. *)
+let pieces m ~world ~addr ~len =
+  List.rev
+    (Memory.fold_pages m ~world ~addr ~len ~init:[] ~f:(fun acc data off n ->
+         (Bytes.sub_string data off n, n) :: acc))
+
+let test_fold_pages () =
   let m = make () in
   Memory.write_string m ~world:World.Normal ~addr:0 "\x01\x02\x03";
-  let sum =
-    Memory.with_range_ro m ~world:World.Normal ~addr:0 ~len:3
-      ~f:(fun data off ->
-        Char.code (Bytes.get data off)
-        + Char.code (Bytes.get data (off + 1))
-        + Char.code (Bytes.get data (off + 2)))
-  in
-  Alcotest.(check int) "direct sum" 6 sum;
+  Alcotest.(check (list (pair string int))) "one piece, in place"
+    [ ("\x01\x02\x03", 3) ]
+    (pieces m ~world:World.Normal ~addr:0 ~len:3);
   (* Same validation as a read: normal world cannot map a secure range. *)
-  try
-    Memory.with_range_ro m ~world:World.Normal ~addr:1000 ~len:48
-      ~f:(fun _ _ -> ());
-    Alcotest.fail "expected violation"
-  with Memory.Access_violation _ -> ()
+  (try
+     ignore (pieces m ~world:World.Normal ~addr:1000 ~len:48);
+     Alcotest.fail "expected violation"
+   with Memory.Access_violation _ -> ());
+  (* A range across pages comes in pieces split at each page boundary,
+     whatever the pages alias: here a private page, an image page and the
+     zero page. *)
+  let ps = Memory.gen_page_size in
+  let m = Memory.create ~size:(4 * ps) in
+  let image = String.init ps (fun i -> Char.chr (i land 0xff)) in
+  Memory.load_image m ~addr:ps image;
+  Memory.write_byte m ~world:World.Normal ~addr:(ps - 1) 7;
+  let got = pieces m ~world:World.Normal ~addr:(ps - 1) ~len:(ps + 2) in
+  Alcotest.(check (list int)) "split at page boundaries" [ 1; ps; 1 ]
+    (List.map snd got);
+  Alcotest.(check string) "the bytes of a read"
+    (Bytes.to_string
+       (Memory.read_bytes m ~world:World.Normal ~addr:(ps - 1) ~len:(ps + 2)))
+    (String.concat "" (List.map fst got))
 
 let test_generation_stamps () =
   let ps = Memory.gen_page_size in
@@ -230,22 +230,6 @@ let test_generation_stamps () =
     (Memory.generation m ~addr:0 ~len:(Memory.size m));
   Alcotest.(check int) "middle pages keep older stamps" g2
     (Memory.generation m ~addr:ps ~len:ps)
-
-let test_bump_generation () =
-  let ps = Memory.gen_page_size in
-  let m = Memory.create ~size:(4 * ps) in
-  let hits = ref 0 in
-  ignore (Memory.add_write_watcher m (fun ~addr:_ ~len:_ -> incr hits));
-  Memory.bump_generation m ~addr:100 ~len:(ps + 1);
-  Alcotest.(check bool) "pages stamped" true
-    (Memory.generation m ~addr:0 ~len:1 > 0
-    && Memory.generation m ~addr:ps ~len:1 > 0);
-  Alcotest.(check int) "beyond the range untouched" 0
-    (Memory.generation m ~addr:(3 * ps) ~len:1);
-  Alcotest.(check int) "no watcher fired, no byte written" 0 !hits;
-  Alcotest.check_raises "empty range"
-    (Invalid_argument "Memory.bump_generation: empty range") (fun () ->
-      Memory.bump_generation m ~addr:0 ~len:0)
 
 let test_generation_visible_in_watcher () =
   let m = make () in
@@ -327,11 +311,8 @@ let test_released_raises () =
   raises "empty write_string" (fun () -> Memory.write_string m ~world ~addr:0 "");
   raises "read_int64_le" (fun () -> Memory.read_int64_le m ~world ~addr:0);
   raises "write_int64_le" (fun () -> Memory.write_int64_le m ~world ~addr:0 1L);
-  raises "fold_range" (fun () ->
-      Memory.fold_range m ~world ~addr:0 ~len:8 ~init:0 ~f:( + ));
-  raises "with_range_ro" (fun () ->
-      Memory.with_range_ro m ~world ~addr:0 ~len:8 ~f:(fun _ _ -> ()));
-  raises "blit_within" (fun () -> Memory.blit_within m ~world ~src:0 ~dst:8 ~len:8);
+  raises "fold_pages" (fun () ->
+      Memory.fold_pages m ~world ~addr:0 ~len:8 ~init:() ~f:(fun () _ _ _ -> ()));
   raises "add_write_guard" (fun () ->
       Memory.add_write_guard m ~name:"h" ~base:0 ~len:8 ~decide:(fun ~addr:_ ~len:_ ->
           `Deny));
@@ -341,28 +322,30 @@ let test_released_raises () =
   raises "remove_write_watcher" (fun () -> Memory.remove_write_watcher m w);
   raises "write_generation" (fun () -> Memory.write_generation m);
   raises "generation" (fun () -> Memory.generation m ~addr:0 ~len:8);
-  raises "bump_generation" (fun () -> Memory.bump_generation m ~addr:0 ~len:8);
   raises "load_image" (fun () -> Memory.load_image m ~addr:0 "image");
   raises "image_slice of the loaded image" (fun () ->
       Memory.image_slice m ~addr:2048 ~len:5);
   raises "release" (fun () -> Memory.release m);
   raises "check_live" (fun () -> Memory.check_live m)
 
-(* One constructor per mutating entry point. Addresses reach past the end
-   and guards may deny, so a step can raise; its outcome is then part of
-   what two memories must agree on. *)
+(* ---- the paged memory against the flat model ---- *)
+
+(* One constructor per mutating entry point, then the reads. Addresses
+   reach past the end and guards may deny, so a step can raise; its
+   outcome is then part of what two memories must agree on. *)
 type op =
   | Write_byte of World.t * int * int
   | Write_string of World.t * int * string
   | Write_int64 of World.t * int * int64
-  | Blit of World.t * int * int * int
   | Load_image of int * string
-  | Bump of int * int
   | Add_region of int * int * Memory.security
   | Add_guard of int * int * bool (* deny? *)
   | Drop_guard of bool (* remove (true) or disable (false) the newest *)
   | Add_watcher
   | Drop_watcher
+  | Read of World.t * int * int
+  | Read_int64 of World.t * int
+  | Fold of World.t * int * int
 
 let world_name = function World.Normal -> "ns" | World.Secure -> "s"
 
@@ -371,10 +354,7 @@ let pp_op = function
   | Write_string (w, a, s) ->
       Printf.sprintf "string %s@%d+%d" (world_name w) a (String.length s)
   | Write_int64 (w, a, _) -> Printf.sprintf "int64 %s@%d" (world_name w) a
-  | Blit (w, src, dst, len) ->
-      Printf.sprintf "blit %s %d->%d+%d" (world_name w) src dst len
   | Load_image (a, s) -> Printf.sprintf "image @%d+%d" a (String.length s)
-  | Bump (a, len) -> Printf.sprintf "bump @%d+%d" a len
   | Add_region (b, n, sec) ->
       Printf.sprintf "region @%d+%d %s" b n
         (if sec = Memory.Secure_region then "secure" else "ns")
@@ -382,26 +362,27 @@ let pp_op = function
   | Drop_guard remove -> if remove then "remove guard" else "disable guard"
   | Add_watcher -> "watch"
   | Drop_watcher -> "unwatch"
+  | Read (w, a, len) -> Printf.sprintf "read %s@%d+%d" (world_name w) a len
+  | Read_int64 (w, a) -> Printf.sprintf "read int64 %s@%d" (world_name w) a
+  | Fold (w, a, len) -> Printf.sprintf "fold %s@%d+%d" (world_name w) a len
 
 (* Seven pages, the last one partial. *)
-let reuse_size = (6 * Memory.gen_page_size) + 100
+let prop_size = (6 * Memory.gen_page_size) + 100
 
+let world = QCheck.Gen.oneofl [ World.Normal; World.Secure ]
+
+(* The mutating entry points, at any address. *)
 let gen_op =
   let ps = Memory.gen_page_size in
   QCheck.Gen.(
-    let addr = int_bound (reuse_size + 16) in
-    let world = oneofl [ World.Normal; World.Secure ] in
+    let addr = int_bound (prop_size + 16) in
     let bytes n = string_size ~gen:char (int_bound n) in
     frequency
       [
         (4, map3 (fun w a v -> Write_byte (w, a, v)) world addr (int_bound 255));
         (3, map3 (fun w a s -> Write_string (w, a, s)) world addr (bytes (2 * ps)));
         (3, map3 (fun w a v -> Write_int64 (w, a, v)) world addr ui64);
-        ( 2,
-          map4 (fun w src dst len -> Blit (w, src, dst, len)) world addr addr
-            (int_bound (2 * ps)) );
         (2, map2 (fun a s -> Load_image (a, s)) addr (bytes (3 * ps)));
-        (2, map2 (fun a len -> Bump (a, len)) addr (int_bound (2 * ps)));
         ( 1,
           map3
             (fun b n sec -> Add_region (b, n, sec))
@@ -413,145 +394,190 @@ let gen_op =
         (1, return Drop_watcher);
       ])
 
+(* What paging adds: page-aligned loads (the unaligned ones come from
+   [gen_op]), and writes, reads and folds near a page boundary, so they
+   straddle pages and land in the pages an image covers. *)
+let gen_paged_op =
+  let ps = Memory.gen_page_size in
+  QCheck.Gen.(
+    let edge = map2 (fun p d -> max 0 ((p * ps) + d)) (int_range 1 6) (int_range (-9) 9) in
+    let len = int_bound ((2 * ps) + 16) in
+    frequency
+      [
+        (8, gen_op);
+        ( 1,
+          map2
+            (fun p s -> Load_image (p * ps, s))
+            (int_bound 6)
+            (string_size ~gen:char (int_range ps (3 * ps))) );
+        (1, map3 (fun w a v -> Write_int64 (w, a, v)) world edge ui64);
+        (1, map3 (fun w a v -> Write_byte (w, a, v)) world edge (int_bound 255));
+        (2, map3 (fun w a n -> Read (w, a, n)) world edge len);
+        (1, map2 (fun w a -> Read_int64 (w, a)) world edge);
+        (2, map3 (fun w a n -> Fold (w, a, n)) world edge len);
+      ])
+
 let arb_ops =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-    QCheck.Gen.(list_size (int_range 0 40) gen_op)
+    QCheck.Gen.(list_size (int_range 0 40) gen_paged_op)
 
-(* A memory with the guards and watchers registered on it so far; every
-   watcher logs each write it is told about. *)
-type handle = {
-  mem : Memory.t;
-  mutable guards : Memory.guard list;
-  mutable watchers : Memory.watcher list;
-  mutable log : (int * int * int) list;
-}
+(* The entry points the property drives; [Memory] and [Memory_ref] both
+   have them. *)
+module type MEMORY = sig
+  type t
+  type guard
+  type watcher
 
-let handle mem = { mem; guards = []; watchers = []; log = [] }
+  val size : t -> int
 
-let apply h op =
-  let m = h.mem in
-  match op with
-  | Write_byte (world, addr, v) -> Memory.write_byte m ~world ~addr v
-  | Write_string (world, addr, s) -> Memory.write_string m ~world ~addr s
-  | Write_int64 (world, addr, v) -> Memory.write_int64_le m ~world ~addr v
-  | Blit (world, src, dst, len) -> Memory.blit_within m ~world ~src ~dst ~len
-  | Load_image (addr, s) -> Memory.load_image m ~addr s
-  | Bump (addr, len) -> Memory.bump_generation m ~addr ~len
-  | Add_region (base, size, security) ->
-      ignore
-        (Memory.add_region m
-           ~name:(Printf.sprintf "r%d" base)
-           ~base ~size ~security)
-  | Add_guard (base, len, deny) ->
-      let g =
-        Memory.add_write_guard m ~name:"g" ~base ~len ~decide:(fun ~addr:_ ~len:_ ->
-            if deny then `Deny else `Allow)
-      in
-      h.guards <- g :: h.guards
-  | Drop_guard remove -> (
-      match h.guards with
-      | g :: rest when remove ->
-          Memory.remove_write_guard m g;
-          h.guards <- rest
-      | g :: _ -> Memory.disable_write_guard g
-      | [] -> ())
-  | Add_watcher ->
-      let id = List.length h.watchers in
-      let w =
-        Memory.add_write_watcher m (fun ~addr ~len ->
-            h.log <- (id, addr, len) :: h.log)
-      in
-      h.watchers <- w :: h.watchers
-  | Drop_watcher -> (
-      match h.watchers with
-      | w :: rest ->
-          Memory.remove_write_watcher m w;
-          h.watchers <- rest
-      | [] -> ())
+  val add_region :
+    t -> name:string -> base:int -> size:int -> security:Memory.security ->
+    Memory.region
 
-(* Each step's outcome: "ok" or the exception it raised. *)
-let run h ops =
-  List.map
-    (fun op ->
-      match apply h op with () -> "ok" | exception e -> Printexc.to_string e)
-    ops
+  val regions : t -> Memory.region list
+  val write_byte : t -> world:World.t -> addr:int -> int -> unit
+  val read_bytes : t -> world:World.t -> addr:int -> len:int -> bytes
+  val write_string : t -> world:World.t -> addr:int -> string -> unit
+  val read_int64_le : t -> world:World.t -> addr:int -> int64
+  val write_int64_le : t -> world:World.t -> addr:int -> int64 -> unit
 
-(* Everything a caller can observe of a memory's state. *)
-let observe m ranges =
-  let ps = Memory.gen_page_size in
-  ( Memory.read_bytes m ~world:World.Secure ~addr:0 ~len:(Memory.size m),
-    List.init
-      ((Memory.size m + ps - 1) / ps)
-      (fun p -> Memory.generation m ~addr:(p * ps) ~len:1),
-    Memory.write_generation m,
-    Memory.regions m,
-    List.map (fun (addr, len) -> Memory.image_slice m ~addr ~len) ranges )
+  val fold_pages :
+    t -> world:World.t -> addr:int -> len:int -> init:'a ->
+    f:('a -> Bytes.t -> int -> int -> 'a) -> 'a
 
-(* A memory's backing store, let out of [with_range_ro] only to compare
-   its identity. *)
-let backing m =
-  Memory.with_range_ro m ~world:World.Secure ~addr:0 ~len:1 ~f:(fun data _ ->
-      data)
+  val add_write_guard :
+    t -> name:string -> base:int -> len:int ->
+    decide:(addr:int -> len:int -> [ `Allow | `Deny ]) -> guard
 
-(* A runner spawns fresh worker domains for every batch: a store released
-   on one of them must still serve the next memory, on any domain. *)
-let test_pool_crosses_domains () =
-  let released =
-    Domain.join
-      (Domain.spawn (fun () ->
-           let m = Memory.create ~size:reuse_size in
-           let store = backing m in
-           Memory.release m;
-           store))
-  in
-  Alcotest.(check bool) "the caller takes the worker's store" true
-    (backing (Memory.create ~size:reuse_size) == released)
+  val remove_write_guard : t -> guard -> unit
+  val disable_write_guard : guard -> unit
+  val add_write_watcher : t -> (addr:int -> len:int -> unit) -> watcher
+  val remove_write_watcher : t -> watcher -> unit
+  val write_generation : t -> int
+  val generation : t -> addr:int -> len:int -> int
+  val load_image : t -> addr:int -> string -> unit
+  val image_slice : t -> addr:int -> len:int -> (string * int) option
+end
 
-(* Releasing more memories than the cap keeps exactly the newest [cap]
-   stores idle, whatever their domains. *)
-let test_pool_cap () =
-  let cap = Domain.recommended_domain_count () in
-  let size = reuse_size + 1 in
-  let ms = List.init (cap + 2) (fun _ -> Memory.create ~size) in
-  let stores = List.map backing ms in
-  List.iter Memory.release ms;
-  let again = List.init (cap + 2) (fun _ -> backing (Memory.create ~size)) in
-  let reused s = List.exists (( == ) s) stores in
-  Alcotest.(check int) "stores handed back" cap
-    (List.length (List.filter reused again));
-  Alcotest.(check bool) "the newest first" true
-    (List.hd again == List.nth stores (cap + 1))
+module Drive (M : MEMORY) = struct
+  (* A memory with the guards and watchers registered on it so far; every
+     watcher logs each write it is told about. *)
+  type handle = {
+    mem : M.t;
+    mutable guards : M.guard list;
+    mutable watchers : M.watcher list;
+    mutable log : (int * int * int) list;
+  }
 
-(* The reuse oracle: memory B, built on the store that A released, must be
-   indistinguishable from a fresh memory, before and after one more random
-   sequence runs on both. *)
-let prop_reuse_equals_fresh =
-  QCheck.Test.make ~name:"a memory on a released store equals a fresh one"
-    ~count:200
+  let handle mem = { mem; guards = []; watchers = []; log = [] }
+
+  (* A step's outcome: "ok", or what a read returned. *)
+  let apply h op =
+    let m = h.mem in
+    match op with
+    | Write_byte (world, addr, v) -> M.write_byte m ~world ~addr v; "ok"
+    | Write_string (world, addr, s) -> M.write_string m ~world ~addr s; "ok"
+    | Write_int64 (world, addr, v) -> M.write_int64_le m ~world ~addr v; "ok"
+    | Load_image (addr, s) -> M.load_image m ~addr s; "ok"
+    | Add_region (base, size, security) ->
+        ignore
+          (M.add_region m ~name:(Printf.sprintf "r%d" base) ~base ~size ~security);
+        "ok"
+    | Add_guard (base, len, deny) ->
+        let g =
+          M.add_write_guard m ~name:"g" ~base ~len ~decide:(fun ~addr:_ ~len:_ ->
+              if deny then `Deny else `Allow)
+        in
+        h.guards <- g :: h.guards;
+        "ok"
+    | Drop_guard remove ->
+        (match h.guards with
+        | g :: rest when remove ->
+            M.remove_write_guard m g;
+            h.guards <- rest
+        | g :: _ -> M.disable_write_guard g
+        | [] -> ());
+        "ok"
+    | Add_watcher ->
+        let id = List.length h.watchers in
+        let w =
+          M.add_write_watcher m (fun ~addr ~len -> h.log <- (id, addr, len) :: h.log)
+        in
+        h.watchers <- w :: h.watchers;
+        "ok"
+    | Drop_watcher ->
+        (match h.watchers with
+        | w :: rest ->
+            M.remove_write_watcher m w;
+            h.watchers <- rest
+        | [] -> ());
+        "ok"
+    | Read (world, addr, len) -> Bytes.to_string (M.read_bytes m ~world ~addr ~len)
+    | Read_int64 (world, addr) -> Int64.to_string (M.read_int64_le m ~world ~addr)
+    | Fold (world, addr, len) ->
+        String.concat "|"
+          (List.rev
+             (M.fold_pages m ~world ~addr ~len ~init:[] ~f:(fun acc data off n ->
+                  Bytes.sub_string data off n :: acc)))
+
+  (* Each step's outcome, or the exception it raised. *)
+  let run h ops =
+    List.map (fun op -> try apply h op with e -> Printexc.to_string e) ops
+
+  (* Everything a caller can observe of a memory's state. *)
+  let observe m ranges =
+    let ps = Memory.gen_page_size in
+    ( M.read_bytes m ~world:World.Secure ~addr:0 ~len:(M.size m),
+      List.init
+        ((M.size m + ps - 1) / ps)
+        (fun p -> M.generation m ~addr:(p * ps) ~len:1),
+      M.write_generation m,
+      M.regions m,
+      List.map (fun (addr, len) -> M.image_slice m ~addr ~len) ranges )
+end
+
+module Paged = Drive (Memory)
+module Flat = Drive (Memory_ref)
+
+(* The paging oracle: the same random sequence on a paged memory and on
+   the flat model must give the same outcome at every step, the same
+   watcher logs, and then the same contents, page stamps, write counter,
+   regions and image slices over random ranges. Nothing may write shared
+   bytes: every loaded string keeps its bytes, and a fresh memory still
+   reads zero. *)
+let prop_paged_equals_flat =
+  QCheck.Test.make ~name:"paged memory equals the flat model" ~count:300
     QCheck.(
-      triple arb_ops arb_ops
+      pair arb_ops
         (list_of_size Gen.(int_range 1 8)
-           (pair (int_bound reuse_size) (int_bound (3 * Memory.gen_page_size)))))
-    (fun (before, after, ranges) ->
-      let a = handle (Memory.create ~size:reuse_size) in
-      ignore (run a before);
-      let a_store = backing a.mem in
-      let a_log = a.log in
-      Memory.release a.mem;
-      let b = handle (Memory.create ~size:reuse_size) in
-      if backing b.mem != a_store then
-        QCheck.Test.fail_report "B did not take A's released store";
-      let fresh = handle (Memory.create ~size:reuse_size) in
-      if observe b.mem ranges <> observe fresh.mem ranges then
-        QCheck.Test.fail_report "B differs from a fresh memory";
-      if run b after <> run fresh after then
-        QCheck.Test.fail_report "a step's outcome differs";
-      if b.log <> fresh.log then QCheck.Test.fail_report "watcher logs differ";
-      if a.log != a_log then
-        QCheck.Test.fail_report "a watcher of the released memory fired";
-      if observe b.mem ranges <> observe fresh.mem ranges then
-        QCheck.Test.fail_report "B differs from the fresh memory afterwards";
+           (pair (int_bound prop_size) (int_bound (3 * Memory.gen_page_size)))))
+    (fun (ops, ranges) ->
+      let sources =
+        List.filter_map
+          (function
+            | Load_image (_, s) -> Some (s, Bytes.to_string (Bytes.of_string s))
+            | _ -> None)
+          ops
+      in
+      let paged = Paged.handle (Memory.create ~size:prop_size) in
+      let flat = Flat.handle (Memory_ref.create ~size:prop_size) in
+      List.iteri
+        (fun i (got, want) ->
+          if got <> want then
+            QCheck.Test.fail_reportf "step %d (%s): %S, want %S" i
+              (pp_op (List.nth ops i)) got want)
+        (List.combine (Paged.run paged ops) (Flat.run flat ops));
+      if paged.log <> flat.log then QCheck.Test.fail_report "watcher logs differ";
+      if Paged.observe paged.mem ranges <> Flat.observe flat.mem ranges then
+        QCheck.Test.fail_report "the memory differs from the model";
+      if not (List.for_all (fun (s, copy) -> String.equal s copy) sources) then
+        QCheck.Test.fail_report "a loaded image was written";
+      let fresh = Memory.create ~size:prop_size in
+      if
+        Bytes.exists (( <> ) '\000')
+          (Memory.read_bytes fresh ~world:World.Secure ~addr:0 ~len:prop_size)
+      then QCheck.Test.fail_report "the zero page was written";
       true)
 
 let suite =
@@ -566,26 +592,19 @@ let suite =
     Alcotest.test_case "region_of_addr" `Quick test_region_of_addr;
     Alcotest.test_case "regions sorted" `Quick test_regions_sorted;
     Alcotest.test_case "write_string/read_bytes" `Quick test_write_string_and_read_bytes;
-    Alcotest.test_case "fold_range" `Quick test_fold_range;
     Alcotest.test_case "straddling range rejected" `Quick test_range_straddling_secure_rejected;
-    Alcotest.test_case "blit_within" `Quick test_blit_within;
     Alcotest.test_case "write watcher" `Quick test_write_watcher;
     Alcotest.test_case "watcher ignores reads" `Quick test_watcher_not_fired_on_read;
     Alcotest.test_case "int64 roundtrip + watcher" `Quick test_int64_roundtrip_and_watcher;
     Alcotest.test_case "int64 access checks" `Quick test_int64_access_checks;
     Alcotest.test_case "guard traps int64 write" `Quick test_guard_traps_int64_write;
-    Alcotest.test_case "with_range_ro" `Quick test_with_range_ro;
+    Alcotest.test_case "fold_pages" `Quick test_fold_pages;
     Alcotest.test_case "generation stamps" `Quick test_generation_stamps;
-    Alcotest.test_case "bump_generation" `Quick test_bump_generation;
     Alcotest.test_case "generation visible in watcher" `Quick
       test_generation_visible_in_watcher;
     Alcotest.test_case "write path allocates nothing" `Quick
       test_write_path_zero_alloc;
     QCheck_alcotest.to_alcotest prop_rw_any_byte;
     Alcotest.test_case "released memory raises" `Quick test_released_raises;
-    QCheck_alcotest.to_alcotest prop_reuse_equals_fresh;
-    Alcotest.test_case "a released store crosses domains" `Quick
-      test_pool_crosses_domains;
-    Alcotest.test_case "the idle pool keeps at most the cap" `Quick
-      test_pool_cap;
+    QCheck_alcotest.to_alcotest prop_paged_equals_flat;
   ]

@@ -125,15 +125,6 @@ let test_boxplot_row () =
   Alcotest.(check bool) "quartile brackets" true
     (String.contains row '[' && String.contains row ']')
 
-let test_csv () =
-  let out = Report.csv ~header:[ "a"; "b" ] [ [ "1"; "x,y" ]; [ "q\"q"; "2" ] ] in
-  Alcotest.(check string) "escaped"
-    "a,b\n1,\"x,y\"\n\"q\"\"q\",2\n" out;
-  (try
-     ignore (Report.csv ~header:[ "a" ] [ [ "1"; "2" ] ]);
-     Alcotest.fail "arity mismatch accepted"
-   with Invalid_argument _ -> ())
-
 let test_bar () =
   let b = Report.bar ~label:"x" ~value:50.0 ~max_value:100.0 ~width:10 in
   Alcotest.(check bool) "half bar" true
@@ -156,7 +147,6 @@ let suite =
     Alcotest.test_case "storm reopens the race" `Quick test_storm_reopens_the_race;
     Alcotest.test_case "table rendering" `Quick test_table_rendering;
     Alcotest.test_case "sci/pct formats" `Quick test_sci_format;
-    Alcotest.test_case "csv" `Quick test_csv;
     Alcotest.test_case "boxplot row" `Quick test_boxplot_row;
     Alcotest.test_case "bar" `Quick test_bar;
   ]

@@ -101,6 +101,35 @@ let test_campaign_wall_labels () =
   Alcotest.(check (list string))
     "experiment.wall_s labels" [ "e1"; "e3" ] (List.rev !labels)
 
+(* A campaign runs each spec once per seed, however many of its commands
+   it names: Figure 4 prints from Table II's result, so [-e table2,fig4]
+   counts Table II's trials once, and prints and summarizes what the two
+   commands do alone. *)
+let test_campaign_runs_spec_once () =
+  let campaign cmds =
+    let obs = Obs.create () in
+    let buf = Buffer.create 4096 in
+    let fmt = Format.formatter_of_buffer buf in
+    Obs.install obs;
+    let summaries =
+      Fun.protect ~finally:Obs.uninstall (fun () ->
+          Registry.campaign fmt ~pool:Runner.sequential ~seeds:[ 42 ]
+            ~quick:true cmds)
+    in
+    Format.pp_print_flush fmt ();
+    ( Metrics.counter_value (Obs.metrics obs) "runner.trials",
+      Buffer.contents buf,
+      List.map (fun (k, j) -> (k, Json.to_string j)) summaries )
+  in
+  let alone, table2, s2 = campaign [ "table2" ] in
+  let _, fig4, s4 = campaign [ "fig4" ] in
+  let both, report, summaries = campaign [ "table2"; "fig4" ] in
+  Alcotest.(check bool) "Table II runs trials" true (alone > Some 0);
+  Alcotest.(check (option int)) "Table II's trials counted once" alone both;
+  Alcotest.(check string) "each command's report" (table2 ^ fig4) report;
+  Alcotest.(check (list (pair string string)))
+    "each command's summary" (s2 @ s4) summaries
+
 (* One observation path: under a sink, a campaign exports the same
    --metrics and --trace documents at any pool width — with no store, a
    cold one and a warm one — while the wide pool really spreads its
@@ -157,6 +186,8 @@ let suite =
       Alcotest.test_case "default campaign" `Quick test_default_campaign;
       Alcotest.test_case "campaign records wall per spec" `Quick
         test_campaign_wall_labels;
+      Alcotest.test_case "campaign runs a spec once per seed" `Quick
+        test_campaign_runs_spec_once;
       Alcotest.test_case "sink exports equal at any width" `Slow
         test_sink_exports_any_width;
       Alcotest.test_case "all --quick = concatenated CLI --quick" `Slow
